@@ -7,17 +7,13 @@ from .errors import (
     MarginalStabilityError,
     MediumNotStationaryError,
     PoleError,
-    SingularMatrixError,
     SingularParametrizationError,
     ZeroSignalError,
 )
 from .interferometer import (
     IfoParams,
-    LoopBlocks,
     baseline_integrated_inverse_psd,
-    build_loop,
     open_loop_gain,
-    quad_from_sideband,
     reference_detector,
     strain_psd,
 )

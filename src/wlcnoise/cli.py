@@ -137,7 +137,7 @@ def _sweep_tables(grid: SweepGrid, out_dir: Path) -> dict:
     }
     for rs2 in spec.srm_power_reflectivities:
         for label in labels:
-            name = f"sweep_rs2_{rs2:g}_root_{label}.csv"
+            name = f"sweep_rs2_{_fmt(rs2)}_root_{label}.csv"
             rows = []
             stable = 0
             marginal = 0

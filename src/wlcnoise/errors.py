@@ -5,10 +5,6 @@ class DegenerateEquationError(ValueError):
     """All coefficients of an equation vanish; nothing to solve."""
 
 
-class SingularMatrixError(ValueError):
-    """2x2 block has (numerically) zero determinant."""
-
-
 class AccuracyError(RuntimeError):
     """A numerical routine could not reach the requested tolerance.
 

@@ -6,8 +6,8 @@ the gain medium (diagonal block M(omega) because conj(M(-omega)) ==
 M(omega)), and the signal recycling mirror closing the loop with
 amplitude reflectivity r_s. Test masses are taken infinitely heavy, so
 radiation-pressure back-action is absent and the shot-noise-limited
-strain spectral density is assembled from the loop blocks plus the
-medium's added noise.
+strain spectral density follows in closed form from the scalar loop
+gain plus the medium's added noise.
 """
 
 from __future__ import annotations
@@ -22,22 +22,14 @@ from scipy.constants import hbar as HBAR
 from . import medium as med_mod
 from .errors import MarginalStabilityError, ZeroSignalError
 from .medium import MediumParams, NoiseModel
-from .numerics import identity2, inv2, scalar_block
 
 __all__ = [
     "IfoParams",
-    "LoopBlocks",
     "reference_detector",
-    "quad_from_sideband",
-    "build_loop",
     "open_loop_gain",
     "strain_psd",
     "baseline_integrated_inverse_psd",
 ]
-
-# sideband-to-quadrature change of basis and its inverse
-M_QS = np.array([[1.0, 1.0], [-1.0j, 1.0j]], dtype=complex) / math.sqrt(2.0)
-M_QS_INV = np.array([[1.0, 1.0j], [1.0, -1.0j]], dtype=complex) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -86,6 +78,12 @@ class IfoParams:
                 * self.arm_length**2 / (HBAR * SPEED_OF_LIGHT**2))
 
     @property
+    def reads_signal(self) -> bool:
+        """False when the homodyne readout is orthogonal to the signal
+        quadrature (|cos homodyne_angle| at roundoff level)."""
+        return abs(math.cos(self.homodyne_angle)) > 1e-13
+
+    @property
     def free_spectral_range(self) -> float:
         """Angular free spectral range pi / tau used as integration limit."""
         return math.pi / self.tau
@@ -113,39 +111,6 @@ def reference_detector(srm_power_reflectivity: float = 0.8,
     )
 
 
-@dataclass(frozen=True)
-class LoopBlocks:
-    """All 2x2 quadrature blocks of the closed loop at one frequency.
-
-    m0      arm round trip, e^{2 i omega tau} identity
-    m_tot   medium block times m0
-    m_c     closed-loop block (I - r_s m_tot)^-1
-    m_k     input-output block -r_s I + t_s^2 m_c m_tot
-    d_vec   signal drive e^{i omega tau} (0, sqrt(2 K))
-    n_plus  quadrature block of the upper added-noise channel (per bath)
-    n_minus quadrature block of the lower added-noise channel (per bath)
-    """
-
-    m0: np.ndarray
-    m_tot: np.ndarray
-    m_c: np.ndarray
-    m_k: np.ndarray
-    d_vec: np.ndarray
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-
-
-def quad_from_sideband(upper: complex, lower_conj: complex) -> np.ndarray:
-    """Quadrature block of a sideband-diagonal transfer.
-
-    Given the transfer of the upper sideband at +omega and the
-    conjugated transfer of the lower sideband at -omega, returns
-    M_qs diag(upper, lower_conj) M_qs^-1. A pair (z, conj(z)) maps to a
-    real-entried block.
-    """
-    return M_QS @ np.diag([upper, lower_conj]).astype(complex) @ M_QS_INV
-
-
 def open_loop_gain(ifo: IfoParams, med: MediumParams, omega) -> complex:
     """Scalar open-loop gain: arm delay times medium transfer.
 
@@ -155,76 +120,44 @@ def open_loop_gain(ifo: IfoParams, med: MediumParams, omega) -> complex:
     return g if np.ndim(omega) else complex(g)
 
 
-def build_loop(ifo: IfoParams, med: MediumParams, model: NoiseModel,
-               omega: float) -> LoopBlocks:
-    """Assemble every loop block at sideband frequency omega.
-
-    Raises MarginalStabilityError when the closed loop is singular at
-    omega (determinant of I - r_s m_tot below 1e-12).
-    """
-    rs = ifo.srm_amplitude_reflectivity
-    ts = ifo.srm_amplitude_transmissivity
-    delay = complex(np.exp(2j * omega * ifo.tau))
-    m0 = scalar_block(delay)
-    m_scalar = med_mod.probe_transfer(med, omega)
-    m_tot = scalar_block(m_scalar * delay)
-
-    closed = identity2() - rs * m_tot
-    det = closed[0, 0] * closed[1, 1] - closed[0, 1] * closed[1, 0]
-    if abs(det) <= 1e-12:
-        raise MarginalStabilityError(
-            f"closed loop singular at omega = {omega!r} (|det| = {abs(det):.3e})")
-    m_c = inv2(closed)
-    m_k = -rs * identity2() + ts**2 * (m_c @ m_tot)
-
-    d_vec = complex(np.exp(1j * omega * ifo.tau)) * np.array(
-        [0.0, math.sqrt(2.0 * ifo.signal_strength)], dtype=complex)
-
-    n_up, n_lo = med_mod.noise_coefficients(med, omega, model)
-    n_plus = quad_from_sideband(n_up, n_lo)
-    n_minus = quad_from_sideband(n_lo, n_up)
-    return LoopBlocks(m0=m0, m_tot=m_tot, m_c=m_c, m_k=m_k, d_vec=d_vec,
-                      n_plus=n_plus, n_minus=n_minus)
-
-
 def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel,
                omega: float) -> float:
     """Shot-noise-limited strain spectral density at omega.
 
-    Vacuum entering at the dark port reaches the readout through m_k;
-    the gravitational-wave signal through t_s m_c d_vec; the medium's
-    added noise through t_s m_c m0 applied to the per-bath noise blocks,
-    summed over independent baths. Every transfer is evaluated from the
-    full block chain, so no analytic cancellation is assumed. The atom
-    count cancels between the bath count and the per-bath coefficients,
-    making the result independent of it.
-    """
-    blocks = build_loop(ifo, med, model, omega)
-    v_h = np.array([math.sin(ifo.homodyne_angle), math.cos(ifo.homodyne_angle)],
-                   dtype=complex)
-    ts = ifo.srm_amplitude_transmissivity
+    Every loop block is a scalar multiple of the identity except the
+    noise blocks, and the medium is phase insensitive, so the block
+    chain collapses to the open-loop gain G:
 
-    response = blocks.m_c @ blocks.d_vec
-    signal_amp = ts * (v_h @ response)
-    signal_power = abs(signal_amp) ** 2
-    # orthogonal readout leaves only roundoff-level signal
-    floor = (1e-13 * ts * float(np.linalg.norm(response))) ** 2
-    if signal_power <= floor:
+        S = (|G - r_s|^2 + B t_s^2 (|N+|^2 + |N-|^2)) / (2 K t_s^2 cos^2 zeta)
+
+    with K the signal strength, zeta the homodyne angle and B the bath
+    count (atom_count for LOCAL, 1 for COLLECTIVE); the noise term is
+    dropped when the added noise is switched off. The atom count
+    cancels between B and the per-bath coefficients, making the result
+    independent of it.
+
+    Raises MarginalStabilityError when the closed loop is singular at
+    omega (|1 - r_s G| <= 1e-6) and ZeroSignalError when the readout is
+    orthogonal to the signal quadrature.
+    """
+    rs = ifo.srm_amplitude_reflectivity
+    ts2 = ifo.srm_amplitude_transmissivity**2
+    gain = open_loop_gain(ifo, med, omega)
+    closed = abs(1.0 - rs * gain)
+    if closed <= 1e-6:
+        raise MarginalStabilityError(
+            f"closed loop singular at omega = {omega!r} (|1 - r_s G| = {closed:.3e})")
+    if not ifo.reads_signal:
         raise ZeroSignalError(
             f"readout at homodyne angle {ifo.homodyne_angle} carries no signal")
 
-    row_k = v_h @ blocks.m_k
-    vacuum_power = float(np.real(row_k @ np.conj(row_k)))
-
-    noise_power = 0.0
+    power = abs(gain - rs) ** 2
     if ifo.include_additional_noise:
         baths = med.atom_count if model is NoiseModel.LOCAL else 1
-        propagate = ts * (blocks.m_c @ blocks.m0)
-        for block in (blocks.n_plus, blocks.n_minus):
-            row = v_h @ (propagate @ block)
-            noise_power += baths * float(np.real(row @ np.conj(row)))
-
-    return (vacuum_power + noise_power) / signal_power
+        n_up, n_lo = med_mod.noise_coefficients(med, omega, model)
+        power += baths * ts2 * (abs(n_up) ** 2 + abs(n_lo) ** 2)
+    signal = 2.0 * ifo.signal_strength * ts2 * math.cos(ifo.homodyne_angle) ** 2
+    return power / signal
 
 
 def baseline_integrated_inverse_psd(ifo: IfoParams) -> float:

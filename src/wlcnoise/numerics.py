@@ -1,8 +1,7 @@
 """Shared numeric utilities.
 
-Complex 2x2 blocks, numerically stable quadratic roots, adaptive Simpson
-quadrature, central finite differences, and winding-number accumulation
-for closed contours. Everything here is a pure function of its inputs.
+Numerically stable quadratic roots, adaptive Simpson quadrature, central
+finite differences, and winding-number accumulation for closed contours. Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -17,14 +16,9 @@ from .errors import (
     AccuracyError,
     DegenerateEquationError,
     MarginalStabilityError,
-    SingularMatrixError,
 )
 
 __all__ = [
-    "mat2",
-    "identity2",
-    "inv2",
-    "scalar_block",
     "QuadraticRoots",
     "solve_quadratic",
     "QuadratureResult",
@@ -34,37 +28,6 @@ __all__ = [
     "accumulate_winding",
     "min_distance_to_path",
 ]
-
-
-# ---------------------------------------------------------------------------
-# complex 2x2 blocks
-# ---------------------------------------------------------------------------
-
-def mat2(a11: complex, a12: complex, a21: complex, a22: complex) -> np.ndarray:
-    """Build a 2x2 complex block from its entries (row major)."""
-    return np.array([[a11, a12], [a21, a22]], dtype=complex)
-
-
-def identity2() -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
-def inv2(m: np.ndarray, det_tol: float = 0.0) -> np.ndarray:
-    """Explicit inverse of a 2x2 block via the adjugate.
-
-    Raises SingularMatrixError when |det| does not exceed det_tol.
-    """
-    a, b = m[0, 0], m[0, 1]
-    c, d = m[1, 0], m[1, 1]
-    det = a * d - b * c
-    if abs(det) <= det_tol:
-        raise SingularMatrixError(f"2x2 block is singular (|det| = {abs(det):.3e})")
-    return np.array([[d, -b], [-c, a]], dtype=complex) / det
-
-
-def scalar_block(z: complex) -> np.ndarray:
-    """z times the identity block."""
-    return np.array([[z, 0.0], [0.0, z]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -306,37 +269,16 @@ def accumulate_winding(points: Sequence[complex], point: complex) -> tuple[float
 
 
 def winding_number(curve: Sequence[complex], point: complex,
-                   producer: Callable[[float], complex] | None = None,
-                   params: Sequence[float] | None = None,
-                   on_path_tol: float = 1e-12,
-                   max_rounds: int = 48) -> int:
+                   on_path_tol: float = 1e-12) -> int:
     """Signed winding count of a closed curve about `point` (CCW positive).
 
     The curve is given as an ordered list of points and closed
-    implicitly (last joins back to first). When a `producer` callback is
-    supplied together with the sampling `params` (one parameter per
-    point, producer(params[i]) == curve[i], first and last point equal),
-    any segment whose angle increment about `point` reaches pi/2 is
-    bisected through the callback until resolved.
+    implicitly (last joins back to first).
 
     Raises MarginalStabilityError when the curve passes through `point`
     within on_path_tol relative to the curve extent.
     """
-    if producer is None:
-        z = _as_closed(curve)
-    else:
-        if params is None:
-            raise ValueError("producer requires matching params")
-        t = np.asarray(params, dtype=float)
-        if t.size != np.asarray(curve).size:
-            raise ValueError("params must have one entry per curve point")
-        z = np.asarray(curve, dtype=complex).copy()
-        seam = abs(z[0] - z[-1])
-        if seam > 1e-9 * float(np.abs(z - point).max()):
-            raise ValueError("producer mode needs an explicitly closed curve")
-        z[-1] = z[0]
-        z, t = _refine_curve(z, t, producer, point, max_rounds=max_rounds)
-
+    z = _as_closed(curve)
     scale = float(np.abs(z - point).max())
     total, dist = accumulate_winding(z, point)
     if dist <= on_path_tol * max(scale, 1e-300):

@@ -25,6 +25,24 @@ class ScenarioError(ValueError):
     """Scenario file is syntactically or semantically invalid."""
 
 
+class _NonFinite(str):
+    """Text of a JSON number with no finite float value (NaN, Infinity,
+    1e400, a 400-digit integer). Not an int or float, so every numeric
+    field rejects it by name."""
+
+    def __repr__(self) -> str:
+        return str(self) if len(self) <= 32 else f"a {len(self)}-character number"
+
+
+def _parse_float(text: str):
+    value = float(text)
+    return value if math.isfinite(value) else _NonFinite(text)
+
+
+def _parse_int(text: str):
+    return int(text) if math.isfinite(float(text)) else _NonFinite(text)
+
+
 @dataclass(frozen=True)
 class EtaXiMedium:
     eta: float
@@ -72,7 +90,7 @@ def _number(mapping: dict, key: str, where: str, positive: bool = True,
         raise ScenarioError(f"{where}: missing required field '{key}'")
     value = mapping[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {value!r}")
+        raise ScenarioError(f"{where}.{key}: expected a finite number, got {value!r}")
     if positive and value <= 0:
         raise ScenarioError(f"{where}.{key}: must be positive, got {value}")
     return float(value)
@@ -94,7 +112,8 @@ def _parse_detector(block: dict) -> IfoParams:
         raise ScenarioError(f"{where}.srm_power_reflectivity: must lie in [0, 1)")
     zeta = block.get("homodyne_angle", 0.0)
     if not isinstance(zeta, (int, float)) or isinstance(zeta, bool):
-        raise ScenarioError(f"{where}.homodyne_angle: expected a number")
+        raise ScenarioError(f"{where}.homodyne_angle: expected a finite number, "
+                            f"got {zeta!r}")
     include = block.get("include_additional_noise", True)
     if not isinstance(include, bool):
         raise ScenarioError(f"{where}.include_additional_noise: expected a boolean")
@@ -155,7 +174,7 @@ def _parse_axis(block, where: str) -> tuple[float, ...]:
         raise ScenarioError(f"{where}: expected a list of values or start/stop/count")
     for v in values:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ScenarioError(f"{where}: expected numbers, got {v!r}")
+            raise ScenarioError(f"{where}: expected finite numbers, got {v!r}")
     return tuple(float(v) for v in values)
 
 
@@ -164,6 +183,10 @@ def _parse_sweep(block: dict, detector: IfoParams,
     where = "sweep"
     if not isinstance(block, dict):
         raise ScenarioError(f"{where}: expected an object")
+    if not detector.reads_signal:
+        raise ScenarioError(
+            f"detector.homodyne_angle: readout at {detector.homodyne_angle} "
+            "carries no signal, so a sweep has no strain noise to integrate")
     eta_grid = _parse_axis(_require(block, "eta", where), f"{where}.eta")
     xi_grid = _parse_axis(_require(block, "xi", where), f"{where}.xi")
     rs2_list = block.get("srm_power_reflectivities")
@@ -173,7 +196,7 @@ def _parse_sweep(block: dict, detector: IfoParams,
             or any(not isinstance(v, (int, float)) or isinstance(v, bool)
                    for v in rs2_list)):
         raise ScenarioError(f"{where}.srm_power_reflectivities: expected a "
-                            "nonempty list of numbers")
+                            "nonempty list of finite numbers")
     choice = block.get("root_choice", "both")
     try:
         root_choice = RootChoice(choice)
@@ -204,7 +227,8 @@ def _parse_sweep(block: dict, detector: IfoParams,
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
-    Raises ScenarioError with a line/field diagnostic on any problem.
+    Raises ScenarioError with a line/field diagnostic on any problem,
+    including numbers with no finite float value.
     """
     path = Path(path)
     try:
@@ -212,7 +236,8 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_parse_float, parse_int=_parse_int,
+                         parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: JSON syntax error at line {exc.lineno}, "

@@ -98,6 +98,8 @@ class SweepSpec:
             raise ValueError("need at least one SRM power reflectivity")
         if any(not 0.0 <= v < 1.0 for v in self.srm_power_reflectivities):
             raise ValueError("SRM power reflectivities must lie in [0, 1)")
+        if len(set(self.srm_power_reflectivities)) < len(self.srm_power_reflectivities):
+            raise ValueError("srm_power_reflectivities must not repeat a value")
 
 
 @dataclass(frozen=True)

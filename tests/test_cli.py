@@ -94,6 +94,45 @@ def test_scenario_unknown_fields(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("command,doc,literal,field", [
+    ("nyquist", {"detector": {**DETECTOR, "arm_length": "@"},
+                 "medium": {"eta": 0.4, "xi": 0.4}},
+     "NaN", "detector.arm_length"),
+    ("nyquist", {"detector": {**DETECTOR, "arm_length": "@"},
+                 "medium": {"eta": 0.4, "xi": 0.4}},
+     "1e400", "detector.arm_length"),
+    ("nyquist", {"detector": {**DETECTOR, "circulating_power": "@"},
+                 "medium": {"eta": 0.4, "xi": 0.4}},
+     "9" * 401, "detector.circulating_power"),
+    ("response", {"detector": DETECTOR,
+                  "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3,
+                             "delta0": 2e4, "atom_count": "@"},
+                  "response": {"omega": [0.0]}},
+     "9" * 401, "medium.atom_count"),
+    ("response", {"detector": DETECTOR,
+                  "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3,
+                             "delta0": 2e4},
+                  "response": {"omega": [0.0, "@"]}},
+     "NaN", "response.omega"),
+    ("response", {"detector": DETECTOR,
+                  "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3,
+                             "delta0": 2e4},
+                  "response": {"omega": [0.0, "@"]}},
+     "-Infinity", "response.omega"),
+], ids=["nan", "overflowing-float", "huge-integer", "huge-atom-count",
+        "nan-omega", "infinite-omega"])
+def test_scenario_non_finite_numbers(tmp_path, capsys, command, doc, literal,
+                                     field):
+    # numbers with no finite float value are rejected by field, never
+    # turned into NaN rows, misleading messages or tracebacks
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+    assert main([command, "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert f"error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # response command
 # ---------------------------------------------------------------------------
@@ -270,6 +309,48 @@ def test_sweep_tables_round_trip(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     table = summary["tables"][0]
     assert table["stable_cells"] == len(stable)
+
+
+def test_sweep_zero_signal_readout(tmp_path, capsys):
+    # a readout orthogonal to the signal has no strain noise to integrate
+    path = write_scenario(tmp_path, {
+        "detector": {**DETECTOR, "homodyne_angle": math.pi / 2.0},
+        "sweep": {"eta": [0.4], "xi": [0.4], "srm_power_reflectivities": [0.5],
+                  "root_choice": "smaller"},
+    })
+    assert main(["sweep", "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert "detector.homodyne_angle" in capsys.readouterr().err
+
+
+def test_sweep_duplicate_reflectivities(tmp_path, capsys):
+    path = write_scenario(tmp_path, {
+        "detector": DETECTOR,
+        "sweep": {"eta": [0.5], "xi": [0.3],
+                  "srm_power_reflectivities": [0.8, 0.8]},
+    })
+    assert main(["sweep", "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert "srm_power_reflectivities" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_sweep_table_names_keep_full_precision(tmp_path):
+    # reflectivities that agree to six digits still get their own tables
+    path = write_scenario(tmp_path, {
+        "detector": DETECTOR,
+        "sweep": {"eta": [0.5], "xi": [0.3],
+                  "srm_power_reflectivities": [0.5, 0.5000001],
+                  "root_choice": "larger"},
+    })
+    assert main(["sweep", "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    names = [table["file"] for table in summary["tables"]]
+    assert names == ["sweep_rs2_0.5_root_larger.csv",
+                     "sweep_rs2_0.5000001_root_larger.csv"]
+    for name in names:
+        assert len(read_csv(tmp_path / name)) == 1
 
 
 def test_sweep_requires_block(tmp_path):

@@ -9,56 +9,15 @@ from wlcnoise.errors import (
     AccuracyError,
     DegenerateEquationError,
     MarginalStabilityError,
-    SingularMatrixError,
 )
 from wlcnoise.numerics import (
+    _refine_curve,
     accumulate_winding,
     derivative_central,
-    identity2,
     integrate_adaptive,
-    inv2,
-    mat2,
-    scalar_block,
     solve_quadratic,
     winding_number,
 )
-
-
-# ---------------------------------------------------------------------------
-# 2x2 blocks
-# ---------------------------------------------------------------------------
-
-def test_identity_neutral():
-    m = mat2(1 + 2j, -0.5j, 3.0, 0.25 + 1j)
-    assert np.allclose(m @ identity2(), m)
-    assert np.allclose(identity2() @ m, m)
-
-
-def test_multiplication_associative():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                   for _ in range(3))
-        assert np.allclose((a @ b) @ c, a @ (b @ c), rtol=1e-12, atol=1e-12)
-
-
-def test_inverse_residual():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        if abs(np.linalg.det(m)) < 1e-3:
-            continue
-        residual = m @ inv2(m) - identity2()
-        assert np.abs(residual).max() <= 1e-12 * np.abs(m).max()
-
-
-def test_singular_inverse_raises():
-    with pytest.raises(SingularMatrixError):
-        inv2(mat2(1.0, 2.0, 2.0, 4.0), det_tol=1e-12)
-
-
-def test_scalar_block():
-    assert np.allclose(scalar_block(2j), 2j * identity2())
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +208,9 @@ def test_winding_producer_refinement():
     producer = lambda t: np.exp(1j * t)
     params = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0,
                        2.0 * math.pi])
-    curve = producer(params)
-    assert winding_number(curve, 0.0, producer=producer, params=params) == 1
-
-
-def test_winding_producer_needs_params():
-    with pytest.raises(ValueError):
-        winding_number(_circle(8), 0.0, producer=lambda t: np.exp(1j * t))
+    curve, _ = _refine_curve(producer(params), params, producer, 0.0)
+    total, _ = accumulate_winding(curve, 0.0)
+    assert total == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
 def test_accumulate_winding_distance():

@@ -43,6 +43,8 @@ def test_default_grid_inside_unit_interval():
     dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, srm_power_reflectivities=()),
     dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID,
          srm_power_reflectivities=(1.0,)),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID,
+         srm_power_reflectivities=(0.8, 0.8)),
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
