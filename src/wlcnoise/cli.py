@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--margin", type=float, default=1.0,
                         help="non-stationarity threshold factor (>= 1)")
     parser.add_argument("--omega-max-mult", type=float, default=50.0,
-                        help="frequency range multiplier for Nyquist contours")
+                        help="frequency range multiplier of the nyquist.csv contour")
     return parser
 
 
@@ -99,14 +99,14 @@ def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float,
         raise ScenarioError("nyquist command needs a 'medium' block")
     med = scenario.resolve_medium()
     ifo = scenario.detector
-    omega_max = default_omega_max(med, ifo.tau, omega_max_mult)
     try:
-        report = classify_system(ifo, med, margin=margin, omega_max=omega_max)
+        report = classify_system(ifo, med, margin=margin)
     except MarginalStabilityError as exc:
         print(f"marginal: {exc}")
         return EXIT_MARGINAL
     if report.classification not in (Classification.ATOMIC_INSTABILITY,
                                      Classification.NON_STATIONARY):
+        omega_max = default_omega_max(med, ifo.tau, omega_max_mult)
         contour = nyquist_contour(ifo, med, omega_max=omega_max)
         rows = [[_fmt(z.real), _fmt(z.imag)] for z in contour]
         _write_csv(out_dir / "nyquist.csv", ["re", "im"], rows)
@@ -168,11 +168,10 @@ def _sweep_tables(grid: SweepGrid, out_dir: Path) -> dict:
 
 
 def _cmd_sweep(scenario: Scenario, out_dir: Path, threads: int,
-               margin: float, omega_max_mult: float) -> int:
+               margin: float) -> int:
     if scenario.sweep is None:
         raise ScenarioError("sweep command needs a 'sweep' block")
-    spec = replace(scenario.sweep, margin=margin,
-                   omega_max_multiplier=omega_max_mult)
+    spec = replace(scenario.sweep, margin=margin)
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     grid = run_sweep(spec, scenario.detector, workers=workers)
     summary = _sweep_tables(grid, out_dir)
@@ -201,8 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "nyquist":
             return _cmd_nyquist(scenario, out_dir, args.margin,
                                 args.omega_max_mult)
-        return _cmd_sweep(scenario, out_dir, args.threads, args.margin,
-                          args.omega_max_mult)
+        return _cmd_sweep(scenario, out_dir, args.threads, args.margin)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -288,7 +288,7 @@ def winding_number(curve: Sequence[complex], point: complex,
 
 
 def _refine_curve(z: np.ndarray, t: np.ndarray,
-                  producer: Callable[[float], complex], point: complex,
+                  producer: Callable[[np.ndarray], np.ndarray], point: complex,
                   max_rounds: int = 48,
                   angle_limit: float = 0.5 * math.pi,
                   near_distance: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -328,11 +328,10 @@ def _refine_curve(z: np.ndarray, t: np.ndarray,
 
 
 def _produce(producer: Callable, t_mid: np.ndarray) -> np.ndarray:
-    """Evaluate a curve producer, vectorized when it supports arrays."""
-    try:
-        out = np.asarray(producer(t_mid), dtype=complex)
-        if out.shape == t_mid.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([producer(tm) for tm in t_mid], dtype=complex)
+    """Evaluate a vectorized curve producer on an array of parameters."""
+    out = np.asarray(producer(t_mid), dtype=complex)
+    if out.shape != t_mid.shape:
+        raise ValueError(
+            f"curve producer returned shape {out.shape} for parameters of "
+            f"shape {t_mid.shape}; it must accept and return arrays")
+    return out

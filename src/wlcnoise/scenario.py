@@ -20,6 +20,8 @@ from .survey import RootChoice, SweepSpec
 
 __all__ = ["ScenarioError", "Scenario", "load_scenario"]
 
+MAX_AXIS_COUNT = 10_000
+
 
 class ScenarioError(ValueError):
     """Scenario file is syntactically or semantically invalid."""
@@ -145,7 +147,7 @@ def _parse_medium(block: dict) -> tuple[MediumParams | None, EtaXiMedium | None]
         if delta0 < 0:
             raise ScenarioError(f"{where}.delta0: must be nonnegative")
         atoms = block.get("atom_count", 1)
-        if not isinstance(atoms, int) or atoms < 1:
+        if not isinstance(atoms, int) or isinstance(atoms, bool) or atoms < 1:
             raise ScenarioError(f"{where}.atom_count: expected a positive integer")
         return MediumParams(gamma12, gamma_opt, delta0, atoms), None
     eta = _number(block, "eta", where)
@@ -163,8 +165,11 @@ def _parse_axis(block, where: str) -> tuple[float, ...]:
         start = _number(block, "start", where, positive=False)
         stop = _number(block, "stop", where, positive=False)
         count = block.get("count")
-        if not isinstance(count, int) or count < 1:
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ScenarioError(f"{where}.count: expected a positive integer")
+        if count > MAX_AXIS_COUNT:
+            raise ScenarioError(
+                f"{where}.count: at most {MAX_AXIS_COUNT} points per axis, got {count}")
         if count == 1:
             values = [0.5 * (start + stop)]
         else:

@@ -4,10 +4,13 @@ The closed loop lases when 1 - r_s G_o(omega) has a zero in the upper
 half of the complex frequency plane. With a stationary medium the open
 loop gain G_o = e^{2 i omega tau} M(omega) is analytic there, so the
 zero count equals the winding number of r_s G_o about the point (1, 0)
-along the real axis closed through the decaying upper arc. An
-independent argument-principle oracle counts the same zeros by
-integrating the logarithmic derivative of 1 - r_s G_o around a
-rectangle in the upper half plane.
+along the real axis closed through the decaying upper arc. That winding
+is the signed count of crossings of the ray [1, inf), which can only
+happen where |r_s G_o| > 1; classify_system counts them in closed form
+inside that gain window. nyquist_contour samples the whole contour for
+output and as a reference. An independent argument-principle oracle
+counts the same zeros by integrating the logarithmic derivative of
+1 - r_s G_o around a rectangle in the upper half plane.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from . import medium as med_mod
 from .errors import AccuracyError, MarginalStabilityError, MediumNotStationaryError
 from .interferometer import IfoParams, open_loop_gain
 from .medium import MediumClass, MediumParams
-from .numerics import _refine_curve, accumulate_winding
+from .numerics import _refine_curve, min_distance_to_path, solve_quadratic
 
 __all__ = [
     "Classification",
@@ -53,9 +56,14 @@ class StabilityReport:
 
     classification  final verdict; medium-level classes take precedence
     winding         encirclements of (1, 0) by r_s G_o (0 when the
-                    contour was never computed)
+                    medium is not stationary)
     min_distance_to_critical  closest approach of the contour to (1, 0)
-    omega_range_used          real-axis interval that was sampled
+                    where that is below 1 - level, else the lower bound
+                    1 - level, with level = max(0.9, (1 + r_s) / 2); 1
+                    when r_s = 0, inf when the medium is not stationary
+    omega_range_used          the sampled near window (lo, hi), omega >= 0,
+                    where |r_s G_o| >= level (mirrored onto omega < 0);
+                    (0, 0) when nothing was sampled
     marginal        contour approached (1, 0) closer than 1e-6; surveys
                     treat such cells as unstable
     """
@@ -120,19 +128,17 @@ def _base_grid(med: MediumParams, tau: float, omega_max: float,
     return np.unique(grid)
 
 
-def _refined_half(ifo: IfoParams, med: MediumParams, omega_max: float,
-                  base_samples: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Refined samples of r_s G_o on [0, omega_max]."""
+def _refined_samples(ifo: IfoParams, med: MediumParams,
+                     omegas: np.ndarray) -> np.ndarray:
+    """r_s G_o on ascending omegas, refined about (1, 0) by _refine_curve."""
     rs = ifo.srm_amplitude_reflectivity
 
     def producer(w):
         return rs * open_loop_gain(ifo, med, w)
 
-    omegas = _base_grid(med, ifo.tau, omega_max, base_samples)
-    z = np.asarray(producer(omegas), dtype=complex)
-    z, omegas = _refine_curve(z, omegas, producer, CRITICAL_POINT,
-                              near_distance=REFINE_NEAR_DISTANCE)
-    return omegas, z
+    z, _ = _refine_curve(producer(omegas), omegas, producer, CRITICAL_POINT,
+                         near_distance=REFINE_NEAR_DISTANCE)
+    return z
 
 
 def _closed_contour(half: np.ndarray) -> np.ndarray:
@@ -175,21 +181,119 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams,
         if _tail_contained(ifo, med, omega_max):
             break
         omega_max *= 2.0
-    _, half = _refined_half(ifo, med, omega_max, base_samples)
+    half = _refined_samples(ifo, med,
+                            _base_grid(med, ifo.tau, omega_max, base_samples))
     return _closed_contour(half)
 
 
-def classify_system(ifo: IfoParams, med: MediumParams, margin: float = 1.0,
-                    omega_max: float | None = None,
-                    base_samples: int | None = None) -> StabilityReport:
+def _gain_window(ifo: IfoParams, med: MediumParams,
+                 level: float) -> tuple[float, float] | None:
+    """Frequencies omega >= 0 where |r_s G_o(omega)| > level, as (lo, hi).
+
+    With g = gamma12 - Gamma, M = num / (den_+ den_-) where
+    num = -omega^2 - 2i(g + Gamma) omega + c0 and
+    den_+ den_- = -omega^2 - 2i g omega + e0, so |r_s M|^2 > level^2 is
+    a quadratic inequality in y = omega^2 whose leading coefficient
+    r_s^2 - level^2 is negative for level > r_s: the set is one interval
+    in y, mirrored onto omega < 0. Rates are scaled by their largest
+    before squaring. None when the set is empty or a single point.
+    """
+    rs = ifo.srm_amplitude_reflectivity
+    scale = max(med.delta0, med.damping_gap, med.gamma_opt_total)
+    d, g, gam = med.delta0 / scale, med.damping_gap / scale, med.gamma_opt_total / scale
+    c0 = d * d + g * g + 2.0 * gam * g
+    e0 = d * d + g * g
+    r2, l2 = rs * rs, level * level
+    # r2 [(c0 - y)^2 + 4 (g + Gamma)^2 y] - l2 [(e0 - y)^2 + 4 g^2 y] > 0
+    roots = solve_quadratic(r2 - l2,
+                            r2 * (4.0 * (g + gam) ** 2 - 2.0 * c0)
+                            - l2 * (4.0 * g * g - 2.0 * e0),
+                            r2 * c0 * c0 - l2 * e0 * e0).roots
+    if len(roots) < 2 or roots[1] <= 0.0:
+        return None
+    return math.sqrt(max(roots[0], 0.0)) * scale, math.sqrt(roots[1]) * scale
+
+
+def _loop_phase_turns(ifo: IfoParams, med: MediumParams, omega: float) -> float:
+    """Continuous phase of G_o at real omega >= 0, in turns, 0 at omega = 0.
+
+    The phase is 2 omega tau + arg num - arg den_+ - arg den_- on
+    branches that never jump on the real axis: arg den_pm =
+    pi - atan((omega +- delta0) / g), and arg num = pi + the args of
+    omega - r_k for the two roots r_k = -i(g + Gamma) +- sqrt(delta0^2 -
+    Gamma^2) of num, which lie in the lower half plane, so each
+    omega - r_k stays in the upper one.
+    """
+    g, gam, d = med.damping_gap, med.gamma_opt_total, med.delta0
+    h = g + gam
+    if d >= gam:
+        s = math.sqrt((d - gam) * (d + gam))
+        arg_num = math.atan2(h, omega - s) + math.atan2(h, omega + s)
+    else:
+        t = math.sqrt((gam - d) * (gam + d))
+        # h - t from the product (h - t)(h + t) = c0, free of cancellation
+        arg_num = (math.atan2((d * d + g * g + 2.0 * gam * g) / (h + t), omega)
+                   + math.atan2(h + t, omega))
+    phase = (2.0 * omega * ifo.tau + arg_num - math.pi
+             + math.atan((omega + d) / g) + math.atan((omega - d) / g))
+    return phase / (2.0 * math.pi)
+
+
+def _ray_crossings(ifo: IfoParams, med: MediumParams) -> int:
+    """Winding of r_s G_o about (1, 0) as signed crossings of [1, inf).
+
+    A crossing needs |r_s G_o| > 1, so it lies in the gain window; on
+    [lo, hi] the signed count is floor(phase(hi)) - floor(phase(lo)) in
+    turns, and the conjugate half omega < 0 adds as many. A window
+    starting at omega = 0 is one interval symmetric about zero that
+    crosses the ray at omega = 0 itself, where G_o = M(0) > 0.
+    """
+    window = _gain_window(ifo, med, 1.0)
+    if window is None:
+        return 0
+    lo, hi = window
+    turns_hi = math.floor(_loop_phase_turns(ifo, med, hi))
+    if lo == 0.0:
+        return 2 * turns_hi + 1
+    return 2 * (turns_hi - math.floor(_loop_phase_turns(ifo, med, lo)))
+
+
+def _closest_approach(ifo: IfoParams,
+                      med: MediumParams) -> tuple[float, tuple[float, float]]:
+    """Closest approach of r_s G_o to (1, 0) and the sampled omega range.
+
+    Only the near window where |r_s G_o| >= level, with level =
+    max(1 - REFINE_NEAR_DISTANCE, (1 + r_s) / 2), is sampled and
+    refined; everywhere else the distance exceeds 1 - level, which is
+    returned instead when the window is empty or the sampled approach
+    is farther. Sampling the half omega >= 0 suffices because the other
+    half is its complex conjugate.
+    """
+    rs = ifo.srm_amplitude_reflectivity
+    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
+    window = _gain_window(ifo, med, level)
+    if window is None:
+        return 1.0 - level, (0.0, 0.0)
+    lo, hi = window
+    # 16 samples per delay turn, as on the full contour, before refinement
+    count = 33 + int(16.0 * (hi - lo) * ifo.tau / math.pi)
+    z = _refined_samples(ifo, med, np.linspace(lo, hi, count))
+    return min(min_distance_to_path(z, CRITICAL_POINT), 1.0 - level), (lo, hi)
+
+
+def classify_system(ifo: IfoParams, med: MediumParams,
+                    margin: float = 1.0) -> StabilityReport:
     """Stability verdict for the full interferometer-plus-medium loop.
 
-    Medium-level instabilities are reported before any contour is
+    Medium-level instabilities are reported before any loop quantity is
     computed. For a stationary medium the verdict is the Nyquist
-    winding about (1, 0): zero means stable, anything else is an
-    optical (loop) instability. A contour approaching (1, 0) within
-    1e-9 raises MarginalStabilityError; within 1e-6 the report is
-    flagged marginal.
+    winding about (1, 0), counted in closed form from the crossings of
+    the ray [1, inf) inside the gain window: zero means stable,
+    anything else is an optical (loop) instability. The closest
+    approach to (1, 0) is sampled only where |r_s G_o| is near or above
+    1; elsewhere it is reported as the bound 1 - level (see
+    _closest_approach). An approach within 1e-9 raises
+    MarginalStabilityError; within 1e-6 the report is flagged marginal.
     """
     med_class = med_mod.classify_medium(med, margin=margin)
     if med_class is MediumClass.ATOMIC_INSTABILITY:
@@ -199,26 +303,19 @@ def classify_system(ifo: IfoParams, med: MediumParams, margin: float = 1.0,
         return StabilityReport(Classification.NON_STATIONARY, 0, math.inf,
                                (0.0, 0.0))
     _require_damped(med)
+    if ifo.srm_amplitude_reflectivity == 0.0:
+        # the open loop is cut: the contour is the origin itself
+        return StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0))
 
-    if omega_max is None:
-        omega_max = default_omega_max(med, ifo.tau)
-    for _ in range(6):
-        if _tail_contained(ifo, med, omega_max):
-            break
-        omega_max *= 2.0
-    omegas, half = _refined_half(ifo, med, omega_max, base_samples)
-    contour = _closed_contour(half)
-    total, dist = accumulate_winding(contour, CRITICAL_POINT)
+    dist, omega_range = _closest_approach(ifo, med)
     if dist < MARGINAL_ERROR_DISTANCE:
         raise MarginalStabilityError(
             f"Nyquist contour passes within {dist:.3e} of (1, 0)")
-    winding = int(round(total / (2.0 * math.pi)))
-    marginal = dist < MARGINAL_FLAG_DISTANCE
+    winding = _ray_crossings(ifo, med)
     classification = (Classification.STABLE if winding == 0
                       else Classification.OPTICAL_INSTABILITY)
-    return StabilityReport(classification, winding, float(dist),
-                           (-float(omegas[-1]), float(omegas[-1])),
-                           marginal=marginal)
+    return StabilityReport(classification, winding, float(dist), omega_range,
+                           marginal=dist < MARGINAL_FLAG_DISTANCE)
 
 
 # ---------------------------------------------------------------------------

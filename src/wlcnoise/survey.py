@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 
-from .errors import AccuracyError, MarginalStabilityError
+from .errors import AccuracyError, MarginalStabilityError, ZeroSignalError
 from .interferometer import (
     IfoParams,
     baseline_integrated_inverse_psd,
@@ -24,7 +24,7 @@ from .interferometer import (
 )
 from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from .numerics import integrate_adaptive
-from .stability import Classification, classify_system, default_omega_max
+from .stability import Classification, classify_system
 
 __all__ = [
     "RootChoice",
@@ -84,7 +84,6 @@ class SweepSpec:
     rel_tol: float = 1e-4
     abs_tol: float = 0.0
     margin: float = 1.0
-    omega_max_multiplier: float = 50.0
 
     def __post_init__(self) -> None:
         for name, grid in (("eta_grid", self.eta_grid), ("xi_grid", self.xi_grid)):
@@ -102,7 +101,7 @@ class SweepSpec:
             raise ValueError("srm_power_reflectivities must not repeat a value")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootOutcome:
     """Classification of one (SRM reflectivity, detuning root) combination."""
 
@@ -117,7 +116,7 @@ class RootOutcome:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepCell:
     eta: float
     xi: float
@@ -221,6 +220,35 @@ def _labeled_roots(roots: tuple[float, ...], choice: RootChoice):
     return [(label, by_label[label]) for label in labels]
 
 
+def _classify_and_integrate(spec: SweepSpec, ifo: IfoParams, rs2: float,
+                            label: str, med: MediumParams) -> RootOutcome:
+    """Outcome of one detuning root at one SRM reflectivity."""
+    try:
+        report = classify_system(ifo, med, margin=spec.margin)
+    except MarginalStabilityError as exc:
+        return RootOutcome(rs2, label, med.delta0, CellStatus.OPTICAL_INSTABILITY,
+                           marginal=True, note=str(exc))
+    status = _STATUS_OF_CLASSIFICATION[report.classification]
+    note = ""
+    if report.marginal and status is CellStatus.STABLE:
+        # too close to the critical point to trust the winding
+        status = CellStatus.OPTICAL_INSTABILITY
+        note = "marginal contour reclassified as unstable"
+    rho = None
+    if status is CellStatus.STABLE:
+        try:
+            rho = improvement_factor(ifo, med, spec.noise_model,
+                                     rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
+                                     check_stability=False)
+        except AccuracyError as exc:
+            rho = exc.best_estimate
+            note = f"integration tolerance not met: {exc}"
+    return RootOutcome(rs2, label, med.delta0, status,
+                       winding=report.winding,
+                       min_distance=report.min_distance_to_critical,
+                       marginal=report.marginal, rho_r=rho, note=note)
+
+
 def _compute_cell(spec: SweepSpec, ifo: IfoParams,
                   point: tuple[float, float]) -> SweepCell:
     eta, xi = point
@@ -233,43 +261,19 @@ def _compute_cell(spec: SweepSpec, ifo: IfoParams,
         ifo_rs = replace(ifo,
                          srm_amplitude_reflectivity=math.sqrt(rs2),
                          include_additional_noise=spec.include_additional_noise)
+        # a repeated root carries both labels; it is evaluated once
+        by_root: dict[float, RootOutcome] = {}
         for label, delta0 in labeled:
             if delta0 is None:
                 outcomes.append(RootOutcome(rs2, label, math.nan,
                                             CellStatus.INFEASIBLE))
-                continue
-            med = MediumParams(gamma12, gamma_opt, delta0)
-            omega_max = default_omega_max(med, ifo.tau,
-                                          spec.omega_max_multiplier)
-            try:
-                report = classify_system(ifo_rs, med, margin=spec.margin,
-                                         omega_max=omega_max)
-            except MarginalStabilityError as exc:
-                outcomes.append(RootOutcome(rs2, label, delta0,
-                                            CellStatus.OPTICAL_INSTABILITY,
-                                            marginal=True, note=str(exc)))
-                continue
-            status = _STATUS_OF_CLASSIFICATION[report.classification]
-            note = ""
-            if report.marginal and status is CellStatus.STABLE:
-                # too close to the critical point to trust the winding
-                status = CellStatus.OPTICAL_INSTABILITY
-                note = "marginal contour reclassified as unstable"
-            rho = None
-            if status is CellStatus.STABLE:
-                try:
-                    rho = improvement_factor(ifo_rs, med, spec.noise_model,
-                                             rel_tol=spec.rel_tol,
-                                             abs_tol=spec.abs_tol,
-                                             check_stability=False)
-                except AccuracyError as exc:
-                    rho = exc.best_estimate
-                    note = f"integration tolerance not met: {exc}"
-            outcomes.append(RootOutcome(rs2, label, delta0, status,
-                                        winding=report.winding,
-                                        min_distance=report.min_distance_to_critical,
-                                        marginal=report.marginal,
-                                        rho_r=rho, note=note))
+            elif delta0 in by_root:
+                outcomes.append(replace(by_root[delta0], root_label=label))
+            else:
+                med = MediumParams(gamma12, gamma_opt, delta0)
+                by_root[delta0] = _classify_and_integrate(spec, ifo_rs, rs2,
+                                                          label, med)
+                outcomes.append(by_root[delta0])
     return SweepCell(eta=eta, xi=xi, gamma12=gamma12,
                      gamma_opt_total=gamma_opt, feasible=bool(roots),
                      outcomes=tuple(outcomes))
@@ -281,8 +285,13 @@ def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
     workers > 1 distributes cells over a process pool; the assembly is
     ordered by cell index, so the result does not depend on the worker
     count. Per-cell failures are recorded in the cell rather than
-    aborting the run.
+    aborting the run. Raises ZeroSignalError before any cell is computed
+    when the readout carries no signal, since no strain noise could be
+    integrated.
     """
+    if not ifo.reads_signal:
+        raise ZeroSignalError(
+            f"readout at homodyne angle {ifo.homodyne_angle} carries no signal")
     points = [(eta, xi) for eta in spec.eta_grid for xi in spec.xi_grid]
     job = partial(_compute_cell, spec, ifo)
     if workers == 1:

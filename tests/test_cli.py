@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wlcnoise
 from wlcnoise.cli import main
 from wlcnoise.medium import MediumParams, map_eta_xi, solve_detuning
 from wlcnoise.scenario import ScenarioError, load_scenario
@@ -131,6 +135,68 @@ def test_scenario_non_finite_numbers(tmp_path, capsys, command, doc, literal,
                  "--out", str(tmp_path)]) == 1
     assert f"error: {field}" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("sweep", {"detector": DETECTOR,
+               "sweep": {"eta": {"start": 0.1, "stop": 0.9, "count": True},
+                         "xi": [0.1]}},
+     "sweep.eta.count"),
+    ("response", {"detector": DETECTOR,
+                  "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3,
+                             "delta0": 2e4, "atom_count": True},
+                  "response": {"omega": [0.0]}},
+     "medium.atom_count"),
+    ("sweep", {"detector": DETECTOR,
+               "sweep": {"eta": [0.5],
+                         "xi": {"start": 0.1, "stop": 0.9, "count": 10_001}}},
+     "sweep.xi.count"),
+], ids=["boolean-count", "boolean-atom-count", "count-over-limit"])
+def test_scenario_axis_and_atom_count_validation(tmp_path, capsys, command,
+                                                 doc, field):
+    path = write_scenario(tmp_path, doc)
+    assert main([command, "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert f"error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+_HUGE_COUNT_PROBE = """
+import sys, tracemalloc
+from wlcnoise.cli import main
+tracemalloc.start()
+code = main(["response", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs POSIX rlimits")
+def test_scenario_huge_count_rejected_before_allocation(tmp_path):
+    # a count of 10^18 is refused before any grid list is built; the
+    # probe runs under a 1 GiB address-space cap, so a missing check
+    # fails with a MemoryError instead of exhausting the host
+    import resource
+
+    path = write_scenario(tmp_path, {
+        "detector": DETECTOR,
+        "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3, "delta0": 2e4},
+        "response": {"omega": {"start": 0.0, "stop": 1e4, "count": 10**18}},
+    })
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = os.path.dirname(os.path.dirname(wlcnoise.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", _HUGE_COUNT_PROBE, str(path),
+                           str(tmp_path)], env=env, preexec_fn=cap_memory,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 1
+    assert "error: response.omega.count: at most 10000" in proc.stderr
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

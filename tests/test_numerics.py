@@ -213,6 +213,12 @@ def test_winding_producer_refinement():
     assert total == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
+def test_refine_curve_requires_vectorized_producer():
+    params = np.linspace(0.0, 2.0 * math.pi, 4)
+    with pytest.raises(ValueError, match="shape"):
+        _refine_curve(np.exp(1j * params), params, lambda t: 1.0 + 0.0j, 0.0)
+
+
 def test_accumulate_winding_distance():
     total, dist = accumulate_winding(_circle(256), 0.0)
     assert total == pytest.approx(2.0 * math.pi, rel=1e-9)

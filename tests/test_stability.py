@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from wlcnoise.errors import MarginalStabilityError, MediumNotStationaryError
-from wlcnoise.interferometer import reference_detector
+from wlcnoise.interferometer import open_loop_gain, reference_detector
 from wlcnoise.medium import MediumParams, map_eta_xi, probe_transfer, solve_detuning
+from wlcnoise.numerics import winding_number
 from wlcnoise.stability import (
+    REFINE_NEAR_DISTANCE,
     Classification,
     classify_system,
     default_omega_max,
@@ -81,15 +83,6 @@ def test_known_verdicts_and_oracle(eta, xi, root, rs2, winding):
     assert root_count_oracle(ifo, med) == winding
 
 
-def test_winding_invariant_under_resolution():
-    med = wlc_medium(0.4, 0.1, "larger")
-    base = classify_system(IFO, med)
-    omega_max = default_omega_max(med, IFO.tau)
-    doubled_range = classify_system(IFO, med, omega_max=2.0 * omega_max)
-    doubled_samples = classify_system(IFO, med, base_samples=16384)
-    assert base.winding == doubled_range.winding == doubled_samples.winding
-
-
 def test_omega_max_floor_enforced():
     med = wlc_medium(0.4, 0.1, "larger")
     floor = default_omega_max(med, IFO.tau, multiplier=20.0)
@@ -133,12 +126,54 @@ def test_lasing_threshold_is_marginal():
 
 
 def test_report_fields():
+    # omega_range_used is the sampled near window on omega >= 0, whose
+    # ends sit where |r_s G_o| crosses the near level
     med = wlc_medium(0.4, 0.4, "smaller")
     report = classify_system(IFO, med)
     lo, hi = report.omega_range_used
-    assert lo == -hi and hi >= default_omega_max(med, IFO.tau)
-    assert report.min_distance_to_critical > 0.0
+    assert 0.0 <= lo < hi < default_omega_max(med, IFO.tau)
+    rs = IFO.srm_amplitude_reflectivity
+    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
+    ends = np.abs(rs * open_loop_gain(IFO, med, np.array([lo, hi])))
+    if lo == 0.0:
+        assert ends[0] >= level
+        ends = ends[1:]
+    assert ends == pytest.approx(level, rel=1e-9)
+    assert 0.0 < report.min_distance_to_critical <= 1.0 - level
     assert not report.stable
+
+
+def test_report_fields_empty_near_window():
+    # a contour that never nears |z| = 1 is not sampled at all, and the
+    # reported distance is the bound 1 - level
+    report = classify_system(IFO, BARE)
+    assert report.omega_range_used == (0.0, 0.0)
+    rs = IFO.srm_amplitude_reflectivity
+    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
+    assert report.min_distance_to_critical == pytest.approx(1.0 - level)
+    assert report.stable
+
+
+@pytest.mark.parametrize("rs2", [0.5, 0.8, 0.9])
+def test_ray_crossings_match_sampled_contour(rs2):
+    # the closed-form crossing count against the winding of the fully
+    # sampled contour, which stays as the reference for the fast path
+    ifo = IFO.with_power_reflectivity(rs2)
+    grid = np.linspace(0.05, 0.95, 7)
+    windings = set()
+    for eta in grid:
+        for xi in grid:
+            gamma12, gamma_opt = map_eta_xi(float(eta), float(xi), ifo.tau)
+            for delta0 in solve_detuning(gamma12, gamma_opt, ifo.tau):
+                med = MediumParams(gamma12, gamma_opt, delta0)
+                report = classify_system(ifo, med)
+                if report.classification in (Classification.ATOMIC_INSTABILITY,
+                                             Classification.NON_STATIONARY):
+                    continue
+                assert report.winding == winding_number(
+                    nyquist_contour(ifo, med), 1.0)
+                windings.add(report.winding)
+    assert {0, 1, 2, 3} <= windings
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from wlcnoise import survey
+from wlcnoise.errors import ZeroSignalError
 from wlcnoise.interferometer import reference_detector
 from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from wlcnoise.survey import (
@@ -195,3 +198,36 @@ def test_double_root_cell_has_equal_labels():
     assert cell.feasible
     smaller, larger = cell.outcomes
     assert smaller.delta0 == larger.delta0
+
+
+def test_double_root_cell_computed_once(monkeypatch):
+    # the repeated root is classified (and integrated when stable) once
+    # per reflectivity, and both labels share that outcome
+    calls = []
+    original = survey.classify_system
+
+    def counting(ifo, med, **kwargs):
+        calls.append((ifo.srm_amplitude_reflectivity, med.delta0))
+        return original(ifo, med, **kwargs)
+
+    monkeypatch.setattr(survey, "classify_system", counting)
+    spec = SweepSpec(eta_grid=(0.4,), xi_grid=(0.4,),
+                     srm_power_reflectivities=(0.5, 0.8))
+    (cell,) = run_sweep(spec, IFO).cells
+    assert len(calls) == len(set(calls)) == 2
+    statuses = []
+    for smaller, larger in (cell.outcomes[:2], cell.outcomes[2:]):
+        assert (smaller.root_label, larger.root_label) == ("smaller", "larger")
+        assert replace(smaller, root_label="larger") == larger
+        statuses.append(smaller.status)
+    assert statuses == [CellStatus.STABLE, CellStatus.OPTICAL_INSTABILITY]
+
+
+def test_sweep_zero_signal_readout_fails_fast(monkeypatch):
+    # a readout orthogonal to the signal is rejected before any cell
+    monkeypatch.setattr(survey, "_compute_cell", None)
+    spec = SweepSpec(eta_grid=(0.4,), xi_grid=(0.1,),
+                     srm_power_reflectivities=(0.5,))
+    ifo = replace(IFO, homodyne_angle=math.pi / 2.0)
+    with pytest.raises(ZeroSignalError, match="homodyne angle 1.5707"):
+        run_sweep(spec, ifo)
