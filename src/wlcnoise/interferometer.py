@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import hbar as HBAR
 
 from . import medium as med_mod
 from .errors import MarginalStabilityError, ZeroSignalError
@@ -30,6 +28,11 @@ __all__ = [
     "strain_psd",
     "baseline_integrated_inverse_psd",
 ]
+
+# exact SI values: the speed of light in vacuum (m/s) and the reduced
+# Planck constant h / 2 pi (J s)
+SPEED_OF_LIGHT = 299792458.0
+HBAR = 6.62607015e-34 / (2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -111,18 +114,18 @@ def reference_detector(srm_power_reflectivity: float = 0.8,
     )
 
 
-def open_loop_gain(ifo: IfoParams, med: MediumParams, omega) -> complex:
-    """Scalar open-loop gain: arm delay times medium transfer.
+def open_loop_gain(ifo: IfoParams, med: MediumParams, omega):
+    """Scalar open-loop gain at omega (a float or an array): arm delay
+    times medium transfer.
 
     The closed-loop scalar is 1 / (1 - r_s * open_loop_gain).
     """
-    g = np.exp(2j * np.asarray(omega) * ifo.tau) * med_mod.probe_transfer(med, omega)
-    return g if np.ndim(omega) else complex(g)
+    return np.exp(2j * np.asarray(omega) * ifo.tau) * med_mod.probe_transfer(med, omega)
 
 
-def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel,
-               omega: float) -> float:
-    """Shot-noise-limited strain spectral density at omega.
+def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
+    """Shot-noise-limited strain spectral density at omega (a float or
+    an array, evaluated elementwise).
 
     Every loop block is a scalar multiple of the identity except the
     noise blocks, and the medium is phase insensitive, so the block
@@ -136,26 +139,29 @@ def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel,
     cancels between B and the per-bath coefficients, making the result
     independent of it.
 
-    Raises MarginalStabilityError when the closed loop is singular at
-    omega (|1 - r_s G| <= 1e-6) and ZeroSignalError when the readout is
-    orthogonal to the signal quadrature.
+    Raises MarginalStabilityError, naming the first such omega, when the
+    closed loop is singular (|1 - r_s G| <= 1e-6) and ZeroSignalError
+    when the readout is orthogonal to the signal quadrature.
     """
     rs = ifo.srm_amplitude_reflectivity
     ts2 = ifo.srm_amplitude_transmissivity**2
     gain = open_loop_gain(ifo, med, omega)
-    closed = abs(1.0 - rs * gain)
-    if closed <= 1e-6:
+    closed = np.ravel(np.abs(1.0 - rs * gain))
+    singular = np.flatnonzero(closed <= 1e-6)
+    if singular.size:
+        k = singular[0]
         raise MarginalStabilityError(
-            f"closed loop singular at omega = {omega!r} (|1 - r_s G| = {closed:.3e})")
+            f"closed loop singular at omega = {float(np.ravel(omega)[k])!r} "
+            f"(|1 - r_s G| = {closed[k]:.3e})")
     if not ifo.reads_signal:
         raise ZeroSignalError(
             f"readout at homodyne angle {ifo.homodyne_angle} carries no signal")
 
-    power = abs(gain - rs) ** 2
+    power = np.abs(gain - rs) ** 2
     if ifo.include_additional_noise:
         baths = med.atom_count if model is NoiseModel.LOCAL else 1
         n_up, n_lo = med_mod.noise_coefficients(med, omega, model)
-        power += baths * ts2 * (abs(n_up) ** 2 + abs(n_lo) ** 2)
+        power += baths * ts2 * (np.abs(n_up) ** 2 + np.abs(n_lo) ** 2)
     signal = 2.0 * ifo.signal_strength * ts2 * math.cos(ifo.homodyne_angle) ** 2
     return power / signal
 

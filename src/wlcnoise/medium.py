@@ -11,7 +11,8 @@ the solver for the detuning that cancels the arm propagation phase.
 
 All rates and frequencies are plain floats in any consistent unit
 system (tests use units of the arm delay, SI works equally well). The
-frequency-dependent functions accept numpy arrays for omega.
+frequency-dependent functions take omega as a float or a numpy array
+and return NumPy values of the same shape.
 """
 
 from __future__ import annotations
@@ -119,8 +120,7 @@ def susceptibility(p: MediumParams, omega):
     vanishing for large |omega| or zero pumping.
     """
     den_plus, den_minus = _denominators(p, omega)
-    chi = 2j * p.gamma_opt_total * (1.0 / den_plus + 1.0 / den_minus)
-    return chi if np.ndim(omega) else complex(chi)
+    return 2j * p.gamma_opt_total * (1.0 / den_plus + 1.0 / den_minus)
 
 
 def probe_transfer(p: MediumParams, omega):
@@ -131,8 +131,7 @@ def probe_transfer(p: MediumParams, omega):
     conj(M(-omega)) == M(omega) for real omega.
     """
     den_plus, den_minus = _denominators(p, omega)
-    m = 1.0 - p.gamma_opt_total / den_plus - p.gamma_opt_total / den_minus
-    return m if np.ndim(omega) else complex(m)
+    return 1.0 - p.gamma_opt_total / den_plus - p.gamma_opt_total / den_minus
 
 
 def noise_coefficients(p: MediumParams, omega, model: NoiseModel):
@@ -152,11 +151,7 @@ def noise_coefficients(p: MediumParams, omega, model: NoiseModel):
     den_plus, den_minus = _denominators(p, omega)
     # +i d0 - i omega + g12 - G == -(i(omega - d0) + G - g12), and the
     # -d0 channel likewise picks up the other resonance denominator
-    n_plus = amp / (-den_minus)
-    n_minus = amp / (-den_plus)
-    if np.ndim(omega):
-        return n_plus, n_minus
-    return complex(n_plus), complex(n_minus)
+    return amp / (-den_minus), amp / (-den_plus)
 
 
 def classify_medium(p: MediumParams, margin: float = 1.0) -> MediumClass:
@@ -188,8 +183,7 @@ def validity_margin(p: MediumParams, omega):
     gap = p.damping_gap
     f_plus = 0.5 * p.gamma_opt_total / (gap + 1j * (np.asarray(omega) + p.delta0))
     f_minus = 0.5 * p.gamma_opt_total / (gap + 1j * (np.asarray(omega) - p.delta0))
-    out = np.maximum(np.abs(f_plus) ** 2, np.abs(f_minus) ** 2)
-    return out if np.ndim(omega) else float(out)
+    return np.maximum(np.abs(f_plus) ** 2, np.abs(f_minus) ** 2)
 
 
 def round_trip_phase(p: MediumParams, omega, tau: float):
@@ -199,8 +193,7 @@ def round_trip_phase(p: MediumParams, omega, tau: float):
     At a phase-cancellation detuning the slope of this phase vanishes at
     omega = 0, which is the white-light condition.
     """
-    phase = 2.0 * np.asarray(omega) * tau + 0.5 * np.real(susceptibility(p, omega))
-    return phase if np.ndim(omega) else float(phase)
+    return 2.0 * np.asarray(omega) * tau + 0.5 * np.real(susceptibility(p, omega))
 
 
 def solve_detuning(gamma12: float, gamma_opt_total: float,

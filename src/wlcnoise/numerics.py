@@ -106,110 +106,107 @@ class QuadratureResult:
     evaluations: int
 
 
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
+def _simpson(fa, fm, fb, width):
     return width / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
-                       rel_tol: float = 1e-9, abs_tol: float = 0.0,
+def _sweep(feval: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
+           max_depth: int) -> tuple[float, float, np.ndarray]:
+    """Refine Simpson panels one level at a time until each converges.
+
+    panels has one column per panel and the rows a, m, b, f(a), f(m),
+    f(b), the panel's Simpson estimate and its share of the tolerance.
+    Each level evaluates the quarter points of every open panel in one
+    call, then accepts or bisects each panel on its own Richardson
+    error estimate. Returns (value, error estimate, left ends of the
+    panels that reached max_depth unconverged).
+    """
+    eps = np.finfo(float).eps
+    total = err_total = 0.0
+    failed = panels[0, :0]
+    depth = 0
+    while panels.size:
+        a, m, b, fa, fm, fb, whole, tol = panels
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm, frm = np.split(feval(np.concatenate([lm, rm])), 2)
+        left = _simpson(fa, flm, fm, m - a)
+        right = _simpson(fm, frm, fb, b - m)
+        delta = left + right - whole
+        # ulp-level node placement puts a floor under resolvable deltas
+        noise = eps * np.maximum(np.abs(a), np.abs(b)) * (
+            np.abs(fa - fb) + 4.0 * np.abs(flm - frm)) + 4.0 * eps * np.abs(whole)
+        done = np.abs(delta) <= np.maximum(15.0 * tol, noise)
+        if depth >= max_depth:
+            failed = a[~done]
+            done[:] = True
+        total += float(np.sum((left + right + delta / 15.0)[done]))
+        err_total += float(np.sum(np.abs(delta[done]) / 15.0))
+        go = ~done
+        panels = np.concatenate(
+            [np.stack([a, lm, m, fa, flm, fm, left, 0.5 * tol])[:, go],
+             np.stack([m, rm, b, fm, frm, fb, right, 0.5 * tol])[:, go]], axis=1)
+        depth += 1
+    return total, err_total, failed
+
+
+def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
+                       hi: float, rel_tol: float = 1e-9, abs_tol: float = 0.0,
                        max_depth: int = 40,
                        breakpoints: Sequence[float] = ()) -> QuadratureResult:
     """Adaptive Simpson integration of f over [lo, hi].
 
-    Subdivision stops on each panel once the Richardson error estimate
-    meets the panel's share of the global tolerance
-    max(abs_tol, rel_tol * |integral|). Optional breakpoints seed the
-    initial panel edges, which helps with integrands whose sharp
-    features are known in advance. Deterministic for fixed inputs.
+    f must be vectorized: it is called with a 1-D array of abscissae
+    and must return an array of the same shape. Subdivision stops on
+    each panel once the Richardson error estimate meets the panel's
+    share of the global tolerance max(abs_tol, rel_tol * |integral|).
+    Optional breakpoints seed the initial panel edges, which helps with
+    integrands whose sharp features are known in advance. Deterministic
+    for fixed inputs.
 
     Raises AccuracyError (carrying the best estimate) if any panel hits
     max_depth before converging.
     """
     if not lo < hi:
         raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
-
-    edges = [lo]
-    for b in sorted(set(breakpoints)):
-        if lo < b < hi:
-            edges.append(b)
-    edges.append(hi)
-
-    evals = 0
-
-    def feval(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        y = f(x)
-        if not math.isfinite(y):
-            raise ValueError(f"integrand is not finite at x = {x!r}")
-        return y
-
-    # coarse composite pass to set the tolerance scale
-    cached = [feval(x) for x in edges]
-    coarse = 0.0
-    mids = []
-    for i in range(len(edges) - 1):
-        m = 0.5 * (edges[i] + edges[i + 1])
-        fm = feval(m)
-        mids.append((m, fm))
-        coarse += _simpson(cached[i], fm, cached[i + 1], edges[i + 1] - edges[i])
     if rel_tol <= 0.0 and abs_tol <= 0.0:
         raise ValueError("at least one of rel_tol, abs_tol must be positive")
 
-    width_all = hi - lo
-    failed: list[float] = []
+    edges = np.array([lo, *(b for b in sorted(set(breakpoints)) if lo < b < hi), hi],
+                     dtype=float)
+    evals = 0
 
-    eps = np.finfo(float).eps
+    def feval(x: np.ndarray) -> np.ndarray:
+        nonlocal evals
+        evals += x.size
+        y = _produce(f, x, float)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            raise ValueError(f"integrand is not finite at x = {float(x[bad][0])!r}")
+        return y
 
-    def adapt(a: float, fa: float, b: float, fb: float, m: float, fm: float,
-              whole: float, tol_panel: float, depth: int) -> tuple[float, float]:
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = feval(lm)
-        frm = feval(rm)
-        left = _simpson(fa, flm, fm, m - a)
-        right = _simpson(fm, frm, fb, b - m)
-        delta = left + right - whole
-        # ulp-level node placement puts a floor under resolvable deltas
-        noise = eps * max(abs(a), abs(m), abs(b)) * (
-            abs(fa - fb) + 4.0 * abs(flm - frm)) + 4.0 * eps * abs(whole)
-        if abs(delta) <= max(15.0 * tol_panel, noise) or depth >= max_depth:
-            if abs(delta) > max(15.0 * tol_panel, noise):
-                failed.append(a)
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        lv, le = adapt(a, fa, m, fm, lm, flm, left, 0.5 * tol_panel, depth + 1)
-        rv, re = adapt(m, fm, b, fb, rm, frm, right, 0.5 * tol_panel, depth + 1)
-        return lv + rv, le + re
-
-    def sweep(tol: float) -> tuple[float, float]:
-        total = 0.0
-        err_total = 0.0
-        for i in range(len(edges) - 1):
-            a, b = edges[i], edges[i + 1]
-            m, fm = mids[i]
-            whole = _simpson(cached[i], fm, cached[i + 1], b - a)
-            v, e = adapt(a, cached[i], b, cached[i + 1], m, fm, whole,
-                         tol * (b - a) / width_all, 0)
-            total += v
-            err_total += e
-        return total, err_total
+    # coarse composite pass to set the tolerance scale
+    a, b = edges[:-1], edges[1:]
+    m = 0.5 * (a + b)
+    y = feval(np.concatenate([edges, m]))
+    fa, fb, fm = y[:a.size], y[1:edges.size], y[edges.size:]
+    whole = _simpson(fa, fm, fb, b - a)
 
     # the coarse estimate can be badly inflated by sharp features, so
     # resweep when the converged value reveals the scale was too loose
-    scale = abs(coarse)
-    tol = max(abs_tol, rel_tol * scale, 1e-300)
+    tol = max(abs_tol, rel_tol * abs(float(np.sum(whole))), 1e-300)
     for _ in range(3):
-        failed.clear()
-        total, err_total = sweep(tol)
+        panels = np.stack([a, m, b, fa, fm, fb, whole, tol * (b - a) / (hi - lo)])
+        total, err_total, failed = _sweep(feval, panels, max_depth)
         tol_true = max(abs_tol, rel_tol * abs(total), 1e-300)
         if tol <= 4.0 * tol_true:
             break
         tol = tol_true
 
-    if failed:
+    if failed.size:
         raise AccuracyError(
             f"quadrature did not converge at depth {max_depth} "
-            f"near x = {failed[0]:.6g}",
+            f"near x = {failed.min():.6g}",
             best_estimate=total, error_estimate=err_total)
     return QuadratureResult(value=total, error_estimate=err_total, evaluations=evals)
 
@@ -238,9 +235,8 @@ def _as_closed(points: Sequence[complex]) -> np.ndarray:
     return z
 
 
-def min_distance_to_path(points: Sequence[complex], point: complex) -> float:
-    """Minimum distance from `point` to the polyline through `points`."""
-    z = np.asarray(points, dtype=complex)
+def _segment_distances(z: np.ndarray, point: complex) -> np.ndarray:
+    """Distance from `point` to each segment of the polyline z."""
     a = z[:-1]
     seg = z[1:] - a
     seg_len2 = np.abs(seg) ** 2
@@ -248,8 +244,13 @@ def min_distance_to_path(points: Sequence[complex], point: complex) -> float:
     with np.errstate(invalid="ignore", divide="ignore"):
         t = np.real((point - a) * np.conj(seg)) / np.where(seg_len2 > 0.0, seg_len2, 1.0)
     t = np.clip(np.where(seg_len2 > 0.0, t, 0.0), 0.0, 1.0)
-    nearest = a + t * seg
-    d = np.abs(nearest - point)
+    return np.abs(a + t * seg - point)
+
+
+def min_distance_to_path(points: Sequence[complex], point: complex) -> float:
+    """Minimum distance from `point` to the polyline through `points`."""
+    z = np.asarray(points, dtype=complex)
+    d = _segment_distances(z, point)
     return float(min(d.min(initial=np.inf), np.abs(z - point).min()))
 
 
@@ -306,32 +307,26 @@ def _refine_curve(z: np.ndarray, t: np.ndarray,
         inc = np.abs(np.angle(w[1:] / w[:-1]))
         flag = inc >= angle_limit
         if near_distance > 0.0:
-            a, b = z[:-1], z[1:]
-            seg = b - a
-            seg_len = np.abs(seg)
-            len2 = seg_len**2
-            with np.errstate(invalid="ignore", divide="ignore"):
-                tt = np.real((point - a) * np.conj(seg)) / np.where(len2 > 0, len2, 1.0)
-            tt = np.clip(np.where(len2 > 0, tt, 0.0), 0.0, 1.0)
-            dist = np.abs(a + tt * seg - point)
-            flag |= (dist <= near_distance) & (seg_len > 0.1 * near_distance)
+            flag |= ((_segment_distances(z, point) <= near_distance)
+                     & (np.abs(np.diff(z)) > 0.1 * near_distance))
         dt = t[1:] - t[:-1]
         flag &= dt > 1e-15 * max(abs(t[-1] - t[0]), 1.0)
         if not flag.any():
             break
         idx = np.nonzero(flag)[0]
         t_mid = 0.5 * (t[idx] + t[idx + 1])
-        z_mid = _produce(producer, t_mid)
+        z_mid = _produce(producer, t_mid, complex)
         t = np.insert(t, idx + 1, t_mid)
         z = np.insert(z, idx + 1, z_mid)
     return z, t
 
 
-def _produce(producer: Callable, t_mid: np.ndarray) -> np.ndarray:
-    """Evaluate a vectorized curve producer on an array of parameters."""
-    out = np.asarray(producer(t_mid), dtype=complex)
-    if out.shape != t_mid.shape:
+def _produce(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+             dtype: type) -> np.ndarray:
+    """Evaluate a vectorized function on an array of arguments."""
+    out = np.asarray(f(x), dtype=dtype)
+    if out.shape != x.shape:
         raise ValueError(
-            f"curve producer returned shape {out.shape} for parameters of "
-            f"shape {t_mid.shape}; it must accept and return arrays")
+            f"function returned shape {out.shape} for arguments of shape "
+            f"{x.shape}; it must accept and return arrays")
     return out

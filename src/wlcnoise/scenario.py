@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from scipy.constants import c as SPEED_OF_LIGHT
-
-from .interferometer import IfoParams
+from .interferometer import SPEED_OF_LIGHT, IfoParams
 from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from .survey import RootChoice, SweepSpec
 

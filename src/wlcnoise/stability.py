@@ -106,8 +106,7 @@ def _tail_contained(ifo: IfoParams, med: MediumParams, omega_max: float) -> bool
     return ifo.srm_amplitude_reflectivity * (1.0 + bound) < 1.0 - 1e-9
 
 
-def _base_grid(med: MediumParams, tau: float, omega_max: float,
-               base_samples: int | None) -> np.ndarray:
+def _base_grid(med: MediumParams, tau: float, omega_max: float) -> np.ndarray:
     """Initial omega samples on [0, omega_max].
 
     Uniform coverage dense enough for the delay turns, plus clusters
@@ -115,9 +114,8 @@ def _base_grid(med: MediumParams, tau: float, omega_max: float,
     around the band center.
     """
     turns = omega_max * tau / math.pi
-    if base_samples is None:
-        base_samples = int(min(max(4096, 16 * turns), 2**21))
-    pieces = [np.linspace(0.0, omega_max, base_samples)]
+    samples = int(min(max(4096, 16 * turns), 2**21))
+    pieces = [np.linspace(0.0, omega_max, samples)]
     width = max(med.damping_gap, 1e-3 * med.delta0, 1e-12 / tau)
     if med.delta0 > 0.0:
         pieces.append(med.delta0 + width * np.linspace(-30.0, 30.0, 241))
@@ -157,8 +155,7 @@ def _closed_contour(half: np.ndarray) -> np.ndarray:
 
 
 def nyquist_contour(ifo: IfoParams, med: MediumParams,
-                    omega_max: float | None = None,
-                    base_samples: int | None = None) -> np.ndarray:
+                    omega_max: float | None = None) -> np.ndarray:
     """Closed image of r_s G_o along the real axis plus the closing arc.
 
     Sampling is refined wherever the turning angle about (1, 0) per
@@ -181,8 +178,7 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams,
         if _tail_contained(ifo, med, omega_max):
             break
         omega_max *= 2.0
-    half = _refined_samples(ifo, med,
-                            _base_grid(med, ifo.tau, omega_max, base_samples))
+    half = _refined_samples(ifo, med, _base_grid(med, ifo.tau, omega_max))
     return _closed_contour(half)
 
 

@@ -197,13 +197,10 @@ def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
                 f"improvement factor undefined for {report.classification.value} "
                 "configuration")
     fsr = ifo.free_spectral_range
-
-    def inverse_psd(omega: float) -> float:
-        return 1.0 / strain_psd(ifo, med, model, omega)
-
-    result = integrate_adaptive(inverse_psd, 0.0, fsr,
-                                rel_tol=rel_tol, abs_tol=abs_tol,
-                                breakpoints=_integration_breakpoints(med, fsr))
+    result = integrate_adaptive(
+        lambda omega: 1.0 / strain_psd(ifo, med, model, omega), 0.0, fsr,
+        rel_tol=rel_tol, abs_tol=abs_tol,
+        breakpoints=_integration_breakpoints(med, fsr))
     return result.value / baseline_integrated_inverse_psd(ifo)
 
 
@@ -284,9 +281,13 @@ def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
 
     workers > 1 distributes cells over a process pool; the assembly is
     ordered by cell index, so the result does not depend on the worker
-    count. Per-cell failures are recorded in the cell rather than
-    aborting the run. Raises ZeroSignalError before any cell is computed
-    when the readout carries no signal, since no strain noise could be
+    count. Two per-cell failures are recorded in the cell's outcome
+    rather than aborting the run: a MarginalStabilityError from
+    classify_system (status optical, flagged marginal, with the message
+    as note) and an AccuracyError from the rho_r integral (the best
+    estimate, with a note). Any other exception in a cell aborts the
+    sweep. Raises ZeroSignalError before any cell is computed when the
+    readout carries no signal, since no strain noise could be
     integrated.
     """
     if not ifo.reads_signal:

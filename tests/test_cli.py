@@ -199,6 +199,19 @@ def test_scenario_huge_count_rejected_before_allocation(tmp_path):
     assert peak < 2**20
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # the runtime depends on NumPy only; SciPy, when installed, is not
+    # imported by the package
+    src = os.path.dirname(os.path.dirname(wlcnoise.__file__))
+    probe = ("import sys, wlcnoise.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # response command
 # ---------------------------------------------------------------------------

@@ -213,6 +213,14 @@ def test_marginal_loop_raises():
         reference_strain_psd(ifo, med, NoiseModel.LOCAL, 0.0)
 
 
+def test_marginal_loop_names_omega_in_array():
+    med = wlc_medium(0.4, 0.3, root=0)
+    ifo = replace(IFO, srm_amplitude_reflectivity=1.0 / probe_transfer(med, 0.0).real)
+    omegas = np.array([0.3, 0.0, 0.6]) * IFO.free_spectral_range
+    with pytest.raises(MarginalStabilityError, match=r"at omega = 0\.0 "):
+        strain_psd(ifo, med, NoiseModel.LOCAL, omegas)
+
+
 # ---------------------------------------------------------------------------
 # open loop gain
 # ---------------------------------------------------------------------------
@@ -278,6 +286,20 @@ def test_additional_noise_only_adds():
         s_off = strain_psd(without, med, NoiseModel.LOCAL, float(omega))
         assert s_on >= s_off > 0.0
         assert math.isfinite(s_on)
+
+
+@pytest.mark.parametrize("model", list(NoiseModel))
+@pytest.mark.parametrize("noise", [True, False])
+def test_strain_psd_array_matches_scalar_calls(model, noise):
+    ifo = replace(IFO, include_additional_noise=noise, homodyne_angle=0.4)
+    med = wlc_medium(atom_count=7)
+    omegas = np.linspace(-1.0, 1.0, 81) * IFO.free_spectral_range
+    psd = strain_psd(ifo, med, model, omegas)
+    assert psd.shape == omegas.shape
+    # equal to roundoff: NumPy's array loops may round the last bit
+    # differently from its one-element ones
+    scalar = [strain_psd(ifo, med, model, float(w)) for w in omegas]
+    assert psd.tolist() == pytest.approx(scalar, rel=1e-14, abs=0.0)
 
 
 def test_zero_signal_readout():
