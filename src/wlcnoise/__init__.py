@@ -43,7 +43,6 @@ from .stability import (
     StabilityReport,
     classify_system,
     default_omega_max,
-    monotonicity_report,
     nyquist_contour,
     root_count_oracle,
 )

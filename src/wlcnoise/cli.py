@@ -17,9 +17,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import medium as med_mod
-from .errors import MarginalStabilityError
+from .errors import MarginalStabilityError, PoleError
 from .scenario import Scenario, ScenarioError, load_scenario
-from .stability import Classification, classify_system, default_omega_max, nyquist_contour
+from .stability import Classification, classify_system, nyquist_contour
 from .survey import CellStatus, RootChoice, SweepGrid, run_sweep
 
 EXIT_OK = 0
@@ -63,11 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for sweeps (0 = all cores)")
+                        help="worker processes for sweeps, at most the core "
+                             "count (0 = all cores)")
     parser.add_argument("--margin", type=float, default=1.0,
                         help="non-stationarity threshold factor (>= 1)")
-    parser.add_argument("--omega-max-mult", type=float, default=50.0,
-                        help="frequency range multiplier of the nyquist.csv contour")
     return parser
 
 
@@ -81,7 +80,13 @@ def _cmd_response(scenario: Scenario, out_dir: Path) -> int:
               "abs_n_plus", "abs_n_minus", "validity_margin"]
     rows = []
     for omega in scenario.response_omegas:
-        chi = med_mod.susceptibility(med, omega)
+        try:
+            chi = med_mod.susceptibility(med, omega)
+        except PoleError:
+            raise ScenarioError(
+                f"response.omega: {_fmt(omega)} is a pole of the medium response "
+                "(gamma12 == gamma_opt_total and omega == +-delta0)") from None
+        # the other response functions share the pole guard checked above
         m = med_mod.probe_transfer(med, omega)
         n_up, n_lo = med_mod.noise_coefficients(med, omega, scenario.noise_model)
         rows.append([_fmt(omega), _fmt(chi.real), _fmt(chi.imag),
@@ -93,8 +98,7 @@ def _cmd_response(scenario: Scenario, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float,
-                 omega_max_mult: float) -> int:
+def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float) -> int:
     if scenario.medium_rates is None and scenario.medium_eta_xi is None:
         raise ScenarioError("nyquist command needs a 'medium' block")
     med = scenario.resolve_medium()
@@ -106,8 +110,7 @@ def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float,
         return EXIT_MARGINAL
     if report.classification not in (Classification.ATOMIC_INSTABILITY,
                                      Classification.NON_STATIONARY):
-        omega_max = default_omega_max(med, ifo.tau, omega_max_mult)
-        contour = nyquist_contour(ifo, med, omega_max=omega_max)
+        contour = nyquist_contour(ifo, med)
         rows = [[_fmt(z.real), _fmt(z.imag)] for z in contour]
         _write_csv(out_dir / "nyquist.csv", ["re", "im"], rows)
         print(f"wrote {out_dir / 'nyquist.csv'} ({len(rows)} points)")
@@ -172,7 +175,8 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, threads: int,
     if scenario.sweep is None:
         raise ScenarioError("sweep command needs a 'sweep' block")
     spec = replace(scenario.sweep, margin=margin)
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    workers = min(threads, cores) if threads > 0 else cores
     grid = run_sweep(spec, scenario.detector, workers=workers)
     summary = _sweep_tables(grid, out_dir)
     summary_path = out_dir / "summary.json"
@@ -190,16 +194,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.margin < 1.0:
             raise ScenarioError("--margin must be >= 1")
-        if args.omega_max_mult < 20.0:
-            raise ScenarioError("--omega-max-mult must be >= 20")
+        if args.threads < 0:
+            raise ScenarioError("--threads must be >= 0")
         scenario = load_scenario(args.scenario)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "response":
             return _cmd_response(scenario, out_dir)
         if args.command == "nyquist":
-            return _cmd_nyquist(scenario, out_dir, args.margin,
-                                args.omega_max_mult)
+            return _cmd_nyquist(scenario, out_dir, args.margin)
         return _cmd_sweep(scenario, out_dir, args.threads, args.margin)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

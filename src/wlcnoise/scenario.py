@@ -149,7 +149,11 @@ def _parse_medium(block: dict) -> tuple[MediumParams | None, EtaXiMedium | None]
             raise ScenarioError(f"{where}.atom_count: expected a positive integer")
         return MediumParams(gamma12, gamma_opt, delta0, atoms), None
     eta = _number(block, "eta", where)
+    if eta >= 1.0:
+        raise ScenarioError(f"{where}.eta: must lie in (0, 1), got {eta}")
     xi = _number(block, "xi", where)
+    if xi > 1.0:
+        raise ScenarioError(f"{where}.xi: must lie in (0, 1], got {xi}")
     root = block.get("root", "smaller")
     if root not in ("smaller", "larger"):
         raise ScenarioError(f"{where}.root: expected 'smaller' or 'larger', got {root!r}")

@@ -34,7 +34,6 @@ __all__ = [
     "nyquist_contour",
     "classify_system",
     "root_count_oracle",
-    "monotonicity_report",
 ]
 
 CRITICAL_POINT = 1.0 + 0.0j
@@ -79,9 +78,9 @@ class StabilityReport:
         return self.classification is Classification.STABLE
 
 
-def default_omega_max(med: MediumParams, tau: float, multiplier: float = 50.0) -> float:
+def default_omega_max(med: MediumParams, tau: float) -> float:
     """Sampling limit covering every rate scale of the loop."""
-    return multiplier * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / tau)
+    return 50.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / tau)
 
 
 def _require_damped(med: MediumParams) -> None:
@@ -90,20 +89,6 @@ def _require_damped(med: MediumParams) -> None:
         raise MarginalStabilityError(
             "medium is on the lasing threshold (gamma12 == gamma_opt_total); "
             "the loop poles lie on the real frequency axis")
-
-
-def _tail_contained(ifo: IfoParams, med: MediumParams, omega_max: float) -> bool:
-    """True when |r_s G_o| stays below 1 beyond omega_max.
-
-    Beyond the gain peaks |M - 1| <= 2 Gamma / distance-to-resonance, so
-    the contour tail spirals inside a disk that excludes (1, 0) once
-    r_s (1 + bound) < 1.
-    """
-    gap = omega_max - med.delta0
-    if gap <= 0.0:
-        return False
-    bound = 2.0 * med.gamma_opt_total / math.hypot(gap, med.damping_gap)
-    return ifo.srm_amplitude_reflectivity * (1.0 + bound) < 1.0 - 1e-9
 
 
 def _base_grid(med: MediumParams, tau: float, omega_max: float) -> np.ndarray:
@@ -154,30 +139,27 @@ def _closed_contour(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, down, up, mirrored])
 
 
-def nyquist_contour(ifo: IfoParams, med: MediumParams,
-                    omega_max: float | None = None) -> np.ndarray:
+def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
     """Closed image of r_s G_o along the real axis plus the closing arc.
 
-    Sampling is refined wherever the turning angle about (1, 0) per
-    segment reaches pi/2 or a segment passes within 0.1 of (1, 0).
-    Requires a stationary medium, whose response poles then lie in the
-    lower half plane. The returned polyline starts and ends at the
-    omega = 0 point (real) and is traversed with omega increasing.
+    Samples omega in [0, default_omega_max], extended to twice the upper
+    end of the gain window |r_s G_o| > 1 when the window reaches that
+    limit. Beyond the window |r_s G_o| < 1, so the dropped tail and the
+    closing chord through the origin cannot wind about (1, 0). Sampling
+    is refined wherever the turning angle about (1, 0) per segment
+    reaches pi/2 or a segment passes within 0.1 of (1, 0). Requires a
+    stationary medium, whose response poles then lie in the lower half
+    plane. The returned polyline starts and ends at the omega = 0 point
+    (real) and is traversed with omega increasing.
     """
     if med_mod.classify_medium(med) is not MediumClass.STATIONARY:
         raise MediumNotStationaryError(
             "Nyquist contour requires a stationary medium")
     _require_damped(med)
-    floor = default_omega_max(med, ifo.tau, multiplier=20.0)
-    if omega_max is None:
-        omega_max = default_omega_max(med, ifo.tau)
-    elif omega_max < floor:
-        raise ValueError(
-            f"omega_max = {omega_max:g} is below the required {floor:g}")
-    for _ in range(6):
-        if _tail_contained(ifo, med, omega_max):
-            break
-        omega_max *= 2.0
+    omega_max = default_omega_max(med, ifo.tau)
+    window = _gain_window(ifo, med, 1.0)
+    if window is not None and window[1] >= omega_max:
+        omega_max = 2.0 * window[1]
     half = _refined_samples(ifo, med, _base_grid(med, ifo.tau, omega_max))
     return _closed_contour(half)
 
@@ -419,22 +401,3 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
             best_estimate=value)
     return int(nearest)
 
-
-def monotonicity_report(ifo: IfoParams, med: MediumParams,
-                        srm_power_reflectivities=(0.5, 0.7, 0.8, 0.9)) -> list[tuple[float, float]]:
-    """Pairs (low, high) of SRM power reflectivities that violate
-    instability monotonicity: unstable at the lower value but stable at
-    the higher one. Expected empty in practice; reported, not asserted,
-    because the trend is only a qualitative one.
-    """
-    values = sorted(srm_power_reflectivities)
-    verdicts = []
-    for rs2 in values:
-        report = classify_system(ifo.with_power_reflectivity(rs2), med)
-        verdicts.append(report.stable)
-    violations = []
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if not verdicts[i] and verdicts[j]:
-                violations.append((values[i], values[j]))
-    return violations

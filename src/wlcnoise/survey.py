@@ -133,9 +133,6 @@ class SweepGrid:
     spec: SweepSpec
     cells: tuple[SweepCell, ...]
 
-    def cell_at(self, eta_index: int, xi_index: int) -> SweepCell:
-        return self.cells[eta_index * len(self.spec.xi_grid) + xi_index]
-
     def outcomes(self, srm_power_reflectivity: float | None = None,
                  root_label: str | None = None):
         """Iterate (cell, outcome) pairs, optionally filtered."""

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wlcnoise
+from wlcnoise import survey
 from wlcnoise.cli import main
 from wlcnoise.medium import MediumParams, map_eta_xi, solve_detuning
 from wlcnoise.scenario import ScenarioError, load_scenario
@@ -20,6 +22,7 @@ DETECTOR = {
     "srm_power_reflectivity": 0.5,
 }
 TAU = 4000.0 / 299792458.0
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -452,8 +455,122 @@ def test_bad_usage_returns_one():
     assert main(["nyquist"]) == 1
 
 
-def test_bad_flag_values(tmp_path):
+def test_bad_flag_values(tmp_path, capsys):
     path = write_scenario(tmp_path, _nyquist_doc(0.5))
     assert main(["nyquist", "--scenario", str(path), "--margin", "0.5"]) == 1
+    # the contour's range follows from the gain window, so there is no
+    # range multiplier: the old flag fails as an unknown argument
+    capsys.readouterr()
     assert main(["nyquist", "--scenario", str(path),
-                 "--omega-max-mult", "5"]) == 1
+                 "--omega-max-mult", "50"]) == 1
+    assert "unrecognized arguments: --omega-max-mult" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,doc,field", [
+    ("nyquist", {"detector": DETECTOR, "medium": {"eta": 1.0, "xi": 0.4}},
+     "medium.eta"),
+    ("response", {"detector": DETECTOR, "medium": {"eta": 1.5, "xi": 0.4},
+                  "response": {"omega": [0.0]}},
+     "medium.eta"),
+    ("nyquist", {"detector": DETECTOR, "medium": {"eta": 0.4, "xi": 1.5}},
+     "medium.xi"),
+    ("response", {"detector": DETECTOR,
+                  "medium": {"gamma12": 1e4, "gamma_opt_total": 1e4,
+                             "delta0": 2e4},
+                  "response": {"omega": [0.0, -2e4]}},
+     "response.omega"),
+], ids=["eta-singular", "eta-above-one", "xi-above-one", "omega-on-pole"])
+def test_bad_medium_input(tmp_path, capsys, command, doc, field):
+    # out-of-range survey coordinates and a frequency on a pole of the
+    # medium response fail by field, not with a traceback
+    path = write_scenario(tmp_path, doc)
+    assert main([command, "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert f"error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.csv").exists()
+
+
+class _RecordingPool:
+    """Serial stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def _single_cell_sweep(tmp_path):
+    return write_scenario(tmp_path, {
+        "detector": DETECTOR,
+        "sweep": {"eta": [0.5], "xi": [0.3], "srm_power_reflectivities": [0.5],
+                  "root_choice": "larger"},
+    })
+
+
+@pytest.mark.parametrize("threads,cores,workers", [
+    ("100000", 2, 2), ("0", 3, 3), ("2", 3, 2),
+])
+def test_sweep_threads_capped_at_core_count(tmp_path, monkeypatch, threads,
+                                            cores, workers):
+    # the pool never asks for more processes than there are cores; the
+    # stand-in runs the cells serially, so no process is started
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    path = _single_cell_sweep(tmp_path)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path),
+                 "--threads", threads]) == 0
+    assert _RecordingPool.sizes == [workers]
+
+
+def test_sweep_negative_threads_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    path = _single_cell_sweep(tmp_path)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path),
+                 "--threads", "-1"]) == 1
+    assert "error: --threads" in capsys.readouterr().err
+    assert _RecordingPool.sizes == []
+    assert not (tmp_path / "summary.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# shipped scenario files
+# ---------------------------------------------------------------------------
+
+def test_shipped_response_scenario(tmp_path):
+    assert main(["response", "--scenario",
+                 str(SCENARIOS / "response_dispersion.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert len(read_csv(tmp_path / "response.csv")) == 801
+
+
+def test_shipped_nyquist_scenario(tmp_path, capsys):
+    assert main(["nyquist", "--scenario",
+                 str(SCENARIOS / "nyquist_boundary_cell.json"),
+                 "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "classification: stable" in out
+    assert "winding: 0" in out
+    rows = read_csv(tmp_path / "nyquist.csv")
+    assert len(rows) > 100
+    first, last = ([float(row["re"]), float(row["im"])]
+                   for row in (rows[0], rows[-1]))
+    assert first == last  # closed at the omega = 0 point
+
+
+def test_shipped_survey_scenario_parses():
+    # parse only: the full 50x50 sweep is left to the benchmark
+    spec = load_scenario(SCENARIOS / "survey_full.json").sweep
+    assert len(spec.eta_grid) == 50
+    assert len(spec.xi_grid) == 50
+    assert spec.srm_power_reflectivities == (0.5, 0.8, 0.9)

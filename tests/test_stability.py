@@ -11,8 +11,8 @@ from wlcnoise.stability import (
     REFINE_NEAR_DISTANCE,
     Classification,
     classify_system,
+    _gain_window,
     default_omega_max,
-    monotonicity_report,
     nyquist_contour,
     root_count_oracle,
 )
@@ -36,7 +36,11 @@ KNOWN_VERDICTS = [
     (0.4, 0.4, "smaller", 0.8, 1),
     (0.4, 0.1, "smaller", 0.8, 1),
     (0.4, 0.1, "larger", 0.5, 0),
+    (0.4, 0.1, "larger", 0.7, 2),
     (0.4, 0.1, "larger", 0.8, 2),
+    # the same medium is stable again at a higher reflectivity: the
+    # verdict is not monotonic in r_s
+    (0.4, 0.1, "larger", 0.9, 0),
 ]
 
 
@@ -81,13 +85,6 @@ def test_known_verdicts_and_oracle(eta, xi, root, rs2, winding):
                 else Classification.OPTICAL_INSTABILITY)
     assert report.classification is expected
     assert root_count_oracle(ifo, med) == winding
-
-
-def test_omega_max_floor_enforced():
-    med = wlc_medium(0.4, 0.1, "larger")
-    floor = default_omega_max(med, IFO.tau, multiplier=20.0)
-    with pytest.raises(ValueError):
-        nyquist_contour(IFO, med, omega_max=0.5 * floor)
 
 
 def test_contour_is_closed_and_conjugate_symmetric():
@@ -154,13 +151,16 @@ def test_report_fields_empty_near_window():
     assert report.stable
 
 
-@pytest.mark.parametrize("rs2", [0.5, 0.8, 0.9])
+@pytest.mark.parametrize("rs2", [0.5, 0.8, 0.9, 0.95, 0.999])
 def test_ray_crossings_match_sampled_contour(rs2):
     # the closed-form crossing count against the winding of the fully
-    # sampled contour, which stays as the reference for the fast path
+    # sampled contour, which stays as the reference for the fast path;
+    # at high reflectivity the gain window can pass the default range,
+    # and the contour must then extend beyond it
     ifo = IFO.with_power_reflectivity(rs2)
     grid = np.linspace(0.05, 0.95, 7)
     windings = set()
+    extended = 0
     for eta in grid:
         for xi in grid:
             gamma12, gamma_opt = map_eta_xi(float(eta), float(xi), ifo.tau)
@@ -173,7 +173,16 @@ def test_ray_crossings_match_sampled_contour(rs2):
                 assert report.winding == winding_number(
                     nyquist_contour(ifo, med), 1.0)
                 windings.add(report.winding)
-    assert {0, 1, 2, 3} <= windings
+                window = _gain_window(ifo, med, 1.0)
+                extended += (window is not None
+                             and window[1] >= default_omega_max(med, ifo.tau))
+    if rs2 < 0.999:
+        assert {0, 1, 2, 3} <= windings
+    else:
+        # every stationary configuration of this slice winds an odd
+        # number of times, and some gain windows pass the default range
+        assert len(windings) >= 4
+        assert extended >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +229,3 @@ def test_grid_agreement_with_oracle(rs2, grid_points):
                 assert (root_count_oracle(ifo, med) == 0) == report.stable
     assert checked >= 5
 
-
-def test_monotonicity_reported_not_asserted():
-    # this medium is genuinely non-monotonic in the SRM reflectivity:
-    # unstable at 0.7 and 0.8 yet stable again at 0.9
-    med = wlc_medium(0.4, 0.1, "larger")
-    violations = monotonicity_report(IFO, med, (0.5, 0.7, 0.8, 0.9))
-    assert isinstance(violations, list)
-    assert (0.8, 0.9) in violations
-
-    tame = wlc_medium(0.4, 0.4, "smaller")
-    assert monotonicity_report(IFO, tame, (0.5, 0.7, 0.8, 0.9)) == []
