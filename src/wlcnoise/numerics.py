@@ -1,7 +1,8 @@
 """Shared numeric utilities.
 
 Numerically stable quadratic roots, adaptive Simpson quadrature, central
-finite differences, and winding-number accumulation for closed contours. Everything here is a pure function of its inputs.
+finite differences, and winding-number accumulation for closed
+contours. Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations

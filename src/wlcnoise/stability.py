@@ -7,14 +7,19 @@ zero count equals the winding number of r_s G_o about the point (1, 0)
 along the real axis closed through the decaying upper arc. That winding
 is the signed count of crossings of the ray [1, inf), which can only
 happen where |r_s G_o| > 1; classify_system counts them in closed form
-inside that gain window. nyquist_contour samples the whole contour for
-output and as a reference. An independent argument-principle oracle
-counts the same zeros by integrating the logarithmic derivative of
-1 - r_s G_o around a rectangle in the upper half plane.
+inside that gain window. The closest approach to (1, 0) is exact:
+the distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1, and
+each sampled descent into a minimum is polished by a safeguarded
+Newton search with closed-form derivatives. nyquist_contour samples
+the whole contour for output and as a reference. An independent
+argument-principle oracle counts the same zeros by integrating the
+logarithmic derivative of 1 - r_s G_o around a rectangle in the upper
+half plane.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +30,7 @@ from . import medium as med_mod
 from .errors import AccuracyError, MarginalStabilityError, MediumNotStationaryError
 from .interferometer import IfoParams, open_loop_gain
 from .medium import MediumClass, MediumParams
-from .numerics import _refine_curve, min_distance_to_path, solve_quadratic
+from .numerics import _refine_curve, solve_quadratic
 
 __all__ = [
     "Classification",
@@ -60,9 +65,9 @@ class StabilityReport:
                     where that is below 1 - level, else the lower bound
                     1 - level, with level = max(0.9, (1 + r_s) / 2); 1
                     when r_s = 0, inf when the medium is not stationary
-    omega_range_used          the sampled near window (lo, hi), omega >= 0,
+    omega_range_used          the searched near window (lo, hi), omega >= 0,
                     where |r_s G_o| >= level (mirrored onto omega < 0);
-                    (0, 0) when nothing was sampled
+                    (0, 0) when it is empty
     marginal        contour approached (1, 0) closer than 1e-6; surveys
                     treat such cells as unstable
     """
@@ -111,19 +116,6 @@ def _base_grid(med: MediumParams, tau: float, omega_max: float) -> np.ndarray:
     return np.unique(grid)
 
 
-def _refined_samples(ifo: IfoParams, med: MediumParams,
-                     omegas: np.ndarray) -> np.ndarray:
-    """r_s G_o on ascending omegas, refined about (1, 0) by _refine_curve."""
-    rs = ifo.srm_amplitude_reflectivity
-
-    def producer(w):
-        return rs * open_loop_gain(ifo, med, w)
-
-    z, _ = _refine_curve(producer(omegas), omegas, producer, CRITICAL_POINT,
-                         near_distance=REFINE_NEAR_DISTANCE)
-    return z
-
-
 def _closed_contour(half: np.ndarray) -> np.ndarray:
     """Close the half-axis image through the origin and mirror it.
 
@@ -160,7 +152,14 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
     window = _gain_window(ifo, med, 1.0)
     if window is not None and window[1] >= omega_max:
         omega_max = 2.0 * window[1]
-    half = _refined_samples(ifo, med, _base_grid(med, ifo.tau, omega_max))
+    omegas = _base_grid(med, ifo.tau, omega_max)
+    rs = ifo.srm_amplitude_reflectivity
+
+    def producer(w):
+        return rs * open_loop_gain(ifo, med, w)
+
+    half, _ = _refine_curve(producer(omegas), omegas, producer, CRITICAL_POINT,
+                            near_distance=REFINE_NEAR_DISTANCE)
     return _closed_contour(half)
 
 
@@ -236,16 +235,74 @@ def _ray_crossings(ifo: IfoParams, med: MediumParams) -> int:
     return 2 * (turns_hi - math.floor(_loop_phase_turns(ifo, med, lo)))
 
 
+def _loop_series(ifo: IfoParams, med: MediumParams, omega, exp=np.exp):
+    """F = 1 - r_s G_o and its first two omega-derivatives at real omega.
+
+    With G_o = e^{k omega} M, k = 2 i tau, and M = 1 - Gamma (1/d_+ +
+    1/d_-) for d_pm = i(omega +- delta0) - g, each derivative of M is a
+    sum of powers of 1/d_pm. omega is an array (exp=np.exp) or a float
+    (exp=cmath.exp, which keeps the Newton steps in plain Python).
+    """
+    gam, g = med.gamma_opt_total, med.damping_gap
+    k = 2j * ifo.tau
+    inv_p = 1.0 / (1j * (omega + med.delta0) - g)
+    inv_m = 1.0 / (1j * (omega - med.delta0) - g)
+    m = 1.0 - gam * (inv_p + inv_m)
+    dm = 1j * gam * (inv_p * inv_p + inv_m * inv_m)
+    ddm = 2.0 * gam * (inv_p * inv_p * inv_p + inv_m * inv_m * inv_m)
+    e = -ifo.srm_amplitude_reflectivity * exp(k * omega)
+    return 1.0 + e * m, e * (k * m + dm), e * (k * (k * m + 2.0 * dm) + ddm)
+
+
+def _polish_minimum(ifo: IfoParams, med: MediumParams,
+                    lo: float, hi: float) -> float:
+    """Smallest |F| met by a safeguarded Newton search on [lo, hi].
+
+    Seeks the zero of g = Re(conj(F) F') = d|F|^2/2 domega, which runs
+    from negative at lo to positive at hi; a step that leaves the
+    bracket or shrinks it too slowly is replaced by bisection. Stops
+    once a step is within 1e-14 hi, some 50 ulps of omega.
+    """
+    best = math.inf
+    tol = 1e-14 * hi
+    x, step_old = 0.5 * (lo + hi), hi - lo
+    step = step_old
+    for _ in range(100):
+        f, df, ddf = _loop_series(ifo, med, x, cmath.exp)
+        best = min(best, abs(f))
+        slope = (f.conjugate() * df).real
+        curve = abs(df) ** 2 + (f.conjugate() * ddf).real
+        if slope < 0.0:
+            lo = x
+        else:
+            hi = x
+        if (((x - hi) * curve - slope) * ((x - lo) * curve - slope) > 0.0
+                or abs(2.0 * slope) > abs(step_old * curve)):
+            step_old, step = step, 0.5 * (hi - lo)
+            x = lo + step
+        else:
+            step_old, step = step, slope / curve
+            x -= step
+        if abs(step) <= tol:
+            break
+    return best
+
+
 def _closest_approach(ifo: IfoParams,
                       med: MediumParams) -> tuple[float, tuple[float, float]]:
-    """Closest approach of r_s G_o to (1, 0) and the sampled omega range.
+    """Closest approach of r_s G_o to (1, 0) and the searched omega range.
 
     Only the near window where |r_s G_o| >= level, with level =
-    max(1 - REFINE_NEAR_DISTANCE, (1 + r_s) / 2), is sampled and
-    refined; everywhere else the distance exceeds 1 - level, which is
-    returned instead when the window is empty or the sampled approach
-    is farther. Sampling the half omega >= 0 suffices because the other
-    half is its complex conjugate.
+    max(1 - REFINE_NEAR_DISTANCE, (1 + r_s) / 2), is searched; everywhere
+    else the distance exceeds 1 - level, which is returned instead when
+    the window is empty or the approach is farther. |F| = |1 - r_s G_o|
+    is sampled on the window (16 points per delay turn plus a cluster at
+    the gain peak delta0), and every sample interval over which
+    d|F|/domega turns from negative to positive is polished to its
+    minimum by _polish_minimum. At omega = 0 the slope vanishes by
+    symmetry, so there the sign of the curvature stands in for it.
+    Searching omega >= 0 suffices because the other half is the complex
+    conjugate.
     """
     rs = ifo.srm_amplitude_reflectivity
     level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
@@ -253,10 +310,18 @@ def _closest_approach(ifo: IfoParams,
     if window is None:
         return 1.0 - level, (0.0, 0.0)
     lo, hi = window
-    # 16 samples per delay turn, as on the full contour, before refinement
     count = 33 + int(16.0 * (hi - lo) * ifo.tau / math.pi)
-    z = _refined_samples(ifo, med, np.linspace(lo, hi, count))
-    return min(min_distance_to_path(z, CRITICAL_POINT), 1.0 - level), (lo, hi)
+    width = max(med.damping_gap, 1e-3 * med.delta0)
+    peak = med.delta0 + width * np.linspace(-30.0, 30.0, 61)
+    omegas = np.union1d(np.linspace(lo, hi, count), peak[(peak > lo) & (peak < hi)])
+    f, df, ddf = _loop_series(ifo, med, omegas)
+    slope = np.real(np.conj(f) * df)
+    slope = np.where(slope == 0.0, np.abs(df) ** 2 + np.real(np.conj(f) * ddf), slope)
+    dist = float(np.abs(f).min())
+    for k in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0)):
+        dist = min(dist, _polish_minimum(ifo, med, float(omegas[k]),
+                                         float(omegas[k + 1])))
+    return min(dist, 1.0 - level), (lo, hi)
 
 
 def classify_system(ifo: IfoParams, med: MediumParams,
@@ -268,8 +333,8 @@ def classify_system(ifo: IfoParams, med: MediumParams,
     winding about (1, 0), counted in closed form from the crossings of
     the ray [1, inf) inside the gain window: zero means stable,
     anything else is an optical (loop) instability. The closest
-    approach to (1, 0) is sampled only where |r_s G_o| is near or above
-    1; elsewhere it is reported as the bound 1 - level (see
+    approach to (1, 0) is searched only where |r_s G_o| is near or
+    above 1; elsewhere it is reported as the bound 1 - level (see
     _closest_approach). An approach within 1e-9 raises
     MarginalStabilityError; within 1e-6 the report is flagged marginal.
     """
@@ -292,7 +357,7 @@ def classify_system(ifo: IfoParams, med: MediumParams,
     winding = _ray_crossings(ifo, med)
     classification = (Classification.STABLE if winding == 0
                       else Classification.OPTICAL_INSTABILITY)
-    return StabilityReport(classification, winding, float(dist), omega_range,
+    return StabilityReport(classification, winding, dist, omega_range,
                            marginal=dist < MARGINAL_FLAG_DISTANCE)
 
 

@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 
 from .errors import AccuracyError, MarginalStabilityError, ZeroSignalError
 from .interferometer import (
@@ -214,6 +214,13 @@ def _labeled_roots(roots: tuple[float, ...], choice: RootChoice):
     return [(label, by_label[label]) for label in labels]
 
 
+@lru_cache(maxsize=None)
+def _infeasible_outcome(rs2: float, label: str) -> RootOutcome:
+    """The outcome of a missing detuning root; frozen, so one is shared
+    by every infeasible cell with the same reflectivity and label."""
+    return RootOutcome(rs2, label, math.nan, CellStatus.INFEASIBLE)
+
+
 def _classify_and_integrate(spec: SweepSpec, ifo: IfoParams, rs2: float,
                             label: str, med: MediumParams) -> RootOutcome:
     """Outcome of one detuning root at one SRM reflectivity."""
@@ -259,8 +266,7 @@ def _compute_cell(spec: SweepSpec, ifo: IfoParams,
         by_root: dict[float, RootOutcome] = {}
         for label, delta0 in labeled:
             if delta0 is None:
-                outcomes.append(RootOutcome(rs2, label, math.nan,
-                                            CellStatus.INFEASIBLE))
+                outcomes.append(_infeasible_outcome(rs2, label))
             elif delta0 in by_root:
                 outcomes.append(replace(by_root[delta0], root_label=label))
             else:

@@ -2,15 +2,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from wlcnoise import stability
 from wlcnoise.errors import MarginalStabilityError, MediumNotStationaryError
 from wlcnoise.interferometer import open_loop_gain, reference_detector
-from wlcnoise.medium import MediumParams, map_eta_xi, probe_transfer, solve_detuning
+from wlcnoise.medium import (
+    MediumClass,
+    MediumParams,
+    classify_medium,
+    map_eta_xi,
+    probe_transfer,
+    solve_detuning,
+)
 from wlcnoise.numerics import winding_number
 from wlcnoise.stability import (
     REFINE_NEAR_DISTANCE,
     Classification,
     classify_system,
+    _closest_approach,
     _gain_window,
     default_omega_max,
     nyquist_contour,
@@ -123,7 +134,7 @@ def test_lasing_threshold_is_marginal():
 
 
 def test_report_fields():
-    # omega_range_used is the sampled near window on omega >= 0, whose
+    # omega_range_used is the searched near window on omega >= 0, whose
     # ends sit where |r_s G_o| crosses the near level
     med = wlc_medium(0.4, 0.4, "smaller")
     report = classify_system(IFO, med)
@@ -141,7 +152,7 @@ def test_report_fields():
 
 
 def test_report_fields_empty_near_window():
-    # a contour that never nears |z| = 1 is not sampled at all, and the
+    # a contour that never nears |z| = 1 is not searched at all, and the
     # reported distance is the bound 1 - level
     report = classify_system(IFO, BARE)
     assert report.omega_range_used == (0.0, 0.0)
@@ -149,6 +160,108 @@ def test_report_fields_empty_near_window():
     level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
     assert report.min_distance_to_critical == pytest.approx(1.0 - level)
     assert report.stable
+
+
+@pytest.mark.parametrize("ifo,med", [
+    (IFO.with_power_reflectivity(0.8),
+     wlc_medium(0.6273469387755102, 0.1571428571428571, "larger")),
+    (IFO, BARE),
+])
+def test_report_field_types(ifo, med):
+    # plain Python scalars: summary.json cannot serialize NumPy ones
+    report = classify_system(ifo, med)
+    assert type(report.marginal) is bool
+    assert type(report.min_distance_to_critical) is float
+
+
+# ---------------------------------------------------------------------------
+# closest approach against a dense reference
+# ---------------------------------------------------------------------------
+
+def dense_closest_approach(ifo, med, samples=200_001, rounds=4):
+    """Closest approach of r_s G_o to (1, 0) on the near window, from a
+    dense uniform sampling of |1 - r_s G_o|; every sampled local minimum
+    is then zoomed by resampling 1001 points across its two neighbours.
+    Used only here, as the oracle for the exact search."""
+    rs = ifo.srm_amplitude_reflectivity
+    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
+    window = _gain_window(ifo, med, level)
+    if window is None:
+        return 1.0 - level
+    lo, hi = window
+    omegas = np.linspace(lo, hi, samples)
+    dist = np.abs(1.0 - rs * open_loop_gain(ifo, med, omegas))
+    padded = np.concatenate([[np.inf], dist, [np.inf]])
+    k = np.flatnonzero((dist <= padded[:-2]) & (dist <= padded[2:]))
+    best = float(dist.min())
+    a = omegas[np.maximum(k - 1, 0)]
+    b = omegas[np.minimum(k + 1, samples - 1)]
+    rows = np.arange(k.size)
+    for _ in range(rounds):
+        zoom = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 1001)
+        near = np.abs(1.0 - rs * open_loop_gain(ifo, med, zoom))
+        best = min(best, float(near.min()))
+        center = zoom[rows, near.argmin(axis=1)]
+        step = (b - a) / 1000.0
+        a, b = np.maximum(center - step, lo), np.minimum(center + step, hi)
+    return min(best, 1.0 - level)
+
+
+@settings(max_examples=100, deadline=None)
+@given(eta=st.floats(0.02, 0.98), xi_share=st.floats(0.01, 1.0),
+       larger_root=st.booleans(), rs2=st.floats(0.05, 0.95))
+def test_closest_approach_matches_dense_reference(eta, xi_share, larger_root, rs2):
+    ifo = IFO.with_power_reflectivity(rs2)
+    gamma12, gamma_opt = map_eta_xi(eta, xi_share * eta, ifo.tau)
+    roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
+    assume(roots)
+    med = MediumParams(gamma12, gamma_opt, roots[-1] if larger_root else roots[0])
+    assume(classify_medium(med) is MediumClass.STATIONARY)
+    dist, _ = _closest_approach(ifo, med)
+    # |1 - r_s G_o| is known only to a few ulps of 1, which bounds the
+    # agreement of two evaluations where the contour nearly touches
+    assert dist == pytest.approx(dense_closest_approach(ifo, med),
+                                 rel=1e-9, abs=2e-15)
+
+
+@pytest.mark.parametrize("eta,xi,rs2,root,distance,stable", [
+    # the window starts at omega = 0, where the slope vanishes, and the
+    # minimum (omega ~ 787 rad/s) lies before the first sample; chords
+    # between samples pass inside the curve here (a refined polyline
+    # reads 3.919e-3)
+    (0.6273469387755102, 0.1571428571428571, 0.8, "larger", 4.465641643e-3, True),
+    # the closest approach on the 50x50 survey grid, not marginal
+    (0.7057142857142857, 0.41183673469387755, 0.9, "smaller", 4.795696172e-6, False),
+])
+def test_closest_approach_pinned(eta, xi, rs2, root, distance, stable):
+    ifo = IFO.with_power_reflectivity(rs2)
+    med = wlc_medium(eta, xi, root)
+    report = classify_system(ifo, med)
+    assert report.min_distance_to_critical == pytest.approx(distance, rel=1e-9)
+    assert report.min_distance_to_critical == pytest.approx(
+        dense_closest_approach(ifo, med), rel=1e-9)
+    assert report.stable is stable
+    assert not report.marginal
+
+
+def test_verdict_never_refines_a_polyline(monkeypatch):
+    # the verdict and its closest approach come from closed forms and a
+    # Newton search; the refined polyline serves nyquist_contour only
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_system refined a polyline")
+
+    monkeypatch.setattr(stability, "_refine_curve", refuse)
+    ifo = IFO.with_power_reflectivity(0.8)
+    searched = 0
+    for eta in np.linspace(0.1, 0.9, 5):
+        for xi in np.linspace(0.1, float(eta), 3):
+            gamma12, gamma_opt = map_eta_xi(float(eta), float(xi), ifo.tau)
+            for delta0 in solve_detuning(gamma12, gamma_opt, ifo.tau):
+                report = classify_system(ifo, MediumParams(gamma12, gamma_opt, delta0))
+                searched += report.omega_range_used != (0.0, 0.0)
+    assert searched >= 5
+    with pytest.raises(AssertionError, match="refined a polyline"):
+        nyquist_contour(ifo, wlc_medium(0.4, 0.4, "smaller"))
 
 
 @pytest.mark.parametrize("rs2", [0.5, 0.8, 0.9, 0.95, 0.999])

@@ -10,6 +10,7 @@ from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from wlcnoise.survey import (
     CellStatus,
     RootChoice,
+    RootOutcome,
     SweepSpec,
     default_grid,
     improvement_factor,
@@ -134,6 +135,22 @@ def test_sweep_feasibility_matches_detuning(small_sweep):
             assert statuses == {CellStatus.INFEASIBLE}
         else:
             assert CellStatus.INFEASIBLE not in statuses
+
+
+def test_infeasible_outcomes_shared(small_sweep):
+    # a missing root gives one frozen outcome per (rs^2, label), shared by
+    # every infeasible cell and equal to one built afresh
+    shared = {}
+    for _, outcome in small_sweep.outcomes():
+        if outcome.status is not CellStatus.INFEASIBLE:
+            continue
+        key = (outcome.srm_power_reflectivity, outcome.root_label)
+        fresh = RootOutcome(*key, math.nan, CellStatus.INFEASIBLE)
+        # nan fields break dataclass equality, so compare the full repr
+        assert repr(outcome) == repr(fresh)
+        assert shared.setdefault(key, outcome) is outcome
+    assert set(shared) == {(rs2, label) for rs2 in (0.5, 0.8)
+                           for label in ("smaller", "larger")}
 
 
 def test_sweep_rates_match_map(small_sweep):
