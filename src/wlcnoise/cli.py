@@ -20,7 +20,7 @@ from . import medium as med_mod
 from .errors import MarginalStabilityError, PoleError
 from .scenario import Scenario, ScenarioError, load_scenario
 from .stability import Classification, classify_system, nyquist_contour
-from .survey import CellStatus, RootChoice, SweepGrid, run_sweep
+from .survey import SweepGrid, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,11 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_response(scenario: Scenario, out_dir: Path) -> int:
-    if scenario.medium_rates is None and scenario.medium_eta_xi is None:
+    med = scenario.medium
+    if med is None:
         raise ScenarioError("response command needs a 'medium' block")
     if scenario.response_omegas is None:
         raise ScenarioError("response command needs a 'response' block")
-    med = scenario.resolve_medium()
     header = ["omega", "re_chi", "im_chi", "abs_m", "arg_m",
               "abs_n_plus", "abs_n_minus", "validity_margin"]
     rows = []
@@ -99,9 +99,9 @@ def _cmd_response(scenario: Scenario, out_dir: Path) -> int:
 
 
 def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float) -> int:
-    if scenario.medium_rates is None and scenario.medium_eta_xi is None:
+    med = scenario.medium
+    if med is None:
         raise ScenarioError("nyquist command needs a 'medium' block")
-    med = scenario.resolve_medium()
     ifo = scenario.detector
     try:
         report = classify_system(ifo, med, margin=margin)
@@ -127,10 +127,6 @@ def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float) -> int:
 
 def _sweep_tables(grid: SweepGrid, out_dir: Path) -> dict:
     spec = grid.spec
-    if spec.root_choice is RootChoice.BOTH:
-        labels = ("smaller", "larger")
-    else:
-        labels = (spec.root_choice.value,)
     summary: dict = {
         "eta_count": len(spec.eta_grid),
         "xi_count": len(spec.xi_grid),
@@ -139,21 +135,14 @@ def _sweep_tables(grid: SweepGrid, out_dir: Path) -> dict:
         "tables": [],
     }
     for rs2 in spec.srm_power_reflectivities:
-        for label in labels:
+        for label in spec.root_choice.labels:
             name = f"sweep_rs2_{_fmt(rs2)}_root_{label}.csv"
             rows = []
-            stable = 0
             marginal = 0
-            max_rho = None
             for cell, outcome in grid.outcomes(rs2, label):
                 delta0 = "" if math.isnan(outcome.delta0) else _fmt(outcome.delta0)
-                rho = ""
-                if outcome.status is CellStatus.STABLE:
-                    stable += 1
-                    if outcome.rho_r is not None:
-                        rho = _fmt(outcome.rho_r)
-                        if max_rho is None or outcome.rho_r > max_rho:
-                            max_rho = outcome.rho_r
+                # rho_r is set only on stable outcomes
+                rho = "" if outcome.rho_r is None else _fmt(outcome.rho_r)
                 marginal += outcome.marginal
                 rows.append([_fmt(cell.eta), _fmt(cell.xi),
                              outcome.status.value, delta0, rho])
@@ -163,9 +152,9 @@ def _sweep_tables(grid: SweepGrid, out_dir: Path) -> dict:
                 "file": name,
                 "srm_power_reflectivity": rs2,
                 "root": label,
-                "stable_cells": stable,
+                "stable_cells": grid.stable_count(rs2, label),
                 "marginal_cells": marginal,
-                "max_rho_r": max_rho,
+                "max_rho_r": grid.max_rho(rs2, label),
             })
     return summary
 

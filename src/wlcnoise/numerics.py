@@ -27,7 +27,6 @@ __all__ = [
     "derivative_central",
     "winding_number",
     "accumulate_winding",
-    "min_distance_to_path",
 ]
 
 
@@ -43,13 +42,12 @@ class QuadraticRoots:
     is_double: bool = False
 
 
-def solve_quadratic(a: float, b: float, c: float,
-                    double_tol: float = 1e-10) -> QuadraticRoots:
+def solve_quadratic(a: float, b: float, c: float) -> QuadraticRoots:
     """Real roots of a x^2 + b x + c = 0, computed stably.
 
     The larger-magnitude root comes from q = -(b + sign(b) sqrt(disc))/2,
     the other from the root product c/a, which avoids cancellation when
-    b^2 >> |4ac|. A discriminant within double_tol * max(b^2, |4ac|) of
+    b^2 >> |4ac|. A discriminant within 1e-10 * max(b^2, |4ac|) of
     zero is treated as a repeated root and returned once, flagged.
     """
     if a == 0.0 and b == 0.0 and c == 0.0:
@@ -81,7 +79,7 @@ def solve_quadratic(a: float, b: float, c: float,
 
     disc = b * b - 4.0 * a * c
     scale = max(b * b, abs(4.0 * a * c))
-    if scale > 0.0 and abs(disc) <= double_tol * scale:
+    if scale > 0.0 and abs(disc) <= 1e-10 * scale:
         return QuadraticRoots((-b / (2.0 * a),), is_double=True)
     if disc < 0.0:
         return QuadraticRoots(())
@@ -248,42 +246,36 @@ def _segment_distances(z: np.ndarray, point: complex) -> np.ndarray:
     return np.abs(a + t * seg - point)
 
 
-def min_distance_to_path(points: Sequence[complex], point: complex) -> float:
-    """Minimum distance from `point` to the polyline through `points`."""
-    z = np.asarray(points, dtype=complex)
-    d = _segment_distances(z, point)
-    return float(min(d.min(initial=np.inf), np.abs(z - point).min()))
-
-
 def accumulate_winding(points: Sequence[complex], point: complex) -> tuple[float, float]:
     """Total turning angle of a closed polyline about `point`.
 
-    Returns (total_angle, min_distance). Each segment contributes the
-    principal-value increment of arg(z - point); segments subtending at
-    least pi/2 are the caller's responsibility to refine.
+    Returns (total_angle, min_distance), the distance taken over the
+    segments, which on a closed curve cover every vertex. Each segment
+    contributes the principal-value increment of arg(z - point);
+    segments subtending at least pi/2 are the caller's responsibility
+    to refine.
     """
     z = _as_closed(points)
     w = z - point
     if np.any(w == 0):
         raise MarginalStabilityError("curve passes exactly through the reference point")
     inc = np.angle(w[1:] / w[:-1])
-    return float(inc.sum()), min_distance_to_path(z, point)
+    return float(inc.sum()), float(_segment_distances(z, point).min())
 
 
-def winding_number(curve: Sequence[complex], point: complex,
-                   on_path_tol: float = 1e-12) -> int:
+def winding_number(curve: Sequence[complex], point: complex) -> int:
     """Signed winding count of a closed curve about `point` (CCW positive).
 
     The curve is given as an ordered list of points and closed
     implicitly (last joins back to first).
 
     Raises MarginalStabilityError when the curve passes through `point`
-    within on_path_tol relative to the curve extent.
+    within 1e-12 relative to the curve extent.
     """
     z = _as_closed(curve)
     scale = float(np.abs(z - point).max())
     total, dist = accumulate_winding(z, point)
-    if dist <= on_path_tol * max(scale, 1e-300):
+    if dist <= 1e-12 * max(scale, 1e-300):
         raise MarginalStabilityError(
             f"curve passes within {dist:.3e} of the reference point")
     return int(round(total / (2.0 * math.pi)))
@@ -291,22 +283,21 @@ def winding_number(curve: Sequence[complex], point: complex,
 
 def _refine_curve(z: np.ndarray, t: np.ndarray,
                   producer: Callable[[np.ndarray], np.ndarray], point: complex,
-                  max_rounds: int = 48,
-                  angle_limit: float = 0.5 * math.pi,
                   near_distance: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect curve segments until angle increments about `point` are small.
+    """Bisect curve segments until angle increments about `point` are
+    below pi/2, for at most 48 rounds.
 
     Segments are also refined when they pass within near_distance of
     `point` while still longer than a tenth of that distance, which
     guards against stepping straight over a tight loop.
     """
-    for _ in range(max_rounds):
+    for _ in range(48):
         w = z - point
         if np.any(w == 0):
             raise MarginalStabilityError(
                 "curve passes exactly through the reference point")
         inc = np.abs(np.angle(w[1:] / w[:-1]))
-        flag = inc >= angle_limit
+        flag = inc >= 0.5 * math.pi
         if near_distance > 0.0:
             flag |= ((_segment_distances(z, point) <= near_distance)
                      & (np.abs(np.diff(z)) > 0.1 * near_distance))

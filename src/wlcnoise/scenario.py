@@ -1,8 +1,9 @@
 """Scenario files: the JSON schema consumed by the command line tool.
 
 A scenario bundles the detector, the medium (either raw rates plus
-detuning, or survey coordinates plus a root choice), the noise model,
-and optional response / sweep blocks. See README for the schema.
+detuning, or survey coordinates plus a root choice, whose detuning is
+solved at load time), the noise model, and optional response / sweep
+blocks. See README for the schema.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .interferometer import SPEED_OF_LIGHT, IfoParams
+from .interferometer import SPEED_OF_LIGHT, IfoParams, baseline_integrated_inverse_psd
 from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
-from .survey import RootChoice, SweepSpec
+from .survey import RootChoice, SweepSpec, default_grid
 
 __all__ = ["ScenarioError", "Scenario", "load_scenario"]
 
@@ -44,36 +45,12 @@ def _parse_int(text: str):
 
 
 @dataclass(frozen=True)
-class EtaXiMedium:
-    eta: float
-    xi: float
-    root: str  # "smaller" or "larger"
-
-
-@dataclass(frozen=True)
 class Scenario:
     detector: IfoParams
     noise_model: NoiseModel
-    medium_rates: MediumParams | None = None
-    medium_eta_xi: EtaXiMedium | None = None
+    medium: MediumParams | None = None
     response_omegas: tuple[float, ...] | None = None
     sweep: SweepSpec | None = None
-
-    def resolve_medium(self) -> MediumParams:
-        """The medium to simulate, solving the detuning if needed."""
-        if self.medium_rates is not None:
-            return self.medium_rates
-        assert self.medium_eta_xi is not None
-        exm = self.medium_eta_xi
-        tau = self.detector.tau
-        gamma12, gamma_opt = map_eta_xi(exm.eta, exm.xi, tau)
-        roots = solve_detuning(gamma12, gamma_opt, tau)
-        if not roots:
-            raise ScenarioError(
-                f"medium: no phase-cancellation detuning exists at "
-                f"eta={exm.eta}, xi={exm.xi} (requires xi <= eta)")
-        delta0 = roots[0] if exm.root == "smaller" else roots[-1]
-        return MediumParams(gamma12, gamma_opt, delta0)
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -103,30 +80,39 @@ def _parse_detector(block: dict) -> IfoParams:
     arm = _number(block, "arm_length", where)
     power = _number(block, "circulating_power", where)
     if "carrier_angular_frequency" in block:
-        omega0 = _number(block, "carrier_angular_frequency", where)
+        carrier = "carrier_angular_frequency"
+        omega0 = _number(block, carrier, where)
     else:
-        wavelength = _number(block, "carrier_wavelength", where)
-        omega0 = 2.0 * math.pi * SPEED_OF_LIGHT / wavelength
+        carrier = "carrier_wavelength"
+        omega0 = 2.0 * math.pi * SPEED_OF_LIGHT / _number(block, carrier, where)
+        if omega0 == math.inf:
+            raise ScenarioError(f"{where}.{carrier}: 2 pi c / wavelength overflows")
     rs2 = _number(block, "srm_power_reflectivity", where, positive=False)
     if not 0.0 <= rs2 < 1.0:
         raise ScenarioError(f"{where}.srm_power_reflectivity: must lie in [0, 1)")
-    zeta = block.get("homodyne_angle", 0.0)
-    if not isinstance(zeta, (int, float)) or isinstance(zeta, bool):
-        raise ScenarioError(f"{where}.homodyne_angle: expected a finite number, "
-                            f"got {zeta!r}")
+    zeta = _number(block, "homodyne_angle", where, positive=False, default=0.0)
     include = block.get("include_additional_noise", True)
     if not isinstance(include, bool):
         raise ScenarioError(f"{where}.include_additional_noise: expected a boolean")
-    return IfoParams(
+    ifo = IfoParams(
         arm_length=arm, circulating_power=power,
         carrier_angular_frequency=omega0,
         srm_amplitude_reflectivity=math.sqrt(rs2),
-        homodyne_angle=float(zeta),
+        homodyne_angle=zeta,
         include_additional_noise=include,
     )
+    try:  # the strain noise scale and the rho_r baseline; arm_length**2 may raise
+        scales = (ifo.signal_strength, baseline_integrated_inverse_psd(ifo))
+    except OverflowError:
+        scales = (math.inf,)
+    if not all(0.0 < v < math.inf for v in scales):
+        raise ScenarioError(
+            f"{where}.arm_length, circulating_power, {carrier}: the signal "
+            "scale or the baseline integral leaves the float range")
+    return ifo
 
 
-def _parse_medium(block: dict) -> tuple[MediumParams | None, EtaXiMedium | None]:
+def _parse_medium(block: dict, tau: float) -> MediumParams:
     where = "medium"
     if not isinstance(block, dict):
         raise ScenarioError(f"{where}: expected an object")
@@ -147,7 +133,7 @@ def _parse_medium(block: dict) -> tuple[MediumParams | None, EtaXiMedium | None]
         atoms = block.get("atom_count", 1)
         if not isinstance(atoms, int) or isinstance(atoms, bool) or atoms < 1:
             raise ScenarioError(f"{where}.atom_count: expected a positive integer")
-        return MediumParams(gamma12, gamma_opt, delta0, atoms), None
+        return MediumParams(gamma12, gamma_opt, delta0, atoms)
     eta = _number(block, "eta", where)
     if eta >= 1.0:
         raise ScenarioError(f"{where}.eta: must lie in (0, 1), got {eta}")
@@ -157,7 +143,13 @@ def _parse_medium(block: dict) -> tuple[MediumParams | None, EtaXiMedium | None]
     root = block.get("root", "smaller")
     if root not in ("smaller", "larger"):
         raise ScenarioError(f"{where}.root: expected 'smaller' or 'larger', got {root!r}")
-    return None, EtaXiMedium(eta=eta, xi=xi, root=root)
+    gamma12, gamma_opt = map_eta_xi(eta, xi, tau)
+    roots = solve_detuning(gamma12, gamma_opt, tau)
+    if not roots:
+        raise ScenarioError(
+            f"{where}: no phase-cancellation detuning exists at "
+            f"eta={eta}, xi={xi} (requires xi <= eta)")
+    return MediumParams(gamma12, gamma_opt, roots[0] if root == "smaller" else roots[-1])
 
 
 def _parse_axis(block, where: str) -> tuple[float, ...]:
@@ -172,11 +164,7 @@ def _parse_axis(block, where: str) -> tuple[float, ...]:
         if count > MAX_AXIS_COUNT:
             raise ScenarioError(
                 f"{where}.count: at most {MAX_AXIS_COUNT} points per axis, got {count}")
-        if count == 1:
-            values = [0.5 * (start + stop)]
-        else:
-            step = (stop - start) / (count - 1)
-            values = [start + k * step for k in range(count)]
+        values = default_grid(count, start, stop)
     else:
         raise ScenarioError(f"{where}: expected a list of values or start/stop/count")
     for v in values:
@@ -266,9 +254,9 @@ def load_scenario(path: str | Path) -> Scenario:
             f"noise_model: expected 'local' or 'collective', got {model_name!r}"
         ) from None
 
-    medium_rates = medium_eta_xi = None
+    medium = None
     if "medium" in doc:
-        medium_rates, medium_eta_xi = _parse_medium(doc["medium"])
+        medium = _parse_medium(doc["medium"], detector.tau)
 
     response_omegas = None
     if "response" in doc:
@@ -287,5 +275,4 @@ def load_scenario(path: str | Path) -> Scenario:
         sweep = _parse_sweep(doc["sweep"], detector, noise_model)
 
     return Scenario(detector=detector, noise_model=noise_model,
-                    medium_rates=medium_rates, medium_eta_xi=medium_eta_xi,
-                    response_omegas=response_omegas, sweep=sweep)
+                    medium=medium, response_omegas=response_omegas, sweep=sweep)

@@ -381,26 +381,25 @@ def _loop_denominator_and_derivative(ifo: IfoParams, med: MediumParams, w):
     return f, df
 
 
-def _edge_integral(ifo: IfoParams, med: MediumParams,
-                   start: complex, stop: complex, samples: int,
-                   max_rounds: int = 40,
-                   max_points: int = 2**22) -> tuple[complex, float]:
+def _edge_integral(ifo: IfoParams, med: MediumParams, start: complex,
+                   stop: complex, samples: int) -> tuple[complex, float]:
     """Integral of d log F along a straight edge from dense samples.
 
-    Segments are bisected until F changes by less than half a radian in
-    phase and half a unit in log magnitude across each of them, which
-    concentrates samples around zeros lying near the edge. On such a
-    partition the per-segment integral of the logarithmic derivative is
-    the principal-value log difference, so the sum is exact up to the
+    Segments are bisected, for at most 40 rounds or up to 2^22 samples,
+    until F changes by less than half a radian in phase and half a unit
+    in log magnitude across each of them, which concentrates samples
+    around zeros lying near the edge. On such a partition the
+    per-segment integral of the logarithmic derivative is the
+    principal-value log difference, so the sum is exact up to the
     no-phase-wrap resolution of the partition. Also returns the minimum
     |F| encountered.
     """
     w = np.linspace(start, stop, samples)
     f, _ = _loop_denominator_and_derivative(ifo, med, w)
-    for _ in range(max_rounds):
+    for _ in range(40):
         ratio = f[1:] / f[:-1]
         big = (np.abs(np.angle(ratio)) >= 0.5) | (np.abs(np.log(np.abs(ratio))) >= 0.5)
-        if not big.any() or w.size >= max_points:
+        if not big.any() or w.size >= 2**22:
             break
         idx = np.nonzero(big)[0]
         w_mid = 0.5 * (w[idx] + w[idx + 1])
@@ -412,13 +411,12 @@ def _edge_integral(ifo: IfoParams, med: MediumParams,
 
 
 def root_count_oracle(ifo: IfoParams, med: MediumParams,
-                      rect: tuple[float, float, float, float] | None = None,
-                      integer_tol: float = 0.01) -> int:
+                      rect: tuple[float, float, float, float] | None = None) -> int:
     """Zeros of 1 - r_s G_o inside a rectangle of the upper half plane.
 
     Counts via (1 / 2 pi i) of the contour integral of the logarithmic
     derivative, evaluated from adaptively refined dense sampling along
-    the rectangle edges; the result must land within integer_tol of a
+    the rectangle edges; the result must land within 0.01 of a
     nonnegative integer, and the telescoping real part of the closed
     log integral must vanish. Independent from the Nyquist contour
     machinery.
@@ -456,7 +454,7 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
     count = total / (2j * math.pi)
     value = float(np.real(count))
     nearest = round(value)
-    if abs(value - nearest) > integer_tol or abs(float(np.imag(count))) > integer_tol:
+    if abs(value - nearest) > 0.01 or abs(float(np.imag(count))) > 0.01:
         raise AccuracyError(
             f"root-counting integral {count:.4f} is not close to an integer",
             best_estimate=value)

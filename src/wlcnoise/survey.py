@@ -24,7 +24,7 @@ from .interferometer import (
 )
 from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from .numerics import integrate_adaptive
-from .stability import Classification, classify_system
+from .stability import classify_system
 
 __all__ = [
     "RootChoice",
@@ -38,29 +38,26 @@ __all__ = [
     "run_sweep",
 ]
 
-ROOT_LABELS = ("smaller", "larger")
-
 
 class RootChoice(Enum):
     SMALLER = "smaller"
     LARGER = "larger"
     BOTH = "both"
 
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Labels of the detuning roots this choice selects."""
+        return ("smaller", "larger") if self is RootChoice.BOTH else (self.value,)
+
 
 class CellStatus(Enum):
+    """Cell verdicts; all but INFEASIBLE share a Classification's value."""
+
     INFEASIBLE = "infeasible"
     ATOMIC_INSTABILITY = "atomic"
     NON_STATIONARY = "non-stationary"
     OPTICAL_INSTABILITY = "optical"
     STABLE = "stable"
-
-
-_STATUS_OF_CLASSIFICATION = {
-    Classification.STABLE: CellStatus.STABLE,
-    Classification.ATOMIC_INSTABILITY: CellStatus.ATOMIC_INSTABILITY,
-    Classification.OPTICAL_INSTABILITY: CellStatus.OPTICAL_INSTABILITY,
-    Classification.NON_STATIONARY: CellStatus.NON_STATIONARY,
-}
 
 
 def default_grid(count: int = 50, lo: float = 0.02, hi: float = 0.98) -> tuple[float, ...]:
@@ -177,8 +174,7 @@ def _integration_breakpoints(med: MediumParams, fsr: float) -> tuple[float, ...]
 
 def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
                        rel_tol: float = 1e-4, abs_tol: float = 0.0,
-                       check_stability: bool = True,
-                       margin: float = 1.0) -> float:
+                       check_stability: bool = True) -> float:
     """Integrated sensitivity gain over the conventional detector.
 
     Ratio of the integral of 1/S_hh over one free spectral range to the
@@ -188,7 +184,7 @@ def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
     system.
     """
     if check_stability:
-        report = classify_system(ifo, med, margin=margin)
+        report = classify_system(ifo, med)
         if not report.stable:
             raise ValueError(
                 f"improvement factor undefined for {report.classification.value} "
@@ -203,15 +199,8 @@ def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
 
 def _labeled_roots(roots: tuple[float, ...], choice: RootChoice):
     """Pair root labels with detuning values; None marks a missing root."""
-    if roots:
-        by_label = {"smaller": roots[0], "larger": roots[-1]}
-    else:
-        by_label = {"smaller": None, "larger": None}
-    if choice is RootChoice.BOTH:
-        labels = ROOT_LABELS
-    else:
-        labels = (choice.value,)
-    return [(label, by_label[label]) for label in labels]
+    by_label = {"smaller": roots[0], "larger": roots[-1]} if roots else {}
+    return [(label, by_label.get(label)) for label in choice.labels]
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +218,7 @@ def _classify_and_integrate(spec: SweepSpec, ifo: IfoParams, rs2: float,
     except MarginalStabilityError as exc:
         return RootOutcome(rs2, label, med.delta0, CellStatus.OPTICAL_INSTABILITY,
                            marginal=True, note=str(exc))
-    status = _STATUS_OF_CLASSIFICATION[report.classification]
+    status = CellStatus(report.classification.value)
     note = ""
     if report.marginal and status is CellStatus.STABLE:
         # too close to the critical point to trust the winding

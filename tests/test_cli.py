@@ -14,6 +14,7 @@ from wlcnoise import survey
 from wlcnoise.cli import main
 from wlcnoise.medium import MediumParams, map_eta_xi, solve_detuning
 from wlcnoise.scenario import ScenarioError, load_scenario
+from wlcnoise.survey import default_grid
 
 DETECTOR = {
     "arm_length": 4000.0,
@@ -51,8 +52,7 @@ def test_scenario_round_trip(tmp_path):
     assert scenario.detector.arm_length == 4000.0
     assert scenario.detector.srm_amplitude_reflectivity == pytest.approx(
         math.sqrt(0.5))
-    med = scenario.resolve_medium()
-    assert med == MediumParams(2e4, 1e3, 5e3, 3)
+    assert scenario.medium == MediumParams(2e4, 1e3, 5e3, 3)
 
 
 def test_scenario_eta_xi_medium(tmp_path):
@@ -60,7 +60,7 @@ def test_scenario_eta_xi_medium(tmp_path):
         "detector": DETECTOR,
         "medium": {"eta": 0.4, "xi": 0.1, "root": "larger"},
     })
-    med = load_scenario(path).resolve_medium()
+    med = load_scenario(path).medium
     gamma12, gamma_opt = map_eta_xi(0.4, 0.1, TAU)
     assert med.gamma12 == pytest.approx(gamma12)
     assert med.delta0 == pytest.approx(
@@ -73,7 +73,38 @@ def test_scenario_infeasible_eta_xi(tmp_path):
         "medium": {"eta": 0.1, "xi": 0.4, "root": "smaller"},
     })
     with pytest.raises(ScenarioError, match="xi <= eta"):
-        load_scenario(path).resolve_medium()
+        load_scenario(path)
+
+
+def test_sweep_rejects_infeasible_medium(tmp_path, capsys):
+    # the medium block is solved at load time, so an infeasible one
+    # fails every command, a sweep that never reads it included
+    path = write_scenario(tmp_path, {
+        "detector": DETECTOR,
+        "medium": {"eta": 0.1, "xi": 0.4},
+        "sweep": {"eta": [0.5], "xi": [0.3], "srm_power_reflectivities": [0.5],
+                  "root_choice": "larger"},
+    })
+    assert main(["sweep", "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 1
+    assert "error: medium" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+    assert not list(tmp_path.glob("sweep_*.csv"))
+
+
+def test_axis_parses_to_default_grid(tmp_path):
+    # a start/stop/count axis and the survey's default grid are one
+    # computation, so a scenario and the library see the same floats
+    spec = load_scenario(SCENARIOS / "survey_full.json").sweep
+    assert spec.eta_grid == spec.xi_grid == default_grid(50, 0.02, 0.98)
+    path = write_scenario(tmp_path, {
+        "detector": DETECTOR,
+        "sweep": {"eta": {"start": 0.1, "stop": 0.7, "count": 1},
+                  "xi": {"start": 0.03, "stop": 0.91, "count": 7}},
+    })
+    spec = load_scenario(path).sweep
+    assert spec.eta_grid == default_grid(1, 0.1, 0.7) == (0.5 * (0.1 + 0.7),)
+    assert spec.xi_grid == default_grid(7, 0.03, 0.91)
 
 
 def test_scenario_syntax_error_diagnostics(tmp_path):
@@ -138,6 +169,27 @@ def test_scenario_non_finite_numbers(tmp_path, capsys, command, doc, literal,
                  "--out", str(tmp_path)]) == 1
     assert f"error: {field}" in capsys.readouterr().err
     assert not (tmp_path / f"{command}.csv").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("circulating_power", 1e308),
+    ("carrier_wavelength", 1e-320),
+    ("arm_length", 1e200),
+], ids=["signal-scale-overflow", "carrier-frequency-overflow",
+        "squared-arm-overflow"])
+def test_detector_out_of_float_range(tmp_path, capsys, field, value):
+    # finite inputs whose derived scales overflow fail at load by
+    # field, not with a non-finite integrand inside the sweep
+    path = write_scenario(tmp_path, {
+        "detector": {**DETECTOR, field: value},
+        "sweep": {"eta": [0.02], "xi": [0.02],
+                  "srm_power_reflectivities": [0.5]},
+    })
+    assert main(["sweep", "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector.") and field in err
+    assert not (tmp_path / "summary.json").exists()
 
 
 @pytest.mark.parametrize("command,doc,field", [

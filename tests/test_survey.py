@@ -7,6 +7,7 @@ from wlcnoise import survey
 from wlcnoise.errors import ZeroSignalError
 from wlcnoise.interferometer import reference_detector
 from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
+from wlcnoise.stability import Classification
 from wlcnoise.survey import (
     CellStatus,
     RootChoice,
@@ -191,6 +192,18 @@ def test_root_choice_single():
     assert cell.outcomes[0].root_label == "larger"
     roots = solve_detuning(cell.gamma12, cell.gamma_opt_total, IFO.tau)
     assert cell.outcomes[0].delta0 == roots[-1]
+
+
+def test_root_choice_labels():
+    assert RootChoice.BOTH.labels == ("smaller", "larger")
+    assert RootChoice.SMALLER.labels == ("smaller",)
+    assert RootChoice.LARGER.labels == ("larger",)
+
+
+def test_every_classification_is_a_cell_status():
+    # the survey maps a verdict to a cell status by its value
+    for classification in Classification:
+        assert CellStatus(classification.value).name == classification.name
 
 
 def test_all_regions_appear():
