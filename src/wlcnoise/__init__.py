@@ -1,60 +1,16 @@
 """Quantum-noise and stability survey of a signal-recycled interferometer
-with a double-pumped anomalous-dispersion gain medium."""
+with a double-pumped anomalous-dispersion gain medium.
 
-from .errors import (
-    AccuracyError,
-    DegenerateEquationError,
-    MarginalStabilityError,
-    MediumNotStationaryError,
-    PoleError,
-    SingularParametrizationError,
-    ZeroSignalError,
-)
-from .interferometer import (
-    IfoParams,
-    baseline_integrated_inverse_psd,
-    open_loop_gain,
-    reference_detector,
-    strain_psd,
-)
-from .medium import (
-    MediumClass,
-    MediumParams,
-    NoiseModel,
-    classify_medium,
-    eta_xi_of,
-    map_eta_xi,
-    noise_coefficients,
-    probe_transfer,
-    round_trip_phase,
-    solve_detuning,
-    susceptibility,
-    validity_margin,
-)
-from .numerics import (
-    QuadraticRoots,
-    QuadratureResult,
-    integrate_adaptive,
-    solve_quadratic,
-    winding_number,
-)
-from .stability import (
-    Classification,
-    StabilityReport,
-    classify_system,
-    default_omega_max,
-    nyquist_contour,
-    root_count_oracle,
-)
-from .survey import (
-    CellStatus,
-    RootChoice,
-    SweepCell,
-    SweepGrid,
-    SweepSpec,
-    default_grid,
-    improvement_factor,
-    run_sweep,
-)
+The package root re-exports each module's public names: its ``__all__``,
+or for ``errors`` every exception class it defines.
+"""
+
+from .errors import *  # noqa: F401,F403
+from .interferometer import *  # noqa: F401,F403
+from .medium import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
+from .scenario import *  # noqa: F401,F403
+from .stability import *  # noqa: F401,F403
+from .survey import *  # noqa: F401,F403
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import medium as med_mod
-from .errors import MarginalStabilityError, PoleError
+from .errors import AccuracyError, MarginalStabilityError, PoleError
 from .scenario import Scenario, ScenarioError, load_scenario
 from .stability import Classification, classify_system, nyquist_contour
 from .survey import SweepGrid, run_sweep
@@ -108,6 +108,8 @@ def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float) -> int:
     except MarginalStabilityError as exc:
         print(f"marginal: {exc}")
         return EXIT_MARGINAL
+    except AccuracyError as exc:  # the delay turns grow with the arm length
+        raise ScenarioError(f"detector.arm_length: {exc}") from None
     if report.classification not in (Classification.ATOMIC_INSTABILITY,
                                      Classification.NON_STATIONARY):
         contour = nyquist_contour(ifo, med)

@@ -21,6 +21,17 @@ __all__ = ["ScenarioError", "Scenario", "load_scenario"]
 
 MAX_AXIS_COUNT = 10_000
 
+# the fields each block accepts; any other key is rejected by name
+_SCENARIO_FIELDS = ("detector", "medium", "noise_model", "response", "sweep")
+_DETECTOR_FIELDS = ("arm_length", "circulating_power", "carrier_angular_frequency",
+                    "carrier_wavelength", "srm_power_reflectivity", "homodyne_angle",
+                    "include_additional_noise")
+_RATE_FIELDS = ("gamma12", "gamma_opt_total", "delta0", "atom_count")
+_COORDINATE_FIELDS = ("eta", "xi", "root")
+_SWEEP_FIELDS = ("eta", "xi", "srm_power_reflectivities", "root_choice",
+                 "include_additional_noise", "rel_tol")
+_AXIS_FIELDS = ("start", "stop", "count")
+
 
 class ScenarioError(ValueError):
     """Scenario file is syntactically or semantically invalid."""
@@ -53,30 +64,100 @@ class Scenario:
     sweep: SweepSpec | None = None
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+# Each reader takes the block, the field's key and the block's name, and
+# raises ScenarioError naming <block>.<field>.
+def _object(block, where: str, fields: tuple[str, ...]) -> dict:
+    """The block, checked to be an object with no key outside fields."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where}: expected an object")
+    unknown = set(block) - set(fields)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown fields {sorted(unknown)}")
+    return block
+
+
+def _field(block: dict, key: str, where: str, default=None):
+    """block[key]; a field without a default is required."""
+    if key in block:
+        return block[key]
+    if default is None:
         raise ScenarioError(f"{where}: missing required field '{key}'")
-    return mapping[key]
+    return default
 
 
-def _number(mapping: dict, key: str, where: str, positive: bool = True,
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(block: dict, key: str, where: str, sign: str = "positive",
             default: float | None = None) -> float:
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise ScenarioError(f"{where}: missing required field '{key}'")
-    value = mapping[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    """A finite number; sign is "positive", "nonnegative" or "any"."""
+    value = _field(block, key, where, default)
+    if not _is_number(value):
         raise ScenarioError(f"{where}.{key}: expected a finite number, got {value!r}")
-    if positive and value <= 0:
-        raise ScenarioError(f"{where}.{key}: must be positive, got {value}")
+    if (sign == "positive" and value <= 0) or (sign == "nonnegative" and value < 0):
+        raise ScenarioError(f"{where}.{key}: must be {sign}, got {value}")
     return float(value)
 
 
-def _parse_detector(block: dict) -> IfoParams:
+def _count(block: dict, key: str, where: str, default: int | None = None) -> int:
+    """A positive integer; true and false are not counts."""
+    value = _field(block, key, where, default)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ScenarioError(f"{where}.{key}: expected a positive integer")
+    return value
+
+
+def _flag(block: dict, key: str, where: str, default: bool) -> bool:
+    value = _field(block, key, where, default)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}.{key}: expected a boolean")
+    return value
+
+
+def _choice(block: dict, key: str, where: str, options: tuple[str, ...],
+            default: str) -> str:
+    value = _field(block, key, where, default)
+    if value not in options:
+        raise ScenarioError(f"{where}.{key}: expected one of "
+                            f"{', '.join(map(repr, options))}; got {value!r}")
+    return value
+
+
+def _numbers(block: dict, key: str, where: str,
+             default: list | None = None) -> tuple[float, ...]:
+    """A list of finite numbers."""
+    values = _field(block, key, where, default)
+    if not isinstance(values, list):
+        raise ScenarioError(f"{where}.{key}: expected a list of finite numbers")
+    for v in values:
+        if not _is_number(v):
+            raise ScenarioError(f"{where}.{key}: expected finite numbers, got {v!r}")
+    return tuple(float(v) for v in values)
+
+
+def _axis(block: dict, key: str, where: str) -> tuple[float, ...]:
+    """A list of values, or a start/stop/count block on default_grid."""
+    axis = _field(block, key, where)
+    if isinstance(axis, list):
+        return _numbers(block, key, where)
+    where = f"{where}.{key}"
+    if not isinstance(axis, dict):
+        raise ScenarioError(f"{where}: expected a list of values or start/stop/count")
+    _object(axis, where, _AXIS_FIELDS)
+    start = _number(axis, "start", where, sign="any")
+    stop = _number(axis, "stop", where, sign="any")
+    count = _count(axis, "count", where)
+    if count > MAX_AXIS_COUNT:
+        raise ScenarioError(
+            f"{where}.count: at most {MAX_AXIS_COUNT} points per axis, got {count}")
+    return default_grid(count, start, stop)
+
+
+def _parse_detector(block) -> tuple[IfoParams, float]:
+    """The detector and its SRM power reflectivity as written."""
     where = "detector"
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{where}: expected an object")
+    _object(block, where, _DETECTOR_FIELDS)
     arm = _number(block, "arm_length", where)
     power = _number(block, "circulating_power", where)
     if "carrier_angular_frequency" in block:
@@ -87,19 +168,15 @@ def _parse_detector(block: dict) -> IfoParams:
         omega0 = 2.0 * math.pi * SPEED_OF_LIGHT / _number(block, carrier, where)
         if omega0 == math.inf:
             raise ScenarioError(f"{where}.{carrier}: 2 pi c / wavelength overflows")
-    rs2 = _number(block, "srm_power_reflectivity", where, positive=False)
+    rs2 = _number(block, "srm_power_reflectivity", where, sign="any")
     if not 0.0 <= rs2 < 1.0:
         raise ScenarioError(f"{where}.srm_power_reflectivity: must lie in [0, 1)")
-    zeta = _number(block, "homodyne_angle", where, positive=False, default=0.0)
-    include = block.get("include_additional_noise", True)
-    if not isinstance(include, bool):
-        raise ScenarioError(f"{where}.include_additional_noise: expected a boolean")
     ifo = IfoParams(
         arm_length=arm, circulating_power=power,
         carrier_angular_frequency=omega0,
         srm_amplitude_reflectivity=math.sqrt(rs2),
-        homodyne_angle=zeta,
-        include_additional_noise=include,
+        homodyne_angle=_number(block, "homodyne_angle", where, sign="any", default=0.0),
+        include_additional_noise=_flag(block, "include_additional_noise", where, True),
     )
     try:  # the strain noise scale and the rho_r baseline; arm_length**2 may raise
         scales = (ifo.signal_strength, baseline_integrated_inverse_psd(ifo))
@@ -109,40 +186,30 @@ def _parse_detector(block: dict) -> IfoParams:
         raise ScenarioError(
             f"{where}.arm_length, circulating_power, {carrier}: the signal "
             "scale or the baseline integral leaves the float range")
-    return ifo
+    return ifo, rs2
 
 
-def _parse_medium(block: dict, tau: float) -> MediumParams:
+def _parse_medium(block, tau: float) -> MediumParams:
     where = "medium"
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{where}: expected an object")
-    has_rates = "gamma12" in block
-    has_eta_xi = "eta" in block or "xi" in block
-    if has_rates == has_eta_xi:
+    _object(block, where, _RATE_FIELDS + _COORDINATE_FIELDS)
+    has_rates = not block.keys().isdisjoint(_RATE_FIELDS)
+    if has_rates == (not block.keys().isdisjoint(_COORDINATE_FIELDS)):
         raise ScenarioError(
-            f"{where}: specify exactly one of raw rates "
-            "(gamma12/gamma_opt_total/delta0) or survey coordinates (eta/xi)")
+            f"{where}: specify exactly one of raw rates ({'/'.join(_RATE_FIELDS)}) "
+            f"or survey coordinates ({'/'.join(_COORDINATE_FIELDS)})")
     if has_rates:
-        gamma12 = _number(block, "gamma12", where)
-        gamma_opt = _number(block, "gamma_opt_total", where, positive=False)
-        if gamma_opt < 0:
-            raise ScenarioError(f"{where}.gamma_opt_total: must be nonnegative")
-        delta0 = _number(block, "delta0", where, positive=False, default=0.0)
-        if delta0 < 0:
-            raise ScenarioError(f"{where}.delta0: must be nonnegative")
-        atoms = block.get("atom_count", 1)
-        if not isinstance(atoms, int) or isinstance(atoms, bool) or atoms < 1:
-            raise ScenarioError(f"{where}.atom_count: expected a positive integer")
-        return MediumParams(gamma12, gamma_opt, delta0, atoms)
+        return MediumParams(
+            _number(block, "gamma12", where),
+            _number(block, "gamma_opt_total", where, sign="nonnegative"),
+            _number(block, "delta0", where, sign="nonnegative", default=0.0),
+            _count(block, "atom_count", where, default=1))
     eta = _number(block, "eta", where)
     if eta >= 1.0:
         raise ScenarioError(f"{where}.eta: must lie in (0, 1), got {eta}")
     xi = _number(block, "xi", where)
     if xi > 1.0:
         raise ScenarioError(f"{where}.xi: must lie in (0, 1], got {xi}")
-    root = block.get("root", "smaller")
-    if root not in ("smaller", "larger"):
-        raise ScenarioError(f"{where}.root: expected 'smaller' or 'larger', got {root!r}")
+    root = _choice(block, "root", where, RootChoice.BOTH.labels, "smaller")
     gamma12, gamma_opt = map_eta_xi(eta, xi, tau)
     roots = solve_detuning(gamma12, gamma_opt, tau)
     if not roots:
@@ -152,69 +219,28 @@ def _parse_medium(block: dict, tau: float) -> MediumParams:
     return MediumParams(gamma12, gamma_opt, roots[0] if root == "smaller" else roots[-1])
 
 
-def _parse_axis(block, where: str) -> tuple[float, ...]:
-    if isinstance(block, list):
-        values = block
-    elif isinstance(block, dict):
-        start = _number(block, "start", where, positive=False)
-        stop = _number(block, "stop", where, positive=False)
-        count = block.get("count")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ScenarioError(f"{where}.count: expected a positive integer")
-        if count > MAX_AXIS_COUNT:
-            raise ScenarioError(
-                f"{where}.count: at most {MAX_AXIS_COUNT} points per axis, got {count}")
-        values = default_grid(count, start, stop)
-    else:
-        raise ScenarioError(f"{where}: expected a list of values or start/stop/count")
-    for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ScenarioError(f"{where}: expected finite numbers, got {v!r}")
-    return tuple(float(v) for v in values)
-
-
-def _parse_sweep(block: dict, detector: IfoParams,
+def _parse_sweep(block, detector: IfoParams, rs2: float,
                  noise_model: NoiseModel) -> SweepSpec:
+    """The sweep; its reflectivities default to the detector's, rs2."""
     where = "sweep"
-    if not isinstance(block, dict):
-        raise ScenarioError(f"{where}: expected an object")
+    _object(block, where, _SWEEP_FIELDS)
     if not detector.reads_signal:
         raise ScenarioError(
             f"detector.homodyne_angle: readout at {detector.homodyne_angle} "
             "carries no signal, so a sweep has no strain noise to integrate")
-    eta_grid = _parse_axis(_require(block, "eta", where), f"{where}.eta")
-    xi_grid = _parse_axis(_require(block, "xi", where), f"{where}.xi")
-    rs2_list = block.get("srm_power_reflectivities")
-    if rs2_list is None:
-        rs2_list = [detector.srm_amplitude_reflectivity**2]
-    if (not isinstance(rs2_list, list) or not rs2_list
-            or any(not isinstance(v, (int, float)) or isinstance(v, bool)
-                   for v in rs2_list)):
-        raise ScenarioError(f"{where}.srm_power_reflectivities: expected a "
-                            "nonempty list of finite numbers")
-    choice = block.get("root_choice", "both")
+    fields = dict(
+        eta_grid=_axis(block, "eta", where),
+        xi_grid=_axis(block, "xi", where),
+        srm_power_reflectivities=_numbers(block, "srm_power_reflectivities",
+                                          where, default=[rs2]),
+        root_choice=RootChoice(_choice(block, "root_choice", where,
+                                       tuple(c.value for c in RootChoice), "both")),
+        include_additional_noise=_flag(block, "include_additional_noise", where,
+                                       detector.include_additional_noise),
+        rel_tol=_number(block, "rel_tol", where, default=1e-4),
+    )
     try:
-        root_choice = RootChoice(choice)
-    except ValueError:
-        raise ScenarioError(f"{where}.root_choice: expected one of "
-                            f"'smaller', 'larger', 'both'; got {choice!r}") from None
-    include = block.get("include_additional_noise",
-                        detector.include_additional_noise)
-    if not isinstance(include, bool):
-        raise ScenarioError(f"{where}.include_additional_noise: expected a boolean")
-    rel_tol = _number(block, "rel_tol", where, default=1e-4)
-    abs_tol = block.get("abs_tol", 0.0)
-    if not isinstance(abs_tol, (int, float)) or isinstance(abs_tol, bool) or abs_tol < 0:
-        raise ScenarioError(f"{where}.abs_tol: expected a nonnegative number")
-    try:
-        return SweepSpec(
-            eta_grid=eta_grid, xi_grid=xi_grid,
-            srm_power_reflectivities=tuple(float(v) for v in rs2_list),
-            root_choice=root_choice,
-            include_additional_noise=include,
-            noise_model=noise_model,
-            rel_tol=rel_tol, abs_tol=float(abs_tol),
-        )
+        return SweepSpec(noise_model=noise_model, **fields)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
@@ -223,7 +249,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
     Raises ScenarioError with a line/field diagnostic on any problem,
-    including numbers with no finite float value.
+    including unknown fields in any block and numbers with no finite
+    float value.
     """
     path = Path(path)
     try:
@@ -237,42 +264,17 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(
             f"{path}: JSON syntax error at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
-
-    unknown = set(doc) - {"detector", "medium", "noise_model", "response", "sweep"}
-    if unknown:
-        raise ScenarioError(f"unknown top-level fields: {sorted(unknown)}")
-
-    detector = _parse_detector(_require(doc, "detector", "scenario"))
-
-    model_name = doc.get("noise_model", "local")
-    try:
-        noise_model = NoiseModel(model_name)
-    except ValueError:
-        raise ScenarioError(
-            f"noise_model: expected 'local' or 'collective', got {model_name!r}"
-        ) from None
-
-    medium = None
-    if "medium" in doc:
-        medium = _parse_medium(doc["medium"], detector.tau)
-
+    where = "scenario"
+    _object(doc, where, _SCENARIO_FIELDS)
+    detector, rs2 = _parse_detector(_field(doc, "detector", where))
+    noise_model = NoiseModel(_choice(doc, "noise_model", where,
+                                     tuple(m.value for m in NoiseModel), "local"))
+    medium = _parse_medium(doc["medium"], detector.tau) if "medium" in doc else None
     response_omegas = None
     if "response" in doc:
-        block = doc["response"]
-        if not isinstance(block, dict):
-            raise ScenarioError("response: expected an object")
-        if "omega" in block:
-            axis = block["omega"]
-            response_omegas = (_parse_axis(axis, "response.omega")
-                               if axis != [] else ())
-        else:
-            raise ScenarioError("response: missing required field 'omega'")
-
-    sweep = None
-    if "sweep" in doc:
-        sweep = _parse_sweep(doc["sweep"], detector, noise_model)
-
+        response = _object(doc["response"], "response", ("omega",))
+        response_omegas = _axis(response, "omega", "response")
+    sweep = (_parse_sweep(doc["sweep"], detector, rs2, noise_model)
+             if "sweep" in doc else None)
     return Scenario(detector=detector, noise_model=noise_model,
                     medium=medium, response_omegas=response_omegas, sweep=sweep)

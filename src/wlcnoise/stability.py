@@ -45,6 +45,7 @@ CRITICAL_POINT = 1.0 + 0.0j
 MARGINAL_ERROR_DISTANCE = 1e-9
 MARGINAL_FLAG_DISTANCE = 1e-6
 REFINE_NEAR_DISTANCE = 0.1
+MAX_SAMPLES = 2**22  # per sampled window or oracle edge
 
 
 class Classification(Enum):
@@ -297,12 +298,12 @@ def _closest_approach(ifo: IfoParams,
     else the distance exceeds 1 - level, which is returned instead when
     the window is empty or the approach is farther. |F| = |1 - r_s G_o|
     is sampled on the window (16 points per delay turn plus a cluster at
-    the gain peak delta0), and every sample interval over which
-    d|F|/domega turns from negative to positive is polished to its
-    minimum by _polish_minimum. At omega = 0 the slope vanishes by
-    symmetry, so there the sign of the curvature stands in for it.
-    Searching omega >= 0 suffices because the other half is the complex
-    conjugate.
+    the gain peak delta0; AccuracyError when that exceeds MAX_SAMPLES),
+    and every sample interval over which d|F|/domega turns from negative
+    to positive is polished to its minimum by _polish_minimum. At
+    omega = 0 the slope vanishes by symmetry, so there the sign of the
+    curvature stands in for it. Searching omega >= 0 suffices because
+    the other half is the complex conjugate.
     """
     rs = ifo.srm_amplitude_reflectivity
     level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
@@ -310,7 +311,11 @@ def _closest_approach(ifo: IfoParams,
     if window is None:
         return 1.0 - level, (0.0, 0.0)
     lo, hi = window
-    count = 33 + int(16.0 * (hi - lo) * ifo.tau / math.pi)
+    turns = (hi - lo) * ifo.tau / math.pi
+    if 33 + 16.0 * turns > MAX_SAMPLES:
+        raise AccuracyError(f"the near window spans {turns:.3g} delay turns; "
+                            f"16 samples per turn exceed {MAX_SAMPLES}")
+    count = 33 + int(16.0 * turns)
     width = max(med.damping_gap, 1e-3 * med.delta0)
     peak = med.delta0 + width * np.linspace(-30.0, 30.0, 61)
     omegas = np.union1d(np.linspace(lo, hi, count), peak[(peak > lo) & (peak < hi)])
@@ -385,7 +390,7 @@ def _edge_integral(ifo: IfoParams, med: MediumParams, start: complex,
                    stop: complex, samples: int) -> tuple[complex, float]:
     """Integral of d log F along a straight edge from dense samples.
 
-    Segments are bisected, for at most 40 rounds or up to 2^22 samples,
+    Segments are bisected, for at most 40 rounds or up to MAX_SAMPLES,
     until F changes by less than half a radian in phase and half a unit
     in log magnitude across each of them, which concentrates samples
     around zeros lying near the edge. On such a partition the
@@ -399,7 +404,7 @@ def _edge_integral(ifo: IfoParams, med: MediumParams, start: complex,
     for _ in range(40):
         ratio = f[1:] / f[:-1]
         big = (np.abs(np.angle(ratio)) >= 0.5) | (np.abs(np.log(np.abs(ratio))) >= 0.5)
-        if not big.any() or w.size >= 2**22:
+        if not big.any() or w.size >= MAX_SAMPLES:
             break
         idx = np.nonzero(big)[0]
         w_mid = 0.5 * (w[idx] + w[idx + 1])

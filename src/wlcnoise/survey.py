@@ -79,7 +79,6 @@ class SweepSpec:
     include_additional_noise: bool = True
     noise_model: NoiseModel = NoiseModel.LOCAL
     rel_tol: float = 1e-4
-    abs_tol: float = 0.0
     margin: float = 1.0
 
     def __post_init__(self) -> None:
@@ -91,7 +90,7 @@ class SweepSpec:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
         if not self.srm_power_reflectivities:
-            raise ValueError("need at least one SRM power reflectivity")
+            raise ValueError("srm_power_reflectivities is empty")
         if any(not 0.0 <= v < 1.0 for v in self.srm_power_reflectivities):
             raise ValueError("SRM power reflectivities must lie in [0, 1)")
         if len(set(self.srm_power_reflectivities)) < len(self.srm_power_reflectivities):
@@ -173,8 +172,7 @@ def _integration_breakpoints(med: MediumParams, fsr: float) -> tuple[float, ...]
 
 
 def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
-                       rel_tol: float = 1e-4, abs_tol: float = 0.0,
-                       check_stability: bool = True) -> float:
+                       rel_tol: float = 1e-4, check_stability: bool = True) -> float:
     """Integrated sensitivity gain over the conventional detector.
 
     Ratio of the integral of 1/S_hh over one free spectral range to the
@@ -192,8 +190,7 @@ def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
     fsr = ifo.free_spectral_range
     result = integrate_adaptive(
         lambda omega: 1.0 / strain_psd(ifo, med, model, omega), 0.0, fsr,
-        rel_tol=rel_tol, abs_tol=abs_tol,
-        breakpoints=_integration_breakpoints(med, fsr))
+        rel_tol=rel_tol, breakpoints=_integration_breakpoints(med, fsr))
     return result.value / baseline_integrated_inverse_psd(ifo)
 
 
@@ -228,8 +225,7 @@ def _classify_and_integrate(spec: SweepSpec, ifo: IfoParams, rs2: float,
     if status is CellStatus.STABLE:
         try:
             rho = improvement_factor(ifo, med, spec.noise_model,
-                                     rel_tol=spec.rel_tol, abs_tol=spec.abs_tol,
-                                     check_stability=False)
+                                     rel_tol=spec.rel_tol, check_stability=False)
         except AccuracyError as exc:
             rho = exc.best_estimate
             note = f"integration tolerance not met: {exc}"

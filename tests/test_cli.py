@@ -119,6 +119,7 @@ def test_scenario_syntax_error_diagnostics(tmp_path):
     {"gamma12": 1e3, "eta": 0.5, "xi": 0.5},  # both forms
     {"gamma12": -1.0, "gamma_opt_total": 1.0},
     {"eta": 0.5, "xi": 0.5, "root": "middle"},
+    {"gamma12": 1e3, "gamma_opt_total": 1.0, "root": "larger"},  # mixed forms
 ])
 def test_scenario_medium_validation(tmp_path, medium):
     path = write_scenario(tmp_path, {"detector": DETECTOR, "medium": medium})
@@ -130,6 +131,44 @@ def test_scenario_unknown_fields(tmp_path):
     path = write_scenario(tmp_path, {"detector": DETECTOR, "mediun": {}})
     with pytest.raises(ScenarioError, match="unknown"):
         load_scenario(path)
+
+
+_ONE_CELL_SWEEP = {"eta": [0.5], "xi": [0.3], "srm_power_reflectivities": [0.5]}
+
+
+@pytest.mark.parametrize("command,doc,block,key", [
+    ("nyquist", {"detector": {**DETECTOR, "homodyne_angel": 1.57},
+                 "medium": {"eta": 0.4, "xi": 0.4}},
+     "detector", "homodyne_angel"),
+    ("nyquist", {"detector": DETECTOR,
+                 "medium": {"eta": 0.4, "xi": 0.4, "root_chioce": "larger"}},
+     "medium", "root_chioce"),
+    ("response", {"detector": DETECTOR,
+                  "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3, "delta0": 2e4},
+                  "response": {"omega": [0.0], "omgea": [1.0]}},
+     "response", "omgea"),
+    ("sweep", {"detector": DETECTOR,
+               "sweep": {**_ONE_CELL_SWEEP, "rel_tl": 1e-12}},
+     "sweep", "rel_tl"),
+    ("sweep", {"detector": DETECTOR,
+               "sweep": {**_ONE_CELL_SWEEP,
+                         "xi": {"start": 0.1, "stop": 0.9, "count": 3,
+                                "step": 0.4}}},
+     "sweep.xi", "step"),
+    ("sweep", {"detector": DETECTOR,
+               "sweep": {**_ONE_CELL_SWEEP, "abs_tol": 1e-12}},
+     "sweep", "abs_tol"),
+], ids=["detector", "medium", "response", "sweep", "axis", "sweep-abs-tol"])
+def test_scenario_unknown_field_in_each_block(tmp_path, capsys, command, doc,
+                                              block, key):
+    # a misspelt or retired key fails by block and name; it never runs
+    # the command on the defaults
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}: unknown fields") and key in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,doc,literal,field", [
@@ -395,6 +434,21 @@ def test_nyquist_marginal_exit(tmp_path):
                  "--out", str(tmp_path)]) == 4
 
 
+def test_nyquist_near_window_beyond_sample_cap(tmp_path, capsys):
+    # the closest-approach search samples 16 points per delay turn of
+    # the near window; an arm so long that this exceeds the sample cap
+    # fails by field instead of asking NumPy for ~1e26 points
+    path = write_scenario(tmp_path, {
+        "detector": {**DETECTOR, "arm_length": 1e30},
+        "medium": {"gamma12": 1e4, "gamma_opt_total": 5e3, "delta0": 2e4},
+    })
+    out = tmp_path / "out"
+    assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector.arm_length:") and "delay turns" in err
+    assert not (out / "nyquist.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------
@@ -485,6 +539,22 @@ def test_sweep_table_names_keep_full_precision(tmp_path):
                      "sweep_rs2_0.5000001_root_larger.csv"]
     for name in names:
         assert len(read_csv(tmp_path / name)) == 1
+
+
+def test_sweep_default_reflectivity_as_written(tmp_path):
+    # without srm_power_reflectivities the sweep runs at the detector's
+    # value as written, not at the square of its square root
+    path = write_scenario(tmp_path, {
+        "detector": {**DETECTOR, "srm_power_reflectivity": 0.7},
+        "sweep": {"eta": [0.5], "xi": [0.3], "root_choice": "larger"},
+    })
+    assert main(["sweep", "--scenario", str(path),
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    [table] = summary["tables"]
+    assert table["file"] == "sweep_rs2_0.7_root_larger.csv"
+    assert table["srm_power_reflectivity"] == 0.7
+    assert len(read_csv(tmp_path / table["file"])) == 1
 
 
 def test_sweep_requires_block(tmp_path):
