@@ -183,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.margin < 1.0:
+        if not args.margin >= 1.0:
             raise ScenarioError("--margin must be >= 1")
         if args.threads < 0:
             raise ScenarioError("--threads must be >= 0")

@@ -167,8 +167,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
     """
     if not lo < hi:
         raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    if rel_tol <= 0.0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
 
     edges = np.array([lo, *(b for b in sorted(set(breakpoints)) if lo < b < hi), hi],
                      dtype=float)

@@ -160,6 +160,9 @@ def _parse_detector(block) -> tuple[IfoParams, float]:
     _object(block, where, _DETECTOR_FIELDS)
     arm = _number(block, "arm_length", where)
     power = _number(block, "circulating_power", where)
+    if ("carrier_angular_frequency" in block) == ("carrier_wavelength" in block):
+        raise ScenarioError(f"{where}: specify exactly one of carrier_angular_frequency "
+                            "or carrier_wavelength")
     if "carrier_angular_frequency" in block:
         carrier = "carrier_angular_frequency"
         omega0 = _number(block, carrier, where)

@@ -10,8 +10,11 @@ happen where |r_s G_o| > 1; classify_system counts them in closed form
 inside that gain window. The closest approach to (1, 0) is exact:
 the distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1, and
 each sampled descent into a minimum is polished by a safeguarded
-Newton search with closed-form derivatives. nyquist_contour samples
-the whole contour for output and as a reference. An independent
+Newton search with closed-form derivatives. The closed forms and the
+sampler are elementwise: _verdicts takes the verdicts of many
+configurations (a survey row) from a few array calls, classify_system
+the verdict of one from its floats. nyquist_contour samples the whole
+contour for output and as a reference. An independent
 argument-principle oracle counts the same zeros by integrating the
 logarithmic derivative of 1 - r_s G_o around a rectangle in the upper
 half plane.
@@ -23,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from . import medium as med_mod
 from .errors import AccuracyError, MarginalStabilityError, MediumNotStationaryError
 from .interferometer import IfoParams, open_loop_gain
 from .medium import MediumClass, MediumParams
-from .numerics import _refine_curve, solve_quadratic
+from .numerics import _refine_curve
 
 __all__ = [
     "Classification",
@@ -46,6 +50,7 @@ MARGINAL_ERROR_DISTANCE = 1e-9
 MARGINAL_FLAG_DISTANCE = 1e-6
 REFINE_NEAR_DISTANCE = 0.1
 MAX_SAMPLES = 2**22  # per sampled window or oracle edge
+_PEAK_OFFSETS = np.arange(-30.0, 31.0)  # np.linspace(-30, 30, 61), exactly
 
 
 class Classification(Enum):
@@ -89,12 +94,14 @@ def default_omega_max(med: MediumParams, tau: float) -> float:
     return 50.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / tau)
 
 
+_UNDAMPED = ("medium is on the lasing threshold (gamma12 == gamma_opt_total); "
+             "the loop poles lie on the real frequency axis")
+
+
 def _require_damped(med: MediumParams) -> None:
     """Loop poles sit on the real axis when the damping gap closes."""
     if med.damping_gap <= 0.0:
-        raise MarginalStabilityError(
-            "medium is on the lasing threshold (gamma12 == gamma_opt_total); "
-            "the loop poles lie on the real frequency axis")
+        raise MarginalStabilityError(_UNDAMPED)
 
 
 def _base_grid(med: MediumParams, tau: float, omega_max: float) -> np.ndarray:
@@ -150,9 +157,9 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
             "Nyquist contour requires a stationary medium")
     _require_damped(med)
     omega_max = default_omega_max(med, ifo.tau)
-    window = _gain_window(ifo, med, 1.0)
-    if window is not None and window[1] >= omega_max:
-        omega_max = 2.0 * window[1]
+    hi = float(_gain_window(_Loop.of(ifo, med), 1.0)[1])
+    if hi >= omega_max:
+        omega_max = 2.0 * hi
     omegas = _base_grid(med, ifo.tau, omega_max)
     rs = ifo.srm_amplitude_reflectivity
 
@@ -164,8 +171,27 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
     return _closed_contour(half)
 
 
-def _gain_window(ifo: IfoParams, med: MediumParams,
-                 level: float) -> tuple[float, float] | None:
+class _Loop(NamedTuple):
+    """Parameters of the loop r_s G_o, as floats or as equal-length arrays
+    with one element per configuration (or per sample)."""
+
+    rs: float | np.ndarray
+    tau: float | np.ndarray
+    delta0: float | np.ndarray
+    gap: float | np.ndarray  # gamma12 - Gamma
+    gamma: float | np.ndarray
+
+    @classmethod
+    def of(cls, ifo: IfoParams, med: MediumParams) -> "_Loop":
+        return cls(ifo.srm_amplitude_reflectivity, ifo.tau, med.delta0,
+                   med.damping_gap, med.gamma_opt_total)
+
+    @classmethod
+    def stack(cls, loops: Sequence["_Loop"]) -> "_Loop":
+        return cls(*map(np.array, zip(*loops)))
+
+
+def _gain_window(loop: _Loop, level):
     """Frequencies omega >= 0 where |r_s G_o(omega)| > level, as (lo, hi).
 
     With g = gamma12 - Gamma, M = num / (den_+ den_-) where
@@ -174,25 +200,37 @@ def _gain_window(ifo: IfoParams, med: MediumParams,
     a quadratic inequality in y = omega^2 whose leading coefficient
     r_s^2 - level^2 is negative for level > r_s: the set is one interval
     in y, mirrored onto omega < 0. Rates are scaled by their largest
-    before squaring. None when the set is empty or a single point.
+    before squaring, and the roots in y are taken stably: the larger in
+    magnitude from q = -(b + sign(b) sqrt(disc)) / 2, the other from the
+    root product. Elementwise, broadcasting loop against level; (0, 0)
+    where the set is empty or a single point (a discriminant within
+    1e-10 of the larger of b^2 and |4ac|).
     """
-    rs = ifo.srm_amplitude_reflectivity
-    scale = max(med.delta0, med.damping_gap, med.gamma_opt_total)
-    d, g, gam = med.delta0 / scale, med.damping_gap / scale, med.gamma_opt_total / scale
+    scale = np.maximum(np.maximum(loop.delta0, loop.gap), loop.gamma)
+    d, g, gam = loop.delta0 / scale, loop.gap / scale, loop.gamma / scale
     c0 = d * d + g * g + 2.0 * gam * g
     e0 = d * d + g * g
-    r2, l2 = rs * rs, level * level
-    # r2 [(c0 - y)^2 + 4 (g + Gamma)^2 y] - l2 [(e0 - y)^2 + 4 g^2 y] > 0
-    roots = solve_quadratic(r2 - l2,
-                            r2 * (4.0 * (g + gam) ** 2 - 2.0 * c0)
-                            - l2 * (4.0 * g * g - 2.0 * e0),
-                            r2 * c0 * c0 - l2 * e0 * e0).roots
-    if len(roots) < 2 or roots[1] <= 0.0:
-        return None
-    return math.sqrt(max(roots[0], 0.0)) * scale, math.sqrt(roots[1]) * scale
+    r2, l2 = loop.rs * loop.rs, level * level
+    # r2 [(c0 - y)^2 + 4 (g + Gamma)^2 y] - l2 [(e0 - y)^2 + 4 g^2 y] > 0;
+    # float_power squares with the C library's pow, as float ** 2 does,
+    # where an array's ** 2 multiplies and at times differs in the last bit
+    a = r2 - l2
+    b = (r2 * (4.0 * np.float_power(g + gam, 2.0) - 2.0 * c0)
+         - l2 * (4.0 * g * g - 2.0 * e0))
+    c = r2 * c0 * c0 - l2 * e0 * e0
+    b2, ac4 = b * b, 4.0 * a * c
+    disc = b2 - ac4
+    found = disc > 1e-10 * np.maximum(b2, abs(ac4))
+    q = np.where(found, -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b)), 1.0)
+    y1, y2 = q / a, c / q
+    y_hi = np.maximum(y1, y2)
+    found &= y_hi > 0.0  # and zeroes both ends where it is false
+    lo = np.sqrt(np.maximum(np.minimum(y1, y2), 0.0) * found) * scale
+    hi = np.sqrt(np.maximum(y_hi, 0.0) * found) * scale
+    return lo, hi
 
 
-def _loop_phase_turns(ifo: IfoParams, med: MediumParams, omega: float) -> float:
+def _loop_phase_turns(loop: _Loop, omega):
     """Continuous phase of G_o at real omega >= 0, in turns, 0 at omega = 0.
 
     The phase is 2 omega tau + arg num - arg den_+ - arg den_- on
@@ -200,76 +238,73 @@ def _loop_phase_turns(ifo: IfoParams, med: MediumParams, omega: float) -> float:
     pi - atan((omega +- delta0) / g), and arg num = pi + the args of
     omega - r_k for the two roots r_k = -i(g + Gamma) +- sqrt(delta0^2 -
     Gamma^2) of num, which lie in the lower half plane, so each
-    omega - r_k stays in the upper one.
+    omega - r_k stays in the upper one. Elementwise, broadcasting loop
+    against omega.
     """
-    g, gam, d = med.damping_gap, med.gamma_opt_total, med.delta0
+    g, gam, d = loop.gap, loop.gamma, loop.delta0
     h = g + gam
-    if d >= gam:
-        s = math.sqrt((d - gam) * (d + gam))
-        arg_num = math.atan2(h, omega - s) + math.atan2(h, omega + s)
-    else:
-        t = math.sqrt((gam - d) * (gam + d))
-        # h - t from the product (h - t)(h + t) = c0, free of cancellation
-        arg_num = (math.atan2((d * d + g * g + 2.0 * gam * g) / (h + t), omega)
-                   + math.atan2(h + t, omega))
-    phase = (2.0 * omega * ifo.tau + arg_num - math.pi
-             + math.atan((omega + d) / g) + math.atan((omega - d) / g))
+    # sqrt(delta0^2 - Gamma^2) where real, else the size of the imaginary one
+    s = np.sqrt(abs((d - gam) * (d + gam)))
+    # h - s from the product (h - s)(h + s) = c0, free of cancellation
+    arg_num = np.where(d >= gam,
+                       np.arctan2(h, omega - s) + np.arctan2(h, omega + s),
+                       np.arctan2((d * d + g * g + 2.0 * gam * g) / (h + s), omega)
+                       + np.arctan2(h + s, omega))
+    phase = (2.0 * omega * loop.tau + arg_num - math.pi
+             + np.arctan((omega + d) / g) + np.arctan((omega - d) / g))
     return phase / (2.0 * math.pi)
 
 
-def _ray_crossings(ifo: IfoParams, med: MediumParams) -> int:
+def _ray_crossings(loop: _Loop, lo, hi):
     """Winding of r_s G_o about (1, 0) as signed crossings of [1, inf).
 
-    A crossing needs |r_s G_o| > 1, so it lies in the gain window; on
-    [lo, hi] the signed count is floor(phase(hi)) - floor(phase(lo)) in
-    turns, and the conjugate half omega < 0 adds as many. A window
-    starting at omega = 0 is one interval symmetric about zero that
-    crosses the ray at omega = 0 itself, where G_o = M(0) > 0.
+    A crossing needs |r_s G_o| > 1, so it lies in the gain window
+    [lo, hi] of _gain_window at level 1; there the signed count is
+    floor(phase(hi)) - floor(phase(lo)) in turns, and the conjugate half
+    omega < 0 adds as many. A window starting at omega = 0 is one
+    interval symmetric about zero that crosses the ray at omega = 0
+    itself, where G_o = M(0) > 0. Elementwise; 0 where the window is
+    empty.
     """
-    window = _gain_window(ifo, med, 1.0)
-    if window is None:
-        return 0
-    lo, hi = window
-    turns_hi = math.floor(_loop_phase_turns(ifo, med, hi))
-    if lo == 0.0:
-        return 2 * turns_hi + 1
-    return 2 * (turns_hi - math.floor(_loop_phase_turns(ifo, med, lo)))
+    turns_lo, turns_hi = np.floor(_loop_phase_turns(loop, np.stack([lo, hi])))
+    crossings = np.where(lo == 0.0, 2.0 * turns_hi + 1.0, 2.0 * (turns_hi - turns_lo))
+    return np.where(hi > 0.0, crossings, 0.0).astype(int)
 
 
-def _loop_series(ifo: IfoParams, med: MediumParams, omega, exp=np.exp):
+def _loop_series(loop: _Loop, omega, exp=np.exp):
     """F = 1 - r_s G_o and its first two omega-derivatives at real omega.
 
     With G_o = e^{k omega} M, k = 2 i tau, and M = 1 - Gamma (1/d_+ +
     1/d_-) for d_pm = i(omega +- delta0) - g, each derivative of M is a
-    sum of powers of 1/d_pm. omega is an array (exp=np.exp) or a float
-    (exp=cmath.exp, which keeps the Newton steps in plain Python).
+    sum of powers of 1/d_pm. omega and loop hold arrays (exp=np.exp) or
+    floats (exp=cmath.exp, which keeps the Newton steps in plain Python).
     """
-    gam, g = med.gamma_opt_total, med.damping_gap
-    k = 2j * ifo.tau
-    inv_p = 1.0 / (1j * (omega + med.delta0) - g)
-    inv_m = 1.0 / (1j * (omega - med.delta0) - g)
+    gam, g = loop.gamma, loop.gap
+    k = 2j * loop.tau
+    inv_p = 1.0 / (1j * (omega + loop.delta0) - g)
+    inv_m = 1.0 / (1j * (omega - loop.delta0) - g)
     m = 1.0 - gam * (inv_p + inv_m)
     dm = 1j * gam * (inv_p * inv_p + inv_m * inv_m)
     ddm = 2.0 * gam * (inv_p * inv_p * inv_p + inv_m * inv_m * inv_m)
-    e = -ifo.srm_amplitude_reflectivity * exp(k * omega)
+    e = -loop.rs * exp(k * omega)
     return 1.0 + e * m, e * (k * m + dm), e * (k * (k * m + 2.0 * dm) + ddm)
 
 
-def _polish_minimum(ifo: IfoParams, med: MediumParams,
-                    lo: float, hi: float) -> float:
+def _polish_minimum(loop: _Loop, lo: float, hi: float) -> float:
     """Smallest |F| met by a safeguarded Newton search on [lo, hi].
 
     Seeks the zero of g = Re(conj(F) F') = d|F|^2/2 domega, which runs
     from negative at lo to positive at hi; a step that leaves the
     bracket or shrinks it too slowly is replaced by bisection. Stops
-    once a step is within 1e-14 hi, some 50 ulps of omega.
+    once a step is within 1e-14 hi, some 50 ulps of omega. loop holds
+    plain floats.
     """
     best = math.inf
     tol = 1e-14 * hi
     x, step_old = 0.5 * (lo + hi), hi - lo
     step = step_old
     for _ in range(100):
-        f, df, ddf = _loop_series(ifo, med, x, cmath.exp)
+        f, df, ddf = _loop_series(loop, x, cmath.exp)
         best = min(best, abs(f))
         slope = (f.conjugate() * df).real
         curve = abs(df) ** 2 + (f.conjugate() * ddf).real
@@ -289,44 +324,115 @@ def _polish_minimum(ifo: IfoParams, med: MediumParams,
     return best
 
 
-def _closest_approach(ifo: IfoParams,
-                      med: MediumParams) -> tuple[float, tuple[float, float]]:
-    """Closest approach of r_s G_o to (1, 0) and the searched omega range.
+def _near_level(rs):
+    """The level of |r_s G_o| above which the closest approach is searched."""
+    return np.maximum(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
 
-    Only the near window where |r_s G_o| >= level, with level =
-    max(1 - REFINE_NEAR_DISTANCE, (1 + r_s) / 2), is searched; everywhere
-    else the distance exceeds 1 - level, which is returned instead when
-    the window is empty or the approach is farther. |F| = |1 - r_s G_o|
-    is sampled on the window (16 points per delay turn plus a cluster at
-    the gain peak delta0; AccuracyError when that exceeds MAX_SAMPLES),
-    and every sample interval over which d|F|/domega turns from negative
-    to positive is polished to its minimum by _polish_minimum. At
-    omega = 0 the slope vanishes by symmetry, so there the sign of the
-    curvature stands in for it. Searching omega >= 0 suffices because
-    the other half is the complex conjugate.
+
+def _closest_approach(loop: _Loop, lo, hi, level):
+    """Closest approach of r_s G_o to (1, 0), for every configuration of
+    the arrays in loop at once.
+
+    Only the near window [lo, hi] where |r_s G_o| >= level is searched;
+    everywhere else the distance exceeds 1 - level, which is returned
+    instead when the window is empty (hi = 0) or the approach is
+    farther. |F| = |1 - r_s G_o| is sampled on every window in one array
+    call: 16 points per delay turn, spaced as np.linspace spaces them,
+    plus a cluster at the gain peak delta0 (AccuracyError when a window
+    needs more than MAX_SAMPLES). Every sample interval of a window over
+    which d|F|/domega turns from negative to positive is polished to its
+    minimum by _polish_minimum. At omega = 0 the slope vanishes by
+    symmetry, so there the sign of the curvature stands in for it.
+    Searching omega >= 0 suffices because the other half is the complex
+    conjugate.
     """
-    rs = ifo.srm_amplitude_reflectivity
-    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
-    window = _gain_window(ifo, med, level)
-    if window is None:
-        return 1.0 - level, (0.0, 0.0)
-    lo, hi = window
-    turns = (hi - lo) * ifo.tau / math.pi
-    if 33 + 16.0 * turns > MAX_SAMPLES:
-        raise AccuracyError(f"the near window spans {turns:.3g} delay turns; "
+    span = hi - lo
+    turns = span * loop.tau / math.pi
+    if 33 + 16.0 * turns.max() > MAX_SAMPLES:
+        raise AccuracyError(f"the near window spans {turns.max():.3g} delay turns; "
                             f"16 samples per turn exceed {MAX_SAMPLES}")
-    count = 33 + int(16.0 * turns)
-    width = max(med.damping_gap, 1e-3 * med.delta0)
-    peak = med.delta0 + width * np.linspace(-30.0, 30.0, 61)
-    omegas = np.union1d(np.linspace(lo, hi, count), peak[(peak > lo) & (peak < hi)])
-    f, df, ddf = _loop_series(ifo, med, omegas)
-    slope = np.real(np.conj(f) * df)
-    slope = np.where(slope == 0.0, np.abs(df) ** 2 + np.real(np.conj(f) * ddf), slope)
-    dist = float(np.abs(f).min())
-    for k in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0)):
-        dist = min(dist, _polish_minimum(ifo, med, float(omegas[k]),
-                                         float(omegas[k + 1])))
-    return min(dist, 1.0 - level), (lo, hi)
+    counts = (33 + (16.0 * turns).astype(int)) * (hi > 0.0)
+    ends = counts.cumsum()
+    owner = np.arange(counts.size).repeat(counts)
+    step = span / np.maximum(counts - 1, 1)
+    omegas = (np.arange(ends[-1]) - (ends - counts)[owner]) * step[owner] + lo[owner]
+    searched = counts > 0
+    omegas[ends[searched] - 1] = hi[searched]
+    peak = (loop.delta0[:, None]
+            + np.maximum(loop.gap, 1e-3 * loop.delta0)[:, None] * _PEAK_OFFSETS)
+    inside = (peak > lo[:, None]) & (peak < hi[:, None])
+    owner = np.concatenate([owner, inside.nonzero()[0]])
+    omegas = np.concatenate([omegas, peak[inside]])
+    order = np.lexsort((omegas, owner))
+    owner, omegas = owner[order], omegas[order]
+
+    f, df, ddf = _loop_series(_Loop(*(p[owner] for p in loop)), omegas)
+    slope = (f.conj() * df).real
+    slope = np.where(slope == 0.0, abs(df) ** 2 + (f.conj() * ddf).real, slope)
+    dist = np.full(counts.size, math.inf)
+    np.minimum.at(dist, owner, abs(f))
+    floats = list(zip(*(p.tolist() for p in loop)))
+    for k in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0)
+                            & (owner[:-1] == owner[1:])).tolist():
+        c = owner[k]
+        dist[c] = min(dist[c], _polish_minimum(_Loop(*floats[c]), float(omegas[k]),
+                                               float(omegas[k + 1])))
+    return np.minimum(dist, 1.0 - level)
+
+
+def _settled(ifo: IfoParams, med: MediumParams, margin: float):
+    """The verdict of a configuration that needs no loop quantity: a
+    medium-level class, the lasing threshold or the open loop r_s = 0;
+    None for all others."""
+    med_class = med_mod.classify_medium(med, margin=margin)
+    if med_class is not MediumClass.STATIONARY:
+        return StabilityReport(Classification(med_class.value), 0, math.inf, (0.0, 0.0))
+    if med.damping_gap <= 0.0:
+        return MarginalStabilityError(_UNDAMPED)
+    if ifo.srm_amplitude_reflectivity == 0.0:
+        # the open loop is cut: the contour is the origin itself
+        return StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0))
+    return None
+
+
+def _report(dist: float, lo: float, hi: float, winding: int):
+    """The verdict from the closest approach, the near window and the
+    winding; a MarginalStabilityError when the approach is within 1e-9."""
+    if dist < MARGINAL_ERROR_DISTANCE:
+        return MarginalStabilityError(f"Nyquist contour passes within {dist:.3e} of (1, 0)")
+    classification = (Classification.STABLE if winding == 0
+                      else Classification.OPTICAL_INSTABILITY)
+    return StabilityReport(classification, winding, dist, (lo, hi),
+                           marginal=dist < MARGINAL_FLAG_DISTANCE)
+
+
+def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float = 1.0
+              ) -> list[StabilityReport | MarginalStabilityError]:
+    """Stability verdicts of many (ifo, medium) configurations at once.
+
+    Each verdict is the report classify_system returns, or the
+    MarginalStabilityError it raises. The configurations that need loop
+    quantities share the array calls: both gain windows (at the near
+    level of _closest_approach and at 1) in one, then the closest
+    approach and the ray crossings.
+    """
+    verdicts = [_settled(ifo, med, margin) for ifo, med in configs]
+    looped = [i for i, verdict in enumerate(verdicts) if verdict is None]
+    if not looped:
+        return verdicts
+    loop = _Loop.stack([_Loop.of(*configs[i]) for i in looped])
+    level = _near_level(loop.rs)
+    (near_lo, gain_lo), (near_hi, gain_hi) = _gain_window(
+        loop, np.stack([level, np.ones_like(level)]))
+    dist = _closest_approach(loop, near_lo, near_hi, level)
+    windings = _ray_crossings(loop, gain_lo, gain_hi)
+    # equal distances share one float: over half of them are a bound
+    # 1 - level, and a retained survey keeps one per outcome
+    shared: dict[float, float] = {}
+    for i, d, lo, hi, winding in zip(looped, dist.tolist(), near_lo.tolist(),
+                                     near_hi.tolist(), windings.tolist()):
+        verdicts[i] = _report(shared.setdefault(d, d), lo, hi, winding)
+    return verdicts
 
 
 def classify_system(ifo: IfoParams, med: MediumParams,
@@ -342,28 +448,22 @@ def classify_system(ifo: IfoParams, med: MediumParams,
     above 1; elsewhere it is reported as the bound 1 - level (see
     _closest_approach). An approach within 1e-9 raises
     MarginalStabilityError; within 1e-6 the report is flagged marginal.
+    The closed forms and the sampler of _verdicts on one configuration:
+    the windows and the winding from its floats, the approach from
+    arrays of its one window.
     """
-    med_class = med_mod.classify_medium(med, margin=margin)
-    if med_class is MediumClass.ATOMIC_INSTABILITY:
-        return StabilityReport(Classification.ATOMIC_INSTABILITY, 0, math.inf,
-                               (0.0, 0.0))
-    if med_class is MediumClass.NON_STATIONARY:
-        return StabilityReport(Classification.NON_STATIONARY, 0, math.inf,
-                               (0.0, 0.0))
-    _require_damped(med)
-    if ifo.srm_amplitude_reflectivity == 0.0:
-        # the open loop is cut: the contour is the origin itself
-        return StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0))
-
-    dist, omega_range = _closest_approach(ifo, med)
-    if dist < MARGINAL_ERROR_DISTANCE:
-        raise MarginalStabilityError(
-            f"Nyquist contour passes within {dist:.3e} of (1, 0)")
-    winding = _ray_crossings(ifo, med)
-    classification = (Classification.STABLE if winding == 0
-                      else Classification.OPTICAL_INSTABILITY)
-    return StabilityReport(classification, winding, dist, omega_range,
-                           marginal=dist < MARGINAL_FLAG_DISTANCE)
+    verdict = _settled(ifo, med, margin)
+    if verdict is None:
+        loop = _Loop.of(ifo, med)
+        level = _near_level(loop.rs)
+        (lo, gain_lo), (hi, gain_hi) = (
+            w.tolist() for w in _gain_window(loop, np.array([level, 1.0])))
+        (dist,) = _closest_approach(_Loop.stack([loop]), np.array([lo]), np.array([hi]),
+                                    level).tolist()
+        verdict = _report(dist, lo, hi, int(_ray_crossings(loop, gain_lo, gain_hi)))
+    if isinstance(verdict, MarginalStabilityError):
+        raise verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Each grid cell maps to medium rates, solves the phase-cancellation
 detuning, classifies the stability of the full loop per recycling
 mirror value and detuning root, and integrates the sensitivity
-improvement factor for the stable configurations. Cells are
-independent work items; the grid assembly is row-major in (eta, xi)
-and bit-identical regardless of the worker count.
+improvement factor for the stable configurations. An eta row is the
+work item: the verdicts of all its configurations are computed
+together, the integrals one per stable configuration. The grid
+assembly is row-major in (eta, xi) and bit-identical regardless of the
+worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .interferometer import (
 )
 from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from .numerics import integrate_adaptive
-from .stability import classify_system
+from .stability import _verdicts, classify_system
 
 __all__ = [
     "RootChoice",
@@ -95,6 +97,10 @@ class SweepSpec:
             raise ValueError("SRM power reflectivities must lie in [0, 1)")
         if len(set(self.srm_power_reflectivities)) < len(self.srm_power_reflectivities):
             raise ValueError("srm_power_reflectivities must not repeat a value")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        if not self.margin >= 1.0:
+            raise ValueError(f"margin must be >= 1, got {self.margin}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,29 +201,33 @@ def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
 
 
 def _labeled_roots(roots: tuple[float, ...], choice: RootChoice):
-    """Pair root labels with detuning values; None marks a missing root."""
-    by_label = {"smaller": roots[0], "larger": roots[-1]} if roots else {}
-    return [(label, by_label.get(label)) for label in choice.labels]
+    """Pair root labels with detuning values; empty without a root."""
+    if not roots:
+        return []
+    by_label = {"smaller": roots[0], "larger": roots[-1]}
+    return [(label, by_label[label]) for label in choice.labels]
 
 
 @lru_cache(maxsize=None)
-def _infeasible_outcome(rs2: float, label: str) -> RootOutcome:
-    """The outcome of a missing detuning root; frozen, so one is shared
-    by every infeasible cell with the same reflectivity and label."""
-    return RootOutcome(rs2, label, math.nan, CellStatus.INFEASIBLE)
+def _infeasible_outcomes(reflectivities: tuple[float, ...],
+                         choice: RootChoice) -> tuple[RootOutcome, ...]:
+    """The outcomes of a cell without a detuning root; frozen, so one
+    tuple is shared by every infeasible cell of a sweep."""
+    return tuple(RootOutcome(rs2, label, math.nan, CellStatus.INFEASIBLE)
+                 for rs2 in reflectivities for label in choice.labels)
 
 
-def _classify_and_integrate(spec: SweepSpec, ifo: IfoParams, rs2: float,
-                            label: str, med: MediumParams) -> RootOutcome:
-    """Outcome of one detuning root at one SRM reflectivity."""
-    try:
-        report = classify_system(ifo, med, margin=spec.margin)
-    except MarginalStabilityError as exc:
+def _outcome(spec: SweepSpec, ifo: IfoParams, rs2: float, label: str,
+             med: MediumParams, verdict) -> RootOutcome:
+    """Outcome of one detuning root at one SRM reflectivity, from its
+    stability verdict: a report, or the MarginalStabilityError that
+    classify_system raises for it."""
+    if isinstance(verdict, MarginalStabilityError):
         return RootOutcome(rs2, label, med.delta0, CellStatus.OPTICAL_INSTABILITY,
-                           marginal=True, note=str(exc))
-    status = CellStatus(report.classification.value)
+                           marginal=True, note=str(verdict))
+    status = CellStatus(verdict.classification.value)
     note = ""
-    if report.marginal and status is CellStatus.STABLE:
+    if verdict.marginal and status is CellStatus.STABLE:
         # too close to the critical point to trust the winding
         status = CellStatus.OPTICAL_INSTABILITY
         note = "marginal contour reclassified as unstable"
@@ -230,63 +240,69 @@ def _classify_and_integrate(spec: SweepSpec, ifo: IfoParams, rs2: float,
             rho = exc.best_estimate
             note = f"integration tolerance not met: {exc}"
     return RootOutcome(rs2, label, med.delta0, status,
-                       winding=report.winding,
-                       min_distance=report.min_distance_to_critical,
-                       marginal=report.marginal, rho_r=rho, note=note)
+                       winding=verdict.winding,
+                       min_distance=verdict.min_distance_to_critical,
+                       marginal=verdict.marginal, rho_r=rho, note=note)
 
 
-def _compute_cell(spec: SweepSpec, ifo: IfoParams,
-                  point: tuple[float, float]) -> SweepCell:
-    eta, xi = point
-    gamma12, gamma_opt = map_eta_xi(eta, xi, ifo.tau)
-    roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
-    labeled = _labeled_roots(roots, spec.root_choice)
-
-    outcomes = []
-    for rs2 in spec.srm_power_reflectivities:
-        ifo_rs = replace(ifo,
-                         srm_amplitude_reflectivity=math.sqrt(rs2),
-                         include_additional_noise=spec.include_additional_noise)
+def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]:
+    """The cells of one eta row. The stability verdicts of all its
+    (xi, rs^2, root) configurations come from one _verdicts call."""
+    ifos = [(rs2, replace(ifo, srm_amplitude_reflectivity=math.sqrt(rs2),
+                          include_additional_noise=spec.include_additional_noise))
+            for rs2 in spec.srm_power_reflectivities]
+    media = []
+    for xi in spec.xi_grid:
+        gamma12, gamma_opt = map_eta_xi(eta, xi, ifo.tau)
+        roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
+        labeled = _labeled_roots(roots, spec.root_choice)
         # a repeated root carries both labels; it is evaluated once
-        by_root: dict[float, RootOutcome] = {}
-        for label, delta0 in labeled:
-            if delta0 is None:
-                outcomes.append(_infeasible_outcome(rs2, label))
-            elif delta0 in by_root:
-                outcomes.append(replace(by_root[delta0], root_label=label))
-            else:
-                med = MediumParams(gamma12, gamma_opt, delta0)
-                by_root[delta0] = _classify_and_integrate(spec, ifo_rs, rs2,
-                                                          label, med)
-                outcomes.append(by_root[delta0])
-    return SweepCell(eta=eta, xi=xi, gamma12=gamma12,
-                     gamma_opt_total=gamma_opt, feasible=bool(roots),
-                     outcomes=tuple(outcomes))
+        meds = {delta0: MediumParams(gamma12, gamma_opt, delta0) for _, delta0 in labeled}
+        media.append((xi, gamma12, gamma_opt, labeled, meds))
+    verdicts = iter(_verdicts([(ifo_rs, med) for *_, meds in media
+                               for _, ifo_rs in ifos for med in meds.values()],
+                              spec.margin))
+    cells = []
+    for xi, gamma12, gamma_opt, labeled, meds in media:
+        outcomes = []
+        for rs2, ifo_rs in ifos:
+            by_root: dict[float, RootOutcome] = {}
+            for label, delta0 in labeled:
+                if delta0 in by_root:
+                    outcomes.append(replace(by_root[delta0], root_label=label))
+                else:
+                    by_root[delta0] = _outcome(spec, ifo_rs, rs2, label, meds[delta0],
+                                               next(verdicts))
+                    outcomes.append(by_root[delta0])
+        if not meds:
+            outcomes = _infeasible_outcomes(spec.srm_power_reflectivities, spec.root_choice)
+        cells.append(SweepCell(eta=eta, xi=xi, gamma12=gamma12,
+                               gamma_opt_total=gamma_opt, feasible=bool(meds),
+                               outcomes=tuple(outcomes)))
+    return cells
 
 
 def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
-    """Evaluate every (eta, xi) cell of the survey.
+    """Evaluate every (eta, xi) cell of the survey, one eta row at a time.
 
-    workers > 1 distributes cells over a process pool; the assembly is
-    ordered by cell index, so the result does not depend on the worker
-    count. Two per-cell failures are recorded in the cell's outcome
-    rather than aborting the run: a MarginalStabilityError from
-    classify_system (status optical, flagged marginal, with the message
-    as note) and an AccuracyError from the rho_r integral (the best
-    estimate, with a note). Any other exception in a cell aborts the
-    sweep. Raises ZeroSignalError before any cell is computed when the
-    readout carries no signal, since no strain noise could be
-    integrated.
+    workers > 1 distributes the rows over a process pool, one row per
+    task; the assembly is ordered by cell index, so the result does not
+    depend on the worker count. Two per-cell failures are recorded in
+    the cell's outcome rather than aborting the run: a
+    MarginalStabilityError from the stability verdict (status optical,
+    flagged marginal, with the message as note) and an AccuracyError
+    from the rho_r integral (the best estimate, with a note). Any other
+    exception in a row aborts the sweep. Raises ZeroSignalError before
+    any cell is computed when the readout carries no signal, since no
+    strain noise could be integrated.
     """
     if not ifo.reads_signal:
         raise ZeroSignalError(
             f"readout at homodyne angle {ifo.homodyne_angle} carries no signal")
-    points = [(eta, xi) for eta in spec.eta_grid for xi in spec.xi_grid]
-    job = partial(_compute_cell, spec, ifo)
+    job = partial(_compute_row, spec, ifo)
     if workers == 1:
-        cells = [job(p) for p in points]
+        rows = [job(eta) for eta in spec.eta_grid]
     else:
-        chunk = max(1, len(points) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(job, points, chunksize=chunk))
-    return SweepGrid(spec=spec, cells=tuple(cells))
+            rows = list(pool.map(job, spec.eta_grid))
+    return SweepGrid(spec=spec, cells=tuple(cell for row in rows for cell in row))

@@ -210,6 +210,23 @@ def test_scenario_non_finite_numbers(tmp_path, capsys, command, doc, literal,
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("carriers", [
+    {"carrier_wavelength": 1.064e-6, "carrier_angular_frequency": 1.0},
+    {},
+], ids=["both", "neither"])
+def test_detector_needs_exactly_one_carrier_field(tmp_path, capsys, carriers):
+    # with both fields the wavelength used to be dropped in silence, and
+    # the contour computed at omega_0 = 1 rad/s
+    detector = {k: v for k, v in DETECTOR.items() if k != "carrier_wavelength"}
+    doc = {**_nyquist_doc(0.5), "detector": {**detector, **carriers}}
+    path = write_scenario(tmp_path, doc)
+    assert main(["nyquist", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector: ")
+    assert "carrier_angular_frequency" in err and "carrier_wavelength" in err
+    assert not (tmp_path / "nyquist.csv").exists()
+
+
 @pytest.mark.parametrize("field,value", [
     ("circulating_power", 1e308),
     ("carrier_wavelength", 1e-320),
@@ -580,6 +597,8 @@ def test_bad_usage_returns_one():
 def test_bad_flag_values(tmp_path, capsys):
     path = write_scenario(tmp_path, _nyquist_doc(0.5))
     assert main(["nyquist", "--scenario", str(path), "--margin", "0.5"]) == 1
+    assert main(["nyquist", "--scenario", str(path), "--margin", "nan",
+                 "--out", str(tmp_path)]) == 1
     # the contour's range follows from the gain window, so there is no
     # range multiplier: the old flag fails as an unknown argument
     capsys.readouterr()

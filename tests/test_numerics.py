@@ -144,6 +144,15 @@ def test_integrate_rejects_bad_bounds():
         integrate_adaptive(math.sin, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-4, math.nan, math.inf])
+def test_integrate_rejects_bad_rel_tol(rel_tol):
+    # a NaN tolerance used to pass the guard and bisect every panel to
+    # max_depth (about 12 * 2**depth evaluations); the depth is kept
+    # small so that a missing guard fails quickly instead of hanging
+    with pytest.raises(ValueError, match="rel_tol"):
+        integrate_adaptive(np.sin, 0.0, 1.0, rel_tol=rel_tol, max_depth=8)
+
+
 def test_integrate_deterministic():
     f = lambda x: np.exp(-x) * np.cos(7 * x)
     a = integrate_adaptive(f, 0.0, 5.0, rel_tol=1e-10)

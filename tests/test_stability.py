@@ -23,6 +23,7 @@ from wlcnoise.stability import (
     classify_system,
     _closest_approach,
     _gain_window,
+    _Loop,
     default_omega_max,
     nyquist_contour,
     root_count_oracle,
@@ -185,10 +186,9 @@ def dense_closest_approach(ifo, med, samples=200_001, rounds=4):
     Used only here, as the oracle for the exact search."""
     rs = ifo.srm_amplitude_reflectivity
     level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
-    window = _gain_window(ifo, med, level)
-    if window is None:
+    lo, hi = map(float, _gain_window(_Loop.of(ifo, med), level))
+    if hi == 0.0:
         return 1.0 - level
-    lo, hi = window
     omegas = np.linspace(lo, hi, samples)
     dist = np.abs(1.0 - rs * open_loop_gain(ifo, med, omegas))
     padded = np.concatenate([[np.inf], dist, [np.inf]])
@@ -217,7 +217,9 @@ def test_closest_approach_matches_dense_reference(eta, xi_share, larger_root, rs
     assume(roots)
     med = MediumParams(gamma12, gamma_opt, roots[-1] if larger_root else roots[0])
     assume(classify_medium(med) is MediumClass.STATIONARY)
-    dist, _ = _closest_approach(ifo, med)
+    loop = _Loop.stack([_Loop.of(ifo, med)])
+    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + loop.rs[0]))
+    (dist,) = _closest_approach(loop, *_gain_window(loop, level), level)
     # |1 - r_s G_o| is known only to a few ulps of 1, which bounds the
     # agreement of two evaluations where the contour nearly touches
     assert dist == pytest.approx(dense_closest_approach(ifo, med),
@@ -286,9 +288,8 @@ def test_ray_crossings_match_sampled_contour(rs2):
                 assert report.winding == winding_number(
                     nyquist_contour(ifo, med), 1.0)
                 windings.add(report.winding)
-                window = _gain_window(ifo, med, 1.0)
-                extended += (window is not None
-                             and window[1] >= default_omega_max(med, ifo.tau))
+                hi = _gain_window(_Loop.of(ifo, med), 1.0)[1]
+                extended += bool(hi >= default_omega_max(med, ifo.tau))
     if rs2 < 0.999:
         assert {0, 1, 2, 3} <= windings
     else:
@@ -296,6 +297,50 @@ def test_ray_crossings_match_sampled_contour(rs2):
         # number of times, and some gain windows pass the default range
         assert len(windings) >= 4
         assert extended >= 1
+
+
+def test_row_verdicts_match_classify_system():
+    # the joined row form against one classify_system call per
+    # configuration, on a slice with rs^2 = 0, empty near windows, a
+    # repeated root and a margin above 1 that makes some media
+    # non-stationary
+    margin = 1.5
+    configs = []
+    repeated = 0
+    for eta in (0.05, 0.2, 0.4, 0.7, 0.9):
+        for xi in (0.02, 0.05, 0.2, 0.4):
+            gamma12, gamma_opt = map_eta_xi(eta, xi, IFO.tau)
+            roots = solve_detuning(gamma12, gamma_opt, IFO.tau)
+            repeated += len(roots) == 1
+            configs += [(IFO.with_power_reflectivity(rs2), MediumParams(gamma12, gamma_opt, d))
+                        for d in roots for rs2 in (0.0, 0.5, 0.9)]
+    seen = set()
+    for (ifo, med), verdict in zip(configs, stability._verdicts(configs, margin),
+                                   strict=True):
+        rs = ifo.srm_amplitude_reflectivity
+        try:
+            report = classify_system(ifo, med, margin=margin)
+        except MarginalStabilityError as exc:
+            assert isinstance(verdict, MarginalStabilityError)
+            assert str(verdict) == str(exc)
+            continue
+        assert verdict.classification is report.classification
+        assert verdict.winding == report.winding
+        assert verdict.omega_range_used == report.omega_range_used
+        assert verdict.marginal == report.marginal
+        assert verdict.min_distance_to_critical == pytest.approx(
+            report.min_distance_to_critical, rel=1e-12)
+        if report.classification is Classification.NON_STATIONARY:
+            seen.add("non-stationary by the margin"
+                     if classify_medium(med) is MediumClass.STATIONARY else "non-stationary")
+            continue
+        seen.add(report.classification)
+        seen.add("open loop" if rs == 0.0 else
+                 "empty near window" if report.omega_range_used == (0.0, 0.0)
+                 else "near window")
+    assert repeated >= 1
+    assert seen >= {"non-stationary by the margin", "open loop", "empty near window", "near window",
+                    Classification.STABLE, Classification.OPTICAL_INSTABILITY}
 
 
 # ---------------------------------------------------------------------------

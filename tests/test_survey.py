@@ -4,10 +4,10 @@ from dataclasses import replace
 import pytest
 
 from wlcnoise import survey
-from wlcnoise.errors import ZeroSignalError
+from wlcnoise.errors import AccuracyError, MarginalStabilityError, ZeroSignalError
 from wlcnoise.interferometer import reference_detector
 from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
-from wlcnoise.stability import Classification
+from wlcnoise.stability import Classification, classify_system
 from wlcnoise.survey import (
     CellStatus,
     RootChoice,
@@ -50,6 +50,12 @@ def test_default_grid_inside_unit_interval():
          srm_power_reflectivities=(1.0,)),
     dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID,
          srm_power_reflectivities=(0.8, 0.8)),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=0.0),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=-1e-4),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=math.nan),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=math.inf),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, margin=0.5),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, margin=math.nan),
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -161,6 +167,53 @@ def test_sweep_rates_match_map(small_sweep):
         assert cell.gamma_opt_total == gamma_opt
 
 
+def reference_outcome(spec, rs2, label, med):
+    """One outcome from classify_system and improvement_factor, called
+    per configuration as the survey did before it took its verdicts a
+    row at a time."""
+    ifo = replace(IFO.with_power_reflectivity(rs2),
+                  include_additional_noise=spec.include_additional_noise)
+    try:
+        report = classify_system(ifo, med, margin=spec.margin)
+    except MarginalStabilityError as exc:
+        return RootOutcome(rs2, label, med.delta0, CellStatus.OPTICAL_INSTABILITY,
+                           marginal=True, note=str(exc))
+    status, note, rho = CellStatus(report.classification.value), "", None
+    if report.marginal and status is CellStatus.STABLE:
+        status, note = CellStatus.OPTICAL_INSTABILITY, "marginal contour reclassified as unstable"
+    if status is CellStatus.STABLE:
+        try:
+            rho = improvement_factor(ifo, med, spec.noise_model, rel_tol=spec.rel_tol,
+                                     check_stability=False)
+        except AccuracyError as exc:
+            rho, note = exc.best_estimate, f"integration tolerance not met: {exc}"
+    return RootOutcome(rs2, label, med.delta0, status, winding=report.winding,
+                       min_distance=report.min_distance_to_critical,
+                       marginal=report.marginal, rho_r=rho, note=note)
+
+
+def test_sweep_matches_per_configuration_reference(small_sweep):
+    # the row verdicts and the integrals behind them against the
+    # per-configuration calls they replace, outcome by outcome
+    spec = small_sweep.spec
+    compared = set()
+    for cell in small_sweep.cells:
+        roots = solve_detuning(cell.gamma12, cell.gamma_opt_total, IFO.tau)
+        expected = []
+        for rs2 in spec.srm_power_reflectivities:
+            for label, delta0 in (("smaller", roots[:1]), ("larger", roots[-1:])):
+                if not delta0:
+                    expected.append(RootOutcome(rs2, label, math.nan, CellStatus.INFEASIBLE))
+                    continue
+                med = MediumParams(cell.gamma12, cell.gamma_opt_total, *delta0)
+                expected.append(reference_outcome(spec, rs2, label, med))
+        # nan fields break dataclass equality, so compare the full repr
+        assert repr(cell.outcomes) == repr(tuple(expected))
+        compared |= {o.status for o in expected}
+    # eta < 1 on the grid, so no medium is inverted
+    assert compared == set(CellStatus) - {CellStatus.ATOMIC_INSTABILITY}
+
+
 def test_sweep_deterministic_across_workers():
     spec = SweepSpec(eta_grid=default_grid(4), xi_grid=default_grid(4),
                      srm_power_reflectivities=(0.8,))
@@ -234,13 +287,13 @@ def test_double_root_cell_computed_once(monkeypatch):
     # the repeated root is classified (and integrated when stable) once
     # per reflectivity, and both labels share that outcome
     calls = []
-    original = survey.classify_system
+    original = survey._verdicts
 
-    def counting(ifo, med, **kwargs):
-        calls.append((ifo.srm_amplitude_reflectivity, med.delta0))
-        return original(ifo, med, **kwargs)
+    def counting(configs, margin):
+        calls.extend((ifo.srm_amplitude_reflectivity, med.delta0) for ifo, med in configs)
+        return original(configs, margin)
 
-    monkeypatch.setattr(survey, "classify_system", counting)
+    monkeypatch.setattr(survey, "_verdicts", counting)
     spec = SweepSpec(eta_grid=(0.4,), xi_grid=(0.4,),
                      srm_power_reflectivities=(0.5, 0.8))
     (cell,) = run_sweep(spec, IFO).cells
@@ -255,7 +308,7 @@ def test_double_root_cell_computed_once(monkeypatch):
 
 def test_sweep_zero_signal_readout_fails_fast(monkeypatch):
     # a readout orthogonal to the signal is rejected before any cell
-    monkeypatch.setattr(survey, "_compute_cell", None)
+    monkeypatch.setattr(survey, "_compute_row", None)
     spec = SweepSpec(eta_grid=(0.4,), xi_grid=(0.1,),
                      srm_power_reflectivities=(0.5,))
     ifo = replace(IFO, homodyne_angle=math.pi / 2.0)
