@@ -17,7 +17,10 @@ the verdict of one from its floats. nyquist_contour samples the whole
 contour for output and as a reference. An independent
 argument-principle oracle counts the same zeros by integrating the
 logarithmic derivative of 1 - r_s G_o around a rectangle in the upper
-half plane.
+half plane. The segments of its four edges share one pool: each round
+tests only the halves the last bisection made, evaluates F on all new
+midpoints in one call, and adds the log modulus and phase of each
+passing segment's ratio, which its test already computed, to the sum.
 """
 
 from __future__ import annotations
@@ -470,49 +473,71 @@ def classify_system(ifo: IfoParams, med: MediumParams,
 # argument-principle oracle
 # ---------------------------------------------------------------------------
 
-def _loop_denominator_and_derivative(ifo: IfoParams, med: MediumParams, w):
-    """F = 1 - r_s G_o and dF/domega at complex frequency w."""
-    rs = ifo.srm_amplitude_reflectivity
-    tau = ifo.tau
+def _loop_denominator(ifo: IfoParams, med: MediumParams, w):
+    """F = 1 - r_s G_o at complex frequencies w; MarginalStabilityError
+    when a sample has |F| < 1e-9, before any ratio of samples is formed."""
     gamma = med.gamma_opt_total
     base = gamma - med.gamma12
-    den_p = 1j * (w + med.delta0) + base
-    den_m = 1j * (w - med.delta0) + base
-    m = 1.0 - gamma / den_p - gamma / den_m
-    dm = 1j * gamma * (1.0 / den_p**2 + 1.0 / den_m**2)
-    delay = np.exp(2j * w * tau)
-    f = 1.0 - rs * delay * m
-    df = -rs * delay * (2j * tau * m + dm)
-    return f, df
+    m = 1.0 - gamma / (1j * (w + med.delta0) + base) - gamma / (1j * (w - med.delta0) + base)
+    f = 1.0 - ifo.srm_amplitude_reflectivity * np.exp(2j * w * ifo.tau) * m
+    min_f = np.abs(f).min()
+    if min_f < 1e-9:
+        raise MarginalStabilityError(
+            f"zero of the loop denominator on the contour (|F| = {min_f:.3e})")
+    return f
 
 
-def _edge_integral(ifo: IfoParams, med: MediumParams, start: complex,
-                   stop: complex, samples: int) -> tuple[complex, float]:
-    """Integral of d log F along a straight edge from dense samples.
+def _rectangle_integral(ifo: IfoParams, med: MediumParams,
+                        rect: tuple[float, float, float, float]) -> complex:
+    """Integral of d log F once counterclockwise around rect.
 
-    Segments are bisected, for at most 40 rounds or up to MAX_SAMPLES,
-    until F changes by less than half a radian in phase and half a unit
-    in log magnitude across each of them, which concentrates samples
-    around zeros lying near the edge. On such a partition the
-    per-segment integral of the logarithmic derivative is the
-    principal-value log difference, so the sum is exact up to the
-    no-phase-wrap resolution of the partition. Also returns the minimum
-    |F| encountered.
+    Each edge starts from uniform nodes: along the real axis 8 per delay
+    turn, at least 1024 (AccuracyError beyond 2^20), along the imaginary
+    axis 256; F on all of them comes from one call. The segments of the
+    four edges share one pool, and each round tests only the segments
+    the last round made. A segment across which F turns by less than
+    half a radian in phase and changes by less than half a unit in log
+    magnitude leaves the pool: the log|r| and arg r of its ratio
+    r = F(end) / F(start) that the test computed are its principal-value
+    log difference, and go into the sum. The others are bisected, with F
+    on all their midpoints from one call, which concentrates nodes
+    around zeros near the contour. An edge bisects for at most 40 rounds
+    and stops once it holds MAX_SAMPLES nodes; its remaining segments
+    are then summed as they stand. The sum is exact up to the
+    no-phase-wrap resolution of the partition.
     """
-    w = np.linspace(start, stop, samples)
-    f, _ = _loop_denominator_and_derivative(ifo, med, w)
+    re_lo, re_hi, im_lo, im_hi = rect
+    turns = (re_hi - re_lo) * ifo.tau / math.pi
+    if 8.0 * turns > 2**20:
+        raise AccuracyError(f"the rectangle spans {turns:.3g} delay turns; "
+                            f"8 samples per turn exceed {2**20}")
+    nodes = np.array([max(1024, int(8.0 * turns)), 256] * 2)  # per edge
+    corners = [re_lo + 1j * im_lo, re_hi + 1j * im_lo,
+               re_hi + 1j * im_hi, re_lo + 1j * im_hi, re_lo + 1j * im_lo]
+    w = np.concatenate([np.linspace(corners[k], corners[k + 1], n)
+                        for k, n in enumerate(nodes)])
+    f = _loop_denominator(ifo, med, w)
+    edge = np.arange(4).repeat(nodes)
+    inner = edge[1:] == edge[:-1]  # no segment joins two edges
+    a, b, fa, fb, owner = w[:-1][inner], w[1:][inner], f[:-1][inner], f[1:][inner], edge[1:][inner]
+    total = 0j
     for _ in range(40):
-        ratio = f[1:] / f[:-1]
-        big = (np.abs(np.angle(ratio)) >= 0.5) | (np.abs(np.log(np.abs(ratio))) >= 0.5)
-        if not big.any() or w.size >= MAX_SAMPLES:
-            break
-        idx = np.nonzero(big)[0]
-        w_mid = 0.5 * (w[idx] + w[idx + 1])
-        f_mid, _ = _loop_denominator_and_derivative(ifo, med, w_mid)
-        w = np.insert(w, idx + 1, w_mid)
-        f = np.insert(f, idx + 1, f_mid)
-    value = complex(np.log(f[1:] / f[:-1]).sum())
-    return value, float(np.abs(f).min())
+        ratio = fb / fa
+        log_mod, arg = np.log(np.abs(ratio)), np.angle(ratio)
+        split = (((np.abs(arg) >= 0.5) | (np.abs(log_mod) >= 0.5))
+                 & (nodes < MAX_SAMPLES)[owner])
+        total += complex(log_mod[~split].sum(), arg[~split].sum())
+        if not split.any():
+            return total
+        a, b, fa, fb, owner = (x[split] for x in (a, b, fa, fb, owner))
+        nodes += np.bincount(owner, minlength=4)
+        mid = 0.5 * (a + b)
+        f_mid = _loop_denominator(ifo, med, mid)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        fa, fb = np.concatenate([fa, f_mid]), np.concatenate([f_mid, fb])
+        owner = np.concatenate([owner, owner])
+    ratio = fb / fa
+    return total + complex(np.log(np.abs(ratio)).sum(), np.angle(ratio).sum())
 
 
 def root_count_oracle(ifo: IfoParams, med: MediumParams,
@@ -520,13 +545,14 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
     """Zeros of 1 - r_s G_o inside a rectangle of the upper half plane.
 
     Counts via (1 / 2 pi i) of the contour integral of the logarithmic
-    derivative, evaluated from adaptively refined dense sampling along
-    the rectangle edges; the result must land within 0.01 of a
-    nonnegative integer, and the telescoping real part of the closed
-    log integral must vanish. Independent from the Nyquist contour
+    derivative, evaluated from adaptively refined sampling along the
+    rectangle edges (_rectangle_integral); the result must land within
+    0.01 of a nonnegative integer, and the telescoping real part of the
+    closed log integral must vanish. A sample with |F| < 1e-9 raises
+    MarginalStabilityError. Independent from the Nyquist contour
     machinery.
 
-    rect is (re_lo, re_hi, im_lo, im_hi); the default covers
+    rect is (re_lo, re_hi, im_lo, im_hi), finite; the default covers
     [-omega_max, omega_max] x [0, 10 max-rate].
     """
     _require_damped(med)
@@ -535,31 +561,16 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
         omega_max = default_omega_max(med, tau)
         height = 10.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / tau)
         rect = (-omega_max, omega_max, 0.0, height)
+    if not all(map(math.isfinite, rect)):
+        raise ValueError(f"rect {rect} must be finite")
     re_lo, re_hi, im_lo, im_hi = rect
     if not (re_lo < re_hi and im_lo < im_hi and im_lo >= 0.0):
         raise ValueError(f"rectangle {rect} must lie in the upper half plane")
 
-    turns = (re_hi - re_lo) * tau / math.pi
-    n_horiz = int(min(max(1024, 8 * turns), 2**20))
-    n_vert = 256
-
-    corners = [re_lo + 1j * im_lo, re_hi + 1j * im_lo,
-               re_hi + 1j * im_hi, re_lo + 1j * im_hi]
-    total = 0.0 + 0.0j
-    min_f = math.inf
-    for k in range(4):
-        samples = n_horiz if k % 2 == 0 else n_vert
-        value, edge_min = _edge_integral(
-            ifo, med, corners[k], corners[(k + 1) % 4], samples)
-        total += value
-        min_f = min(min_f, edge_min)
-    if min_f < 1e-9:
-        raise MarginalStabilityError(
-            f"zero of the loop denominator on the contour (|F| = {min_f:.3e})")
-    count = total / (2j * math.pi)
-    value = float(np.real(count))
+    count = _rectangle_integral(ifo, med, rect) / (2j * math.pi)
+    value = count.real
     nearest = round(value)
-    if abs(value - nearest) > 0.01 or abs(float(np.imag(count))) > 0.01:
+    if abs(value - nearest) > 0.01 or abs(count.imag) > 0.01:
         raise AccuracyError(
             f"root-counting integral {count:.4f} is not close to an integer",
             best_estimate=value)
@@ -568,4 +579,3 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
             f"negative zero count {nearest}; contour orientation broken",
             best_estimate=value)
     return int(nearest)
-

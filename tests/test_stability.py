@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wlcnoise import stability
-from wlcnoise.errors import MarginalStabilityError, MediumNotStationaryError
+from wlcnoise.errors import AccuracyError, MarginalStabilityError, MediumNotStationaryError
 from wlcnoise.interferometer import open_loop_gain, reference_detector
 from wlcnoise.medium import (
     MediumClass,
@@ -360,6 +361,122 @@ def test_oracle_rejects_bad_rectangle():
         root_count_oracle(IFO, BARE, rect=(1.0, -1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         root_count_oracle(IFO, BARE, rect=(-1.0, 1.0, -1.0, 1.0))
+    with pytest.raises(ValueError, match="rect"):
+        root_count_oracle(IFO, BARE, rect=(-math.inf, 1e5, 0.0, 1e4))
+    with pytest.raises(ValueError, match="rect"):
+        root_count_oracle(IFO, BARE, rect=(-1e5, 1e5, 0.0, math.inf))
+
+
+def test_oracle_zero_on_contour_raises():
+    # test_marginal_contact_raises's medium: F(0) = 0 lies on the lower
+    # edge of the default rectangle, and no ratio may divide by it
+    med = wlc_medium(0.4, 0.3, "smaller")
+    ifo = replace(IFO, srm_amplitude_reflectivity=1.0 / probe_transfer(med, 0.0).real)
+    with pytest.raises(MarginalStabilityError, match="on the contour"):
+        root_count_oracle(ifo, med)
+
+
+def test_oracle_sample_cap_raises():
+    # 8 samples per delay turn along the real axis would exceed 2^20
+    with pytest.raises(AccuracyError, match="delay turns"):
+        root_count_oracle(IFO, BARE, rect=(-1e300, 1e300, 0.0, 1e4))
+
+
+def reference_edge_integral(ifo, med, start, stop, samples):
+    """Integral of d log F along one edge, bisecting the whole edge
+    array each round: the per-edge form the segment pool of
+    stability._rectangle_integral replaced, kept here as its reference.
+    Returns the integral, the minimum |F| and whether the edge reached
+    MAX_SAMPLES."""
+    rs, tau = ifo.srm_amplitude_reflectivity, ifo.tau
+    gamma, base = med.gamma_opt_total, med.gamma_opt_total - med.gamma12
+
+    def loop_denominator(w):
+        m = 1.0 - gamma / (1j * (w + med.delta0) + base) - gamma / (1j * (w - med.delta0) + base)
+        return 1.0 - rs * np.exp(2j * w * tau) * m
+
+    w = np.linspace(start, stop, samples)
+    f = loop_denominator(w)
+    for _ in range(40):
+        ratio = f[1:] / f[:-1]
+        big = (np.abs(np.angle(ratio)) >= 0.5) | (np.abs(np.log(np.abs(ratio))) >= 0.5)
+        if not big.any() or w.size >= stability.MAX_SAMPLES:
+            break
+        idx = np.nonzero(big)[0]
+        w_mid = 0.5 * (w[idx] + w[idx + 1])
+        w = np.insert(w, idx + 1, w_mid)
+        f = np.insert(f, idx + 1, loop_denominator(w_mid))
+    return (complex(np.log(f[1:] / f[:-1]).sum()), float(np.abs(f).min()),
+            w.size >= stability.MAX_SAMPLES)
+
+
+def default_rect(ifo, med):
+    """The oracle's default rectangle."""
+    omega_max = default_omega_max(med, ifo.tau)
+    height = 10.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / ifo.tau)
+    return -omega_max, omega_max, 0.0, height
+
+
+def reference_root_count(ifo, med):
+    """(zero count or exception type, raw integral, capped) over the
+    oracle's default rectangle, one edge at a time."""
+    re_lo, re_hi, im_lo, im_hi = default_rect(ifo, med)
+    corners = [re_lo + 1j * im_lo, re_hi + 1j * im_lo,
+               re_hi + 1j * im_hi, re_lo + 1j * im_hi]
+    turns = (re_hi - re_lo) * ifo.tau / math.pi
+    n_horiz = int(min(max(1024, 8 * turns), 2**20))
+    total, min_f, capped = 0j, math.inf, False
+    for k in range(4):
+        value, edge_min, edge_capped = reference_edge_integral(
+            ifo, med, corners[k], corners[(k + 1) % 4], n_horiz if k % 2 == 0 else 256)
+        total += value
+        min_f = min(min_f, edge_min)
+        capped |= edge_capped
+    if min_f < 1e-9:
+        return MarginalStabilityError, total, capped
+    count = total / (2j * math.pi)
+    nearest = round(count.real)
+    if abs(count.real - nearest) > 0.01 or abs(count.imag) > 0.01 or nearest < 0:
+        return AccuracyError, total, capped
+    return nearest, total, capped
+
+
+@pytest.mark.parametrize("max_samples", [stability.MAX_SAMPLES, 1100])
+def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
+    # the pool bisects the same segments in the same rounds as the
+    # per-edge form, so the nodes are the same and only the order of
+    # summation differs; a cap of 1100 stops the real-axis edges (1024
+    # start nodes) mid-refinement on both sides
+    monkeypatch.setattr(stability, "MAX_SAMPLES", max_samples)
+    outcomes = set()
+    repeated = capped_configs = 0
+    # xi == eta gives a repeated root
+    for eta, xi in ((0.2, 0.05), (0.2, 0.2), (0.4, 0.05), (0.4, 0.4),
+                    (0.7, 0.05), (0.7, 0.2), (0.7, 0.4)):
+        gamma12, gamma_opt = map_eta_xi(eta, xi, IFO.tau)
+        roots = solve_detuning(gamma12, gamma_opt, IFO.tau)
+        repeated += len(roots) == 1
+        for delta0 in roots:
+            med = MediumParams(gamma12, gamma_opt, delta0)
+            if classify_medium(med) is not MediumClass.STATIONARY:
+                continue
+            for rs2 in (0.5, 0.8, 0.9):
+                ifo = IFO.with_power_reflectivity(rs2)
+                expected, total, capped = reference_root_count(ifo, med)
+                capped_configs += capped
+                try:
+                    outcome = root_count_oracle(ifo, med)
+                except (AccuracyError, MarginalStabilityError) as exc:
+                    outcome = type(exc)
+                assert outcome == expected
+                outcomes.add(outcome)
+                raw = stability._rectangle_integral(ifo, med, default_rect(ifo, med))
+                assert abs(raw - total) / (2.0 * math.pi) <= 1e-12
+    assert repeated >= 1
+    if max_samples == 1100:
+        assert capped_configs >= 1
+    else:
+        assert capped_configs == 0 and {0, 1, 2} <= outcomes
 
 
 @pytest.mark.parametrize("rs2,grid_points", [
