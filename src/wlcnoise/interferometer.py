@@ -147,12 +147,14 @@ def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
     ts2 = ifo.srm_amplitude_transmissivity**2
     gain = open_loop_gain(ifo, med, omega)
     closed = np.ravel(np.abs(1.0 - rs * gain))
-    singular = np.flatnonzero(closed <= 1e-6)
-    if singular.size:
-        k = singular[0]
-        raise MarginalStabilityError(
-            f"closed loop singular at omega = {float(np.ravel(omega)[k])!r} "
-            f"(|1 - r_s G| = {closed[k]:.3e})")
+    # look for the index only when the minimum (or a NaN) calls for it
+    if not closed.min(initial=math.inf) > 1e-6:
+        singular = np.flatnonzero(closed <= 1e-6)
+        if singular.size:
+            k = singular[0]
+            raise MarginalStabilityError(
+                f"closed loop singular at omega = {float(np.ravel(omega)[k])!r} "
+                f"(|1 - r_s G| = {closed[k]:.3e})")
     if not ifo.reads_signal:
         raise ZeroSignalError(
             f"readout at homodyne angle {ifo.homodyne_angle} carries no signal")

@@ -101,11 +101,15 @@ class MediumParams:
 
 
 def _denominators(p: MediumParams, omega):
-    """The two resonance denominators i(omega +- delta0) - gamma12 + Gamma."""
+    """The two resonance denominators i(omega +- delta0) - gamma12 + Gamma.
+
+    For real omega their real part is the scalar Gamma - gamma12, so a
+    pole needs that to vanish and only then are the arrays scanned.
+    """
     base = p.gamma_opt_total - p.gamma12
     den_plus = 1j * (np.asarray(omega) + p.delta0) + base
     den_minus = 1j * (np.asarray(omega) - p.delta0) + base
-    if np.any(den_plus == 0) or np.any(den_minus == 0):
+    if base == 0.0 and (np.any(den_plus == 0) or np.any(den_minus == 0)):
         raise PoleError(
             "response evaluated on a pole: gamma12 == gamma_opt_total "
             "and omega == +-delta0")

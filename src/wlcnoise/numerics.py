@@ -113,40 +113,48 @@ def _sweep(feval: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
            max_depth: int) -> tuple[float, float, np.ndarray]:
     """Refine Simpson panels one level at a time until each converges.
 
-    panels has one column per panel and the rows a, m, b, f(a), f(m),
-    f(b), the panel's Simpson estimate and its share of the tolerance.
-    Each level evaluates the quarter points of every open panel in one
-    call, then accepts or bisects each panel on its own Richardson
-    error estimate. Returns (value, error estimate, left ends of the
-    panels that reached max_depth unconverged).
+    panels is a C-ordered array with one column per panel and the rows
+    a, m, b, f(a), f(m), f(b), the panel's Simpson estimate and its
+    share of the tolerance. Each level evaluates the quarter points of
+    every open panel in one call, then accepts or bisects each panel on
+    its own Richardson error estimate. Returns (value, error estimate,
+    left ends of the panels that reached max_depth unconverged).
     """
     eps = np.finfo(float).eps
     total = err_total = 0.0
     failed = panels[0, :0]
     depth = 0
-    while panels.size:
-        a, m, b, fa, fm, fb, whole, tol = panels
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = np.split(feval(np.concatenate([lm, rm])), 2)
-        left = _simpson(fa, flm, fm, m - a)
-        right = _simpson(fm, frm, fb, b - m)
-        delta = left + right - whole
+    while True:
+        n = panels.shape[1]
+        a, _, b, fa, _, fb, whole, tol = panels
+        # the halves of n panels: left ones in columns :n, right ones
+        # in n:, so joining two adjacent rows gives a row of the halves
+        lo, hi = panels[0:2].ravel(), panels[1:3].ravel()
+        f_lo, f_hi = panels[3:5].ravel(), panels[4:6].ravel()
+        mid = 0.5 * (lo + hi)
+        f_mid = feval(mid)
+        halves = _simpson(f_lo, f_mid, f_hi, hi - lo)
+        pair = halves[:n] + halves[n:]
+        delta = pair - whole
         # ulp-level node placement puts a floor under resolvable deltas
         noise = eps * np.maximum(np.abs(a), np.abs(b)) * (
-            np.abs(fa - fb) + 4.0 * np.abs(flm - frm)) + 4.0 * eps * np.abs(whole)
+            np.abs(fa - fb) + 4.0 * np.abs(f_mid[:n] - f_mid[n:])) + 4.0 * eps * np.abs(whole)
         done = np.abs(delta) <= np.maximum(15.0 * tol, noise)
         if depth >= max_depth:
             failed = a[~done]
             done[:] = True
-        total += float(np.sum((left + right + delta / 15.0)[done]))
-        err_total += float(np.sum(np.abs(delta[done]) / 15.0))
-        go = ~done
-        panels = np.concatenate(
-            [np.stack([a, lm, m, fa, flm, fm, left, 0.5 * tol])[:, go],
-             np.stack([m, rm, b, fm, frm, fb, right, 0.5 * tol])[:, go]], axis=1)
+        some_done = done.any()
+        if some_done:
+            total += float((pair + delta / 15.0)[done].sum())
+            err_total += float((np.abs(delta[done]) / 15.0).sum())
+            if done.all():
+                return total, err_total, failed
+        panels = np.array([lo, mid, hi, f_lo, f_mid, f_hi, halves,
+                           0.5 * np.concatenate([tol, tol])])
+        if some_done:
+            # both halves of an open panel go on
+            panels = panels.reshape(8, 2, n)[:, :, ~done].reshape(8, -1)
         depth += 1
-    return total, err_total, failed
 
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
@@ -178,9 +186,9 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
         nonlocal evals
         evals += x.size
         y = _produce(f, x, float)
-        bad = ~np.isfinite(y)
-        if bad.any():
-            raise ValueError(f"integrand is not finite at x = {float(x[bad][0])!r}")
+        finite = np.isfinite(y)
+        if not finite.all():
+            raise ValueError(f"integrand is not finite at x = {float(x[~finite][0])!r}")
         return y
 
     # coarse composite pass to set the tolerance scale

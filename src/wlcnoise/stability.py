@@ -501,10 +501,10 @@ def _rectangle_integral(ifo: IfoParams, med: MediumParams,
     r = F(end) / F(start) that the test computed are its principal-value
     log difference, and go into the sum. The others are bisected, with F
     on all their midpoints from one call, which concentrates nodes
-    around zeros near the contour. An edge bisects for at most 40 rounds
-    and stops once it holds MAX_SAMPLES nodes; its remaining segments
-    are then summed as they stand. The sum is exact up to the
-    no-phase-wrap resolution of the partition.
+    around zeros near the contour. An edge that still holds failing
+    segments after 40 rounds, or once it holds MAX_SAMPLES nodes, raises
+    AccuracyError. The sum is exact up to the no-phase-wrap resolution
+    of the partition.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     turns = (re_hi - re_lo) * ifo.tau / math.pi
@@ -521,23 +521,27 @@ def _rectangle_integral(ifo: IfoParams, med: MediumParams,
     inner = edge[1:] == edge[:-1]  # no segment joins two edges
     a, b, fa, fb, owner = w[:-1][inner], w[1:][inner], f[:-1][inner], f[1:][inner], edge[1:][inner]
     total = 0j
-    for _ in range(40):
+    for rounds in range(41):
         ratio = fb / fa
         log_mod, arg = np.log(np.abs(ratio)), np.angle(ratio)
-        split = (((np.abs(arg) >= 0.5) | (np.abs(log_mod) >= 0.5))
-                 & (nodes < MAX_SAMPLES)[owner])
+        split = (np.abs(arg) >= 0.5) | (np.abs(log_mod) >= 0.5)
         total += complex(log_mod[~split].sum(), arg[~split].sum())
         if not split.any():
             return total
         a, b, fa, fb, owner = (x[split] for x in (a, b, fa, fb, owner))
+        # a limit is rarely reached, so the per-edge test waits for it
+        if rounds == 40 or (nodes.max() >= MAX_SAMPLES
+                            and (nodes >= MAX_SAMPLES)[owner].any()):
+            raise AccuracyError(
+                f"{owner.size} oracle segments still turn by half a radian or "
+                f"half a unit of log|F| after {rounds} rounds "
+                f"(nodes per edge {nodes.tolist()})")
         nodes += np.bincount(owner, minlength=4)
         mid = 0.5 * (a + b)
         f_mid = _loop_denominator(ifo, med, mid)
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         fa, fb = np.concatenate([fa, f_mid]), np.concatenate([f_mid, fb])
         owner = np.concatenate([owner, owner])
-    ratio = fb / fa
-    return total + complex(np.log(np.abs(ratio)).sum(), np.angle(ratio).sum())
 
 
 def root_count_oracle(ifo: IfoParams, med: MediumParams,

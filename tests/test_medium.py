@@ -67,6 +67,28 @@ def test_susceptibility_pole():
         susceptibility(p, 2.0)
 
 
+@pytest.mark.parametrize("omega", [[0.0, 1.0, 2.0, 3.0], [-2.0, -1.0], [[0.5, 2.0]]])
+def test_pole_in_array_raises(omega):
+    # at gamma12 == Gamma the denominators' real part vanishes, and a
+    # frequency at +-delta0 anywhere in the array is a pole
+    p = MediumParams(1.0, 1.0, 2.0)
+    omega = np.array(omega)
+    with pytest.raises(PoleError):
+        probe_transfer(p, omega)
+    for model in NoiseModel:
+        with pytest.raises(PoleError):
+            noise_coefficients(p, omega, model)
+
+
+def test_no_pole_off_resonance_or_with_damping():
+    omega = np.array([-2.0, 0.0, 2.0])
+    assert np.isfinite(probe_transfer(MediumParams(1.0, 1.0, 2.5), omega)).all()
+    damped = MediumParams(1.0, 1.0 - 2.0**-52, 2.0)
+    assert np.isfinite(probe_transfer(damped, omega)).all()
+    for n in noise_coefficients(damped, omega, NoiseModel.LOCAL):
+        assert np.isfinite(n).all()
+
+
 def test_probe_transfer_identity_medium():
     p = MediumParams(1.0, 0.0, 2.0)
     for om in (0.0, 5.0, -0.3):

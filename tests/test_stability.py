@@ -386,8 +386,9 @@ def reference_edge_integral(ifo, med, start, stop, samples):
     """Integral of d log F along one edge, bisecting the whole edge
     array each round: the per-edge form the segment pool of
     stability._rectangle_integral replaced, kept here as its reference.
-    Returns the integral, the minimum |F| and whether the edge reached
-    MAX_SAMPLES."""
+    Returns the integral and the minimum |F|. An edge whose segments
+    still fail the test after 40 rounds, or once it holds MAX_SAMPLES
+    nodes, raises AccuracyError."""
     rs, tau = ifo.srm_amplitude_reflectivity, ifo.tau
     gamma, base = med.gamma_opt_total, med.gamma_opt_total - med.gamma12
 
@@ -397,17 +398,18 @@ def reference_edge_integral(ifo, med, start, stop, samples):
 
     w = np.linspace(start, stop, samples)
     f = loop_denominator(w)
-    for _ in range(40):
+    for rounds in range(41):
         ratio = f[1:] / f[:-1]
         big = (np.abs(np.angle(ratio)) >= 0.5) | (np.abs(np.log(np.abs(ratio))) >= 0.5)
-        if not big.any() or w.size >= stability.MAX_SAMPLES:
+        if not big.any():
             break
+        if rounds == 40 or w.size >= stability.MAX_SAMPLES:
+            raise AccuracyError(f"edge unresolved after {rounds} rounds, {w.size} nodes")
         idx = np.nonzero(big)[0]
         w_mid = 0.5 * (w[idx] + w[idx + 1])
         w = np.insert(w, idx + 1, w_mid)
         f = np.insert(f, idx + 1, loop_denominator(w_mid))
-    return (complex(np.log(f[1:] / f[:-1]).sum()), float(np.abs(f).min()),
-            w.size >= stability.MAX_SAMPLES)
+    return complex(np.log(f[1:] / f[:-1]).sum()), float(np.abs(f).min())
 
 
 def default_rect(ifo, med):
@@ -418,27 +420,30 @@ def default_rect(ifo, med):
 
 
 def reference_root_count(ifo, med):
-    """(zero count or exception type, raw integral, capped) over the
-    oracle's default rectangle, one edge at a time."""
+    """(zero count or exception type, raw integral) over the oracle's
+    default rectangle, one edge at a time; the integral is None when an
+    edge reached a limit."""
     re_lo, re_hi, im_lo, im_hi = default_rect(ifo, med)
     corners = [re_lo + 1j * im_lo, re_hi + 1j * im_lo,
                re_hi + 1j * im_hi, re_lo + 1j * im_hi]
     turns = (re_hi - re_lo) * ifo.tau / math.pi
     n_horiz = int(min(max(1024, 8 * turns), 2**20))
-    total, min_f, capped = 0j, math.inf, False
+    total, min_f = 0j, math.inf
     for k in range(4):
-        value, edge_min, edge_capped = reference_edge_integral(
-            ifo, med, corners[k], corners[(k + 1) % 4], n_horiz if k % 2 == 0 else 256)
+        try:
+            value, edge_min = reference_edge_integral(
+                ifo, med, corners[k], corners[(k + 1) % 4], n_horiz if k % 2 == 0 else 256)
+        except AccuracyError:
+            return AccuracyError, None
         total += value
         min_f = min(min_f, edge_min)
-        capped |= edge_capped
     if min_f < 1e-9:
-        return MarginalStabilityError, total, capped
+        return MarginalStabilityError, total
     count = total / (2j * math.pi)
     nearest = round(count.real)
     if abs(count.real - nearest) > 0.01 or abs(count.imag) > 0.01 or nearest < 0:
-        return AccuracyError, total, capped
-    return nearest, total, capped
+        return AccuracyError, total
+    return nearest, total
 
 
 @pytest.mark.parametrize("max_samples", [stability.MAX_SAMPLES, 1100])
@@ -446,10 +451,11 @@ def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
     # the pool bisects the same segments in the same rounds as the
     # per-edge form, so the nodes are the same and only the order of
     # summation differs; a cap of 1100 stops the real-axis edges (1024
-    # start nodes) mid-refinement on both sides
+    # start nodes) mid-refinement on both sides, which then raise
+    # AccuracyError instead of summing segments that still fail the test
     monkeypatch.setattr(stability, "MAX_SAMPLES", max_samples)
-    outcomes = set()
-    repeated = capped_configs = 0
+    outcomes = []
+    repeated = 0
     # xi == eta gives a repeated root
     for eta, xi in ((0.2, 0.05), (0.2, 0.2), (0.4, 0.05), (0.4, 0.4),
                     (0.7, 0.05), (0.7, 0.2), (0.7, 0.4)):
@@ -462,21 +468,26 @@ def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
                 continue
             for rs2 in (0.5, 0.8, 0.9):
                 ifo = IFO.with_power_reflectivity(rs2)
-                expected, total, capped = reference_root_count(ifo, med)
-                capped_configs += capped
+                expected, total = reference_root_count(ifo, med)
                 try:
                     outcome = root_count_oracle(ifo, med)
                 except (AccuracyError, MarginalStabilityError) as exc:
                     outcome = type(exc)
                 assert outcome == expected
-                outcomes.add(outcome)
+                outcomes.append(outcome)
+                if total is None:
+                    with pytest.raises(AccuracyError, match="still turn"):
+                        stability._rectangle_integral(ifo, med, default_rect(ifo, med))
+                    continue
                 raw = stability._rectangle_integral(ifo, med, default_rect(ifo, med))
                 assert abs(raw - total) / (2.0 * math.pi) <= 1e-12
-    assert repeated >= 1
+    assert repeated >= 1 and len(outcomes) == 36
     if max_samples == 1100:
-        assert capped_configs >= 1
+        # every rs^2 0.8 and 0.9 configuration reaches the cap; summed
+        # as they stood, 3 of them counted 0 zeros where there are 2
+        assert outcomes.count(AccuracyError) == 24
     else:
-        assert capped_configs == 0 and {0, 1, 2} <= outcomes
+        assert AccuracyError not in outcomes and {0, 1, 2} <= set(outcomes)
 
 
 @pytest.mark.parametrize("rs2,grid_points", [

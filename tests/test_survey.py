@@ -106,6 +106,34 @@ def test_improvement_tolerance_stability():
     assert rho > 0.0
 
 
+@pytest.mark.parametrize("eta_index,xi_index,rs2,label,rho_r,evaluations", [
+    (16, 9, 0.5, "smaller", 0.7344308627635273, 97),
+    (44, 1, 0.8, "larger", 0.5533127950902343, 117),
+    (2, 0, 0.9, "larger", 0.8234567565542421, 165),
+])
+def test_improvement_factor_pinned(monkeypatch, eta_index, xi_index, rs2, label,
+                                   rho_r, evaluations):
+    # stable cells of the paper's 50x50 survey, at its rel_tol 1e-4: the
+    # quadrature's nodes and sums are pinned, so a faster integrand or
+    # refinement loop that moved either shows here
+    results, integrate = [], survey.integrate_adaptive
+
+    def spy(*args, **kwargs):
+        results.append(integrate(*args, **kwargs))
+        return results[-1]
+
+    grid = default_grid(50)
+    ifo = reference_detector(rs2)
+    gamma12, gamma_opt = map_eta_xi(grid[eta_index], grid[xi_index], ifo.tau)
+    roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
+    med = MediumParams(gamma12, gamma_opt, roots[0] if label == "smaller" else roots[-1])
+    assert classify_system(ifo, med).stable
+    monkeypatch.setattr(survey, "integrate_adaptive", spy)
+    rho = improvement_factor(ifo, med, NoiseModel.LOCAL, check_stability=False)
+    assert rho == pytest.approx(rho_r, rel=1e-12, abs=0.0)
+    assert [r.evaluations for r in results] == [evaluations]
+
+
 # ---------------------------------------------------------------------------
 # sweep grid
 # ---------------------------------------------------------------------------
