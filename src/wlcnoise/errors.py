@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DegenerateEquationError(ValueError):
-    """All coefficients of an equation vanish; nothing to solve."""
-
-
 class AccuracyError(RuntimeError):
     """A numerical routine could not reach the requested tolerance.
 

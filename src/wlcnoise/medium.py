@@ -24,7 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import PoleError, SingularParametrizationError
-from .numerics import solve_quadratic
 
 __all__ = [
     "MediumParams",
@@ -211,6 +210,12 @@ def solve_detuning(gamma12: float, gamma_opt_total: float,
     appears once; an empty tuple means the cancellation is infeasible
     (discriminant A (A - 8 g^2) < 0). The x = 0 root arising at g = 0
     is the single-pump degenerate case and is discarded.
+
+    The roots in x are taken stably, q / a and c / q with
+    q = -(b + sign(b) sqrt(disc)) / 2, after a power-of-two rescale
+    where b^2 or 4ac would overflow or both underflow; a discriminant
+    within 1e-10 of max(b^2, |4ac|) is a repeated root -b / 2a. At
+    b = 0 (A = 2 g^2) the product c >= 0 leaves no positive root.
     """
     if gamma12 <= 0.0 or gamma_opt_total <= 0.0:
         raise ValueError("rates must be positive")
@@ -218,8 +223,25 @@ def solve_detuning(gamma12: float, gamma_opt_total: float,
         raise ValueError("tau must be positive")
     g2 = (gamma12 - gamma_opt_total) ** 2
     a_rate = gamma_opt_total / tau
-    sol = solve_quadratic(1.0, 2.0 * g2 - a_rate, g2 * (g2 + a_rate))
-    return tuple(math.sqrt(x) for x in sol.roots if x > 0.0)
+    a, b, c = 1.0, 2.0 * g2 - a_rate, g2 * (g2 + a_rate)
+    if b == 0.0:
+        return ()
+    largest = 2 * math.frexp(b)[1]
+    if c != 0.0:
+        largest = max(largest, math.frexp(a)[1] + math.frexp(c)[1])
+    if abs(largest) > 1000:
+        norm = math.ldexp(1.0, largest // 2)
+        a, b, c = a / norm, b / norm, c / norm
+    disc = b * b - 4.0 * a * c
+    scale = max(b * b, abs(4.0 * a * c))
+    if scale > 0.0 and abs(disc) <= 1e-10 * scale:
+        roots = [-b / (2.0 * a)]
+    elif disc < 0.0:
+        return ()
+    else:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        roots = sorted(r for r in (q / a, c / q) if math.isfinite(r))
+    return tuple(math.sqrt(x) for x in roots if x > 0.0)
 
 
 def map_eta_xi(eta: float, xi: float, tau: float) -> tuple[float, float]:

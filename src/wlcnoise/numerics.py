@@ -1,8 +1,8 @@
 """Shared numeric utilities.
 
-Numerically stable quadratic roots, adaptive Simpson quadrature, central
-finite differences, and winding-number accumulation for closed
-contours. Everything here is a pure function of its inputs.
+Adaptive Simpson quadrature, central finite differences, and
+winding-number accumulation for closed contours. Everything here is a
+pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -13,85 +13,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    AccuracyError,
-    DegenerateEquationError,
-    MarginalStabilityError,
-)
+from .errors import AccuracyError, MarginalStabilityError
 
 __all__ = [
-    "QuadraticRoots",
-    "solve_quadratic",
     "QuadratureResult",
     "integrate_adaptive",
     "derivative_central",
     "winding_number",
     "accumulate_winding",
 ]
-
-
-# ---------------------------------------------------------------------------
-# quadratic roots
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadraticRoots:
-    """Real roots of a quadratic, ascending; is_double marks a repeated root."""
-
-    roots: tuple[float, ...]
-    is_double: bool = False
-
-
-def solve_quadratic(a: float, b: float, c: float) -> QuadraticRoots:
-    """Real roots of a x^2 + b x + c = 0, computed stably.
-
-    The larger-magnitude root comes from q = -(b + sign(b) sqrt(disc))/2,
-    the other from the root product c/a, which avoids cancellation when
-    b^2 >> |4ac|. A discriminant within 1e-10 * max(b^2, |4ac|) of
-    zero is treated as a repeated root and returned once, flagged.
-    """
-    if a == 0.0 and b == 0.0 and c == 0.0:
-        raise DegenerateEquationError("all quadratic coefficients are zero")
-    if a == 0.0:
-        if b == 0.0:
-            return QuadraticRoots(())  # c != 0: no solution
-        root = -c / b
-        return QuadraticRoots((root,) if math.isfinite(root) else ())
-    if b == 0.0:
-        # pure ratio, no products that could leave the float range
-        if c == 0.0:
-            return QuadraticRoots((0.0,), is_double=True)
-        square = -c / a
-        if square < 0.0 or not math.isfinite(square):
-            return QuadraticRoots(())
-        root = math.sqrt(square)
-        return QuadraticRoots((-root, root))
-
-    # rescale by an exact power of two when b^2 or 4ac would overflow
-    # or both would underflow; root set is unchanged
-    product_exps = [2 * math.frexp(b)[1]]
-    if c != 0.0:
-        product_exps.append(math.frexp(a)[1] + math.frexp(c)[1])
-    largest = max(product_exps)
-    if largest > 1000 or largest < -1000:
-        norm = math.ldexp(1.0, largest // 2)
-        a, b, c = a / norm, b / norm, c / norm
-
-    disc = b * b - 4.0 * a * c
-    scale = max(b * b, abs(4.0 * a * c))
-    if scale > 0.0 and abs(disc) <= 1e-10 * scale:
-        return QuadraticRoots((-b / (2.0 * a),), is_double=True)
-    if disc < 0.0:
-        return QuadraticRoots(())
-
-    sqrt_disc = math.sqrt(disc)
-    if b >= 0.0:
-        q = -0.5 * (b + sqrt_disc)
-    else:
-        q = -0.5 * (b - sqrt_disc)
-    r1, r2 = q / a, c / q
-    pair = sorted(r for r in (r1, r2) if math.isfinite(r))
-    return QuadraticRoots(tuple(pair))
 
 
 # ---------------------------------------------------------------------------

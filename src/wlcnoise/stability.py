@@ -6,15 +6,15 @@ loop gain G_o = e^{2 i omega tau} M(omega) is analytic there, so the
 zero count equals the winding number of r_s G_o about the point (1, 0)
 along the real axis closed through the decaying upper arc. That winding
 is the signed count of crossings of the ray [1, inf), which can only
-happen where |r_s G_o| > 1; classify_system counts them in closed form
-inside that gain window. The closest approach to (1, 0) is exact:
-the distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1, and
-each sampled descent into a minimum is polished by a safeguarded
-Newton search with closed-form derivatives. The closed forms and the
-sampler are elementwise: _verdicts takes the verdicts of many
-configurations (a survey row) from a few array calls, classify_system
-the verdict of one from its floats. nyquist_contour samples the whole
-contour for output and as a reference. An independent
+happen where |r_s G_o| > 1; they are counted in closed form inside
+that gain window. The closest approach to (1, 0) is exact: the
+distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1, and each
+sampled descent into a minimum is polished by a safeguarded Newton
+search with closed-form derivatives. The closed forms and the sampler
+are elementwise, and one routine, _verdicts, takes the verdicts of
+many configurations (a survey row) from a few array calls;
+classify_system is its call on one configuration. nyquist_contour
+samples the whole contour for output and as a reference. An independent
 argument-principle oracle counts the same zeros by integrating the
 logarithmic derivative of 1 - r_s G_o around a rectangle in the upper
 half plane. The segments of its four edges share one pool: each round
@@ -327,11 +327,6 @@ def _polish_minimum(loop: _Loop, lo: float, hi: float) -> float:
     return best
 
 
-def _near_level(rs):
-    """The level of |r_s G_o| above which the closest approach is searched."""
-    return np.maximum(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
-
-
 def _closest_approach(loop: _Loop, lo, hi, level):
     """Closest approach of r_s G_o to (1, 0), for every configuration of
     the arrays in loop at once.
@@ -383,48 +378,36 @@ def _closest_approach(loop: _Loop, lo, hi, level):
     return np.minimum(dist, 1.0 - level)
 
 
-def _settled(ifo: IfoParams, med: MediumParams, margin: float):
-    """The verdict of a configuration that needs no loop quantity: a
-    medium-level class, the lasing threshold or the open loop r_s = 0;
-    None for all others."""
-    med_class = med_mod.classify_medium(med, margin=margin)
-    if med_class is not MediumClass.STATIONARY:
-        return StabilityReport(Classification(med_class.value), 0, math.inf, (0.0, 0.0))
-    if med.damping_gap <= 0.0:
-        return MarginalStabilityError(_UNDAMPED)
-    if ifo.srm_amplitude_reflectivity == 0.0:
-        # the open loop is cut: the contour is the origin itself
-        return StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0))
-    return None
-
-
-def _report(dist: float, lo: float, hi: float, winding: int):
-    """The verdict from the closest approach, the near window and the
-    winding; a MarginalStabilityError when the approach is within 1e-9."""
-    if dist < MARGINAL_ERROR_DISTANCE:
-        return MarginalStabilityError(f"Nyquist contour passes within {dist:.3e} of (1, 0)")
-    classification = (Classification.STABLE if winding == 0
-                      else Classification.OPTICAL_INSTABILITY)
-    return StabilityReport(classification, winding, dist, (lo, hi),
-                           marginal=dist < MARGINAL_FLAG_DISTANCE)
-
-
 def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float = 1.0
               ) -> list[StabilityReport | MarginalStabilityError]:
     """Stability verdicts of many (ifo, medium) configurations at once.
 
     Each verdict is the report classify_system returns, or the
-    MarginalStabilityError it raises. The configurations that need loop
-    quantities share the array calls: both gain windows (at the near
-    level of _closest_approach and at 1) in one, then the closest
-    approach and the ray crossings.
+    MarginalStabilityError it raises. A medium-level class, the lasing
+    threshold and the open loop r_s = 0 need no loop quantity. The
+    other configurations share the array calls: both gain windows (at
+    the near level of _closest_approach and at 1) in one, then the
+    closest approach and the ray crossings.
     """
-    verdicts = [_settled(ifo, med, margin) for ifo, med in configs]
+    verdicts: list = []
+    for ifo, med in configs:
+        med_class = med_mod.classify_medium(med, margin=margin)
+        if med_class is not MediumClass.STATIONARY:
+            verdicts.append(StabilityReport(Classification(med_class.value), 0, math.inf,
+                                            (0.0, 0.0)))
+        elif med.damping_gap <= 0.0:
+            verdicts.append(MarginalStabilityError(_UNDAMPED))
+        elif ifo.srm_amplitude_reflectivity == 0.0:
+            # the open loop is cut: the contour is the origin itself
+            verdicts.append(StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0)))
+        else:
+            verdicts.append(None)
     looped = [i for i, verdict in enumerate(verdicts) if verdict is None]
     if not looped:
         return verdicts
     loop = _Loop.stack([_Loop.of(*configs[i]) for i in looped])
-    level = _near_level(loop.rs)
+    # the closest approach is searched where |r_s G_o| is above this level
+    level = np.maximum(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
     (near_lo, gain_lo), (near_hi, gain_hi) = _gain_window(
         loop, np.stack([level, np.ones_like(level)]))
     dist = _closest_approach(loop, near_lo, near_hi, level)
@@ -434,7 +417,14 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float =
     shared: dict[float, float] = {}
     for i, d, lo, hi, winding in zip(looped, dist.tolist(), near_lo.tolist(),
                                      near_hi.tolist(), windings.tolist()):
-        verdicts[i] = _report(shared.setdefault(d, d), lo, hi, winding)
+        if d < MARGINAL_ERROR_DISTANCE:
+            verdicts[i] = MarginalStabilityError(
+                f"Nyquist contour passes within {d:.3e} of (1, 0)")
+            continue
+        classification = (Classification.STABLE if winding == 0
+                          else Classification.OPTICAL_INSTABILITY)
+        verdicts[i] = StabilityReport(classification, winding, shared.setdefault(d, d),
+                                      (lo, hi), marginal=d < MARGINAL_FLAG_DISTANCE)
     return verdicts
 
 
@@ -451,19 +441,9 @@ def classify_system(ifo: IfoParams, med: MediumParams,
     above 1; elsewhere it is reported as the bound 1 - level (see
     _closest_approach). An approach within 1e-9 raises
     MarginalStabilityError; within 1e-6 the report is flagged marginal.
-    The closed forms and the sampler of _verdicts on one configuration:
-    the windows and the winding from its floats, the approach from
-    arrays of its one window.
+    The verdict is the one _verdicts gives a one-element list.
     """
-    verdict = _settled(ifo, med, margin)
-    if verdict is None:
-        loop = _Loop.of(ifo, med)
-        level = _near_level(loop.rs)
-        (lo, gain_lo), (hi, gain_hi) = (
-            w.tolist() for w in _gain_window(loop, np.array([level, 1.0])))
-        (dist,) = _closest_approach(_Loop.stack([loop]), np.array([lo]), np.array([hi]),
-                                    level).tolist()
-        verdict = _report(dist, lo, hi, int(_ray_crossings(loop, gain_lo, gain_hi)))
+    (verdict,) = _verdicts([(ifo, med)], margin)
     if isinstance(verdict, MarginalStabilityError):
         raise verdict
     return verdict

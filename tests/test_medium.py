@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -263,6 +264,44 @@ def test_detuning_double_root():
 
 def test_detuning_infeasible():
     assert solve_detuning(2.0, 0.1, 1.0) == ()
+
+
+def test_detuning_b_zero_has_no_root():
+    # A = 2 g^2 exactly (g = 2, Gamma / tau = 8): the linear coefficient
+    # vanishes and the product g^2 (g^2 + A) > 0 leaves no positive root
+    assert solve_detuning(3.0, 1.0, 0.125) == ()
+
+
+def test_detuning_small_root_exact():
+    # A / g^2 = 1e10: the naive formula would cancel away most digits of
+    # the small root x = delta0^2. The exact quadratic, in Fraction
+    # arithmetic on the input floats, changes sign within 1e-12 of it.
+    gamma12, gamma_opt, tau = 1.0001, 1.0, 1e-2
+    small = solve_detuning(gamma12, gamma_opt, tau)[0]
+    g2 = (Fraction(gamma12) - Fraction(gamma_opt)) ** 2
+    a_rate = Fraction(gamma_opt) / Fraction(tau)
+
+    def residual(x):
+        return x * x + (2 * g2 - a_rate) * x + g2 * (g2 + a_rate)
+
+    x = Fraction(small) ** 2
+    assert residual(x * (1 - Fraction(1, 10**12))) > 0 > residual(x * (1 + Fraction(1, 10**12)))
+
+
+# roots pinned to the last bit; at |b| = 1e160 > 2^500, b^2 overflows
+# unless the coefficients are rescaled first
+RECORDED_ROOTS = {
+    "tie": ((1.116227766016838, 0.8, 1.0), (0.5477225575051661,)),
+    "huge-b": ((2e50, 1e50, 1e-110), (1e+50, 1e+80)),
+    # eta 0.4, xi 0.1 on the reference detector
+    "survey-cell": ((2602.3650868055556, 1040.9460347222223, 1.3342563807926082e-05),
+                    (1669.7648741983749, 8387.655748250387)),
+}
+
+
+@pytest.mark.parametrize("rates, roots", RECORDED_ROOTS.values(), ids=RECORDED_ROOTS)
+def test_detuning_recorded_roots(rates, roots):
+    assert solve_detuning(*rates) == roots
 
 
 def test_detuning_residual_and_order():

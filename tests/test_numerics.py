@@ -5,76 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlcnoise.errors import (
-    AccuracyError,
-    DegenerateEquationError,
-    MarginalStabilityError,
-)
+from wlcnoise.errors import AccuracyError, MarginalStabilityError
 from wlcnoise.numerics import (
     _refine_curve,
     accumulate_winding,
     derivative_central,
     integrate_adaptive,
-    solve_quadratic,
     winding_number,
 )
-
-
-# ---------------------------------------------------------------------------
-# quadratic roots
-# ---------------------------------------------------------------------------
-
-def test_quadratic_factorable():
-    sol = solve_quadratic(1.0, -3.0, 2.0)
-    assert sol.roots == (1.0, 2.0)
-    assert not sol.is_double
-
-
-def test_quadratic_linear_fallback():
-    sol = solve_quadratic(0.0, 2.0, -4.0)
-    assert sol.roots == (2.0,)
-
-
-def test_quadratic_double_root():
-    sol = solve_quadratic(1.0, -2.0, 1.0)
-    assert sol.roots == (1.0,)
-    assert sol.is_double
-
-
-def test_quadratic_no_real_roots():
-    assert solve_quadratic(1.0, 0.0, 1.0).roots == ()
-
-
-def test_quadratic_degenerate():
-    with pytest.raises(DegenerateEquationError):
-        solve_quadratic(0.0, 0.0, 0.0)
-    # contradictory equation: no roots rather than an error
-    assert solve_quadratic(0.0, 0.0, 3.0).roots == ()
-
-
-def test_quadratic_cancellation_stability():
-    # b^2 >> 4ac: the naive formula loses the small root entirely
-    sol = solve_quadratic(1.0, -1e8, 1.0)
-    small, large = sol.roots
-    for r in sol.roots:
-        residual = abs(r * r - 1e8 * r + 1.0)
-        assert residual <= 1e-10 * max(r * r, 1e8 * abs(r), 1.0)
-    assert small == pytest.approx(1e-8, rel=1e-12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
-def test_quadratic_residual_property(a, b, c):
-    if a == b == c == 0.0:
-        return
-    sol = solve_quadratic(a, b, c)
-    scale = max(abs(a), abs(b), abs(c), 1e-30)
-    for r in sol.roots:
-        # Horner grouping keeps the residual itself in float range
-        residual = abs((a * r + b) * r + c)
-        bound = 1e-10 * max(abs(a * r) * abs(r), abs(b * r), abs(c),
-                            scale * 1e-6)
-        assert residual <= bound
 
 
 # ---------------------------------------------------------------------------
