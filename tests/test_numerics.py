@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
+from wlcnoise.medium import solve_detuning
 from wlcnoise.numerics import (
     _refine_curve,
     accumulate_winding,
@@ -13,6 +14,27 @@ from wlcnoise.numerics import (
     integrate_adaptive,
     winding_number,
 )
+
+
+# ---------------------------------------------------------------------------
+# quadratic roots (solved in place by medium.solve_detuning)
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 1e6), st.floats(1e-6, 1.0, exclude_max=True),
+       st.floats(1e-6, 1e6))
+def test_quadratic_residual_property(gamma12, fraction, tau):
+    gamma_opt = fraction * gamma12
+    g2 = (gamma12 - gamma_opt) ** 2
+    a_rate = gamma_opt / tau
+    b, c = 2.0 * g2 - a_rate, g2 * (g2 + a_rate)
+    scale = max(1.0, abs(b), abs(c), 1e-30)
+    for d0 in solve_detuning(gamma12, gamma_opt, tau):
+        x = d0 * d0
+        # Horner grouping keeps the residual itself in float range
+        residual = abs((x + b) * x + c)
+        bound = 1e-10 * max(x * x, abs(b * x), abs(c), scale * 1e-6)
+        assert residual <= bound
 
 
 # ---------------------------------------------------------------------------
