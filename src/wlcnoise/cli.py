@@ -20,7 +20,7 @@ from . import medium as med_mod
 from .errors import AccuracyError, MarginalStabilityError, PoleError
 from .scenario import Scenario, ScenarioError, load_scenario
 from .stability import Classification, classify_system, nyquist_contour
-from .survey import SweepGrid, run_sweep
+from .survey import CellStatus, SweepGrid, run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,28 +136,33 @@ def _sweep_tables(grid: SweepGrid, out_dir: Path) -> dict:
         "noise_model": spec.noise_model.value,
         "tables": [],
     }
-    for rs2 in spec.srm_power_reflectivities:
-        for label in spec.root_choice.labels:
-            name = f"sweep_rs2_{_fmt(rs2)}_root_{label}.csv"
-            rows = []
-            marginal = 0
-            for cell, outcome in grid.outcomes(rs2, label):
-                delta0 = "" if math.isnan(outcome.delta0) else _fmt(outcome.delta0)
-                # rho_r is set only on stable outcomes
-                rho = "" if outcome.rho_r is None else _fmt(outcome.rho_r)
-                marginal += outcome.marginal
-                rows.append([_fmt(cell.eta), _fmt(cell.xi),
-                             outcome.status.value, delta0, rho])
-            _write_csv(out_dir / name,
-                       ["eta", "xi", "classification", "delta0", "rho_r"], rows)
-            summary["tables"].append({
-                "file": name,
-                "srm_power_reflectivity": rs2,
-                "root": label,
-                "stable_cells": grid.stable_count(rs2, label),
-                "marginal_cells": marginal,
-                "max_rho_r": grid.max_rho(rs2, label),
-            })
+    # one pass over the cells sorts every outcome into its table
+    tables = {(rs2, label): [] for rs2 in spec.srm_power_reflectivities
+              for label in spec.root_choice.labels}
+    for cell in grid.cells:
+        for outcome in cell.outcomes:
+            pairs = tables.get((outcome.srm_power_reflectivity, outcome.root_label))
+            if pairs is not None:
+                pairs.append((cell, outcome))
+    for (rs2, label), pairs in tables.items():
+        name = f"sweep_rs2_{_fmt(rs2)}_root_{label}.csv"
+        # delta0 is NaN on infeasible outcomes; rho_r is set only on stable ones
+        rows = [[_fmt(cell.eta), _fmt(cell.xi), outcome.status.value,
+                 "" if math.isnan(outcome.delta0) else _fmt(outcome.delta0),
+                 "" if outcome.rho_r is None else _fmt(outcome.rho_r)]
+                for cell, outcome in pairs]
+        _write_csv(out_dir / name,
+                   ["eta", "xi", "classification", "delta0", "rho_r"], rows)
+        stable = [outcome.rho_r for _, outcome in pairs
+                  if outcome.status is CellStatus.STABLE]
+        summary["tables"].append({
+            "file": name,
+            "srm_power_reflectivity": rs2,
+            "root": label,
+            "stable_cells": len(stable),
+            "marginal_cells": sum(outcome.marginal for _, outcome in pairs),
+            "max_rho_r": max((rho for rho in stable if rho is not None), default=None),
+        })
     return summary
 
 

@@ -214,7 +214,13 @@ def _parse_medium(block, tau: float) -> MediumParams:
         raise ScenarioError(f"{where}.xi: must lie in (0, 1], got {xi}")
     root = _choice(block, "root", where, RootChoice.BOTH.labels, "smaller")
     gamma12, gamma_opt = map_eta_xi(eta, xi, tau)
-    roots = solve_detuning(gamma12, gamma_opt, tau)
+    try:
+        roots = solve_detuning(gamma12, gamma_opt, tau)
+    except OverflowError:
+        raise ScenarioError(
+            f"{where}: the phase-cancellation detuning at eta={eta}, xi={xi} "
+            f"leaves the float range for the detector's delay tau={tau:.3g} s "
+            f"(rates gamma12={gamma12:.3g}, gamma_opt_total={gamma_opt:.3g})") from None
     if not roots:
         raise ScenarioError(
             f"{where}: no phase-cancellation detuning exists at "

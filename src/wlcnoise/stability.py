@@ -17,10 +17,15 @@ classify_system is its call on one configuration. nyquist_contour
 samples the whole contour for output and as a reference. An independent
 argument-principle oracle counts the same zeros by integrating the
 logarithmic derivative of 1 - r_s G_o around a rectangle in the upper
-half plane. The segments of its four edges share one pool: each round
-tests only the halves the last bisection made, evaluates F on all new
-midpoints in one call, and adds the log modulus and phase of each
-passing segment's ratio, which its test already computed, to the sum.
+half plane. It seeds nodes only where F can turn: where a closed-form
+bound keeps |r_s G_o| below 1/2, a stretch of edge is one segment, and
+the real edge also holds clusters at the gain peaks +-delta0, where
+zeros close to the axis would otherwise hide a whole turn between two
+nodes. The rectangle is one closed polyline whose segments share one
+pool: each round tests only the halves the last bisection made,
+evaluates F on all new midpoints in one call, and adds the log modulus
+and phase of each passing segment's ratio, which its test already
+computed, to the sum.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ CRITICAL_POINT = 1.0 + 0.0j
 MARGINAL_ERROR_DISTANCE = 1e-9
 MARGINAL_FLAG_DISTANCE = 1e-6
 REFINE_NEAR_DISTANCE = 0.1
-MAX_SAMPLES = 2**22  # per sampled window or oracle edge
+MAX_SAMPLES = 2**22  # per sampled near window, and per oracle contour
 _PEAK_OFFSETS = np.arange(-30.0, 31.0)  # np.linspace(-30, 30, 61), exactly
+_PEAK_CLUSTER = np.linspace(-30.0, 30.0, 241)  # gain-peak offsets, in widths
 
 
 class Classification(Enum):
@@ -119,7 +125,7 @@ def _base_grid(med: MediumParams, tau: float, omega_max: float) -> np.ndarray:
     pieces = [np.linspace(0.0, omega_max, samples)]
     width = max(med.damping_gap, 1e-3 * med.delta0, 1e-12 / tau)
     if med.delta0 > 0.0:
-        pieces.append(med.delta0 + width * np.linspace(-30.0, 30.0, 241))
+        pieces.append(med.delta0 + width * _PEAK_CLUSTER)
         pieces.append(np.abs(med.delta0 + width * np.linspace(-1.0, 1.0, 81)))
     pieces.append(width * np.linspace(0.0, 30.0, 121))
     grid = np.concatenate(pieces)
@@ -456,9 +462,10 @@ def classify_system(ifo: IfoParams, med: MediumParams,
 def _loop_denominator(ifo: IfoParams, med: MediumParams, w):
     """F = 1 - r_s G_o at complex frequencies w; MarginalStabilityError
     when a sample has |F| < 1e-9, before any ratio of samples is formed."""
-    gamma = med.gamma_opt_total
-    base = gamma - med.gamma12
-    m = 1.0 - gamma / (1j * (w + med.delta0) + base) - gamma / (1j * (w - med.delta0) + base)
+    # M = 1 - Gamma (1/(u + i delta0) + 1/(u - i delta0)), u = i w - gap,
+    # as one fraction
+    u = 1j * w - med.damping_gap
+    m = 1.0 - 2.0 * med.gamma_opt_total * u / (u * u + med.delta0 * med.delta0)
     f = 1.0 - ifo.srm_amplitude_reflectivity * np.exp(2j * w * ifo.tau) * m
     min_f = np.abs(f).min()
     if min_f < 1e-9:
@@ -471,57 +478,74 @@ def _rectangle_integral(ifo: IfoParams, med: MediumParams,
                         rect: tuple[float, float, float, float]) -> complex:
     """Integral of d log F once counterclockwise around rect.
 
-    Each edge starts from uniform nodes: along the real axis 8 per delay
-    turn, at least 1024 (AccuracyError beyond 2^20), along the imaginary
-    axis 256; F on all of them comes from one call. The segments of the
-    four edges share one pool, and each round tests only the segments
-    the last round made. A segment across which F turns by less than
-    half a radian in phase and changes by less than half a unit in log
-    magnitude leaves the pool: the log|r| and arg r of its ratio
-    r = F(end) / F(start) that the test computed are its principal-value
-    log difference, and go into the sum. The others are bisected, with F
-    on all their midpoints from one call, which concentrates nodes
-    around zeros near the contour. An edge that still holds failing
-    segments after 40 rounds, or once it holds MAX_SAMPLES nodes, raises
-    AccuracyError. The sum is exact up to the no-phase-wrap resolution
-    of the partition.
+    The rectangle starts as one closed polyline, with uniform nodes only
+    where the contour can wind. On the line Im w = y >= 0,
+    |e^{2 i w tau}| = e^{-2 y tau} and the denominators d_pm =
+    i(w +- delta0) - gap of M have |d_pm| >= y + gap, so |r_s G_o| <=
+    r_s e^{-2 y tau} (1 + 2 Gamma / (y + gap)). Where that bound is below
+    1/2 the line is quiet: F stays in the disc |F - 1| < 1/2, arg F in
+    (-pi/6, pi/6), and no segment can hide a turn. A horizontal edge on
+    a quiet line is its two corners; otherwise it has 8 nodes per
+    delay turn, at least 1024 (AccuracyError beyond 2^20), and the
+    bottom edge also holds the clusters +-delta0 + max(gap, 1e-3
+    delta0) * linspace(-30, 30, 241) about the gain peaks, merged in
+    order. Each side keeps 256 nodes' spacing from the bottom up to the
+    first quiet node, and joins it to the top corner. F on all nodes
+    comes from one call. The segments share one pool, and each round
+    tests only the segments the last round made. A segment across
+    which F turns by less than half a radian in phase and changes by
+    less than half a unit in log magnitude leaves the pool: the log|r|
+    and arg r of its ratio r = F(end) / F(start) that the test computed
+    are its principal-value log difference, and go into the sum. The
+    others are bisected, with F on all their midpoints from one call,
+    which concentrates nodes around zeros near the contour. A contour
+    that still holds failing segments after 40 rounds, or once it holds
+    MAX_SAMPLES nodes, raises AccuracyError. The sum is exact up to the
+    no-phase-wrap resolution of the partition.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     turns = (re_hi - re_lo) * ifo.tau / math.pi
     if 8.0 * turns > 2**20:
         raise AccuracyError(f"the rectangle spans {turns:.3g} delay turns; "
                             f"8 samples per turn exceed {2**20}")
-    nodes = np.array([max(1024, int(8.0 * turns)), 256] * 2)  # per edge
-    corners = [re_lo + 1j * im_lo, re_hi + 1j * im_lo,
-               re_hi + 1j * im_hi, re_lo + 1j * im_hi, re_lo + 1j * im_lo]
-    w = np.concatenate([np.linspace(corners[k], corners[k + 1], n)
-                        for k, n in enumerate(nodes)])
+    side = np.linspace(im_lo, im_hi, 256)
+    # its ends are the horizontal edges' lines; the bound falls with y
+    quiet = (ifo.srm_amplitude_reflectivity * np.exp(-2.0 * ifo.tau * side)
+             * (1.0 + 2.0 * med.gamma_opt_total / (side + med.damping_gap))) < 0.5
+    uniform = np.linspace(re_lo, re_hi, max(1024, int(8.0 * turns)))
+    corners = np.array([re_lo, re_hi])
+    bottom, top = corners if quiet[0] else uniform, corners if quiet[-1] else uniform
+    if not quiet[0]:
+        width = max(med.damping_gap, 1e-3 * med.delta0)
+        peaks = (np.array([[-med.delta0], [med.delta0]]) + width * _PEAK_CLUSTER).ravel()
+        # a repeated node only adds a segment whose ratio is exactly 1
+        bottom = np.sort(np.concatenate([bottom, peaks[(peaks > re_lo) & (peaks < re_hi)]]))
+    # the quiet nodes are the last ones: keep those below the first of
+    # them, it, and the top corner
+    side = np.concatenate([side[:min(np.count_nonzero(~quiet), 254) + 1], side[-1:]])
+    w = np.concatenate([bottom + 1j * im_lo, re_hi + 1j * side[1:],
+                        top[-2::-1] + 1j * im_hi, re_lo + 1j * side[-2::-1]])
     f = _loop_denominator(ifo, med, w)
-    edge = np.arange(4).repeat(nodes)
-    inner = edge[1:] == edge[:-1]  # no segment joins two edges
-    a, b, fa, fb, owner = w[:-1][inner], w[1:][inner], f[:-1][inner], f[1:][inner], edge[1:][inner]
+    a, b, fa, fb = w[:-1], w[1:], f[:-1], f[1:]
+    nodes = w.size - 1
     total = 0j
     for rounds in range(41):
         ratio = fb / fa
         log_mod, arg = np.log(np.abs(ratio)), np.angle(ratio)
-        split = (np.abs(arg) >= 0.5) | (np.abs(log_mod) >= 0.5)
-        total += complex(log_mod[~split].sum(), arg[~split].sum())
+        split = np.maximum(np.abs(log_mod), np.abs(arg)) >= 0.5
         if not split.any():
-            return total
-        a, b, fa, fb, owner = (x[split] for x in (a, b, fa, fb, owner))
-        # a limit is rarely reached, so the per-edge test waits for it
-        if rounds == 40 or (nodes.max() >= MAX_SAMPLES
-                            and (nodes >= MAX_SAMPLES)[owner].any()):
+            return total + complex(log_mod.sum(), arg.sum())
+        total += complex(log_mod[~split].sum(), arg[~split].sum())
+        a, b, fa, fb = a[split], b[split], fa[split], fb[split]
+        if rounds == 40 or nodes >= MAX_SAMPLES:
             raise AccuracyError(
-                f"{owner.size} oracle segments still turn by half a radian or "
-                f"half a unit of log|F| after {rounds} rounds "
-                f"(nodes per edge {nodes.tolist()})")
-        nodes += np.bincount(owner, minlength=4)
+                f"{a.size} oracle segments still turn by half a radian or "
+                f"half a unit of log|F| after {rounds} rounds ({nodes} nodes)")
+        nodes += a.size
         mid = 0.5 * (a + b)
         f_mid = _loop_denominator(ifo, med, mid)
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         fa, fb = np.concatenate([fa, f_mid]), np.concatenate([f_mid, fb])
-        owner = np.concatenate([owner, owner])
 
 
 def root_count_oracle(ifo: IfoParams, med: MediumParams,

@@ -466,6 +466,21 @@ def test_nyquist_near_window_beyond_sample_cap(tmp_path, capsys):
     assert not (out / "nyquist.csv").exists()
 
 
+def test_nyquist_detuning_out_of_float_range(tmp_path, capsys):
+    # a short arm and eta near 1 give rates near 1e173, whose squared
+    # damping gap overflows while the detuning is solved at load
+    path = write_scenario(tmp_path, {
+        "detector": {**DETECTOR, "arm_length": 1e-150},
+        "medium": {"eta": 0.99999999, "xi": 0.4},
+    })
+    out = tmp_path / "out"
+    assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: medium: ") and "float range" in err
+    assert "Traceback" not in err
+    assert not (out / "nyquist.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------

@@ -393,13 +393,46 @@ def test_oracle_sample_cap_raises():
         root_count_oracle(IFO, BARE, rect=(-1e300, 1e300, 0.0, 1e4))
 
 
-def reference_edge_integral(ifo, med, start, stop, samples):
-    """Integral of d log F along one edge, bisecting the whole edge
-    array each round: the per-edge form the segment pool of
+def quiet_bound(ifo, med, y):
+    """Upper bound on |r_s G_o| along the line Im w = y >= 0."""
+    return (ifo.srm_amplitude_reflectivity * np.exp(-2.0 * ifo.tau * y)
+            * (1.0 + 2.0 * med.gamma_opt_total / (y + med.damping_gap)))
+
+
+def reference_edges(ifo, med, rect):
+    """The oracle's starting nodes, one array per edge in counterclockwise
+    order, each from corner to corner: a horizontal edge on a line where
+    the quiet bound is below 1/2 is its two corners, otherwise uniform
+    with 8 nodes per delay turn (at least 1024), the bottom one merged
+    with the clusters about +-delta0; a side keeps 256 nodes' spacing up
+    to its first quiet node, then joins the top corner."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    turns = (re_hi - re_lo) * ifo.tau / math.pi
+    uniform = np.linspace(re_lo, re_hi, max(1024, int(8 * turns)))
+    corners = np.array([re_lo, re_hi])
+    bottom = corners if quiet_bound(ifo, med, im_lo) < 0.5 else uniform
+    top = corners if quiet_bound(ifo, med, im_hi) < 0.5 else uniform
+    if bottom is uniform:
+        width = max(med.damping_gap, 1e-3 * med.delta0)
+        peaks = np.concatenate([sign * med.delta0 + width * np.linspace(-30.0, 30.0, 241)
+                                for sign in (-1.0, 1.0)])
+        bottom = np.sort(np.concatenate([uniform, peaks[(peaks > re_lo) & (peaks < re_hi)]]))
+    side = np.linspace(im_lo, im_hi, 256)
+    quiet = quiet_bound(ifo, med, side) < 0.5
+    if quiet.any():
+        side = np.append(side[:np.argmax(quiet) + 1], im_hi)
+    side = np.unique(side)
+    return [bottom + 1j * im_lo, re_hi + 1j * side, top[::-1] + 1j * im_hi,
+            re_lo + 1j * side[::-1]]
+
+
+def reference_edge_integral(ifo, med, w):
+    """Integral of d log F along one edge from the nodes w, bisecting the
+    whole edge array each round: the per-edge form the segment pool of
     stability._rectangle_integral replaced, kept here as its reference.
-    Returns the integral and the minimum |F|. An edge whose segments
-    still fail the test after 40 rounds, or once it holds MAX_SAMPLES
-    nodes, raises AccuracyError."""
+    Returns the integral, the minimum |F|, and the edge's segment count
+    at each round (the last one when no segment fails any more; 41
+    counts when segments still fail after round 40)."""
     rs, tau = ifo.srm_amplitude_reflectivity, ifo.tau
     gamma, base = med.gamma_opt_total, med.gamma_opt_total - med.gamma12
 
@@ -407,20 +440,19 @@ def reference_edge_integral(ifo, med, start, stop, samples):
         m = 1.0 - gamma / (1j * (w + med.delta0) + base) - gamma / (1j * (w - med.delta0) + base)
         return 1.0 - rs * np.exp(2j * w * tau) * m
 
-    w = np.linspace(start, stop, samples)
     f = loop_denominator(w)
-    for rounds in range(41):
+    segments = []
+    for _ in range(41):
+        segments.append(w.size - 1)
         ratio = f[1:] / f[:-1]
         big = (np.abs(np.angle(ratio)) >= 0.5) | (np.abs(np.log(np.abs(ratio))) >= 0.5)
         if not big.any():
-            break
-        if rounds == 40 or w.size >= stability.MAX_SAMPLES:
-            raise AccuracyError(f"edge unresolved after {rounds} rounds, {w.size} nodes")
+            return complex(np.log(f[1:] / f[:-1]).sum()), float(np.abs(f).min()), segments
         idx = np.nonzero(big)[0]
         w_mid = 0.5 * (w[idx] + w[idx + 1])
         w = np.insert(w, idx + 1, w_mid)
         f = np.insert(f, idx + 1, loop_denominator(w_mid))
-    return complex(np.log(f[1:] / f[:-1]).sum()), float(np.abs(f).min())
+    return None, float(np.abs(f).min()), segments
 
 
 def default_rect(ifo, med):
@@ -430,24 +462,23 @@ def default_rect(ifo, med):
     return -omega_max, omega_max, 0.0, height
 
 
-def reference_root_count(ifo, med):
-    """(zero count or exception type, raw integral) over the oracle's
-    default rectangle, one edge at a time; the integral is None when an
-    edge reached a limit."""
-    re_lo, re_hi, im_lo, im_hi = default_rect(ifo, med)
-    corners = [re_lo + 1j * im_lo, re_hi + 1j * im_lo,
-               re_hi + 1j * im_hi, re_lo + 1j * im_hi]
-    turns = (re_hi - re_lo) * ifo.tau / math.pi
-    n_horiz = int(min(max(1024, 8 * turns), 2**20))
-    total, min_f = 0j, math.inf
-    for k in range(4):
-        try:
-            value, edge_min = reference_edge_integral(
-                ifo, med, corners[k], corners[(k + 1) % 4], n_horiz if k % 2 == 0 else 256)
-        except AccuracyError:
-            return AccuracyError, None
-        total += value
+def reference_root_count(ifo, med, rect, max_samples):
+    """(zero count or exception type, raw integral) over rect, one edge
+    at a time; the integral is None when the contour reached a limit:
+    segments still failing after 40 rounds, or at a failing round whose
+    four edges hold max_samples segments in all (the closed contour has
+    as many nodes as segments)."""
+    total, min_f, rounds = 0j, math.inf, []
+    for w in reference_edges(ifo, med, rect):
+        value, edge_min, segments = reference_edge_integral(ifo, med, w)
+        rounds.append(segments)
         min_f = min(min_f, edge_min)
+        total = None if value is None or total is None else total + value
+    for r in range(max(map(len, rounds)) - 1):
+        if sum(seg[min(r, len(seg) - 1)] for seg in rounds) >= max_samples:
+            return AccuracyError, None
+    if total is None:
+        return AccuracyError, None
     if min_f < 1e-9:
         return MarginalStabilityError, total
     count = total / (2j * math.pi)
@@ -457,13 +488,59 @@ def reference_root_count(ifo, med):
     return nearest, total
 
 
-@pytest.mark.parametrize("max_samples", [stability.MAX_SAMPLES, 1100])
+def pool_outcome(ifo, med, rect):
+    """The oracle's count, or the type of the error it raises."""
+    try:
+        return root_count_oracle(ifo, med, rect)
+    except (AccuracyError, MarginalStabilityError) as exc:
+        return type(exc)
+
+
+class StartingNodes(Exception):
+    """Carries the nodes of the oracle's first evaluation of F."""
+
+
+def starting_nodes(ifo, med, rect):
+    """The closed polyline the pool starts from: its first F call's nodes."""
+    def capture(ifo, med, w):
+        raise StartingNodes(w)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "_loop_denominator", capture)
+        with pytest.raises(StartingNodes) as info:
+            stability._rectangle_integral(ifo, med, rect)
+    return info.value.args[0]
+
+
+def check_pool_against_reference(ifo, med, rect, max_samples):
+    """The pool starts from the reference's nodes, and the two give the
+    same count or error and the same integral to 1e-12 turns; a contour
+    that reached a limit raises AccuracyError rather than summing its
+    failing segments."""
+    edges = reference_edges(ifo, med, rect)
+    closed = np.concatenate([edges[0]] + [edge[1:] for edge in edges[1:]])
+    assert np.array_equal(starting_nodes(ifo, med, rect), closed)
+    expected, total = reference_root_count(ifo, med, rect, max_samples)
+    outcome = pool_outcome(ifo, med, rect)
+    assert outcome == expected
+    if total is None:
+        with pytest.raises(AccuracyError, match="still turn"):
+            stability._rectangle_integral(ifo, med, rect)
+    else:
+        raw = stability._rectangle_integral(ifo, med, rect)
+        assert abs(raw - total) / (2.0 * math.pi) <= 1e-12
+    return outcome
+
+
+@pytest.mark.parametrize("max_samples", [stability.MAX_SAMPLES, 1700])
 def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
     # the pool bisects the same segments in the same rounds as the
     # per-edge form, so the nodes are the same and only the order of
-    # summation differs; a cap of 1100 stops the real-axis edges (1024
-    # start nodes) mid-refinement on both sides, which then raise
-    # AccuracyError instead of summing segments that still fail the test
+    # summation differs. These contours start with 1,518 to 1,542 nodes
+    # (the real edge alone holds 1,506); at rs^2 0.9 a round that still
+    # fails holds 1,758 or more, at 0.8 and 0.5 at most 1,648, so a cap
+    # of 1700 stops every rs^2 0.9 contour mid-refinement, which then
+    # raises AccuracyError instead of summing segments that still fail
     monkeypatch.setattr(stability, "MAX_SAMPLES", max_samples)
     outcomes = []
     repeated = 0
@@ -479,26 +556,98 @@ def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
                 continue
             for rs2 in (0.5, 0.8, 0.9):
                 ifo = IFO.with_power_reflectivity(rs2)
-                expected, total = reference_root_count(ifo, med)
-                try:
-                    outcome = root_count_oracle(ifo, med)
-                except (AccuracyError, MarginalStabilityError) as exc:
-                    outcome = type(exc)
-                assert outcome == expected
-                outcomes.append(outcome)
-                if total is None:
-                    with pytest.raises(AccuracyError, match="still turn"):
-                        stability._rectangle_integral(ifo, med, default_rect(ifo, med))
-                    continue
-                raw = stability._rectangle_integral(ifo, med, default_rect(ifo, med))
-                assert abs(raw - total) / (2.0 * math.pi) <= 1e-12
+                outcomes.append(check_pool_against_reference(
+                    ifo, med, default_rect(ifo, med), max_samples))
     assert repeated >= 1 and len(outcomes) == 36
-    if max_samples == 1100:
-        # every rs^2 0.8 and 0.9 configuration reaches the cap; summed
-        # as they stood, 3 of them counted 0 zeros where there are 2
-        assert outcomes.count(AccuracyError) == 24
+    if max_samples == 1700:
+        assert outcomes.count(AccuracyError) == 12
     else:
         assert AccuracyError not in outcomes and {0, 1, 2} <= set(outcomes)
+
+
+# the three cells of tests/test_high_reflectivity.py: rs^2, eta, xi
+HIGH_REFLECTIVITY = [(0.99, 0.865, 0.0026588446), (0.995, 0.86, 0.0013796037),
+                     (0.997, 0.5888363636, 0.0024618032)]
+
+
+def quiet_media():
+    """(ifo, medium) of every KNOWN_VERDICTS row and high-reflectivity cell."""
+    for eta, xi, root, rs2, _ in KNOWN_VERDICTS:
+        yield IFO.with_power_reflectivity(rs2), wlc_medium(eta, xi, root)
+    for rs2, eta, xi in HIGH_REFLECTIVITY:
+        ifo = reference_detector(rs2)
+        gamma12, gamma_opt = map_eta_xi(eta, xi, ifo.tau)
+        yield ifo, MediumParams(gamma12, gamma_opt,
+                                solve_detuning(gamma12, gamma_opt, ifo.tau)[-1])
+
+
+@pytest.mark.parametrize("ifo,med", list(quiet_media()))
+def test_quiet_edges_cannot_wind(ifo, med):
+    # where the oracle starts from corners only, the default top edge
+    # and each side above its first quiet node, |r_s G_o| sampled densely
+    # stays below its bound and below 1/2, so no segment there can hide
+    # a turn of F = 1 - r_s G_o
+    re_lo, re_hi, _, im_hi = rect = default_rect(ifo, med)
+    _, side, top, _ = reference_edges(ifo, med, rect)
+    assert top.size == 2 and side.size < 256
+    y_quiet = np.linspace(side[-2].imag, im_hi, 20_001)
+    for w in (np.linspace(re_lo, re_hi, 200_001) + 1j * im_hi,
+              re_hi + 1j * y_quiet, re_lo + 1j * y_quiet):
+        gain = ifo.srm_amplitude_reflectivity * np.abs(open_loop_gain(ifo, med, w))
+        assert np.all(gain <= quiet_bound(ifo, med, w.imag)) and gain.max() < 0.5
+    # below the first quiet node the bound does not hold the gain down
+    assert quiet_bound(ifo, med, side[-3].imag) >= 0.5
+
+
+@pytest.mark.parametrize("eta,xi,root,rs2,height,zeros", [
+    # a low top edge, where the gain can exceed 1/2, keeps uniform nodes;
+    # the zero of this medium lies above it
+    (0.4, 0.4, "smaller", 0.8, 0.003, 0),
+    # the pair of zeros of this medium lies below it
+    (0.4, 0.1, "larger", 0.8, 0.003, 2),
+    # a raised bottom edge on a quiet line starts from its corners
+    (0.4, 0.1, "larger", 0.8, -0.1, 0),
+])
+def test_custom_rectangle_matches_per_edge_reference(eta, xi, root, rs2, height, zeros):
+    ifo = IFO.with_power_reflectivity(rs2)
+    med = wlc_medium(eta, xi, root)
+    re_lo, re_hi, _, im_hi = default_rect(ifo, med)
+    # height > 0: the top edge at that share of the default height;
+    # height < 0: the bottom edge at minus that share
+    rect = ((re_lo, re_hi, 0.0, height * im_hi) if height > 0
+            else (re_lo, re_hi, -height * im_hi, im_hi))
+    quiet = quiet_bound(ifo, med, np.array(rect[2:])) < 0.5
+    assert quiet.tolist() == ([False, False] if height > 0 else [True, True])
+    assert check_pool_against_reference(ifo, med, rect, stability.MAX_SAMPLES) == zeros
+
+
+# Configurations of the benchmark's stability gate (reference detector,
+# larger detuning root) where a real-edge seeding of 8 nodes per delay
+# turn missed zeros within 2 to 35 rad/s of the real axis: six of the 26
+# seed-0 cells at which the count read 1 against a winding of 0, and the
+# three seed-1 cells at rs^2 0.5 whose upper-half-plane pair of zeros
+# (imaginary parts +2.0, +17.6 and +34.8) it did not count
+GATE_CELLS = [
+    # eta, xi, rs^2, winding
+    (0.21591836734693876, 0.11795918367346939, 0.9, 0),
+    (0.25510204081632654, 0.13755102040816325, 0.8, 0),
+    (0.2746938775510204, 0.13755102040816325, 0.8, 0),
+    (0.43142857142857144, 0.09836734693877551, 0.9, 0),
+    (0.6469387755102041, 0.05918367346938776, 0.9, 0),
+    (0.7057142857142857, 0.05918367346938776, 0.9, 0),
+    (0.3067140749866919, 0.01283652396628378, 0.5, 2),
+    (0.3263059117213858, 0.01283652396628378, 0.5, 2),
+    (0.3458977484560797, 0.01283652396628378, 0.5, 2),
+]
+
+
+@pytest.mark.parametrize("eta,xi,rs2,winding", GATE_CELLS)
+def test_oracle_counts_the_winding_near_the_axis(eta, xi, rs2, winding):
+    ifo = IFO.with_power_reflectivity(rs2)
+    med = wlc_medium(eta, xi, "larger")
+    report = classify_system(ifo, med)
+    assert report.winding == winding
+    assert root_count_oracle(ifo, med) == report.winding
 
 
 @pytest.mark.parametrize("rs2,grid_points", [
