@@ -112,7 +112,10 @@ def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float) -> int:
         raise ScenarioError(f"detector.arm_length: {exc}") from None
     if report.classification not in (Classification.ATOMIC_INSTABILITY,
                                      Classification.NON_STATIONARY):
-        contour = nyquist_contour(ifo, med)
+        try:
+            contour = nyquist_contour(ifo, med)
+        except AccuracyError as exc:  # a contour whose refinement does not end
+            raise ScenarioError(f"detector.arm_length, medium: {exc}") from None
         rows = [[_fmt(z.real), _fmt(z.imag)] for z in contour]
         _write_csv(out_dir / "nyquist.csv", ["re", "im"], rows)
         print(f"wrote {out_dir / 'nyquist.csv'} ({len(rows)} points)")
@@ -173,7 +176,10 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, threads: int,
     spec = replace(scenario.sweep, margin=margin)
     cores = os.cpu_count() or 1
     workers = min(threads, cores) if threads > 0 else cores
-    grid = run_sweep(spec, scenario.detector, workers=workers)
+    try:
+        grid = run_sweep(spec, scenario.detector, workers=workers)
+    except OverflowError as exc:
+        raise ScenarioError(f"sweep: {exc}") from None
     summary = _sweep_tables(grid, out_dir)
     summary_path = out_dir / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")

@@ -37,7 +37,6 @@ __all__ = [
     "round_trip_phase",
     "solve_detuning",
     "map_eta_xi",
-    "eta_xi_of",
 ]
 
 
@@ -263,12 +262,3 @@ def map_eta_xi(eta: float, xi: float, tau: float) -> tuple[float, float]:
     gamma12 = xi / (8.0 * tau * (1.0 - eta) ** 2)
     return gamma12, eta * gamma12
 
-
-def eta_xi_of(gamma12: float, gamma_opt_total: float,
-              tau: float) -> tuple[float, float]:
-    """Survey coordinates (eta, xi) of a rate pair; inverse of map_eta_xi."""
-    if gamma12 <= 0.0 or tau <= 0.0:
-        raise ValueError("gamma12 and tau must be positive")
-    eta = gamma_opt_total / gamma12
-    xi = 8.0 * (gamma12 - gamma_opt_total) ** 2 * tau / gamma12
-    return eta, xi

@@ -1,7 +1,7 @@
 """Shared numeric utilities.
 
-Adaptive Simpson quadrature, central finite differences, and
-winding-number accumulation for closed contours. Everything here is a
+Adaptive Simpson quadrature, central finite differences, and the
+turning angle of a closed polyline about a point. Everything here is a
 pure function of its inputs.
 """
 
@@ -19,7 +19,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_adaptive",
     "derivative_central",
-    "winding_number",
     "accumulate_winding",
 ]
 
@@ -159,7 +158,7 @@ def derivative_central(f: Callable[[float], float], x: float, step: float) -> fl
 
 
 # ---------------------------------------------------------------------------
-# winding numbers
+# turning angle of a closed polyline
 # ---------------------------------------------------------------------------
 
 def _as_closed(points: Sequence[complex]) -> np.ndarray:
@@ -171,83 +170,21 @@ def _as_closed(points: Sequence[complex]) -> np.ndarray:
     return z
 
 
-def _segment_distances(z: np.ndarray, point: complex) -> np.ndarray:
-    """Distance from `point` to each segment of the polyline z."""
-    a = z[:-1]
-    seg = z[1:] - a
-    seg_len2 = np.abs(seg) ** 2
-    # parameter of the orthogonal projection, clamped to the segment
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.real((point - a) * np.conj(seg)) / np.where(seg_len2 > 0.0, seg_len2, 1.0)
-    t = np.clip(np.where(seg_len2 > 0.0, t, 0.0), 0.0, 1.0)
-    return np.abs(a + t * seg - point)
-
-
-def accumulate_winding(points: Sequence[complex], point: complex) -> tuple[float, float]:
+def accumulate_winding(points: Sequence[complex], point: complex) -> float:
     """Total turning angle of a closed polyline about `point`.
 
-    Returns (total_angle, min_distance), the distance taken over the
-    segments, which on a closed curve cover every vertex. Each segment
-    contributes the principal-value increment of arg(z - point);
-    segments subtending at least pi/2 are the caller's responsibility
-    to refine.
+    The polyline is closed implicitly (last point joins back to the
+    first). Each segment contributes the principal-value increment of
+    arg(z - point); segments subtending at least pi/2 are the caller's
+    responsibility to refine. The winding count is the angle over
+    2 pi, rounded. Raises MarginalStabilityError when a point is
+    `point` itself.
     """
     z = _as_closed(points)
     w = z - point
     if np.any(w == 0):
         raise MarginalStabilityError("curve passes exactly through the reference point")
-    inc = np.angle(w[1:] / w[:-1])
-    return float(inc.sum()), float(_segment_distances(z, point).min())
-
-
-def winding_number(curve: Sequence[complex], point: complex) -> int:
-    """Signed winding count of a closed curve about `point` (CCW positive).
-
-    The curve is given as an ordered list of points and closed
-    implicitly (last joins back to first).
-
-    Raises MarginalStabilityError when the curve passes through `point`
-    within 1e-12 relative to the curve extent.
-    """
-    z = _as_closed(curve)
-    scale = float(np.abs(z - point).max())
-    total, dist = accumulate_winding(z, point)
-    if dist <= 1e-12 * max(scale, 1e-300):
-        raise MarginalStabilityError(
-            f"curve passes within {dist:.3e} of the reference point")
-    return int(round(total / (2.0 * math.pi)))
-
-
-def _refine_curve(z: np.ndarray, t: np.ndarray,
-                  producer: Callable[[np.ndarray], np.ndarray], point: complex,
-                  near_distance: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Bisect curve segments until angle increments about `point` are
-    below pi/2, for at most 48 rounds.
-
-    Segments are also refined when they pass within near_distance of
-    `point` while still longer than a tenth of that distance, which
-    guards against stepping straight over a tight loop.
-    """
-    for _ in range(48):
-        w = z - point
-        if np.any(w == 0):
-            raise MarginalStabilityError(
-                "curve passes exactly through the reference point")
-        inc = np.abs(np.angle(w[1:] / w[:-1]))
-        flag = inc >= 0.5 * math.pi
-        if near_distance > 0.0:
-            flag |= ((_segment_distances(z, point) <= near_distance)
-                     & (np.abs(np.diff(z)) > 0.1 * near_distance))
-        dt = t[1:] - t[:-1]
-        flag &= dt > 1e-15 * max(abs(t[-1] - t[0]), 1.0)
-        if not flag.any():
-            break
-        idx = np.nonzero(flag)[0]
-        t_mid = 0.5 * (t[idx] + t[idx + 1])
-        z_mid = _produce(producer, t_mid, complex)
-        t = np.insert(t, idx + 1, t_mid)
-        z = np.insert(z, idx + 1, z_mid)
-    return z, t
+    return float(np.angle(w[1:] / w[:-1]).sum())
 
 
 def _produce(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,

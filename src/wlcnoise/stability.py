@@ -14,18 +14,20 @@ search with closed-form derivatives. The closed forms and the sampler
 are elementwise, and one routine, _verdicts, takes the verdicts of
 many configurations (a survey row) from a few array calls;
 classify_system is its call on one configuration. nyquist_contour
-samples the whole contour for output and as a reference. An independent
+samples the whole contour for output and as a reference, bisecting it
+wherever a segment turns by pi/2 or more about (1, 0). An independent
 argument-principle oracle counts the same zeros by integrating the
 logarithmic derivative of 1 - r_s G_o around a rectangle in the upper
-half plane. It seeds nodes only where F can turn: where a closed-form
-bound keeps |r_s G_o| below 1/2, a stretch of edge is one segment, and
-the real edge also holds clusters at the gain peaks +-delta0, where
-zeros close to the axis would otherwise hide a whole turn between two
-nodes. The rectangle is one closed polyline whose segments share one
-pool: each round tests only the halves the last bisection made,
-evaluates F on all new midpoints in one call, and adds the log modulus
-and phase of each passing segment's ratio, which its test already
-computed, to the sum.
+half plane. Both references take their frequency range from one place,
+_omega_range, which passes the gain window. The oracle seeds nodes
+only where F can turn: where a closed-form bound keeps |r_s G_o| below
+1/2, a stretch of edge is one segment, and the real edge also holds
+clusters at the gain peaks +-delta0, where zeros close to the axis
+would otherwise hide a whole turn between two nodes. The rectangle is
+one closed polyline whose segments share one pool: each round tests
+only the halves the last bisection made, evaluates F on all new
+midpoints in one call, and adds the log modulus and phase of each
+passing segment's ratio, which its test already computed, to the sum.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from . import medium as med_mod
 from .errors import AccuracyError, MarginalStabilityError, MediumNotStationaryError
 from .interferometer import IfoParams, open_loop_gain
 from .medium import MediumClass, MediumParams
-from .numerics import _refine_curve
+from .numerics import _produce
 
 __all__ = [
     "Classification",
@@ -56,7 +58,7 @@ __all__ = [
 CRITICAL_POINT = 1.0 + 0.0j
 MARGINAL_ERROR_DISTANCE = 1e-9
 MARGINAL_FLAG_DISTANCE = 1e-6
-REFINE_NEAR_DISTANCE = 0.1
+NEAR_DISTANCE = 0.1  # the closest approach is searched where |F| may be below it
 MAX_SAMPLES = 2**22  # per sampled near window, and per oracle contour
 _PEAK_OFFSETS = np.arange(-30.0, 31.0)  # np.linspace(-30, 30, 61), exactly
 _PEAK_CLUSTER = np.linspace(-30.0, 30.0, 241)  # gain-peak offsets, in widths
@@ -148,36 +150,74 @@ def _closed_contour(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, down, up, mirrored])
 
 
+def _omega_range(ifo: IfoParams, med: MediumParams) -> float:
+    """Upper end of the frequency range both contour references cover.
+
+    default_omega_max, or twice the upper end hi of the gain window
+    |r_s G_o| > 1 when the window reaches that limit. For omega >=
+    omega_max >= 50 max(delta0, Gamma), |M| <= 1 + 2 Gamma / (omega -
+    delta0), which falls with omega; where r_s times that bound at
+    omega_max is below 1 the window ends before omega_max, and it is
+    not computed.
+    """
+    omega_max = default_omega_max(med, ifo.tau)
+    bound = 1.0 + 2.0 * med.gamma_opt_total / (omega_max - med.delta0)
+    if ifo.srm_amplitude_reflectivity * bound >= 1.0:
+        hi = float(_gain_window(_Loop.of(ifo, med), 1.0)[1])
+        if hi >= omega_max:
+            return 2.0 * hi
+    return omega_max
+
+
+def _refine_curve(producer: Callable[[np.ndarray], np.ndarray],
+                  t: np.ndarray) -> np.ndarray:
+    """The polyline producer(t), bisected until every segment turns by
+    less than pi/2 about (1, 0).
+
+    Raises AccuracyError when segments still turn that far after 48
+    rounds, or once the parameter step of one reaches roundoff, 1e-15
+    of the parameter range; MarginalStabilityError when a node is
+    (1, 0) itself.
+    """
+    z = _produce(producer, t, complex)
+    resolution = 1e-15 * max(abs(t[-1] - t[0]), 1.0)
+    for rounds in range(49):
+        w = z - CRITICAL_POINT
+        if np.any(w == 0):
+            raise MarginalStabilityError(
+                "curve passes exactly through the reference point")
+        idx = np.flatnonzero(np.abs(np.angle(w[1:] / w[:-1])) >= 0.5 * math.pi)
+        if not idx.size:
+            return z
+        if rounds == 48 or (t[idx + 1] - t[idx]).min() <= resolution:
+            raise AccuracyError(
+                f"{idx.size} contour segments still turn by pi/2 or more about "
+                f"(1, 0) after {rounds} rounds ({z.size} nodes)")
+        t_mid = 0.5 * (t[idx] + t[idx + 1])
+        t = np.insert(t, idx + 1, t_mid)
+        z = np.insert(z, idx + 1, _produce(producer, t_mid, complex))
+
+
 def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
     """Closed image of r_s G_o along the real axis plus the closing arc.
 
-    Samples omega in [0, default_omega_max], extended to twice the upper
-    end of the gain window |r_s G_o| > 1 when the window reaches that
-    limit. Beyond the window |r_s G_o| < 1, so the dropped tail and the
-    closing chord through the origin cannot wind about (1, 0). Sampling
-    is refined wherever the turning angle about (1, 0) per segment
-    reaches pi/2 or a segment passes within 0.1 of (1, 0). Requires a
-    stationary medium, whose response poles then lie in the lower half
-    plane. The returned polyline starts and ends at the omega = 0 point
-    (real) and is traversed with omega increasing.
+    Samples omega in [0, _omega_range]. Beyond that range |r_s G_o| < 1,
+    so the dropped tail and the closing chord through the origin cannot
+    wind about (1, 0). Sampling is refined wherever the turning angle
+    about (1, 0) per segment reaches pi/2 (AccuracyError where that
+    does not end). Requires a stationary medium, whose response poles
+    then lie in the lower half plane. The returned polyline starts and
+    ends at the omega = 0 point (real) and is traversed with omega
+    increasing.
     """
     if med_mod.classify_medium(med) is not MediumClass.STATIONARY:
         raise MediumNotStationaryError(
             "Nyquist contour requires a stationary medium")
     _require_damped(med)
-    omega_max = default_omega_max(med, ifo.tau)
-    hi = float(_gain_window(_Loop.of(ifo, med), 1.0)[1])
-    if hi >= omega_max:
-        omega_max = 2.0 * hi
-    omegas = _base_grid(med, ifo.tau, omega_max)
+    omegas = _base_grid(med, ifo.tau, _omega_range(ifo, med))
     rs = ifo.srm_amplitude_reflectivity
-
-    def producer(w):
-        return rs * open_loop_gain(ifo, med, w)
-
-    half, _ = _refine_curve(producer(omegas), omegas, producer, CRITICAL_POINT,
-                            near_distance=REFINE_NEAR_DISTANCE)
-    return _closed_contour(half)
+    return _closed_contour(_refine_curve(
+        lambda w: rs * open_loop_gain(ifo, med, w), omegas))
 
 
 class _Loop(NamedTuple):
@@ -413,7 +453,7 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float =
         return verdicts
     loop = _Loop.stack([_Loop.of(*configs[i]) for i in looped])
     # the closest approach is searched where |r_s G_o| is above this level
-    level = np.maximum(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
+    level = np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
     (near_lo, gain_lo), (near_hi, gain_hi) = _gain_window(
         loop, np.stack([level, np.ones_like(level)]))
     dist = _closest_approach(loop, near_lo, near_hi, level)
@@ -557,17 +597,17 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
     rectangle edges (_rectangle_integral); the result must land within
     0.01 of a nonnegative integer, and the telescoping real part of the
     closed log integral must vanish. A sample with |F| < 1e-9 raises
-    MarginalStabilityError. Independent from the Nyquist contour
-    machinery.
+    MarginalStabilityError. The count is independent from the Nyquist
+    contour machinery; only the default range is shared.
 
     rect is (re_lo, re_hi, im_lo, im_hi), finite; the default covers
-    [-omega_max, omega_max] x [0, 10 max-rate].
+    [-omega_max, omega_max] x [0, 10 max-rate], omega_max the range of
+    nyquist_contour (_omega_range).
     """
     _require_damped(med)
-    tau = ifo.tau
     if rect is None:
-        omega_max = default_omega_max(med, tau)
-        height = 10.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / tau)
+        omega_max = _omega_range(ifo, med)
+        height = 10.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / ifo.tau)
         rect = (-omega_max, omega_max, 0.0, height)
     if not all(map(math.isfinite, rect)):
         raise ValueError(f"rect {rect} must be finite")

@@ -254,7 +254,12 @@ def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]
     media = []
     for xi in spec.xi_grid:
         gamma12, gamma_opt = map_eta_xi(eta, xi, ifo.tau)
-        roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
+        try:
+            roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
+        except OverflowError:
+            raise OverflowError(
+                f"the phase-cancellation detuning at eta={eta}, xi={xi} leaves the "
+                f"float range for the detector's delay tau={ifo.tau:.3g} s") from None
         labeled = _labeled_roots(roots, spec.root_choice)
         # a repeated root carries both labels; it is evaluated once
         meds = {delta0: MediumParams(gamma12, gamma_opt, delta0) for _, delta0 in labeled}
@@ -292,9 +297,10 @@ def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
     MarginalStabilityError from the stability verdict (status optical,
     flagged marginal, with the message as note) and an AccuracyError
     from the rho_r integral (the best estimate, with a note). Any other
-    exception in a row aborts the sweep. Raises ZeroSignalError before
-    any cell is computed when the readout carries no signal, since no
-    strain noise could be integrated.
+    exception in a row aborts the sweep: an OverflowError from a cell's
+    detuning solve names the cell's eta and xi. Raises ZeroSignalError
+    before any cell is computed when the readout carries no signal,
+    since no strain noise could be integrated.
     """
     if not ifo.reads_signal:
         raise ZeroSignalError(

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import wlcnoise
-from wlcnoise import survey
+from wlcnoise import cli, survey
 from wlcnoise.cli import main
+from wlcnoise.errors import AccuracyError
 from wlcnoise.medium import MediumParams, map_eta_xi, solve_detuning
 from wlcnoise.scenario import ScenarioError, load_scenario
 from wlcnoise.survey import default_grid
@@ -481,9 +482,42 @@ def test_nyquist_detuning_out_of_float_range(tmp_path, capsys):
     assert not (out / "nyquist.csv").exists()
 
 
+def test_nyquist_contour_accuracy_error_by_field(tmp_path, capsys, monkeypatch):
+    # a contour whose refinement does not end fails by field, with no
+    # traceback and no nyquist.csv
+    def unresolved(ifo, med):
+        raise AccuracyError("3 contour segments still turn by pi/2 or more")
+
+    monkeypatch.setattr(cli, "nyquist_contour", unresolved)
+    path = write_scenario(tmp_path, _nyquist_doc(0.5))
+    out = tmp_path / "out"
+    assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector.arm_length, medium: 3 contour segments")
+    assert not (out / "nyquist.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", ["1", "0"])
+def test_sweep_detuning_out_of_float_range(tmp_path, capsys, threads):
+    # the scenario loads and the eta = 0.5 row computes (rates near
+    # 1e151), but the detuning of the eta = 0.99999999 row overflows
+    # while the sweep runs; the sweep fails naming that cell
+    path = write_scenario(tmp_path, {
+        "detector": {**DETECTOR, "arm_length": 1e-144},
+        "sweep": {"eta": [0.5, 0.99999999], "xi": [0.4],
+                  "srm_power_reflectivities": [0.5]},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out),
+                 "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep: ") and "eta=0.99999999, xi=0.4" in err
+    assert "float range" in err and "Traceback" not in err
+    assert not list(out.iterdir())
 
 def test_sweep_single_cell(tmp_path):
     path = write_scenario(tmp_path, {
@@ -722,6 +756,9 @@ def test_shipped_nyquist_scenario(tmp_path, capsys):
     first, last = ([float(row["re"]), float(row["im"])]
                    for row in (rows[0], rows[-1]))
     assert first == last  # closed at the omega = 0 point
+    # every written segment turns by less than pi/2 about (1, 0)
+    w = np.array([complex(float(row["re"]), float(row["im"])) for row in rows]) - 1.0
+    assert np.abs(np.angle(w[1:] / w[:-1])).max() < 0.5 * math.pi
 
 
 def test_shipped_survey_scenario_parses():

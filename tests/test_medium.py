@@ -12,7 +12,6 @@ from wlcnoise.medium import (
     MediumParams,
     NoiseModel,
     classify_medium,
-    eta_xi_of,
     map_eta_xi,
     noise_coefficients,
     probe_transfer,
@@ -366,7 +365,9 @@ def test_map_eta_xi_example():
 @given(st.floats(0.01, 0.99), st.floats(0.01, 1.0), st.floats(0.01, 100.0))
 def test_map_eta_xi_round_trip(eta, xi, tau):
     gamma12, gamma_opt = map_eta_xi(eta, xi, tau)
-    eta_back, xi_back = eta_xi_of(gamma12, gamma_opt, tau)
+    # the inverse map: eta = Gamma / gamma12, xi = 8 (gamma12 - Gamma)^2 tau / gamma12
+    eta_back = gamma_opt / gamma12
+    xi_back = 8.0 * (gamma12 - gamma_opt) ** 2 * tau / gamma12
     assert eta_back == pytest.approx(eta, rel=1e-12)
     assert xi_back == pytest.approx(xi, rel=1e-12)
 

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
 from wlcnoise.medium import solve_detuning
-from wlcnoise.numerics import (
-    _refine_curve,
-    accumulate_winding,
-    derivative_central,
-    integrate_adaptive,
-    winding_number,
-)
+from wlcnoise.numerics import accumulate_winding, derivative_central, integrate_adaptive
+from wlcnoise.stability import _refine_curve
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +234,11 @@ def _circle(n, turns=1.0, radius=1.0, center=0j):
     return center + radius * np.exp(1j * t)
 
 
+def winding_number(curve, point):
+    """Winding count of a closed polyline about point, from its turning angle."""
+    return round(accumulate_winding(curve, point) / (2.0 * math.pi))
+
+
 def test_winding_unit_circle():
     assert winding_number(_circle(64), 0.0) == 1
 
@@ -272,22 +272,26 @@ def test_winding_on_curve_raises():
 
 
 def test_winding_producer_refinement():
-    # three base points cannot resolve the circle; the producer can
-    producer = lambda t: np.exp(1j * t)
+    # three base points cannot resolve a circle about (1, 0); the
+    # producer can
+    producer = lambda t: 1.0 + 0.5 * np.exp(1j * t)
     params = np.array([0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0,
                        2.0 * math.pi])
-    curve, _ = _refine_curve(producer(params), params, producer, 0.0)
-    total, _ = accumulate_winding(curve, 0.0)
-    assert total == pytest.approx(2.0 * math.pi, rel=1e-12)
+    curve = _refine_curve(producer, params)
+    assert accumulate_winding(curve, 1.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
 def test_refine_curve_requires_vectorized_producer():
     params = np.linspace(0.0, 2.0 * math.pi, 4)
     with pytest.raises(ValueError, match="shape"):
-        _refine_curve(np.exp(1j * params), params, lambda t: 1.0 + 0.0j, 0.0)
+        _refine_curve(lambda t: 1.0 + 0.0j, params)
 
 
-def test_accumulate_winding_distance():
-    total, dist = accumulate_winding(_circle(256), 0.0)
-    assert total == pytest.approx(2.0 * math.pi, rel=1e-9)
-    assert dist == pytest.approx(math.cos(math.pi / 256), rel=1e-6)
+@pytest.mark.parametrize("nodes", [2, 4097])
+def test_refine_curve_raises_where_refinement_cannot_end(nodes):
+    # z - 1 flips sign at t = 1/3, so the segment across it turns by pi
+    # however short it gets: from 2 nodes it still does after 48 rounds,
+    # from 4097 its step reaches roundoff first
+    producer = lambda t: np.where(t < 1.0 / 3.0, 0.0, 2.0) + 0j
+    with pytest.raises(AccuracyError, match="still turn by pi/2"):
+        _refine_curve(producer, np.linspace(0.0, 1.0, nodes))

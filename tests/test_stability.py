@@ -17,9 +17,9 @@ from wlcnoise.medium import (
     probe_transfer,
     solve_detuning,
 )
-from wlcnoise.numerics import winding_number
+from wlcnoise.numerics import accumulate_winding
 from wlcnoise.stability import (
-    REFINE_NEAR_DISTANCE,
+    NEAR_DISTANCE,
     Classification,
     classify_system,
     _closest_approach,
@@ -143,7 +143,7 @@ def test_report_fields():
     lo, hi = report.omega_range_used
     assert 0.0 <= lo < hi < default_omega_max(med, IFO.tau)
     rs = IFO.srm_amplitude_reflectivity
-    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
+    level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + rs))
     ends = np.abs(rs * open_loop_gain(IFO, med, np.array([lo, hi])))
     if lo == 0.0:
         assert ends[0] >= level
@@ -159,7 +159,7 @@ def test_report_fields_empty_near_window():
     report = classify_system(IFO, BARE)
     assert report.omega_range_used == (0.0, 0.0)
     rs = IFO.srm_amplitude_reflectivity
-    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
+    level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + rs))
     assert report.min_distance_to_critical == pytest.approx(1.0 - level)
     assert report.stable
 
@@ -186,7 +186,7 @@ def dense_closest_approach(ifo, med, samples=200_001, rounds=4):
     is then zoomed by resampling 1001 points across its two neighbours.
     Used only here, as the oracle for the exact search."""
     rs = ifo.srm_amplitude_reflectivity
-    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + rs))
+    level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + rs))
     lo, hi = map(float, _gain_window(_Loop.of(ifo, med), level))
     if hi == 0.0:
         return 1.0 - level
@@ -219,7 +219,7 @@ def test_closest_approach_matches_dense_reference(eta, xi_share, larger_root, rs
     med = MediumParams(gamma12, gamma_opt, roots[-1] if larger_root else roots[0])
     assume(classify_medium(med) is MediumClass.STATIONARY)
     loop = _Loop.stack([_Loop.of(ifo, med)])
-    level = max(1.0 - REFINE_NEAR_DISTANCE, 0.5 * (1.0 + loop.rs[0]))
+    level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs[0]))
     (dist,) = _closest_approach(loop, *_gain_window(loop, level), level)
     # |1 - r_s G_o| is known only to a few ulps of 1, which bounds the
     # agreement of two evaluations where the contour nearly touches
@@ -286,8 +286,8 @@ def test_ray_crossings_match_sampled_contour(rs2):
                 if report.classification in (Classification.ATOMIC_INSTABILITY,
                                              Classification.NON_STATIONARY):
                     continue
-                assert report.winding == winding_number(
-                    nyquist_contour(ifo, med), 1.0)
+                assert report.winding == round(
+                    accumulate_winding(nyquist_contour(ifo, med), 1.0) / (2.0 * math.pi))
                 windings.add(report.winding)
                 hi = _gain_window(_Loop.of(ifo, med), 1.0)[1]
                 extended += bool(hi >= default_omega_max(med, ifo.tau))
@@ -298,6 +298,37 @@ def test_ray_crossings_match_sampled_contour(rs2):
         # number of times, and some gain windows pass the default range
         assert len(windings) >= 4
         assert extended >= 1
+
+
+@pytest.mark.parametrize("eta,xi,winding", [(0.8, 0.35, 39), (0.95, 0.05, 99)])
+def test_oracle_range_passes_the_gain_window(eta, xi, winding):
+    # at rs^2 0.999 these gain windows pass default_omega_max; the
+    # oracle's default rectangle covers the contour's range, so its
+    # count is the winding (a rectangle ending at default_omega_max
+    # counts 35 and 79)
+    ifo = IFO.with_power_reflectivity(0.999)
+    med = wlc_medium(eta, xi, "larger")
+    assert _gain_window(_Loop.of(ifo, med), 1.0)[1] > default_omega_max(med, ifo.tau)
+    assert classify_system(ifo, med).winding == winding
+    assert root_count_oracle(ifo, med) == winding
+
+
+@settings(max_examples=500, deadline=None)
+@given(log_gamma12=st.floats(-4.0, 4.0), share=st.floats(0.0, 1.0, exclude_max=True),
+       log_delta0=st.floats(-4.0, 4.0), log_loss=st.floats(-6.0, 0.0))
+def test_omega_range_bound_keeps_the_window_inside(log_gamma12, share, log_delta0,
+                                                    log_loss):
+    # _omega_range skips the gain window where r_s (1 + 2 Gamma /
+    # (omega_max - delta0)) < 1: there the window must end before
+    # default_omega_max
+    gamma12 = 10.0 ** log_gamma12 / IFO.tau
+    med = MediumParams(gamma12, share * gamma12, 10.0 ** log_delta0 / IFO.tau)
+    ifo = replace(IFO, srm_amplitude_reflectivity=1.0 - 10.0 ** log_loss)
+    omega_max = default_omega_max(med, ifo.tau)
+    bound = 1.0 + 2.0 * med.gamma_opt_total / (omega_max - med.delta0)
+    assume(ifo.srm_amplitude_reflectivity * bound < 1.0)
+    assert _gain_window(_Loop.of(ifo, med), 1.0)[1] < omega_max
+    assert stability._omega_range(ifo, med) == omega_max
 
 
 def test_row_verdicts_match_classify_system():
@@ -457,7 +488,7 @@ def reference_edge_integral(ifo, med, w):
 
 def default_rect(ifo, med):
     """The oracle's default rectangle."""
-    omega_max = default_omega_max(med, ifo.tau)
+    omega_max = stability._omega_range(ifo, med)
     height = 10.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / ifo.tau)
     return -omega_max, omega_max, 0.0, height
 
