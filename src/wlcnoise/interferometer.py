@@ -120,7 +120,11 @@ def open_loop_gain(ifo: IfoParams, med: MediumParams, omega):
 
     The closed-loop scalar is 1 / (1 - r_s * open_loop_gain).
     """
-    return np.exp(2j * np.asarray(omega) * ifo.tau) * med_mod.probe_transfer(med, omega)
+    return _loop_gain(ifo, med, omega, med_mod._denominators(med, omega))
+
+
+def _loop_gain(ifo: IfoParams, med: MediumParams, omega, dens):
+    return np.exp(2j * np.asarray(omega) * ifo.tau) * med_mod._transfer(med, *dens)
 
 
 def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
@@ -145,7 +149,8 @@ def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
     """
     rs = ifo.srm_amplitude_reflectivity
     ts2 = ifo.srm_amplitude_transmissivity**2
-    gain = open_loop_gain(ifo, med, omega)
+    dens = med_mod._denominators(med, omega)
+    gain = _loop_gain(ifo, med, omega, dens)
     closed = np.ravel(np.abs(1.0 - rs * gain))
     # look for the index only when the minimum (or a NaN) calls for it
     if not closed.min(initial=math.inf) > 1e-6:
@@ -162,7 +167,7 @@ def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
     power = np.abs(gain - rs) ** 2
     if ifo.include_additional_noise:
         baths = med.atom_count if model is NoiseModel.LOCAL else 1
-        n_up, n_lo = med_mod.noise_coefficients(med, omega, model)
+        n_up, n_lo = med_mod._noise_pair(med, model, *dens)
         power += baths * ts2 * (np.abs(n_up) ** 2 + np.abs(n_lo) ** 2)
     signal = 2.0 * ifo.signal_strength * ts2 * math.cos(ifo.homodyne_angle) ** 2
     return power / signal

@@ -132,7 +132,10 @@ def probe_transfer(p: MediumParams, omega):
     so the identity is a cross-check rather than a definition. Satisfies
     conj(M(-omega)) == M(omega) for real omega.
     """
-    den_plus, den_minus = _denominators(p, omega)
+    return _transfer(p, *_denominators(p, omega))
+
+
+def _transfer(p: MediumParams, den_plus, den_minus):
     return 1.0 - p.gamma_opt_total / den_plus - p.gamma_opt_total / den_minus
 
 
@@ -145,12 +148,15 @@ def noise_coefficients(p: MediumParams, omega, model: NoiseModel):
     the COLLECTIVE single-bath model. Both satisfy
     conj(N_plus(-omega)) == N_minus(omega).
     """
+    return _noise_pair(p, model, *_denominators(p, omega))
+
+
+def _noise_pair(p: MediumParams, model: NoiseModel, den_plus, den_minus):
     if model is NoiseModel.LOCAL:
         g_pump = p.gamma_opt_per_atom
     else:
         g_pump = p.gamma_opt_total
     amp = math.sqrt(2.0 * p.gamma12 * g_pump)
-    den_plus, den_minus = _denominators(p, omega)
     # +i d0 - i omega + g12 - G == -(i(omega - d0) + G - g12), and the
     # -d0 channel likewise picks up the other resonance denominator
     return amp / (-den_minus), amp / (-den_plus)

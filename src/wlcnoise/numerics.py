@@ -39,15 +39,16 @@ def _simpson(fa, fm, fb, width):
 
 
 def _sweep(feval: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
-           max_depth: int) -> tuple[float, float, np.ndarray]:
+           max_depth: int, first=None) -> tuple[float, float, np.ndarray]:
     """Refine Simpson panels one level at a time until each converges.
 
     panels is a C-ordered array with one column per panel and the rows
     a, m, b, f(a), f(m), f(b), the panel's Simpson estimate and its
     share of the tolerance. Each level evaluates the quarter points of
-    every open panel in one call, then accepts or bisects each panel on
-    its own Richardson error estimate. Returns (value, error estimate,
-    left ends of the panels that reached max_depth unconverged).
+    every open panel in one call (none when first holds the first
+    level's values), then accepts or bisects each panel on its own
+    Richardson error estimate. Returns (value, error estimate, left
+    ends of the panels that reached max_depth unconverged).
     """
     eps = np.finfo(float).eps
     total = err_total = 0.0
@@ -61,26 +62,31 @@ def _sweep(feval: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
         lo, hi = panels[0:2].ravel(), panels[1:3].ravel()
         f_lo, f_hi = panels[3:5].ravel(), panels[4:6].ravel()
         mid = 0.5 * (lo + hi)
-        f_mid = feval(mid)
+        f_mid, first = feval(mid) if first is None else first, None
         halves = _simpson(f_lo, f_mid, f_hi, hi - lo)
         pair = halves[:n] + halves[n:]
         delta = pair - whole
-        # ulp-level node placement puts a floor under resolvable deltas
-        noise = eps * np.maximum(np.abs(a), np.abs(b)) * (
-            np.abs(fa - fb) + 4.0 * np.abs(f_mid[:n] - f_mid[n:])) + 4.0 * eps * np.abs(whole)
-        done = np.abs(delta) <= np.maximum(15.0 * tol, noise)
+        err = np.abs(delta)
+        done = err <= 15.0 * tol
+        accepted = np.count_nonzero(done)
+        if accepted < n:
+            # ulp-level node placement puts a floor under resolvable deltas
+            noise = eps * np.maximum(np.abs(a), np.abs(b)) * (
+                np.abs(fa - fb) + 4.0 * np.abs(f_mid[:n] - f_mid[n:])) + 4.0 * eps * np.abs(whole)
+            done |= err <= noise
+            accepted = np.count_nonzero(done)
         if depth >= max_depth:
             failed = a[~done]
-            done[:] = True
-        some_done = done.any()
-        if some_done:
-            total += float((pair + delta / 15.0)[done].sum())
-            err_total += float((np.abs(delta[done]) / 15.0).sum())
-            if done.all():
-                return total, err_total, failed
+            accepted = n
+        if accepted:
+            value, spread = pair + delta / 15.0, err / 15.0
+            if accepted == n:
+                return total + float(value.sum()), err_total + float(spread.sum()), failed
+            total += float(value[done].sum())
+            err_total += float(spread[done].sum())
         panels = np.array([lo, mid, hi, f_lo, f_mid, f_hi, halves,
                            0.5 * np.concatenate([tol, tol])])
-        if some_done:
+        if accepted:
             # both halves of an open panel go on
             panels = panels.reshape(8, 2, n)[:, :, ~done].reshape(8, -1)
         depth += 1
@@ -95,9 +101,9 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
     and must return an array of the same shape. Subdivision stops on
     each panel once the Richardson error estimate meets the panel's
     share of the global tolerance rel_tol * |integral|.
-    Optional breakpoints seed the initial panel edges, which helps with
-    integrands whose sharp features are known in advance. Deterministic
-    for fixed inputs.
+    Optional breakpoints, in any order, seed the initial panel edges
+    inside (lo, hi), which helps with integrands whose sharp features
+    are known in advance. Deterministic for fixed inputs.
 
     Raises AccuracyError (carrying the best estimate) if any panel hits
     max_depth before converging.
@@ -120,19 +126,21 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
             raise ValueError(f"integrand is not finite at x = {float(x[~finite][0])!r}")
         return y
 
-    # coarse composite pass to set the tolerance scale
+    # coarse pass for the tolerance scale, with the first level's quarter points
     a, b = edges[:-1], edges[1:]
     m = 0.5 * (a + b)
-    y = feval(np.concatenate([edges, m]))
-    fa, fb, fm = y[:a.size], y[1:edges.size], y[edges.size:]
+    quarters = 0.5 * (np.concatenate([a, m]) + np.concatenate([m, b]))
+    y = feval(np.concatenate([edges, m, quarters]))
+    fa, fb, fm, first = y[:a.size], y[1:edges.size], y[edges.size:-2 * a.size], y[-2 * a.size:]
     whole = _simpson(fa, fm, fb, b - a)
 
     # the coarse estimate can be badly inflated by sharp features, so
     # resweep when the converged value reveals the scale was too loose
     tol = max(rel_tol * abs(float(np.sum(whole))), 1e-300)
-    for _ in range(3):
-        panels = np.stack([a, m, b, fa, fm, fb, whole, tol * (b - a) / (hi - lo)])
-        total, err_total, failed = _sweep(feval, panels, max_depth)
+    for resweep in range(3):
+        panels = np.array([a, m, b, fa, fm, fb, whole, tol * (b - a) / (hi - lo)])
+        total, err_total, failed = _sweep(feval, panels, max_depth,
+                                          None if resweep else first)
         tol_true = max(rel_tol * abs(total), 1e-300)
         if tol <= 4.0 * tol_true:
             break

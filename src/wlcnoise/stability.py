@@ -412,7 +412,8 @@ def _closest_approach(loop: _Loop, lo, hi, level):
 
     f, df, ddf = _loop_series(_Loop(*(p[owner] for p in loop)), omegas)
     slope = (f.conj() * df).real
-    slope = np.where(slope == 0.0, abs(df) ** 2 + (f.conj() * ddf).real, slope)
+    if (flat := np.flatnonzero(slope == 0.0)).size:
+        slope[flat] = abs(df[flat]) ** 2 + (f[flat].conj() * ddf[flat]).real
     dist = np.full(counts.size, math.inf)
     np.minimum.at(dist, owner, abs(f))
     floats = list(zip(*(p.tolist() for p in loop)))

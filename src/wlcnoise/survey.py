@@ -163,7 +163,7 @@ class SweepGrid:
 
 
 def _integration_breakpoints(med: MediumParams, fsr: float) -> tuple[float, ...]:
-    """Panel seeds at the known sharp features of the inverse noise curve."""
+    """Panel seeds, unsorted, at the known sharp features of the inverse noise curve."""
     width = max(med.damping_gap, 1e-6 * med.delta0 if med.delta0 else 0.0, 1e-12 * fsr)
     points = {0.25 * fsr, 0.5 * fsr, 0.75 * fsr}
     for k in (1.0, 3.0, 10.0, 30.0):
@@ -174,7 +174,7 @@ def _integration_breakpoints(med: MediumParams, fsr: float) -> tuple[float, ...]
             points.add(med.delta0 + k * width)
     if med.delta0 > 0.0:
         points.update({0.5 * med.delta0, med.delta0, 1.5 * med.delta0})
-    return tuple(p for p in sorted(points) if 0.0 < p < fsr)
+    return tuple(points)
 
 
 def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,

@@ -300,6 +300,16 @@ def test_strain_psd_array_matches_scalar_calls(model, noise):
     # differently from its one-element ones
     scalar = [strain_psd(ifo, med, model, float(w)) for w in omegas]
     assert psd.tolist() == pytest.approx(scalar, rel=1e-14, abs=0.0)
+    # bit for bit the docstring's formula composed from the public
+    # gain and noise coefficients, which build their own denominators
+    rs, ts2 = ifo.srm_amplitude_reflectivity, ifo.srm_amplitude_transmissivity**2
+    power = np.abs(open_loop_gain(ifo, med, omegas) - rs) ** 2
+    if noise:
+        baths = med.atom_count if model is NoiseModel.LOCAL else 1
+        n_up, n_lo = noise_coefficients(med, omegas, model)
+        power += baths * ts2 * (np.abs(n_up) ** 2 + np.abs(n_lo) ** 2)
+    composed = power / (2.0 * ifo.signal_strength * ts2 * math.cos(ifo.homodyne_angle) ** 2)
+    assert psd.tolist() == composed.tolist()
 
 
 def test_zero_signal_readout():

@@ -199,19 +199,29 @@ def test_integrate_matches_recursive_reference(centers, widths, use_breakpoints,
     assert res.value == pytest.approx(value, rel=1e-12)
 
 
-@pytest.mark.parametrize("f, lo, hi, rel_tol, breakpoints, evaluations, value", [
+@pytest.mark.parametrize("f, lo, hi, rel_tol, breakpoints, evaluations, value, calls", [
     (lambda x: np.exp(-x) * np.cos(7 * x), 0.0, 5.0, 1e-10, (),
-     11955, 0.019717870505008915),
+     11955, 0.019717870505008915, 25),
     (lambda x: 1.0 / (1e-12 + (x - 0.3) ** 2), 0.0, 1.0, 1e-8, (0.3,),
-     8581, 3141587.894007791),
-], ids=["damped-cosine", "spike-breakpoint"])
+     8581, 3141587.894007791, 54),
+    (np.ones_like, 0.0, 2.0, 1e-9, (), 5, 2.0, 1),
+], ids=["damped-cosine", "spike-breakpoint", "constant"])
 def test_integrate_nodes_match_recursive_simpson(f, lo, hi, rel_tol, breakpoints,
-                                                 evaluations, value):
+                                                 evaluations, value, calls):
     # figures of the earlier point-at-a-time recursive Simpson: the same
     # count means the same nodes; only the summation order differs
-    res = integrate_adaptive(f, lo, hi, rel_tol=rel_tol, breakpoints=breakpoints)
-    assert res.evaluations == evaluations
+    made = []
+
+    def counted(x):
+        made.append(x.size)
+        return f(x)
+
+    res = integrate_adaptive(counted, lo, hi, rel_tol=rel_tol, breakpoints=breakpoints)
+    assert res.evaluations == evaluations == sum(made)
     assert res.value == pytest.approx(value, rel=1e-13)
+    # the first level's quarter points ride the coarse call; a constant
+    # converges there, so its one call is the coarse one
+    assert len(made) == calls
 
 
 # ---------------------------------------------------------------------------
