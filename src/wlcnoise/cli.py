@@ -8,7 +8,6 @@ non-stationary medium, 4 marginal stability.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -41,11 +40,20 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write(path: Path, text: str) -> None:
+    """Write one output file; an unusable --out is a usage error."""
+    try:
+        path.write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ScenarioError(f"--out: {exc}") from None
+
+
+def _write_csv(path: Path, rows: list[list[str]]) -> None:
+    """Write rows of string fields, the header first, as the csv module's
+    excel dialect does: no field here holds a comma, a quote or a line
+    break, and no row is one empty field, so nothing needs quoting. An
+    entry may be several fields already joined by commas."""
+    _write(path, "\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +101,7 @@ def _cmd_response(scenario: Scenario, out_dir: Path) -> int:
                      _fmt(abs(m)), _fmt(math.atan2(m.imag, m.real)),
                      _fmt(abs(n_up)), _fmt(abs(n_lo)),
                      _fmt(med_mod.validity_margin(med, omega))])
-    _write_csv(out_dir / "response.csv", header, rows)
+    _write_csv(out_dir / "response.csv", [header, *rows])
     print(f"wrote {out_dir / 'response.csv'} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -116,9 +124,9 @@ def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float) -> int:
             contour = nyquist_contour(ifo, med)
         except AccuracyError as exc:  # a contour whose refinement does not end
             raise ScenarioError(f"detector.arm_length, medium: {exc}") from None
-        rows = [[_fmt(z.real), _fmt(z.imag)] for z in contour]
-        _write_csv(out_dir / "nyquist.csv", ["re", "im"], rows)
-        print(f"wrote {out_dir / 'nyquist.csv'} ({len(rows)} points)")
+        _write_csv(out_dir / "nyquist.csv",
+                   [["re", "im"], *([_fmt(z.real), _fmt(z.imag)] for z in contour)])
+        print(f"wrote {out_dir / 'nyquist.csv'} ({len(contour)} points)")
     print(f"classification: {report.classification.value}")
     print(f"winding: {report.winding}")
     print(f"min_distance_to_critical: {report.min_distance_to_critical:.6g}")
@@ -139,32 +147,36 @@ def _sweep_tables(grid: SweepGrid, out_dir: Path) -> dict:
         "noise_model": spec.noise_model.value,
         "tables": [],
     }
-    # one pass over the cells sorts every outcome into its table
-    tables = {(rs2, label): [] for rs2 in spec.srm_power_reflectivities
-              for label in spec.root_choice.labels}
+    keys = [(rs2, label) for rs2 in spec.srm_power_reflectivities
+            for label in spec.root_choice.labels]
+    rows = {key: [["eta", "xi", "classification", "delta0", "rho_r"]] for key in keys}
+    stable, marginal = dict.fromkeys(keys, 0), dict.fromkeys(keys, 0)
+    max_rho = dict.fromkeys(keys)
+    # one pass over the cells builds every table's rows and summary counts
     for cell in grid.cells:
+        prefix = f"{_fmt(cell.eta)},{_fmt(cell.xi)}"
         for outcome in cell.outcomes:
-            pairs = tables.get((outcome.srm_power_reflectivity, outcome.root_label))
-            if pairs is not None:
-                pairs.append((cell, outcome))
-    for (rs2, label), pairs in tables.items():
+            key = (outcome.srm_power_reflectivity, outcome.root_label)
+            rho = outcome.rho_r
+            if outcome.status is CellStatus.STABLE:
+                stable[key] += 1
+                if rho is not None and (max_rho[key] is None or rho > max_rho[key]):
+                    max_rho[key] = rho
+            marginal[key] += outcome.marginal
+            # delta0 is NaN on infeasible outcomes; rho_r is set only on stable ones
+            rows[key].append([prefix, outcome.status.value,
+                              "" if math.isnan(outcome.delta0) else _fmt(outcome.delta0),
+                              "" if rho is None else _fmt(rho)])
+    for rs2, label in keys:
         name = f"sweep_rs2_{_fmt(rs2)}_root_{label}.csv"
-        # delta0 is NaN on infeasible outcomes; rho_r is set only on stable ones
-        rows = [[_fmt(cell.eta), _fmt(cell.xi), outcome.status.value,
-                 "" if math.isnan(outcome.delta0) else _fmt(outcome.delta0),
-                 "" if outcome.rho_r is None else _fmt(outcome.rho_r)]
-                for cell, outcome in pairs]
-        _write_csv(out_dir / name,
-                   ["eta", "xi", "classification", "delta0", "rho_r"], rows)
-        stable = [outcome.rho_r for _, outcome in pairs
-                  if outcome.status is CellStatus.STABLE]
+        _write_csv(out_dir / name, rows[rs2, label])
         summary["tables"].append({
             "file": name,
             "srm_power_reflectivity": rs2,
             "root": label,
-            "stable_cells": len(stable),
-            "marginal_cells": sum(outcome.marginal for _, outcome in pairs),
-            "max_rho_r": max((rho for rho in stable if rho is not None), default=None),
+            "stable_cells": stable[rs2, label],
+            "marginal_cells": marginal[rs2, label],
+            "max_rho_r": max_rho[rs2, label],
         })
     return summary
 
@@ -182,7 +194,7 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, threads: int,
         raise ScenarioError(f"sweep: {exc}") from None
     summary = _sweep_tables(grid, out_dir)
     summary_path = out_dir / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    _write(summary_path, json.dumps(summary, indent=2) + "\n")
     print(f"wrote {summary_path}")
     for table in summary["tables"]:
         print(f"  {table['file']}: stable={table['stable_cells']}"
@@ -200,7 +212,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioError("--threads must be >= 0")
         scenario = load_scenario(args.scenario)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError(f"--out: {exc}") from None
         if args.command == "response":
             return _cmd_response(scenario, out_dir)
         if args.command == "nyquist":

@@ -103,6 +103,13 @@ class SweepSpec:
             raise ValueError(f"margin must be >= 1, got {self.margin}")
 
 
+def _reduce_to_init(self):
+    """Pickle a slotted dataclass as a call of its class on its field
+    values in declaration order, so a worker's result unpickles through
+    the generated __init__ rather than a per-field __setstate__ loop."""
+    return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 @dataclass(frozen=True, slots=True)
 class RootOutcome:
     """Classification of one (SRM reflectivity, detuning root) combination."""
@@ -117,6 +124,8 @@ class RootOutcome:
     rho_r: float | None = None
     note: str = ""
 
+    __reduce__ = _reduce_to_init
+
 
 @dataclass(frozen=True, slots=True)
 class SweepCell:
@@ -126,6 +135,8 @@ class SweepCell:
     gamma_opt_total: float
     feasible: bool
     outcomes: tuple[RootOutcome, ...]
+
+    __reduce__ = _reduce_to_init
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from wlcnoise.cli import main
 from wlcnoise.errors import AccuracyError
 from wlcnoise.medium import MediumParams, map_eta_xi, solve_detuning
 from wlcnoise.scenario import ScenarioError, load_scenario
-from wlcnoise.survey import default_grid
+from wlcnoise.survey import CellStatus, default_grid, run_sweep
 
 DETECTOR = {
     "arm_length": 4000.0,
@@ -36,6 +37,17 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
+
+
+def assert_csv_writer_bytes(path, rows=None):
+    """The file holds exactly what csv.writer writes for these rows of
+    fields, by default the fields csv.reader reads back from it."""
+    if rows is None:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    expected = io.StringIO()
+    csv.writer(expected).writerows(rows)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +556,30 @@ def test_sweep_tables_round_trip(tmp_path):
         "sweep": {
             "eta": {"start": 0.1, "stop": 0.9, "count": 5},
             "xi": {"start": 0.1, "stop": 0.9, "count": 5},
-            "srm_power_reflectivities": [0.5],
-            "root_choice": "larger",
+            "srm_power_reflectivities": [0.5, 0.9],
+            "root_choice": "both",
         },
     })
     assert main(["sweep", "--scenario", str(path),
                  "--out", str(tmp_path), "--threads", "2"]) == 0
+    # every table against csv.writer on the fields and summary counts of
+    # the same sweep run in-process
+    scenario = load_scenario(path)
+    grid = run_sweep(scenario.sweep, scenario.detector)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert len(summary["tables"]) == 4
+    for table in summary["tables"]:
+        rs2, label = table["srm_power_reflectivity"], table["root"]
+        pairs = list(grid.outcomes(rs2, label))
+        assert_csv_writer_bytes(tmp_path / table["file"], [
+            ["eta", "xi", "classification", "delta0", "rho_r"],
+            *([repr(cell.eta), repr(cell.xi), o.status.value,
+               "" if math.isnan(o.delta0) else repr(o.delta0),
+               "" if o.rho_r is None else repr(o.rho_r)] for cell, o in pairs)])
+        assert table["stable_cells"] == grid.stable_count(rs2, label)
+        assert table["marginal_cells"] == sum(o.marginal for _, o in pairs)
+        assert table["max_rho_r"] == grid.max_rho(rs2, label)
+    assert any(o.status is CellStatus.STABLE for _, o in grid.outcomes(0.9))
     rows = read_csv(tmp_path / "sweep_rs2_0.5_root_larger.csv")
     assert len(rows) == 25
     infeasible = [r for r in rows if r["classification"] == "infeasible"]
@@ -560,8 +590,8 @@ def test_sweep_tables_round_trip(tmp_path):
         assert float(row["rho_r"]) > 0.0
         # full float precision survives the round trip
         assert repr(float(row["rho_r"])) == row["rho_r"]
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    table = summary["tables"][0]
+    table = summary["tables"][1]
+    assert table["file"] == "sweep_rs2_0.5_root_larger.csv"
     assert table["stable_cells"] == len(stable)
 
 
@@ -633,9 +663,64 @@ def test_sweep_requires_block(tmp_path):
 # exit codes for bad input
 # ---------------------------------------------------------------------------
 
-def test_missing_scenario_file(tmp_path):
-    assert main(["nyquist", "--scenario", str(tmp_path / "nope.json"),
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_missing_scenario_file(tmp_path, capsys, kind):
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    assert main(["nyquist", "--scenario", str(path),
                  "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read scenario file {path}: ")
+
+
+# one scenario every command accepts
+_EVERY_COMMAND_DOC = {
+    "detector": DETECTOR,
+    "medium": {"eta": 0.4, "xi": 0.4, "root": "smaller"},
+    "response": {"omega": [0.0, 1e3]},
+    "sweep": {"eta": [0.5], "xi": [0.3], "srm_power_reflectivities": [0.5],
+              "root_choice": "larger"},
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["response", "nyquist", "sweep"])
+def test_out_naming_a_file(tmp_path, capsys, command, under):
+    path = write_scenario(tmp_path, _EVERY_COMMAND_DOC)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([command, "--scenario", str(path),
+                 "--out", str(out / "sub" if under else out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --out: ")
+
+
+@pytest.mark.parametrize("command,name", [
+    ("response", "response.csv"), ("nyquist", "nyquist.csv"),
+    ("sweep", "sweep_rs2_0.5_root_larger.csv"), ("sweep", "summary.json"),
+])
+def test_output_path_is_a_directory(tmp_path, capsys, command, name):
+    path = write_scenario(tmp_path, _EVERY_COMMAND_DOC)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    assert main([command, "--scenario", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: --out: ")
+
+
+def test_pool_failure_is_not_an_out_error(tmp_path, monkeypatch):
+    # only writes under --out become usage errors; a pool that cannot
+    # start its workers still raises
+    def no_workers(*args, **kwargs):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", no_workers)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    path = write_scenario(tmp_path, _EVERY_COMMAND_DOC)
+    with pytest.raises(BlockingIOError):
+        main(["sweep", "--scenario", str(path), "--out", str(tmp_path),
+              "--threads", "2"])
 
 
 def test_bad_usage_returns_one():
@@ -742,6 +827,7 @@ def test_shipped_response_scenario(tmp_path):
                  str(SCENARIOS / "response_dispersion.json"),
                  "--out", str(tmp_path)]) == 0
     assert len(read_csv(tmp_path / "response.csv")) == 801
+    assert_csv_writer_bytes(tmp_path / "response.csv")
 
 
 def test_shipped_nyquist_scenario(tmp_path, capsys):
@@ -753,6 +839,7 @@ def test_shipped_nyquist_scenario(tmp_path, capsys):
     assert "winding: 0" in out
     rows = read_csv(tmp_path / "nyquist.csv")
     assert len(rows) > 100
+    assert_csv_writer_bytes(tmp_path / "nyquist.csv")
     first, last = ([float(row["re"]), float(row["im"])]
                    for row in (rows[0], rows[-1]))
     assert first == last  # closed at the omega = 0 point

@@ -1,5 +1,6 @@
 import math
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import pytest
 
@@ -186,6 +187,23 @@ def test_infeasible_outcomes_shared(small_sweep):
         assert shared.setdefault(key, outcome) is outcome
     assert set(shared) == {(rs2, label) for rs2 in (0.5, 0.8)
                            for label in ("smaller", "larger")}
+
+
+def test_pickle_round_trip(small_sweep):
+    # a worker's row crosses the pool as constructor arguments: every
+    # field, in declaration order, and the shared infeasible outcomes
+    outcome = RootOutcome(0.8, "larger", 1.5e3, CellStatus.OPTICAL_INSTABILITY,
+                          winding=1, min_distance=0.25, marginal=True, rho_r=0.75,
+                          note="marginal contour reclassified as unstable")
+    assert all(getattr(outcome, f.name) != f.default for f in fields(outcome))
+    assert repr(pickle.loads(pickle.dumps(outcome))) == repr(outcome)
+    row = small_sweep.cells[:len(SMALL_GRID)]
+    copied = pickle.loads(pickle.dumps(list(row)))
+    # nan fields break dataclass equality, so compare the full repr
+    assert repr(copied) == repr(list(row))
+    infeasible = [cell.outcomes for cell in copied if not cell.feasible]
+    assert len(infeasible) > 1
+    assert all(outcomes is infeasible[0] for outcomes in infeasible)
 
 
 def test_sweep_rates_match_map(small_sweep):
