@@ -19,15 +19,16 @@ wherever a segment turns by pi/2 or more about (1, 0). An independent
 argument-principle oracle counts the same zeros by integrating the
 logarithmic derivative of 1 - r_s G_o around a rectangle in the upper
 half plane. Both references take their frequency range from one place,
-_omega_range, which passes the gain window. The oracle seeds nodes
-only where F can turn: where a closed-form bound keeps |r_s G_o| below
-1/2, a stretch of edge is one segment, and the real edge also holds
-clusters at the gain peaks +-delta0, where zeros close to the axis
-would otherwise hide a whole turn between two nodes. The rectangle is
-one closed polyline whose segments share one pool: each round tests
-only the halves the last bisection made, evaluates F on all new
-midpoints in one call, and adds the log modulus and phase of each
-passing segment's ratio, which its test already computed, to the sum.
+_omega_range, which passes the gain window. One closed-form bound,
+_quiet_reach, says where |r_s G_o| < 1: there the oracle takes a piece
+of its rectangle as one exact segment, and _omega_range skips the gain
+window. The real edge between holds uniform nodes and clusters at the
+gain peaks +-delta0, where zeros close to the axis would otherwise hide
+a whole turn between two nodes. The other segments share one pool:
+each round tests only the halves the last bisection made, evaluates F
+on all new midpoints in one call, and adds the log modulus and phase
+of each passing segment's ratio, which its test already computed, to
+the sum.
 """
 
 from __future__ import annotations
@@ -150,19 +151,38 @@ def _closed_contour(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, down, up, mirrored])
 
 
+def _quiet_reach(ifo: IfoParams, med: MediumParams, y: float) -> float:
+    """The |Re w| beyond which |r_s G_o| < 1 on the line Im w = y >= 0.
+
+    There |e^{2 i w tau}| = e^{-2 y tau}, and the denominators d_pm =
+    i(w +- delta0) - gap of M have |d_pm| >= sqrt((y + gap)^2 + s^2), s
+    the distance of Re w from the nearer gain peak +-delta0, so
+    |r_s G_o| <= c (1 + 2 Gamma / sqrt((y + gap)^2 + s^2)) with c =
+    r_s e^{-2 y tau}. That bound is below 1 where the square root
+    exceeds the radius 2 Gamma c / (1 - c): at every |Re w| >= the
+    returned reach, and on the whole line where the reach is 0 (the
+    radius is below y + gap). The radius and the reach are both grown
+    by 1e-9 against rounding. On a quiet piece |F - 1| < 1, so Re F > 0
+    and F cannot wind.
+    """
+    c = ifo.srm_amplitude_reflectivity * math.exp(-2.0 * y * ifo.tau)
+    radius = 2.0 * med.gamma_opt_total * c / (1.0 - c) * (1.0 + 1e-9)
+    low = y + med.damping_gap
+    if radius < low:
+        return 0.0
+    return (med.delta0 + math.sqrt((radius - low) * (radius + low))) * (1.0 + 1e-9)
+
+
 def _omega_range(ifo: IfoParams, med: MediumParams) -> float:
     """Upper end of the frequency range both contour references cover.
 
     default_omega_max, or twice the upper end hi of the gain window
-    |r_s G_o| > 1 when the window reaches that limit. For omega >=
-    omega_max >= 50 max(delta0, Gamma), |M| <= 1 + 2 Gamma / (omega -
-    delta0), which falls with omega; where r_s times that bound at
-    omega_max is below 1 the window ends before omega_max, and it is
-    not computed.
+    |r_s G_o| > 1 when the window reaches that limit. The window is not
+    computed where the real axis is quiet from below omega_max on
+    (_quiet_reach at y = 0): it then ends before omega_max.
     """
     omega_max = default_omega_max(med, ifo.tau)
-    bound = 1.0 + 2.0 * med.gamma_opt_total / (omega_max - med.delta0)
-    if ifo.srm_amplitude_reflectivity * bound >= 1.0:
+    if _quiet_reach(ifo, med, 0.0) >= omega_max:
         hi = float(_gain_window(_Loop.of(ifo, med), 1.0)[1])
         if hi >= omega_max:
             return 2.0 * hi
@@ -519,53 +539,72 @@ def _rectangle_integral(ifo: IfoParams, med: MediumParams,
                         rect: tuple[float, float, float, float]) -> complex:
     """Integral of d log F once counterclockwise around rect.
 
-    The rectangle starts as one closed polyline, with uniform nodes only
-    where the contour can wind. On the line Im w = y >= 0,
-    |e^{2 i w tau}| = e^{-2 y tau} and the denominators d_pm =
-    i(w +- delta0) - gap of M have |d_pm| >= y + gap, so |r_s G_o| <=
-    r_s e^{-2 y tau} (1 + 2 Gamma / (y + gap)). Where that bound is below
-    1/2 the line is quiet: F stays in the disc |F - 1| < 1/2, arg F in
-    (-pi/6, pi/6), and no segment can hide a turn. A horizontal edge on
-    a quiet line is its two corners; otherwise it has 8 nodes per
-    delay turn, at least 1024 (AccuracyError beyond 2^20), and the
-    bottom edge also holds the clusters +-delta0 + max(gap, 1e-3
-    delta0) * linspace(-30, 30, 241) about the gain peaks, merged in
-    order. Each side keeps 256 nodes' spacing from the bottom up to the
-    first quiet node, and joins it to the top corner. F on all nodes
-    comes from one call. The segments share one pool, and each round
-    tests only the segments the last round made. A segment across
-    which F turns by less than half a radian in phase and changes by
-    less than half a unit in log magnitude leaves the pool: the log|r|
-    and arg r of its ratio r = F(end) / F(start) that the test computed
-    are its principal-value log difference, and go into the sum. The
-    others are bisected, with F on all their midpoints from one call,
-    which concentrates nodes around zeros near the contour. A contour
-    that still holds failing segments after 40 rounds, or once it holds
-    MAX_SAMPLES nodes, raises AccuracyError. The sum is exact up to the
-    no-phase-wrap resolution of the partition.
+    The rectangle starts as one closed polyline. Where _quiet_reach
+    proves |r_s G_o| < 1, Re F > 0, so along such a piece the principal
+    log of the ratio F(end) / F(start) is the exact integral: the piece
+    is one quiet segment, and its log ratio goes straight into the sum.
+    With the reach of the bottom line, the quiet pieces are the bottom
+    edge beyond +-reach (from the uniform nodes nearest outside it on),
+    each side whose bottom corner lies beyond the reach (the bound
+    falls as y grows), and a horizontal edge whose whole line is quiet
+    (reach 0). In between, the bottom edge has the uniform nodes, 8 per
+    delay turn and at least 1024 over the whole edge (AccuracyError
+    beyond 2^20), merged in order with the clusters +-delta0 + max(gap,
+    1e-3 delta0) * linspace(-30, 30, 241) about the gain peaks. A top
+    edge that is not quiet has the uniform nodes, and a side that is
+    not 256 nodes. F on all nodes comes from one call. The other
+    segments share one pool, and each round tests only the segments
+    the last round made. A segment across which F turns by less than
+    half a radian in phase and changes by less than half a unit in log
+    magnitude leaves the pool: the log|r| and arg r of its ratio r that
+    the test computed are its principal-value log difference, and go
+    into the sum. The others are bisected, with F on all their
+    midpoints from one call, which concentrates nodes around zeros near
+    the contour. A contour that still holds failing segments after 40
+    rounds, or once it holds MAX_SAMPLES nodes, raises AccuracyError.
+    The sum is exact up to the no-phase-wrap resolution of the
+    partition.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     turns = (re_hi - re_lo) * ifo.tau / math.pi
     if 8.0 * turns > 2**20:
         raise AccuracyError(f"the rectangle spans {turns:.3g} delay turns; "
                             f"8 samples per turn exceed {2**20}")
-    side = np.linspace(im_lo, im_hi, 256)
-    # its ends are the horizontal edges' lines; the bound falls with y
-    quiet = (ifo.srm_amplitude_reflectivity * np.exp(-2.0 * ifo.tau * side)
-             * (1.0 + 2.0 * med.gamma_opt_total / (side + med.damping_gap))) < 0.5
     uniform = np.linspace(re_lo, re_hi, max(1024, int(8.0 * turns)))
-    corners = np.array([re_lo, re_hi])
-    bottom, top = corners if quiet[0] else uniform, corners if quiet[-1] else uniform
-    if not quiet[0]:
+    reach = _quiet_reach(ifo, med, im_lo)
+    corner = complex(re_lo, im_lo)
+    # each piece as its nodes but the last, which starts the next piece,
+    # counterclockwise from corner; a quiet piece is one segment
+    pieces = []
+    if reach == 0.0:
+        pieces.append(([corner], True))
+    else:
+        first = max(np.searchsorted(uniform, -reach, side="right") - 1, 0)
+        last = min(np.searchsorted(uniform, reach), uniform.size - 1)
+        inner = uniform[first:last + 1]
         width = max(med.damping_gap, 1e-3 * med.delta0)
         peaks = (np.array([[-med.delta0], [med.delta0]]) + width * _PEAK_CLUSTER).ravel()
         # a repeated node only adds a segment whose ratio is exactly 1
-        bottom = np.sort(np.concatenate([bottom, peaks[(peaks > re_lo) & (peaks < re_hi)]]))
-    # the quiet nodes are the last ones: keep those below the first of
-    # them, it, and the top corner
-    side = np.concatenate([side[:min(np.count_nonzero(~quiet), 254) + 1], side[-1:]])
-    w = np.concatenate([bottom + 1j * im_lo, re_hi + 1j * side[1:],
-                        top[-2::-1] + 1j * im_hi, re_lo + 1j * side[-2::-1]])
+        inner = np.sort(np.concatenate(
+            [inner, peaks[(peaks > inner[0]) & (peaks < inner[-1])]])) + 1j * im_lo
+        if first > 0:
+            pieces.append(([corner], True))
+        pieces.append((inner[:-1], False))
+        if last < uniform.size - 1:
+            pieces.append((inner[-1:], True))
+    pieces += [([complex(re_hi, im_lo)], True) if abs(re_hi) >= reach
+               else (re_hi + 1j * np.linspace(im_lo, im_hi, 256)[:-1], False),
+               ([complex(re_hi, im_hi)], True) if _quiet_reach(ifo, med, im_hi) == 0.0
+               else (uniform[:0:-1] + 1j * im_hi, False),
+               ([complex(re_lo, im_hi)], True) if abs(re_lo) >= reach
+               else (re_lo + 1j * np.linspace(im_lo, im_hi, 256)[:0:-1], False)]
+    w = np.concatenate([piece for piece, _ in pieces] + [[corner]])
+    quiet = np.zeros(w.size - 1, dtype=bool)
+    start = 0
+    for piece, q in pieces:
+        if q:
+            quiet[start] = True
+        start += len(piece)
     f = _loop_denominator(ifo, med, w)
     a, b, fa, fb = w[:-1], w[1:], f[:-1], f[1:]
     nodes = w.size - 1
@@ -574,6 +613,8 @@ def _rectangle_integral(ifo: IfoParams, med: MediumParams,
         ratio = fb / fa
         log_mod, arg = np.log(np.abs(ratio)), np.angle(ratio)
         split = np.maximum(np.abs(log_mod), np.abs(arg)) >= 0.5
+        if not rounds:
+            split &= ~quiet  # a quiet segment's log ratio is exact
         if not split.any():
             return total + complex(log_mod.sum(), arg.sum())
         total += complex(log_mod[~split].sum(), arg[~split].sum())
@@ -594,12 +635,14 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
     """Zeros of 1 - r_s G_o inside a rectangle of the upper half plane.
 
     Counts via (1 / 2 pi i) of the contour integral of the logarithmic
-    derivative, evaluated from adaptively refined sampling along the
-    rectangle edges (_rectangle_integral); the result must land within
-    0.01 of a nonnegative integer, and the telescoping real part of the
-    closed log integral must vanish. A sample with |F| < 1e-9 raises
-    MarginalStabilityError. The count is independent from the Nyquist
-    contour machinery; only the default range is shared.
+    derivative along the rectangle edges (_rectangle_integral): a piece
+    where a closed-form bound keeps |r_s G_o| below 1 is one exact
+    segment, the rest is sampled with adaptive refinement. The result
+    must land within 0.01 of a nonnegative integer, and the telescoping
+    real part of the closed log integral must vanish. A sample with
+    |F| < 1e-9 raises MarginalStabilityError. The count is independent
+    from the Nyquist contour machinery; only the default range is
+    shared.
 
     rect is (re_lo, re_hi, im_lo, im_hi), finite; the default covers
     [-omega_max, omega_max] x [0, 10 max-rate], omega_max the range of

@@ -318,16 +318,16 @@ def test_oracle_range_passes_the_gain_window(eta, xi, winding):
        log_delta0=st.floats(-4.0, 4.0), log_loss=st.floats(-6.0, 0.0))
 def test_omega_range_bound_keeps_the_window_inside(log_gamma12, share, log_delta0,
                                                     log_loss):
-    # _omega_range skips the gain window where r_s (1 + 2 Gamma /
-    # (omega_max - delta0)) < 1: there the window must end before
-    # default_omega_max
+    # _omega_range skips the gain window where the real axis is quiet
+    # from below default_omega_max on (the reach at y = 0): there the
+    # window must end at or before the reach
     gamma12 = 10.0 ** log_gamma12 / IFO.tau
     med = MediumParams(gamma12, share * gamma12, 10.0 ** log_delta0 / IFO.tau)
     ifo = replace(IFO, srm_amplitude_reflectivity=1.0 - 10.0 ** log_loss)
     omega_max = default_omega_max(med, ifo.tau)
-    bound = 1.0 + 2.0 * med.gamma_opt_total / (omega_max - med.delta0)
-    assume(ifo.srm_amplitude_reflectivity * bound < 1.0)
-    assert _gain_window(_Loop.of(ifo, med), 1.0)[1] < omega_max
+    reach = stability._quiet_reach(ifo, med, 0.0)
+    assume(reach < omega_max)
+    assert _gain_window(_Loop.of(ifo, med), 1.0)[1] <= reach
     assert stability._omega_range(ifo, med) == omega_max
 
 
@@ -424,19 +424,27 @@ def test_oracle_sample_cap_raises():
         root_count_oracle(IFO, BARE, rect=(-1e300, 1e300, 0.0, 1e4))
 
 
-def quiet_bound(ifo, med, y):
-    """Upper bound on |r_s G_o| along the line Im w = y >= 0."""
+def quiet_bound(ifo, med, y, s=0.0):
+    """Upper bound on |r_s G_o| at Im w = y >= 0, s from the nearer gain
+    peak +-delta0 in Re w (s = 0: on the whole line)."""
     return (ifo.srm_amplitude_reflectivity * np.exp(-2.0 * ifo.tau * y)
-            * (1.0 + 2.0 * med.gamma_opt_total / (y + med.damping_gap)))
+            * (1.0 + 2.0 * med.gamma_opt_total / np.hypot(y + med.damping_gap, s)))
 
 
-def reference_edges(ifo, med, rect):
-    """The oracle's starting nodes, one array per edge in counterclockwise
-    order, each from corner to corner: a horizontal edge on a line where
-    the quiet bound is below 1/2 is its two corners, otherwise uniform
-    with 8 nodes per delay turn (at least 1024), the bottom one merged
-    with the clusters about +-delta0; a side keeps 256 nodes' spacing up
-    to its first quiet node, then joins the top corner."""
+def peak_distance(med, x):
+    """Distance of Re w = x from the nearer gain peak +-delta0."""
+    return np.abs(np.abs(x) - med.delta0)
+
+
+def dense_reference_edges(ifo, med, rect):
+    """A dense seeding of the rectangle, one array per edge in
+    counterclockwise order, each from corner to corner: a horizontal
+    edge on a line where the quiet bound is below 1/2 is its two
+    corners, otherwise uniform with 8 nodes per delay turn (at least
+    1024), the bottom one merged with the clusters about +-delta0; a
+    side keeps 256 nodes' spacing up to its first such node, then joins
+    the top corner. Bisected edge by edge with no piece taken on trust,
+    its integral is the reference for the oracle's."""
     re_lo, re_hi, im_lo, im_hi = rect
     turns = (re_hi - re_lo) * ifo.tau / math.pi
     uniform = np.linspace(re_lo, re_hi, max(1024, int(8 * turns)))
@@ -457,6 +465,55 @@ def reference_edges(ifo, med, rect):
             re_lo + 1j * side[::-1]]
 
 
+def starting_pieces(ifo, med, rect):
+    """The oracle's starting nodes as (nodes, quiet) pieces in
+    counterclockwise order, each from a corner or joint to the next. With
+    the reach of the bottom line, the bottom edge keeps the uniform
+    nodes of the dense seeding from the last one at or before -reach to
+    the first one at or beyond reach, merged with the clusters between
+    them; the rest of it is one quiet piece on either side. A side whose
+    bottom corner lies beyond the reach, and a horizontal edge whose
+    line is quiet (reach 0), is one quiet piece; a top edge that is not
+    keeps the uniform nodes, and a side that is not 256 nodes."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    turns = (re_hi - re_lo) * ifo.tau / math.pi
+    uniform = np.linspace(re_lo, re_hi, max(1024, int(8 * turns)))
+    reach = stability._quiet_reach(ifo, med, im_lo)
+    pieces = []
+    if reach == 0.0:
+        pieces.append((np.array([re_lo, re_hi]) + 1j * im_lo, True))
+    else:
+        left, right = np.flatnonzero(uniform <= -reach), np.flatnonzero(uniform >= reach)
+        first = left[-1] if left.size else 0
+        last = right[0] if right.size else uniform.size - 1
+        inner = uniform[first:last + 1]
+        width = max(med.damping_gap, 1e-3 * med.delta0)
+        peaks = np.concatenate([sign * med.delta0 + width * np.linspace(-30.0, 30.0, 241)
+                                for sign in (-1.0, 1.0)])
+        inner = np.sort(np.concatenate([inner, peaks[(peaks > inner[0]) & (peaks < inner[-1])]]))
+        if first > 0:
+            pieces.append((np.array([re_lo, inner[0]]) + 1j * im_lo, True))
+        pieces.append((inner + 1j * im_lo, False))
+        if last < uniform.size - 1:
+            pieces.append((np.array([inner[-1], re_hi]) + 1j * im_lo, True))
+    right_quiet, left_quiet = abs(re_hi) >= reach, abs(re_lo) >= reach
+    top_quiet = stability._quiet_reach(ifo, med, im_hi) == 0.0
+    side = np.array([im_lo, im_hi]) if right_quiet else np.linspace(im_lo, im_hi, 256)
+    pieces.append((re_hi + 1j * side, right_quiet))
+    top = np.array([re_lo, re_hi]) if top_quiet else uniform
+    pieces.append((top[::-1] + 1j * im_hi, top_quiet))
+    side = np.array([im_lo, im_hi]) if left_quiet else np.linspace(im_lo, im_hi, 256)
+    pieces.append((re_lo + 1j * side[::-1], left_quiet))
+    return pieces
+
+
+def reference_denominator(ifo, med, w):
+    """F = 1 - r_s G_o, written apart from stability._loop_denominator."""
+    gamma, base = med.gamma_opt_total, med.gamma_opt_total - med.gamma12
+    m = 1.0 - gamma / (1j * (w + med.delta0) + base) - gamma / (1j * (w - med.delta0) + base)
+    return 1.0 - ifo.srm_amplitude_reflectivity * np.exp(2j * w * ifo.tau) * m
+
+
 def reference_edge_integral(ifo, med, w):
     """Integral of d log F along one edge from the nodes w, bisecting the
     whole edge array each round: the per-edge form the segment pool of
@@ -464,14 +521,7 @@ def reference_edge_integral(ifo, med, w):
     Returns the integral, the minimum |F|, and the edge's segment count
     at each round (the last one when no segment fails any more; 41
     counts when segments still fail after round 40)."""
-    rs, tau = ifo.srm_amplitude_reflectivity, ifo.tau
-    gamma, base = med.gamma_opt_total, med.gamma_opt_total - med.gamma12
-
-    def loop_denominator(w):
-        m = 1.0 - gamma / (1j * (w + med.delta0) + base) - gamma / (1j * (w - med.delta0) + base)
-        return 1.0 - rs * np.exp(2j * w * tau) * m
-
-    f = loop_denominator(w)
+    f = reference_denominator(ifo, med, w)
     segments = []
     for _ in range(41):
         segments.append(w.size - 1)
@@ -482,7 +532,7 @@ def reference_edge_integral(ifo, med, w):
         idx = np.nonzero(big)[0]
         w_mid = 0.5 * (w[idx] + w[idx + 1])
         w = np.insert(w, idx + 1, w_mid)
-        f = np.insert(f, idx + 1, loop_denominator(w_mid))
+        f = np.insert(f, idx + 1, reference_denominator(ifo, med, w_mid))
     return None, float(np.abs(f).min()), segments
 
 
@@ -493,15 +543,21 @@ def default_rect(ifo, med):
     return -omega_max, omega_max, 0.0, height
 
 
-def reference_root_count(ifo, med, rect, max_samples):
-    """(zero count or exception type, raw integral) over rect, one edge
-    at a time; the integral is None when the contour reached a limit:
-    segments still failing after 40 rounds, or at a failing round whose
-    four edges hold max_samples segments in all (the closed contour has
-    as many nodes as segments)."""
+def reference_root_count(ifo, med, pieces, max_samples=stability.MAX_SAMPLES):
+    """(zero count or exception type, raw integral) from (nodes, quiet)
+    pieces, one at a time: a quiet piece is the principal log of its end
+    ratio and one segment in every round, the others are integrated by
+    reference_edge_integral. The integral is None when the contour
+    reached a limit: segments still failing after 40 rounds, or at a
+    failing round whose pieces hold max_samples segments in all (the
+    closed contour has as many nodes as segments)."""
     total, min_f, rounds = 0j, math.inf, []
-    for w in reference_edges(ifo, med, rect):
-        value, edge_min, segments = reference_edge_integral(ifo, med, w)
+    for w, quiet in pieces:
+        if quiet:
+            f = reference_denominator(ifo, med, w)
+            value, edge_min, segments = complex(np.log(f[1] / f[0])), float(np.abs(f).min()), [1]
+        else:
+            value, edge_min, segments = reference_edge_integral(ifo, med, w)
         rounds.append(segments)
         min_f = min(min_f, edge_min)
         total = None if value is None or total is None else total + value
@@ -517,6 +573,12 @@ def reference_root_count(ifo, med, rect, max_samples):
     if abs(count.real - nearest) > 0.01 or abs(count.imag) > 0.01 or nearest < 0:
         return AccuracyError, total
     return nearest, total
+
+
+def dense_root_count(ifo, med, rect):
+    """reference_root_count on the dense seeding, every edge bisected."""
+    return reference_root_count(
+        ifo, med, [(edge, False) for edge in dense_reference_edges(ifo, med, rect)])
 
 
 def pool_outcome(ifo, med, rect):
@@ -544,34 +606,41 @@ def starting_nodes(ifo, med, rect):
 
 
 def check_pool_against_reference(ifo, med, rect, max_samples):
-    """The pool starts from the reference's nodes, and the two give the
-    same count or error and the same integral to 1e-12 turns; a contour
-    that reached a limit raises AccuracyError rather than summing its
-    failing segments."""
-    edges = reference_edges(ifo, med, rect)
-    closed = np.concatenate([edges[0]] + [edge[1:] for edge in edges[1:]])
+    """The pool starts from the nodes of starting_pieces, and gives the
+    count or error that the pieces give under the cap max_samples. When
+    it ends, the count equals the dense seeding's, and its integral
+    equals the dense seeding's per-edge integral to 1e-12 turns; a
+    contour that reached a limit raises AccuracyError rather than
+    summing its failing segments."""
+    pieces = starting_pieces(ifo, med, rect)
+    closed = np.concatenate([nodes[:-1] for nodes, _ in pieces] + [pieces[-1][0][-1:]])
     assert np.array_equal(starting_nodes(ifo, med, rect), closed)
-    expected, total = reference_root_count(ifo, med, rect, max_samples)
+    expected, total = reference_root_count(ifo, med, pieces, max_samples)
     outcome = pool_outcome(ifo, med, rect)
     assert outcome == expected
     if total is None:
         with pytest.raises(AccuracyError, match="still turn"):
             stability._rectangle_integral(ifo, med, rect)
     else:
+        dense, dense_total = dense_root_count(ifo, med, rect)
+        assert outcome == dense
         raw = stability._rectangle_integral(ifo, med, rect)
+        assert abs(raw - dense_total) / (2.0 * math.pi) <= 1e-12
         assert abs(raw - total) / (2.0 * math.pi) <= 1e-12
     return outcome
 
 
-@pytest.mark.parametrize("max_samples", [stability.MAX_SAMPLES, 1700])
+@pytest.mark.parametrize("max_samples", [stability.MAX_SAMPLES, 850])
 def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
     # the pool bisects the same segments in the same rounds as the
-    # per-edge form, so the nodes are the same and only the order of
-    # summation differs. These contours start with 1,518 to 1,542 nodes
-    # (the real edge alone holds 1,506); at rs^2 0.9 a round that still
-    # fails holds 1,758 or more, at 0.8 and 0.5 at most 1,648, so a cap
-    # of 1700 stops every rs^2 0.9 contour mid-refinement, which then
-    # raises AccuracyError instead of summing segments that still fail
+    # per-piece form, so the nodes are the same and only the order of
+    # summation differs. These contours start with 80 to 794 nodes (five
+    # of them quiet segments), and a round that still fails holds at
+    # most 686, except in the two at rs^2 0.9 and (eta, xi) = (0.7, 0.4):
+    # they start with 786 and 794 nodes and still fail with 862 and 852
+    # in their fourth and third rounds. So a cap of 850 stops exactly
+    # these two mid-refinement, which then raise AccuracyError instead
+    # of summing segments that still fail
     monkeypatch.setattr(stability, "MAX_SAMPLES", max_samples)
     outcomes = []
     repeated = 0
@@ -590,8 +659,8 @@ def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
                 outcomes.append(check_pool_against_reference(
                     ifo, med, default_rect(ifo, med), max_samples))
     assert repeated >= 1 and len(outcomes) == 36
-    if max_samples == 1700:
-        assert outcomes.count(AccuracyError) == 12
+    if max_samples == 850:
+        assert outcomes.count(AccuracyError) == 2
     else:
         assert AccuracyError not in outcomes and {0, 1, 2} <= set(outcomes)
 
@@ -614,29 +683,35 @@ def quiet_media():
 
 @pytest.mark.parametrize("ifo,med", list(quiet_media()))
 def test_quiet_edges_cannot_wind(ifo, med):
-    # where the oracle starts from corners only, the default top edge
-    # and each side above its first quiet node, |r_s G_o| sampled densely
-    # stays below its bound and below 1/2, so no segment there can hide
-    # a turn of F = 1 - r_s G_o
-    re_lo, re_hi, _, im_hi = rect = default_rect(ifo, med)
-    _, side, top, _ = reference_edges(ifo, med, rect)
-    assert top.size == 2 and side.size < 256
-    y_quiet = np.linspace(side[-2].imag, im_hi, 20_001)
-    for w in (np.linspace(re_lo, re_hi, 200_001) + 1j * im_hi,
-              re_hi + 1j * y_quiet, re_lo + 1j * y_quiet):
+    # on every piece the oracle accepts as one segment, both real-edge
+    # tails, both sides and the top edge of the default rectangle,
+    # |r_s G_o| sampled densely stays at or below its bound, the bound
+    # stays below 1, and so Re F > 0: F cannot wind there
+    rect = default_rect(ifo, med)
+    quiet = [nodes for nodes, q in starting_pieces(ifo, med, rect) if q]
+    assert len(quiet) == 5
+    for nodes in quiet:
+        a, b = nodes
+        w = a + (b - a) * np.linspace(0.0, 1.0, 200_001 if a.imag == b.imag else 20_001)
         gain = ifo.srm_amplitude_reflectivity * np.abs(open_loop_gain(ifo, med, w))
-        assert np.all(gain <= quiet_bound(ifo, med, w.imag)) and gain.max() < 0.5
-    # below the first quiet node the bound does not hold the gain down
-    assert quiet_bound(ifo, med, side[-3].imag) >= 0.5
+        bound = quiet_bound(ifo, med, w.imag, peak_distance(med, w.real))
+        assert np.all(gain <= bound) and bound.max() < 1.0
+        assert np.all((1.0 - ifo.srm_amplitude_reflectivity * open_loop_gain(ifo, med, w)).real > 0.0)
+    # the tails start at the uniform nodes nearest outside the reach,
+    # which lies where the bound on the real axis crosses 1
+    reach = stability._quiet_reach(ifo, med, 0.0)
+    assert quiet[0][1].real <= -reach and quiet[1][0].real >= reach
+    assert quiet_bound(ifo, med, 0.0, reach - med.delta0) < 1.0
+    assert quiet_bound(ifo, med, 0.0, peak_distance(med, (1.0 - 1e-6) * reach)) >= 1.0
 
 
 @pytest.mark.parametrize("eta,xi,root,rs2,height,zeros", [
-    # a low top edge, where the gain can exceed 1/2, keeps uniform nodes;
-    # the zero of this medium lies above it
+    # a low top edge, whose line is not quiet, keeps uniform nodes; the
+    # zero of this medium lies above it
     (0.4, 0.4, "smaller", 0.8, 0.003, 0),
     # the pair of zeros of this medium lies below it
     (0.4, 0.1, "larger", 0.8, 0.003, 2),
-    # a raised bottom edge on a quiet line starts from its corners
+    # a raised bottom edge on a quiet line is one quiet segment
     (0.4, 0.1, "larger", 0.8, -0.1, 0),
 ])
 def test_custom_rectangle_matches_per_edge_reference(eta, xi, root, rs2, height, zeros):
@@ -647,9 +722,27 @@ def test_custom_rectangle_matches_per_edge_reference(eta, xi, root, rs2, height,
     # height < 0: the bottom edge at minus that share
     rect = ((re_lo, re_hi, 0.0, height * im_hi) if height > 0
             else (re_lo, re_hi, -height * im_hi, im_hi))
-    quiet = quiet_bound(ifo, med, np.array(rect[2:])) < 0.5
-    assert quiet.tolist() == ([False, False] if height > 0 else [True, True])
+    quiet = [stability._quiet_reach(ifo, med, y) == 0.0 for y in rect[2:]]
+    assert quiet == ([False, False] if height > 0 else [True, True])
     assert check_pool_against_reference(ifo, med, rect, stability.MAX_SAMPLES) == zeros
+
+
+@settings(max_examples=50, deadline=None)
+@given(rates=st.tuples(*[st.floats(-3.0, 2.0)] * 3), rs2=st.floats(0.0, 0.999),
+       log_lift=st.floats(-4.0, -1.0))
+def test_oracle_matches_dense_reference(rates, rs2, log_lift):
+    # random stationary media, rates 1e-3 to 1e2 per tau: on the default
+    # rectangle and on one whose bottom edge is raised by 1e-4 to 1e-1 of
+    # its height, the oracle gives the dense seeding's count, or both
+    # raise the same exception type
+    gamma12, gamma_opt, delta0 = (10.0 ** r / IFO.tau for r in rates)
+    assume(gamma_opt < gamma12)
+    med = MediumParams(gamma12, gamma_opt, delta0)
+    assume(classify_medium(med) is MediumClass.STATIONARY)
+    ifo = IFO.with_power_reflectivity(rs2)
+    re_lo, re_hi, _, im_hi = rect = default_rect(ifo, med)
+    for rect in (rect, (re_lo, re_hi, 10.0 ** log_lift * im_hi, im_hi)):
+        assert pool_outcome(ifo, med, rect) == dense_root_count(ifo, med, rect)[0]
 
 
 # Configurations of the benchmark's stability gate (reference detector,
