@@ -56,6 +56,10 @@ class IfoParams:
     include_additional_noise: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("arm_length", "circulating_power", "carrier_angular_frequency",
+                     "srm_amplitude_reflectivity", "homodyne_angle"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.arm_length <= 0.0:
             raise ValueError("arm_length must be positive")
         if self.circulating_power <= 0.0:

@@ -78,6 +78,9 @@ class MediumParams:
     atom_count: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("gamma12", "gamma_opt_total", "delta0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma12 <= 0.0:
             raise ValueError(f"gamma12 must be positive, got {self.gamma12}")
         if self.gamma_opt_total < 0.0:

@@ -120,7 +120,10 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
     def feval(x: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += x.size
-        y = _produce(f, x, float)
+        y = np.asarray(f(x), dtype=float)
+        if y.shape != x.shape:
+            raise ValueError(f"integrand returned shape {y.shape} for abscissae of shape "
+                             f"{x.shape}; it must accept and return arrays")
         finite = np.isfinite(y)
         if not finite.all():
             raise ValueError(f"integrand is not finite at x = {float(x[~finite][0])!r}")
@@ -194,13 +197,3 @@ def accumulate_winding(points: Sequence[complex], point: complex) -> float:
         raise MarginalStabilityError("curve passes exactly through the reference point")
     return float(np.angle(w[1:] / w[:-1]).sum())
 
-
-def _produce(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-             dtype: type) -> np.ndarray:
-    """Evaluate a vectorized function on an array of arguments."""
-    out = np.asarray(f(x), dtype=dtype)
-    if out.shape != x.shape:
-        raise ValueError(
-            f"function returned shape {out.shape} for arguments of shape "
-            f"{x.shape}; it must accept and return arrays")
-    return out

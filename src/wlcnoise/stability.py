@@ -22,13 +22,8 @@ half plane. Both references take their frequency range from one place,
 _omega_range, which passes the gain window. One closed-form bound,
 _quiet_reach, says where |r_s G_o| < 1: there the oracle takes a piece
 of its rectangle as one exact segment, and _omega_range skips the gain
-window. The real edge between holds uniform nodes and clusters at the
-gain peaks +-delta0, where zeros close to the axis would otherwise hide
-a whole turn between two nodes. The other segments share one pool:
-each round tests only the halves the last bisection made, evaluates F
-on all new midpoints in one call, and adds the log modulus and phase
-of each passing segment's ratio, which its test already computed, to
-the sum.
+window. Both references seed their real lines with _axis_nodes and
+refine in one segment pool, _bisect_pool, each with its own test.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from . import medium as med_mod
 from .errors import AccuracyError, MarginalStabilityError, MediumNotStationaryError
 from .interferometer import IfoParams, open_loop_gain
 from .medium import MediumClass, MediumParams
-from .numerics import _produce
 
 __all__ = [
     "Classification",
@@ -60,7 +54,7 @@ CRITICAL_POINT = 1.0 + 0.0j
 MARGINAL_ERROR_DISTANCE = 1e-9
 MARGINAL_FLAG_DISTANCE = 1e-6
 NEAR_DISTANCE = 0.1  # the closest approach is searched where |F| may be below it
-MAX_SAMPLES = 2**22  # per sampled near window, and per oracle contour
+MAX_SAMPLES = 2**22  # per sampled near window, and per contour reference
 _PEAK_OFFSETS = np.arange(-30.0, 31.0)  # np.linspace(-30, 30, 61), exactly
 _PEAK_CLUSTER = np.linspace(-30.0, 30.0, 241)  # gain-peak offsets, in widths
 
@@ -116,24 +110,81 @@ def _require_damped(med: MediumParams) -> None:
         raise MarginalStabilityError(_UNDAMPED)
 
 
-def _base_grid(med: MediumParams, tau: float, omega_max: float) -> np.ndarray:
-    """Initial omega samples on [0, omega_max].
+def _uniform_count(ifo: IfoParams, lo: float, hi: float) -> int:
+    """8 nodes per delay turn of [lo, hi], at least 1024 (AccuracyError beyond MAX_SAMPLES)."""
+    turns = (hi - lo) * ifo.tau / math.pi
+    if 8.0 * turns > MAX_SAMPLES:
+        raise AccuracyError(f"the range spans {turns:.3g} delay turns; "
+                            f"8 samples per turn exceed {MAX_SAMPLES}")
+    return max(1024, int(8.0 * turns))
 
-    Uniform coverage dense enough for the delay turns, plus clusters
-    around the gain peak at delta0 (width set by the damping gap) and
-    around the band center.
+
+def _axis_nodes(ifo: IfoParams, med: MediumParams, lo: float, hi: float,
+                reach: float) -> np.ndarray:
+    """Start nodes of a contour reference on the real segment [lo, hi].
+
+    The uniform nodes of _uniform_count within +-reach, plus the nearest
+    one outside on either side, merged in order with the clusters
+    +-delta0 + max(gap, 1e-3 delta0) * _PEAK_CLUSTER about the gain peaks
+    that lie between the kept ends. There zeros close to the axis would
+    otherwise hide a whole turn between two uniform nodes. A repeated
+    node only adds a segment whose ratio is exactly 1.
     """
-    turns = omega_max * tau / math.pi
-    samples = int(min(max(4096, 16 * turns), 2**21))
-    pieces = [np.linspace(0.0, omega_max, samples)]
-    width = max(med.damping_gap, 1e-3 * med.delta0, 1e-12 / tau)
-    if med.delta0 > 0.0:
-        pieces.append(med.delta0 + width * _PEAK_CLUSTER)
-        pieces.append(np.abs(med.delta0 + width * np.linspace(-1.0, 1.0, 81)))
-    pieces.append(width * np.linspace(0.0, 30.0, 121))
-    grid = np.concatenate(pieces)
-    grid = grid[(grid >= 0.0) & (grid <= omega_max)]
-    return np.unique(grid)
+    uniform = np.linspace(lo, hi, _uniform_count(ifo, lo, hi))
+    first = max(np.searchsorted(uniform, -reach, side="right") - 1, 0)
+    last = min(np.searchsorted(uniform, reach), uniform.size - 1)
+    kept = uniform[first:last + 1]
+    width = max(med.damping_gap, 1e-3 * med.delta0)
+    peaks = (np.array([[-med.delta0], [med.delta0]]) + width * _PEAK_CLUSTER).ravel()
+    return np.sort(np.concatenate([kept, peaks[(peaks > kept[0]) & (peaks < kept[-1])]]))
+
+
+def _bisect_pool(evaluate: Callable, test: Callable, w: np.ndarray, f: np.ndarray,
+                 what: str, settled: np.ndarray | None = None) -> tuple[list, list, list]:
+    """Bisect the segments of the polyline through the nodes w, with
+    values f = evaluate(w), until test passes every one.
+
+    test(fa, fb) takes the end values of some segments and returns which
+    of them fail, and a tuple of arrays (none or more) with a term per
+    segment, each summed over the passing segments. Settled segments
+    pass untested. The segments share one pool: each round tests only
+    the halves the last round made, and evaluate takes all their
+    midpoints in one call. Returns the lists of the nodes and values
+    evaluated, w and f first, and the list of sums. Raises AccuracyError,
+    naming what, when segments still fail after 40 rounds, or once the
+    pool has held MAX_SAMPLES segments.
+    """
+    nodes, values = [w], [f]
+    a, b, fa, fb = w[:-1], w[1:], f[:-1], f[1:]
+    split, terms = test(fa, fb)
+    if settled is not None:
+        split &= ~settled
+    total = [0.0] * len(terms)
+    segments = w.size - 1
+    for rounds in range(41):
+        if not split.any():
+            return nodes, values, [t + term.sum() for t, term in zip(total, terms)]
+        passed = ~split
+        total = [t + term[passed].sum() for t, term in zip(total, terms)]
+        a, b, fa, fb = a[split], b[split], fa[split], fb[split]
+        if rounds == 40 or segments >= MAX_SAMPLES:
+            raise AccuracyError(f"{a.size} {what} after {rounds} rounds "
+                                f"({segments} segments)")
+        segments += a.size
+        mid = 0.5 * (a + b)
+        f_mid = evaluate(mid)
+        nodes.append(mid)
+        values.append(f_mid)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        fa, fb = np.concatenate([fa, f_mid]), np.concatenate([f_mid, fb])
+        split, terms = test(fa, fb)
+
+
+def _turn_test(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The contour's test: a segment fails where it turns by pi/2 or more
+    about (1, 0). The contour sums no term."""
+    turn = np.angle((zb - CRITICAL_POINT) / (za - CRITICAL_POINT))
+    return np.abs(turn) >= 0.5 * math.pi, ()
 
 
 def _closed_contour(half: np.ndarray) -> np.ndarray:
@@ -189,55 +240,34 @@ def _omega_range(ifo: IfoParams, med: MediumParams) -> float:
     return omega_max
 
 
-def _refine_curve(producer: Callable[[np.ndarray], np.ndarray],
-                  t: np.ndarray) -> np.ndarray:
-    """The polyline producer(t), bisected until every segment turns by
-    less than pi/2 about (1, 0).
-
-    Raises AccuracyError when segments still turn that far after 48
-    rounds, or once the parameter step of one reaches roundoff, 1e-15
-    of the parameter range; MarginalStabilityError when a node is
-    (1, 0) itself.
-    """
-    z = _produce(producer, t, complex)
-    resolution = 1e-15 * max(abs(t[-1] - t[0]), 1.0)
-    for rounds in range(49):
-        w = z - CRITICAL_POINT
-        if np.any(w == 0):
-            raise MarginalStabilityError(
-                "curve passes exactly through the reference point")
-        idx = np.flatnonzero(np.abs(np.angle(w[1:] / w[:-1])) >= 0.5 * math.pi)
-        if not idx.size:
-            return z
-        if rounds == 48 or (t[idx + 1] - t[idx]).min() <= resolution:
-            raise AccuracyError(
-                f"{idx.size} contour segments still turn by pi/2 or more about "
-                f"(1, 0) after {rounds} rounds ({z.size} nodes)")
-        t_mid = 0.5 * (t[idx] + t[idx + 1])
-        t = np.insert(t, idx + 1, t_mid)
-        z = np.insert(z, idx + 1, _produce(producer, t_mid, complex))
-
-
 def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
     """Closed image of r_s G_o along the real axis plus the closing arc.
 
-    Samples omega in [0, _omega_range]. Beyond that range |r_s G_o| < 1,
-    so the dropped tail and the closing chord through the origin cannot
-    wind about (1, 0). Sampling is refined wherever the turning angle
-    about (1, 0) per segment reaches pi/2 (AccuracyError where that
-    does not end). Requires a stationary medium, whose response poles
-    then lie in the lower half plane. The returned polyline starts and
-    ends at the omega = 0 point (real) and is traversed with omega
-    increasing.
+    Samples omega in [0, _omega_range], from _axis_nodes with no reach.
+    Beyond that range |r_s G_o| < 1, so the dropped tail and the closing
+    chord through the origin cannot wind about (1, 0). _bisect_pool
+    bisects every segment that turns by pi/2 or more about (1, 0), and
+    every evaluated point is kept, in omega order. Requires a stationary
+    medium, whose response poles then lie in the lower half plane. The
+    returned polyline starts and ends at the omega = 0 point (real) and
+    is traversed with omega increasing.
     """
     if med_mod.classify_medium(med) is not MediumClass.STATIONARY:
         raise MediumNotStationaryError(
             "Nyquist contour requires a stationary medium")
     _require_damped(med)
-    omegas = _base_grid(med, ifo.tau, _omega_range(ifo, med))
-    rs = ifo.srm_amplitude_reflectivity
-    return _closed_contour(_refine_curve(
-        lambda w: rs * open_loop_gain(ifo, med, w), omegas))
+
+    def evaluate(omega: np.ndarray) -> np.ndarray:
+        z = ifo.srm_amplitude_reflectivity * open_loop_gain(ifo, med, omega)
+        if np.any(z == CRITICAL_POINT):
+            raise MarginalStabilityError("contour passes exactly through (1, 0)")
+        return z
+
+    omegas = _axis_nodes(ifo, med, 0.0, _omega_range(ifo, med), math.inf)
+    omegas, z, _ = _bisect_pool(evaluate, _turn_test, omegas, evaluate(omegas),
+                                "contour segments still turn by pi/2 or more about (1, 0)")
+    omegas, z = np.concatenate(omegas), np.concatenate(z)
+    return _closed_contour(z[np.argsort(omegas, kind="stable")])
 
 
 class _Loop(NamedTuple):
@@ -535,99 +565,66 @@ def _loop_denominator(ifo: IfoParams, med: MediumParams, w):
     return f
 
 
+def _edge(ifo: IfoParams, med: MediumParams, lo: float, hi: float, y: float) -> tuple:
+    """The oracle's nodes from lo to hi on the line Im w = y, ends
+    included, and which of their segments are quiet: the whole line where
+    _quiet_reach is 0, else the stretches beyond _axis_nodes to lo and hi.
+    """
+    reach = _quiet_reach(ifo, med, y)
+    if reach == 0.0:  # Python lists: NumPy calls on two nodes cost more
+        return [complex(lo, y), complex(hi, y)], [True]
+    x = _axis_nodes(ifo, med, lo, hi, reach)
+    head, tail = bool(x[0] > lo), bool(x[-1] < hi)
+    quiet = np.zeros(x.size - 1 + head + tail, dtype=bool)
+    quiet[0] = head
+    quiet[-1] |= tail
+    return np.concatenate([[lo] * head, x, [hi] * tail]) + 1j * y, quiet
+
+
+def _log_test(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The oracle's test: a segment fails where F turns by half a radian
+    or more, or its log modulus changes by half a unit or more; its term
+    is the principal log of F(end) / F(start), as its real and imaginary
+    parts (np.log of a complex array is many times slower)."""
+    ratio = fb / fa
+    log_mod, arg = np.log(np.abs(ratio)), np.angle(ratio)
+    return np.maximum(np.abs(log_mod), np.abs(arg)) >= 0.5, (log_mod, arg)
+
+
 def _rectangle_integral(ifo: IfoParams, med: MediumParams,
                         rect: tuple[float, float, float, float]) -> complex:
     """Integral of d log F once counterclockwise around rect.
 
-    The rectangle starts as one closed polyline. Where _quiet_reach
-    proves |r_s G_o| < 1, Re F > 0, so along such a piece the principal
-    log of the ratio F(end) / F(start) is the exact integral: the piece
-    is one quiet segment, and its log ratio goes straight into the sum.
-    With the reach of the bottom line, the quiet pieces are the bottom
-    edge beyond +-reach (from the uniform nodes nearest outside it on),
-    each side whose bottom corner lies beyond the reach (the bound
-    falls as y grows), and a horizontal edge whose whole line is quiet
-    (reach 0). In between, the bottom edge has the uniform nodes, 8 per
-    delay turn and at least 1024 over the whole edge (AccuracyError
-    beyond 2^20), merged in order with the clusters +-delta0 + max(gap,
-    1e-3 delta0) * linspace(-30, 30, 241) about the gain peaks. A top
-    edge that is not quiet has the uniform nodes, and a side that is
-    not 256 nodes. F on all nodes comes from one call. The other
-    segments share one pool, and each round tests only the segments
-    the last round made. A segment across which F turns by less than
-    half a radian in phase and changes by less than half a unit in log
-    magnitude leaves the pool: the log|r| and arg r of its ratio r that
-    the test computed are its principal-value log difference, and go
-    into the sum. The others are bisected, with F on all their
-    midpoints from one call, which concentrates nodes around zeros near
-    the contour. A contour that still holds failing segments after 40
-    rounds, or once it holds MAX_SAMPLES nodes, raises AccuracyError.
-    The sum is exact up to the no-phase-wrap resolution of the
-    partition.
+    The rectangle is one closed polyline. Where _quiet_reach proves
+    |r_s G_o| < 1, Re F > 0, so the principal log of the ratio F(end) /
+    F(start) of a quiet segment is the exact integral along it. The
+    horizontal edges come from _edge; a side whose bottom corner lies
+    beyond the bottom line's reach is quiet (the bound falls as y grows),
+    and a side that is not holds 256 nodes. F on all nodes comes from one
+    call, and the other segments go to _bisect_pool with _log_test. The
+    sum is exact up to the no-phase-wrap resolution of the partition.
     """
     re_lo, re_hi, im_lo, im_hi = rect
-    turns = (re_hi - re_lo) * ifo.tau / math.pi
-    if 8.0 * turns > 2**20:
-        raise AccuracyError(f"the rectangle spans {turns:.3g} delay turns; "
-                            f"8 samples per turn exceed {2**20}")
-    uniform = np.linspace(re_lo, re_hi, max(1024, int(8.0 * turns)))
+    _uniform_count(ifo, re_lo, re_hi)  # even where both lines are quiet
     reach = _quiet_reach(ifo, med, im_lo)
-    corner = complex(re_lo, im_lo)
-    # each piece as its nodes but the last, which starts the next piece,
-    # counterclockwise from corner; a quiet piece is one segment
-    pieces = []
-    if reach == 0.0:
-        pieces.append(([corner], True))
-    else:
-        first = max(np.searchsorted(uniform, -reach, side="right") - 1, 0)
-        last = min(np.searchsorted(uniform, reach), uniform.size - 1)
-        inner = uniform[first:last + 1]
-        width = max(med.damping_gap, 1e-3 * med.delta0)
-        peaks = (np.array([[-med.delta0], [med.delta0]]) + width * _PEAK_CLUSTER).ravel()
-        # a repeated node only adds a segment whose ratio is exactly 1
-        inner = np.sort(np.concatenate(
-            [inner, peaks[(peaks > inner[0]) & (peaks < inner[-1])]])) + 1j * im_lo
-        if first > 0:
-            pieces.append(([corner], True))
-        pieces.append((inner[:-1], False))
-        if last < uniform.size - 1:
-            pieces.append((inner[-1:], True))
-    pieces += [([complex(re_hi, im_lo)], True) if abs(re_hi) >= reach
-               else (re_hi + 1j * np.linspace(im_lo, im_hi, 256)[:-1], False),
-               ([complex(re_hi, im_hi)], True) if _quiet_reach(ifo, med, im_hi) == 0.0
-               else (uniform[:0:-1] + 1j * im_hi, False),
-               ([complex(re_lo, im_hi)], True) if abs(re_lo) >= reach
-               else (re_lo + 1j * np.linspace(im_lo, im_hi, 256)[:0:-1], False)]
-    w = np.concatenate([piece for piece, _ in pieces] + [[corner]])
-    quiet = np.zeros(w.size - 1, dtype=bool)
-    start = 0
-    for piece, q in pieces:
-        if q:
-            quiet[start] = True
-        start += len(piece)
-    f = _loop_denominator(ifo, med, w)
-    a, b, fa, fb = w[:-1], w[1:], f[:-1], f[1:]
-    nodes = w.size - 1
-    total = 0j
-    for rounds in range(41):
-        ratio = fb / fa
-        log_mod, arg = np.log(np.abs(ratio)), np.angle(ratio)
-        split = np.maximum(np.abs(log_mod), np.abs(arg)) >= 0.5
-        if not rounds:
-            split &= ~quiet  # a quiet segment's log ratio is exact
-        if not split.any():
-            return total + complex(log_mod.sum(), arg.sum())
-        total += complex(log_mod[~split].sum(), arg[~split].sum())
-        a, b, fa, fb = a[split], b[split], fa[split], fb[split]
-        if rounds == 40 or nodes >= MAX_SAMPLES:
-            raise AccuracyError(
-                f"{a.size} oracle segments still turn by half a radian or "
-                f"half a unit of log|F| after {rounds} rounds ({nodes} nodes)")
-        nodes += a.size
-        mid = 0.5 * (a + b)
-        f_mid = _loop_denominator(ifo, med, mid)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        fa, fb = np.concatenate([fa, f_mid]), np.concatenate([f_mid, fb])
+    bottom, top = (_edge(ifo, med, re_lo, re_hi, y) for y in (im_lo, im_hi))
+
+    def side(re: float) -> tuple:
+        if abs(re) >= reach:
+            return [complex(re, im_lo), complex(re, im_hi)], [True]
+        return re + 1j * np.linspace(im_lo, im_hi, 256), np.zeros(255, dtype=bool)
+
+    # counterclockwise from the corner re_lo + i im_lo; each edge's last
+    # node starts the next one
+    edges = [bottom, side(re_hi), *((nodes[::-1], quiet[::-1])
+                                    for nodes, quiet in (top, side(re_lo)))]
+    w = np.concatenate([nodes[:-1] for nodes, _ in edges] + [bottom[0][:1]])
+    quiet = np.concatenate([q for _, q in edges])
+    return complex(*_bisect_pool(
+        lambda mid: _loop_denominator(ifo, med, mid), _log_test, w,
+        _loop_denominator(ifo, med, w),
+        "oracle segments still turn by half a radian or half a unit of log|F|",
+        settled=quiet)[2])
 
 
 def root_count_oracle(ifo: IfoParams, med: MediumParams,

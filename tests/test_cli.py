@@ -479,6 +479,22 @@ def test_nyquist_near_window_beyond_sample_cap(tmp_path, capsys):
     assert not (out / "nyquist.csv").exists()
 
 
+def test_nyquist_contour_beyond_sample_cap(tmp_path, capsys):
+    # rates of 4e4 / tau: the verdict's near window fits the sample cap,
+    # but the contour's start nodes, 8 per delay turn of its range, do
+    # not; the contour fails by field and writes no nyquist.csv
+    rate = 4e4 / TAU
+    path = write_scenario(tmp_path, {
+        "detector": DETECTOR,
+        "medium": {"gamma12": rate, "gamma_opt_total": 0.5 * rate, "delta0": rate},
+    })
+    out = tmp_path / "out"
+    assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector.arm_length, medium: ") and "delay turns" in err
+    assert not (out / "nyquist.csv").exists()
+
+
 def test_nyquist_detuning_out_of_float_range(tmp_path, capsys):
     # a short arm and eta near 1 give rates near 1e173, whose squared
     # damping gap overflows while the detuning is solved at load

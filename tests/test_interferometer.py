@@ -124,9 +124,13 @@ def test_srm_relation():
     ("carrier_angular_frequency", 0.0),
     ("srm_amplitude_reflectivity", 1.0),
     ("srm_amplitude_reflectivity", -0.1),
+    *((field, value) for field in ("arm_length", "circulating_power",
+                                   "carrier_angular_frequency", "srm_amplitude_reflectivity",
+                                   "homodyne_angle")
+      for value in (math.nan, math.inf, -math.inf)),
 ])
 def test_params_validation(field, value):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         replace(IFO, **{field: value})
 
 

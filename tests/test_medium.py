@@ -396,9 +396,14 @@ def test_map_eta_xi_diverges_toward_unity():
     dict(gamma12=1.0, gamma_opt_total=-0.1, delta0=1.0),
     dict(gamma12=1.0, gamma_opt_total=0.1, delta0=-1.0),
     dict(gamma12=1.0, gamma_opt_total=0.1, delta0=1.0, atom_count=0),
+    *({**dict(gamma12=1.0, gamma_opt_total=0.1, delta0=1.0), field: value}
+      for field in ("gamma12", "gamma_opt_total", "delta0")
+      for value in (math.nan, math.inf, -math.inf)),
 ])
 def test_params_validation(kwargs):
-    with pytest.raises(ValueError):
+    # a non-finite rate is named in the message
+    bad = [name for name, value in kwargs.items() if not math.isfinite(value)]
+    with pytest.raises(ValueError, match=bad[0] if bad else None):
         MediumParams(**kwargs)
 
 

@@ -118,6 +118,51 @@ def test_contour_refinement_contract():
         assert increments.max() < 0.5 * np.pi
 
 
+def test_pool_refines_a_circle():
+    # three segments cannot resolve a circle about (1, 0); the pool
+    # bisects each once, and the points it returns wind once in order
+    evaluate = lambda t: 1.0 + 0.5 * np.exp(1j * t)
+    t = np.linspace(0.0, 2.0 * math.pi, 4)
+    nodes, values, sums = stability._bisect_pool(evaluate, stability._turn_test, t,
+                                                 evaluate(t), "segments still turn")
+    t, z = np.concatenate(nodes), np.concatenate(values)
+    assert t.size == 7 and np.array_equal(z, evaluate(t)) and sums == []
+    assert accumulate_winding(z[np.argsort(t)], 1.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("nodes", [2, 4097])
+def test_pool_raises_where_refinement_cannot_end(monkeypatch, nodes):
+    # z - 1 flips sign at t = 1/3, so the segment across it turns by pi
+    # however short it gets: from 2 nodes it still does after 40 rounds;
+    # from 4097, under a cap of 4100 segments, the pool stops as its
+    # fourth round begins
+    monkeypatch.setattr(stability, "MAX_SAMPLES", 4100)
+    evaluate = lambda t: np.where(t < 1.0 / 3.0, 0.0, 2.0) + 0j
+    t = np.linspace(0.0, 1.0, nodes)
+    rounds = 40 if nodes == 2 else 4
+    with pytest.raises(AccuracyError, match=f"^1 segments still turn after {rounds} rounds"):
+        stability._bisect_pool(evaluate, stability._turn_test, t, evaluate(t),
+                               "segments still turn")
+
+
+def test_extreme_rates_stop_both_references_before_any_evaluation(monkeypatch):
+    # rates of 4e4 / tau stretch the range over some 6e5 delay turns, and
+    # 8 start nodes per turn exceed MAX_SAMPLES; the verdict's near window
+    # still fits
+    rate = 4e4 / IFO.tau
+    med = MediumParams(rate, 0.5 * rate, rate)
+    assert classify_system(IFO, med).winding > 0
+
+    def refuse(*args):
+        raise AssertionError("F was evaluated")
+
+    monkeypatch.setattr(stability, "_loop_denominator", refuse)
+    monkeypatch.setattr(stability, "open_loop_gain", refuse)
+    for reference in (nyquist_contour, root_count_oracle):
+        with pytest.raises(AccuracyError, match="delay turns"):
+            reference(IFO, med)
+
+
 def test_marginal_contact_raises():
     med = wlc_medium(0.4, 0.3, "smaller")
     m0 = probe_transfer(med, 0.0).real
@@ -249,11 +294,11 @@ def test_closest_approach_pinned(eta, xi, rs2, root, distance, stable):
 
 def test_verdict_never_refines_a_polyline(monkeypatch):
     # the verdict and its closest approach come from closed forms and a
-    # Newton search; the refined polyline serves nyquist_contour only
+    # Newton search; the segment pool serves the two references only
     def refuse(*args, **kwargs):
         raise AssertionError("classify_system refined a polyline")
 
-    monkeypatch.setattr(stability, "_refine_curve", refuse)
+    monkeypatch.setattr(stability, "_bisect_pool", refuse)
     ifo = IFO.with_power_reflectivity(0.8)
     searched = 0
     for eta in np.linspace(0.1, 0.9, 5):
@@ -419,7 +464,8 @@ def test_oracle_zero_on_contour_raises():
 
 
 def test_oracle_sample_cap_raises():
-    # 8 samples per delay turn along the real axis would exceed 2^20
+    # 8 samples per delay turn along the real axis would exceed
+    # MAX_SAMPLES, although this medium's whole rectangle is quiet
     with pytest.raises(AccuracyError, match="delay turns"):
         root_count_oracle(IFO, BARE, rect=(-1e300, 1e300, 0.0, 1e4))
 
@@ -465,43 +511,48 @@ def dense_reference_edges(ifo, med, rect):
             re_lo + 1j * side[::-1]]
 
 
-def starting_pieces(ifo, med, rect):
-    """The oracle's starting nodes as (nodes, quiet) pieces in
-    counterclockwise order, each from a corner or joint to the next. With
-    the reach of the bottom line, the bottom edge keeps the uniform
-    nodes of the dense seeding from the last one at or before -reach to
-    the first one at or beyond reach, merged with the clusters between
-    them; the rest of it is one quiet piece on either side. A side whose
-    bottom corner lies beyond the reach, and a horizontal edge whose
-    line is quiet (reach 0), is one quiet piece; a top edge that is not
-    keeps the uniform nodes, and a side that is not 256 nodes."""
-    re_lo, re_hi, im_lo, im_hi = rect
+def line_pieces(ifo, med, rect, y):
+    """The oracle's starting nodes on the horizontal edge Im w = y of
+    rect, from re_lo to re_hi, as (nodes, quiet) pieces. With the reach
+    of that line, the edge keeps the uniform nodes of the dense seeding
+    from the last one at or before -reach to the first one at or beyond
+    reach, merged with the clusters between them; the rest of it is one
+    quiet piece on either side. A quiet line (reach 0) is one quiet
+    piece."""
+    re_lo, re_hi = rect[:2]
     turns = (re_hi - re_lo) * ifo.tau / math.pi
     uniform = np.linspace(re_lo, re_hi, max(1024, int(8 * turns)))
-    reach = stability._quiet_reach(ifo, med, im_lo)
-    pieces = []
+    reach = stability._quiet_reach(ifo, med, y)
     if reach == 0.0:
-        pieces.append((np.array([re_lo, re_hi]) + 1j * im_lo, True))
-    else:
-        left, right = np.flatnonzero(uniform <= -reach), np.flatnonzero(uniform >= reach)
-        first = left[-1] if left.size else 0
-        last = right[0] if right.size else uniform.size - 1
-        inner = uniform[first:last + 1]
-        width = max(med.damping_gap, 1e-3 * med.delta0)
-        peaks = np.concatenate([sign * med.delta0 + width * np.linspace(-30.0, 30.0, 241)
-                                for sign in (-1.0, 1.0)])
-        inner = np.sort(np.concatenate([inner, peaks[(peaks > inner[0]) & (peaks < inner[-1])]]))
-        if first > 0:
-            pieces.append((np.array([re_lo, inner[0]]) + 1j * im_lo, True))
-        pieces.append((inner + 1j * im_lo, False))
-        if last < uniform.size - 1:
-            pieces.append((np.array([inner[-1], re_hi]) + 1j * im_lo, True))
+        return [(np.array([re_lo, re_hi]) + 1j * y, True)]
+    left, right = np.flatnonzero(uniform <= -reach), np.flatnonzero(uniform >= reach)
+    first = left[-1] if left.size else 0
+    last = right[0] if right.size else uniform.size - 1
+    inner = uniform[first:last + 1]
+    width = max(med.damping_gap, 1e-3 * med.delta0)
+    peaks = np.concatenate([sign * med.delta0 + width * np.linspace(-30.0, 30.0, 241)
+                            for sign in (-1.0, 1.0)])
+    inner = np.sort(np.concatenate([inner, peaks[(peaks > inner[0]) & (peaks < inner[-1])]]))
+    pieces = [(inner + 1j * y, False)]
+    if first > 0:
+        pieces.insert(0, (np.array([re_lo, inner[0]]) + 1j * y, True))
+    if last < uniform.size - 1:
+        pieces.append((np.array([inner[-1], re_hi]) + 1j * y, True))
+    return pieces
+
+
+def starting_pieces(ifo, med, rect):
+    """The oracle's starting nodes as (nodes, quiet) pieces in
+    counterclockwise order, each from a corner or joint to the next: the
+    bottom edge and, reversed, the top edge as line_pieces seeds them.
+    A side whose bottom corner lies beyond the reach of the bottom line
+    is one quiet piece, and a side that is not 256 nodes."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    reach = stability._quiet_reach(ifo, med, im_lo)
     right_quiet, left_quiet = abs(re_hi) >= reach, abs(re_lo) >= reach
-    top_quiet = stability._quiet_reach(ifo, med, im_hi) == 0.0
     side = np.array([im_lo, im_hi]) if right_quiet else np.linspace(im_lo, im_hi, 256)
-    pieces.append((re_hi + 1j * side, right_quiet))
-    top = np.array([re_lo, re_hi]) if top_quiet else uniform
-    pieces.append((top[::-1] + 1j * im_hi, top_quiet))
+    pieces = [*line_pieces(ifo, med, rect, im_lo), (re_hi + 1j * side, right_quiet)]
+    pieces += [(nodes[::-1], q) for nodes, q in reversed(line_pieces(ifo, med, rect, im_hi))]
     side = np.array([im_lo, im_hi]) if left_quiet else np.linspace(im_lo, im_hi, 256)
     pieces.append((re_lo + 1j * side[::-1], left_quiet))
     return pieces
@@ -706,8 +757,8 @@ def test_quiet_edges_cannot_wind(ifo, med):
 
 
 @pytest.mark.parametrize("eta,xi,root,rs2,height,zeros", [
-    # a low top edge, whose line is not quiet, keeps uniform nodes; the
-    # zero of this medium lies above it
+    # a low top edge, whose line is not quiet, is seeded as the bottom
+    # edge is, with its own reach; the zero of this medium lies above it
     (0.4, 0.4, "smaller", 0.8, 0.003, 0),
     # the pair of zeros of this medium lies below it
     (0.4, 0.1, "larger", 0.8, 0.003, 2),
@@ -765,13 +816,16 @@ GATE_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("eta,xi,rs2,winding", GATE_CELLS)
+@pytest.mark.parametrize("eta,xi,rs2,winding", GATE_CELLS + [
+    (eta, xi, rs2, 0) for rs2, eta, xi in HIGH_REFLECTIVITY])
 def test_oracle_counts_the_winding_near_the_axis(eta, xi, rs2, winding):
+    # the contour, seeded as the oracle's real edge is, winds as often
     ifo = IFO.with_power_reflectivity(rs2)
     med = wlc_medium(eta, xi, "larger")
     report = classify_system(ifo, med)
     assert report.winding == winding
     assert root_count_oracle(ifo, med) == report.winding
+    assert round(accumulate_winding(nyquist_contour(ifo, med), 1.0) / (2.0 * math.pi)) == winding
 
 
 @pytest.mark.parametrize("rs2,grid_points", [
