@@ -174,7 +174,7 @@ def classify_medium(p: MediumParams, margin: float = 1.0) -> MediumClass:
     margin * Gamma^2 / 4; the margin factor makes the survey threshold
     reproducible and tunable.
     """
-    if margin < 1.0:
+    if not margin >= 1.0:
         raise ValueError(f"margin must be >= 1, got {margin}")
     if p.gamma12 < p.gamma_opt_total:
         return MediumClass.ATOMIC_INSTABILITY
@@ -190,11 +190,10 @@ def validity_margin(p: MediumParams, omega):
     f_pm - 1 = (Gamma / 2) / (gamma12 - Gamma + i(omega +- delta0)).
     Small values certify the weak-coupling input-output relation.
     """
-    _denominators(p, omega)  # shared pole guard
-    gap = p.damping_gap
-    f_plus = 0.5 * p.gamma_opt_total / (gap + 1j * (np.asarray(omega) + p.delta0))
-    f_minus = 0.5 * p.gamma_opt_total / (gap + 1j * (np.asarray(omega) - p.delta0))
-    return np.maximum(np.abs(f_plus) ** 2, np.abs(f_minus) ** 2)
+    den_plus, den_minus = _denominators(p, omega)
+    # f_pm - 1 = -(Gamma / 2) / conj(den_pm), so |f_pm - 1| = |(Gamma / 2) / den_pm|
+    half = 0.5 * p.gamma_opt_total
+    return np.maximum(np.abs(half / den_plus) ** 2, np.abs(half / den_minus) ** 2)
 
 
 def round_trip_phase(p: MediumParams, omega, tau: float):
@@ -225,10 +224,10 @@ def solve_detuning(gamma12: float, gamma_opt_total: float,
     within 1e-10 of max(b^2, |4ac|) is a repeated root -b / 2a. At
     b = 0 (A = 2 g^2) the product c >= 0 leaves no positive root.
     """
-    if gamma12 <= 0.0 or gamma_opt_total <= 0.0:
-        raise ValueError("rates must be positive")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    for name, value in (("gamma12", gamma12), ("gamma_opt_total", gamma_opt_total),
+                        ("tau", tau)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     g2 = (gamma12 - gamma_opt_total) ** 2
     a_rate = gamma_opt_total / tau
     a, b, c = 1.0, 2.0 * g2 - a_rate, g2 * (g2 + a_rate)
@@ -266,8 +265,8 @@ def map_eta_xi(eta: float, xi: float, tau: float) -> tuple[float, float]:
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     gamma12 = xi / (8.0 * tau * (1.0 - eta) ** 2)
     return gamma12, eta * gamma12
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .interferometer import SPEED_OF_LIGHT, IfoParams, baseline_integrated_inverse_psd
-from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
-from .survey import RootChoice, SweepSpec, default_grid
+from .medium import MediumParams, NoiseModel
+from .survey import RootChoice, SweepSpec, _cell_media, default_grid
 
 __all__ = ["ScenarioError", "Scenario", "load_scenario"]
 
@@ -213,19 +213,15 @@ def _parse_medium(block, tau: float) -> MediumParams:
     if xi > 1.0:
         raise ScenarioError(f"{where}.xi: must lie in (0, 1], got {xi}")
     root = _choice(block, "root", where, RootChoice.BOTH.labels, "smaller")
-    gamma12, gamma_opt = map_eta_xi(eta, xi, tau)
     try:
-        roots = solve_detuning(gamma12, gamma_opt, tau)
-    except OverflowError:
-        raise ScenarioError(
-            f"{where}: the phase-cancellation detuning at eta={eta}, xi={xi} "
-            f"leaves the float range for the detector's delay tau={tau:.3g} s "
-            f"(rates gamma12={gamma12:.3g}, gamma_opt_total={gamma_opt:.3g})") from None
-    if not roots:
+        *_, media = _cell_media(eta, xi, tau, (root,))
+    except OverflowError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+    if not media:
         raise ScenarioError(
             f"{where}: no phase-cancellation detuning exists at "
             f"eta={eta}, xi={xi} (requires xi <= eta)")
-    return MediumParams(gamma12, gamma_opt, roots[0] if root == "smaller" else roots[-1])
+    return media[root]
 
 
 def _parse_sweep(block, detector: IfoParams, rs2: float,

@@ -55,7 +55,6 @@ MARGINAL_ERROR_DISTANCE = 1e-9
 MARGINAL_FLAG_DISTANCE = 1e-6
 NEAR_DISTANCE = 0.1  # the closest approach is searched where |F| may be below it
 MAX_SAMPLES = 2**22  # per sampled near window, and per contour reference
-_PEAK_OFFSETS = np.arange(-30.0, 31.0)  # np.linspace(-30, 30, 61), exactly
 _PEAK_CLUSTER = np.linspace(-30.0, 30.0, 241)  # gain-peak offsets, in widths
 
 
@@ -432,13 +431,13 @@ def _closest_approach(loop: _Loop, lo, hi, level):
     instead when the window is empty (hi = 0) or the approach is
     farther. |F| = |1 - r_s G_o| is sampled on every window in one array
     call: 16 points per delay turn, spaced as np.linspace spaces them,
-    plus a cluster at the gain peak delta0 (AccuracyError when a window
-    needs more than MAX_SAMPLES). Every sample interval of a window over
-    which d|F|/domega turns from negative to positive is polished to its
-    minimum by _polish_minimum. At omega = 0 the slope vanishes by
-    symmetry, so there the sign of the curvature stands in for it.
-    Searching omega >= 0 suffices because the other half is the complex
-    conjugate.
+    plus one per width of _PEAK_CLUSTER about the gain peak delta0
+    (AccuracyError when a window needs more than MAX_SAMPLES). Every
+    sample interval of a window over which d|F|/domega turns from
+    negative to positive is polished to its minimum by _polish_minimum.
+    At omega = 0 the slope vanishes by symmetry, so there the sign of
+    the curvature stands in for it. Searching omega >= 0 suffices
+    because the other half is the complex conjugate.
     """
     span = hi - lo
     turns = span * loop.tau / math.pi
@@ -453,7 +452,7 @@ def _closest_approach(loop: _Loop, lo, hi, level):
     searched = counts > 0
     omegas[ends[searched] - 1] = hi[searched]
     peak = (loop.delta0[:, None]
-            + np.maximum(loop.gap, 1e-3 * loop.delta0)[:, None] * _PEAK_OFFSETS)
+            + np.maximum(loop.gap, 1e-3 * loop.delta0)[:, None] * _PEAK_CLUSTER[::4])
     inside = (peak > lo[:, None]) & (peak < hi[:, None])
     owner = np.concatenate([owner, inside.nonzero()[0]])
     omegas = np.concatenate([omegas, peak[inside]])

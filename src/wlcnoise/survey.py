@@ -211,12 +211,26 @@ def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
     return result.value / baseline_integrated_inverse_psd(ifo)
 
 
-def _labeled_roots(roots: tuple[float, ...], choice: RootChoice):
-    """Pair root labels with detuning values; empty without a root."""
+def _cell_media(eta: float, xi: float, tau: float, labels: tuple[str, ...]):
+    """Rates (gamma12, gamma_opt_total) of the survey cell (eta, xi) and
+    its medium per root label, {label: MediumParams}, empty without a
+    detuning; a repeated root is both "smaller" and "larger", so the two
+    labels share one medium. A detuning that leaves the float range
+    raises OverflowError naming the cell, tau and the rates."""
+    gamma12, gamma_opt = map_eta_xi(eta, xi, tau)
+    try:
+        roots = solve_detuning(gamma12, gamma_opt, tau)
+    except OverflowError:
+        raise OverflowError(
+            f"the phase-cancellation detuning at eta={eta}, xi={xi} leaves the "
+            f"float range for the detector's delay tau={tau:.3g} s (rates "
+            f"gamma12={gamma12:.3g}, gamma_opt_total={gamma_opt:.3g})") from None
     if not roots:
-        return []
-    by_label = {"smaller": roots[0], "larger": roots[-1]}
-    return [(label, by_label[label]) for label in choice.labels]
+        return gamma12, gamma_opt, {}
+    ends = {label: roots[0] if label == "smaller" else roots[-1] for label in labels}
+    media = {delta0: MediumParams(gamma12, gamma_opt, delta0)
+             for delta0 in set(ends.values())}
+    return gamma12, gamma_opt, {label: media[delta0] for label, delta0 in ends.items()}
 
 
 @lru_cache(maxsize=None)
@@ -258,44 +272,34 @@ def _outcome(spec: SweepSpec, ifo: IfoParams, rs2: float, label: str,
 
 def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]:
     """The cells of one eta row. The stability verdicts of all its
-    (xi, rs^2, root) configurations come from one _verdicts call."""
-    ifos = [(rs2, replace(ifo, srm_amplitude_reflectivity=math.sqrt(rs2),
-                          include_additional_noise=spec.include_additional_noise))
-            for rs2 in spec.srm_power_reflectivities]
-    media = []
-    for xi in spec.xi_grid:
-        gamma12, gamma_opt = map_eta_xi(eta, xi, ifo.tau)
-        try:
-            roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
-        except OverflowError:
-            raise OverflowError(
-                f"the phase-cancellation detuning at eta={eta}, xi={xi} leaves the "
-                f"float range for the detector's delay tau={ifo.tau:.3g} s") from None
-        labeled = _labeled_roots(roots, spec.root_choice)
-        # a repeated root carries both labels; it is evaluated once
-        meds = {delta0: MediumParams(gamma12, gamma_opt, delta0) for _, delta0 in labeled}
-        media.append((xi, gamma12, gamma_opt, labeled, meds))
-    verdicts = iter(_verdicts([(ifo_rs, med) for *_, meds in media
-                               for _, ifo_rs in ifos for med in meds.values()],
-                              spec.margin))
-    cells = []
-    for xi, gamma12, gamma_opt, labeled, meds in media:
+    distinct (rs^2, medium) configurations come from one _verdicts call;
+    a repeated root's two labels share one configuration and one rho_r."""
+    detectors = {rs2: replace(ifo.with_power_reflectivity(rs2),
+                              include_additional_noise=spec.include_additional_noise)
+                 for rs2 in spec.srm_power_reflectivities}
+    cells = [(xi, *_cell_media(eta, xi, ifo.tau, spec.root_choice.labels))
+             for xi in spec.xi_grid]
+    first_label = {}  # (rs^2, medium) -> the first root label that names it
+    for *_, media in cells:
+        for rs2 in detectors:
+            for label, med in media.items():
+                first_label.setdefault((rs2, med), label)
+    verdicts = _verdicts([(detectors[rs2], med) for rs2, med in first_label], spec.margin)
+    outcome_of = {(rs2, med): _outcome(spec, detectors[rs2], rs2, label, med, verdict)
+                  for ((rs2, med), label), verdict in zip(first_label.items(), verdicts)}
+    row = []
+    for xi, gamma12, gamma_opt, media in cells:
         outcomes = []
-        for rs2, ifo_rs in ifos:
-            by_root: dict[float, RootOutcome] = {}
-            for label, delta0 in labeled:
-                if delta0 in by_root:
-                    outcomes.append(replace(by_root[delta0], root_label=label))
-                else:
-                    by_root[delta0] = _outcome(spec, ifo_rs, rs2, label, meds[delta0],
-                                               next(verdicts))
-                    outcomes.append(by_root[delta0])
-        if not meds:
+        for rs2 in detectors:
+            for label, med in media.items():
+                outcome = outcome_of[rs2, med]
+                outcomes.append(outcome if outcome.root_label == label
+                                else replace(outcome, root_label=label))
+        if not media:
             outcomes = _infeasible_outcomes(spec.srm_power_reflectivities, spec.root_choice)
-        cells.append(SweepCell(eta=eta, xi=xi, gamma12=gamma12,
-                               gamma_opt_total=gamma_opt, feasible=bool(meds),
-                               outcomes=tuple(outcomes)))
-    return cells
+        row.append(SweepCell(eta=eta, xi=xi, gamma12=gamma12, gamma_opt_total=gamma_opt,
+                             feasible=bool(media), outcomes=tuple(outcomes)))
+    return row
 
 
 def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
@@ -309,7 +313,7 @@ def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
     flagged marginal, with the message as note) and an AccuracyError
     from the rho_r integral (the best estimate, with a note). Any other
     exception in a row aborts the sweep: an OverflowError from a cell's
-    detuning solve names the cell's eta and xi. Raises ZeroSignalError
+    detuning solve names its eta, xi, tau and rates. Raises ZeroSignalError
     before any cell is computed when the readout carries no signal,
     since no strain noise could be integrated.
     """

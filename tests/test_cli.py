@@ -80,6 +80,19 @@ def test_scenario_eta_xi_medium(tmp_path):
         solve_detuning(gamma12, gamma_opt, TAU)[-1])
 
 
+def test_scenario_repeated_root_matches_the_sweep(tmp_path):
+    # at xi == eta the detuning is a repeated root: both labels load it,
+    # and the sweep's outcomes at that cell carry the same delta0
+    media = [load_scenario(write_scenario(tmp_path, {
+        "detector": DETECTOR, "medium": {"eta": 0.4, "xi": 0.4, "root": root},
+    })).medium for root in ("smaller", "larger")]
+    assert media[0] == media[1]
+    detector = load_scenario(write_scenario(tmp_path, {"detector": DETECTOR})).detector
+    spec = survey.SweepSpec(eta_grid=(0.4,), xi_grid=(0.4,))
+    (cell,) = run_sweep(spec, detector).cells
+    assert [o.delta0 for o in cell.outcomes] == [media[0].delta0] * 2
+
+
 def test_scenario_infeasible_eta_xi(tmp_path):
     path = write_scenario(tmp_path, {
         "detector": DETECTOR,
@@ -506,6 +519,7 @@ def test_nyquist_detuning_out_of_float_range(tmp_path, capsys):
     assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: medium: ") and "float range" in err
+    assert "eta=0.99999999, xi=0.4" in err and "tau=3.34e-159 s" in err
     assert "Traceback" not in err
     assert not (out / "nyquist.csv").exists()
 
@@ -544,6 +558,7 @@ def test_sweep_detuning_out_of_float_range(tmp_path, capsys, threads):
                  "--threads", threads]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: sweep: ") and "eta=0.99999999, xi=0.4" in err
+    assert "tau=3.34e-153 s" in err
     assert "float range" in err and "Traceback" not in err
     assert not list(out.iterdir())
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlcnoise.errors import PoleError, SingularParametrizationError
+from wlcnoise.interferometer import reference_detector
 from wlcnoise.medium import (
     MediumClass,
     MediumParams,
@@ -21,6 +22,7 @@ from wlcnoise.medium import (
     validity_margin,
 )
 from wlcnoise.numerics import derivative_central
+from wlcnoise.stability import classify_system
 
 REF = MediumParams(gamma12=1.0, gamma_opt_total=0.1, delta0=2.0)
 
@@ -215,6 +217,16 @@ def test_classify_margin_knob():
         classify_medium(p, margin=0.5)
 
 
+@pytest.mark.parametrize("margin", [math.nan, -math.inf, 0.5])
+def test_margin_below_one_raises(margin):
+    # a NaN margin passes no comparison, so it would read STATIONARY
+    p = MediumParams(100.0, 90.0, 1.0)  # non-stationary at margin 1
+    with pytest.raises(ValueError, match="margin"):
+        classify_medium(p, margin=margin)
+    with pytest.raises(ValueError, match="margin"):
+        classify_system(reference_detector(0.8), p, margin=margin)
+
+
 def test_validity_margin_values():
     p = MediumParams(1.0, 0.0, 2.0)
     assert validity_margin(p, 0.0) == 0.0
@@ -379,6 +391,23 @@ def test_map_eta_xi_singular_line():
         map_eta_xi(0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         map_eta_xi(0.5, 1.5, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("call,name", [
+    (lambda v: solve_detuning(v, 0.5, 1.0), "gamma12"),
+    (lambda v: solve_detuning(1.0, v, 1.0), "gamma_opt_total"),
+    (lambda v: solve_detuning(1.0, 0.5, v), "tau"),
+    (lambda v: map_eta_xi(v, 0.5, 1.0), "eta"),
+    (lambda v: map_eta_xi(0.5, v, 1.0), "xi"),
+    (lambda v: map_eta_xi(0.5, 0.5, v), "tau"),
+], ids=["solve-gamma12", "solve-gamma_opt_total", "solve-tau", "map-eta", "map-xi",
+        "map-tau"])
+def test_rates_and_tau_must_be_finite_and_positive(call, name, value):
+    # before, solve_detuning returned () and map_eta_xi (nan, nan) or
+    # (0, 0) for a non-finite argument
+    with pytest.raises(ValueError, match=name):
+        call(value)
 
 
 def test_map_eta_xi_diverges_toward_unity():

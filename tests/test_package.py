@@ -1,4 +1,5 @@
 import importlib
+from operator import attrgetter
 
 import pytest
 
@@ -24,3 +25,23 @@ def test_root_exports_every_exception():
     assert len(classes) == 6
     for cls in classes:
         assert getattr(wlcnoise, cls.__name__) is cls
+
+
+# the names the benchmark harness (bench/run.py, bench/test_bench.py)
+# wraps, patches or calls; without one only the benchmark would fail
+BENCH_BINDINGS = {
+    "survey": ("run_sweep", "improvement_factor", "classify_system", "strain_psd",
+               "ProcessPoolExecutor"),
+    "cli": ("main", "run_sweep"),
+    "medium": ("map_eta_xi", "solve_detuning"),
+    "stability": ("classify_system", "root_count_oracle"),
+    "interferometer": ("open_loop_gain", "strain_psd", "IfoParams.with_power_reflectivity"),
+    "numerics": ("accumulate_winding", "integrate_adaptive"),
+    "scenario": ("load_scenario",),
+}
+
+
+@pytest.mark.parametrize("module,name", [(module, name) for module, names
+                                         in BENCH_BINDINGS.items() for name in names])
+def test_bench_bindings_exist(module, name):
+    assert callable(attrgetter(name)(importlib.import_module(f"wlcnoise.{module}")))

@@ -292,6 +292,19 @@ def test_closest_approach_pinned(eta, xi, rs2, root, distance, stable):
     assert not report.marginal
 
 
+@pytest.mark.parametrize("eta,xi,rs2,root,distance", [
+    (0.31387755102040815, 0.11795918367346939, 0.5, "smaller", 0.0020396530175336484),
+    (0.31387755102040815, 0.1571428571428571, 0.8, "larger", 0.0019122869836964243),
+    (0.509795918367347, 0.09836734693877551, 0.9, "larger", 0.0010267289964294806),
+])
+def test_closest_approach_near_the_gain_peak_pinned_exactly(eta, xi, rs2, root, distance):
+    # seed-0 survey configurations whose minimum is polished from a
+    # bracket that ends on a gain-peak node, within 30 widths of delta0:
+    # a change to the sampler's nodes changes these bits
+    report = classify_system(IFO.with_power_reflectivity(rs2), wlc_medium(eta, xi, root))
+    assert report.min_distance_to_critical == distance
+
+
 def test_verdict_never_refines_a_polyline(monkeypatch):
     # the verdict and its closest approach come from closed forms and a
     # Newton search; the segment pool serves the two references only
