@@ -256,7 +256,8 @@ def map_eta_xi(eta: float, xi: float, tau: float) -> tuple[float, float]:
 
     eta = Gamma / gamma12 and xi = 8 (gamma12 - Gamma)^2 tau / gamma12,
     so gamma12 = xi / (8 tau (1 - eta)^2) and Gamma = eta gamma12. The
-    map is singular along eta = 1 (zero damping gap).
+    map is singular along eta = 1 (zero damping gap); ValueError where
+    8 tau (1 - eta)^2 underflows to 0.
     """
     if not 0.0 < eta < 1.0:
         if eta == 1.0:
@@ -267,6 +268,10 @@ def map_eta_xi(eta: float, xi: float, tau: float) -> tuple[float, float]:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be finite and positive, got {tau}")
-    gamma12 = xi / (8.0 * tau * (1.0 - eta) ** 2)
+    scale = 8.0 * tau * (1.0 - eta) ** 2
+    if scale == 0.0:
+        raise ValueError(f"8 tau (1 - eta)^2 underflows to 0 at eta={eta}, xi={xi}, "
+                         f"tau={tau}")
+    gamma12 = xi / scale
     return gamma12, eta * gamma12
 

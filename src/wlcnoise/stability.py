@@ -44,7 +44,6 @@ from .medium import MediumClass, MediumParams
 __all__ = [
     "Classification",
     "StabilityReport",
-    "default_omega_max",
     "nyquist_contour",
     "classify_system",
     "root_count_oracle",
@@ -94,9 +93,9 @@ class StabilityReport:
         return self.classification is Classification.STABLE
 
 
-def default_omega_max(med: MediumParams, tau: float) -> float:
-    """Sampling limit covering every rate scale of the loop."""
-    return 50.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / tau)
+def _rate_scale(med: MediumParams, tau: float) -> float:
+    """The largest rate scale of the loop: max(delta0, gamma12, Gamma, 1/tau)."""
+    return max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / tau)
 
 
 _UNDAMPED = ("medium is on the lasing threshold (gamma12 == gamma_opt_total); "
@@ -125,16 +124,19 @@ def _axis_nodes(ifo: IfoParams, med: MediumParams, lo: float, hi: float,
     The uniform nodes of _uniform_count within +-reach, plus the nearest
     one outside on either side, merged in order with the clusters
     +-delta0 + max(gap, 1e-3 delta0) * _PEAK_CLUSTER about the gain peaks
-    that lie between the kept ends. There zeros close to the axis would
-    otherwise hide a whole turn between two uniform nodes. A repeated
-    node only adds a segment whose ratio is exactly 1.
+    and the node 0, where they lie between the kept ends. There zeros
+    close to the axis would otherwise hide a whole turn between two
+    uniform nodes: at the peaks, and at the white-light point omega = 0,
+    where the symmetric uniform nodes would leave one segment from -h to
+    h whose ends have equal |F|, since F(-omega) = conj F(omega). A
+    repeated node only adds a segment whose ratio is exactly 1.
     """
     uniform = np.linspace(lo, hi, _uniform_count(ifo, lo, hi))
     first = max(np.searchsorted(uniform, -reach, side="right") - 1, 0)
     last = min(np.searchsorted(uniform, reach), uniform.size - 1)
     kept = uniform[first:last + 1]
     width = max(med.damping_gap, 1e-3 * med.delta0)
-    peaks = (np.array([[-med.delta0], [med.delta0]]) + width * _PEAK_CLUSTER).ravel()
+    peaks = np.append(np.array([[-med.delta0], [med.delta0]]) + width * _PEAK_CLUSTER, 0.0)
     return np.sort(np.concatenate([kept, peaks[(peaks > kept[0]) & (peaks < kept[-1])]]))
 
 
@@ -226,12 +228,12 @@ def _quiet_reach(ifo: IfoParams, med: MediumParams, y: float) -> float:
 def _omega_range(ifo: IfoParams, med: MediumParams) -> float:
     """Upper end of the frequency range both contour references cover.
 
-    default_omega_max, or twice the upper end hi of the gain window
-    |r_s G_o| > 1 when the window reaches that limit. The window is not
-    computed where the real axis is quiet from below omega_max on
-    (_quiet_reach at y = 0): it then ends before omega_max.
+    omega_max, 50 times _rate_scale, or twice the upper end hi of the
+    gain window |r_s G_o| > 1 when the window reaches that limit. The
+    window is not computed where the real axis is quiet from below
+    omega_max on (_quiet_reach at y = 0): it then ends before omega_max.
     """
-    omega_max = default_omega_max(med, ifo.tau)
+    omega_max = 50.0 * _rate_scale(med, ifo.tau)
     if _quiet_reach(ifo, med, 0.0) >= omega_max:
         hi = float(_gain_window(_Loop.of(ifo, med), 1.0)[1])
         if hi >= omega_max:
@@ -508,9 +510,6 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float =
         loop, np.stack([level, np.ones_like(level)]))
     dist = _closest_approach(loop, near_lo, near_hi, level)
     windings = _ray_crossings(loop, gain_lo, gain_hi)
-    # equal distances share one float: over half of them are a bound
-    # 1 - level, and a retained survey keeps one per outcome
-    shared: dict[float, float] = {}
     for i, d, lo, hi, winding in zip(looped, dist.tolist(), near_lo.tolist(),
                                      near_hi.tolist(), windings.tolist()):
         if d < MARGINAL_ERROR_DISTANCE:
@@ -519,8 +518,8 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float =
             continue
         classification = (Classification.STABLE if winding == 0
                           else Classification.OPTICAL_INSTABILITY)
-        verdicts[i] = StabilityReport(classification, winding, shared.setdefault(d, d),
-                                      (lo, hi), marginal=d < MARGINAL_FLAG_DISTANCE)
+        verdicts[i] = StabilityReport(classification, winding, d, (lo, hi),
+                                      marginal=d < MARGINAL_FLAG_DISTANCE)
     return verdicts
 
 
@@ -641,13 +640,13 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
     shared.
 
     rect is (re_lo, re_hi, im_lo, im_hi), finite; the default covers
-    [-omega_max, omega_max] x [0, 10 max-rate], omega_max the range of
+    [-omega_max, omega_max] x [0, 10 _rate_scale], omega_max the range of
     nyquist_contour (_omega_range).
     """
     _require_damped(med)
     if rect is None:
         omega_max = _omega_range(ifo, med)
-        height = 10.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / ifo.tau)
+        height = 10.0 * _rate_scale(med, ifo.tau)
         rect = (-omega_max, omega_max, 0.0, height)
     if not all(map(math.isfinite, rect)):
         raise ValueError(f"rect {rect} must be finite")

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .errors import AccuracyError, MarginalStabilityError, ZeroSignalError
 from .interferometer import (
@@ -103,15 +104,7 @@ class SweepSpec:
             raise ValueError(f"margin must be >= 1, got {self.margin}")
 
 
-def _reduce_to_init(self):
-    """Pickle a slotted dataclass as a call of its class on its field
-    values in declaration order, so a worker's result unpickles through
-    the generated __init__ rather than a per-field __setstate__ loop."""
-    return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
-
-@dataclass(frozen=True, slots=True)
-class RootOutcome:
+class RootOutcome(NamedTuple):
     """Classification of one (SRM reflectivity, detuning root) combination."""
 
     srm_power_reflectivity: float
@@ -124,19 +117,14 @@ class RootOutcome:
     rho_r: float | None = None
     note: str = ""
 
-    __reduce__ = _reduce_to_init
 
-
-@dataclass(frozen=True, slots=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     eta: float
     xi: float
     gamma12: float
     gamma_opt_total: float
     feasible: bool
     outcomes: tuple[RootOutcome, ...]
-
-    __reduce__ = _reduce_to_init
 
 
 @dataclass(frozen=True)
@@ -294,7 +282,7 @@ def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]
             for label, med in media.items():
                 outcome = outcome_of[rs2, med]
                 outcomes.append(outcome if outcome.root_label == label
-                                else replace(outcome, root_label=label))
+                                else outcome._replace(root_label=label))
         if not media:
             outcomes = _infeasible_outcomes(spec.srm_power_reflectivities, spec.root_choice)
         row.append(SweepCell(eta=eta, xi=xi, gamma12=gamma12, gamma_opt_total=gamma_opt,

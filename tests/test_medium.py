@@ -393,6 +393,12 @@ def test_map_eta_xi_singular_line():
         map_eta_xi(0.5, 1.5, 1.0)
 
 
+def test_map_eta_xi_underflow_names_the_cell():
+    # 8 tau (1 - eta)^2 rounds to 0 for a tiny delay next to eta = 1
+    with pytest.raises(ValueError, match=r"eta=0\.9999999999999999, xi=0\.5, tau=1e-300"):
+        map_eta_xi(0.9999999999999999, 0.5, 1e-300)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
 @pytest.mark.parametrize("call,name", [
     (lambda v: solve_detuning(v, 0.5, 1.0), "gamma12"),

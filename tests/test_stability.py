@@ -25,7 +25,6 @@ from wlcnoise.stability import (
     _closest_approach,
     _gain_window,
     _Loop,
-    default_omega_max,
     nyquist_contour,
     root_count_oracle,
 )
@@ -186,7 +185,7 @@ def test_report_fields():
     med = wlc_medium(0.4, 0.4, "smaller")
     report = classify_system(IFO, med)
     lo, hi = report.omega_range_used
-    assert 0.0 <= lo < hi < default_omega_max(med, IFO.tau)
+    assert 0.0 <= lo < hi < 50.0 * stability._rate_scale(med, IFO.tau)
     rs = IFO.srm_amplitude_reflectivity
     level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + rs))
     ends = np.abs(rs * open_loop_gain(IFO, med, np.array([lo, hi])))
@@ -348,7 +347,7 @@ def test_ray_crossings_match_sampled_contour(rs2):
                     accumulate_winding(nyquist_contour(ifo, med), 1.0) / (2.0 * math.pi))
                 windings.add(report.winding)
                 hi = _gain_window(_Loop.of(ifo, med), 1.0)[1]
-                extended += bool(hi >= default_omega_max(med, ifo.tau))
+                extended += bool(hi >= 50.0 * stability._rate_scale(med, ifo.tau))
     if rs2 < 0.999:
         assert {0, 1, 2, 3} <= windings
     else:
@@ -360,13 +359,14 @@ def test_ray_crossings_match_sampled_contour(rs2):
 
 @pytest.mark.parametrize("eta,xi,winding", [(0.8, 0.35, 39), (0.95, 0.05, 99)])
 def test_oracle_range_passes_the_gain_window(eta, xi, winding):
-    # at rs^2 0.999 these gain windows pass default_omega_max; the
+    # at rs^2 0.999 these gain windows pass 50 _rate_scale; the
     # oracle's default rectangle covers the contour's range, so its
-    # count is the winding (a rectangle ending at default_omega_max
+    # count is the winding (a rectangle ending at 50 _rate_scale
     # counts 35 and 79)
     ifo = IFO.with_power_reflectivity(0.999)
     med = wlc_medium(eta, xi, "larger")
-    assert _gain_window(_Loop.of(ifo, med), 1.0)[1] > default_omega_max(med, ifo.tau)
+    omega_max = 50.0 * stability._rate_scale(med, ifo.tau)
+    assert _gain_window(_Loop.of(ifo, med), 1.0)[1] > omega_max
     assert classify_system(ifo, med).winding == winding
     assert root_count_oracle(ifo, med) == winding
 
@@ -377,12 +377,12 @@ def test_oracle_range_passes_the_gain_window(eta, xi, winding):
 def test_omega_range_bound_keeps_the_window_inside(log_gamma12, share, log_delta0,
                                                     log_loss):
     # _omega_range skips the gain window where the real axis is quiet
-    # from below default_omega_max on (the reach at y = 0): there the
+    # from below 50 _rate_scale on (the reach at y = 0): there the
     # window must end at or before the reach
     gamma12 = 10.0 ** log_gamma12 / IFO.tau
     med = MediumParams(gamma12, share * gamma12, 10.0 ** log_delta0 / IFO.tau)
     ifo = replace(IFO, srm_amplitude_reflectivity=1.0 - 10.0 ** log_loss)
-    omega_max = default_omega_max(med, ifo.tau)
+    omega_max = 50.0 * stability._rate_scale(med, ifo.tau)
     reach = stability._quiet_reach(ifo, med, 0.0)
     assume(reach < omega_max)
     assert _gain_window(_Loop.of(ifo, med), 1.0)[1] <= reach
@@ -435,8 +435,8 @@ def test_row_verdicts_match_classify_system():
 
 def test_oracle_bare_medium_zero():
     assert root_count_oracle(IFO, BARE) == 0
-    rect = (-2.0 * default_omega_max(BARE, IFO.tau),
-            2.0 * default_omega_max(BARE, IFO.tau),
+    rect = (-100.0 * stability._rate_scale(BARE, IFO.tau),
+            100.0 * stability._rate_scale(BARE, IFO.tau),
             0.0, 20.0 / IFO.tau)
     assert root_count_oracle(IFO, BARE, rect=rect) == 0
 
@@ -448,7 +448,7 @@ def test_oracle_denominator_matches_loop_series(eta, xi, root, rs2, winding):
     # and a cluster at the gain peak
     ifo = IFO.with_power_reflectivity(rs2)
     med = wlc_medium(eta, xi, root)
-    omega_max = default_omega_max(med, ifo.tau)
+    omega_max = 50.0 * stability._rate_scale(med, ifo.tau)
     omegas = np.concatenate([np.linspace(-omega_max, omega_max, 20001),
                              med.delta0 + med.damping_gap * np.linspace(-30.0, 30.0, 241)])
     oracle = stability._loop_denominator(ifo, med, omegas)
@@ -529,9 +529,9 @@ def line_pieces(ifo, med, rect, y):
     rect, from re_lo to re_hi, as (nodes, quiet) pieces. With the reach
     of that line, the edge keeps the uniform nodes of the dense seeding
     from the last one at or before -reach to the first one at or beyond
-    reach, merged with the clusters between them; the rest of it is one
-    quiet piece on either side. A quiet line (reach 0) is one quiet
-    piece."""
+    reach, merged with the clusters and the node 0 between them; the
+    rest of it is one quiet piece on either side. A quiet line (reach 0)
+    is one quiet piece."""
     re_lo, re_hi = rect[:2]
     turns = (re_hi - re_lo) * ifo.tau / math.pi
     uniform = np.linspace(re_lo, re_hi, max(1024, int(8 * turns)))
@@ -544,7 +544,7 @@ def line_pieces(ifo, med, rect, y):
     inner = uniform[first:last + 1]
     width = max(med.damping_gap, 1e-3 * med.delta0)
     peaks = np.concatenate([sign * med.delta0 + width * np.linspace(-30.0, 30.0, 241)
-                            for sign in (-1.0, 1.0)])
+                            for sign in (-1.0, 1.0)] + [[0.0]])
     inner = np.sort(np.concatenate([inner, peaks[(peaks > inner[0]) & (peaks < inner[-1])]]))
     pieces = [(inner + 1j * y, False)]
     if first > 0:
@@ -829,8 +829,27 @@ GATE_CELLS = [
 ]
 
 
+# Configurations (reference detector, larger root) with a zero just
+# below the real axis at |omega tau| < 0.04, the white-light point. With
+# no node at omega = 0 the symmetric real edge ran one segment from -h
+# to h, whose ends have equal |F| since F(-omega) = conj F(omega); F
+# turned a whole turn along it unseen, and the oracle counted 1
+WHITE_LIGHT_CELLS = [
+    # eta, xi, rs^2
+    (0.96, 0.0020401552744958753, 0.9694003569375128),
+    (0.85, 0.006130904889496624, 0.9788859365228594),
+    (0.95, 0.0020401552744958753, 0.977251908938855),
+    (0.98, 0.0005651429401530079, 0.9826298828683842),
+    (0.7, 0.005508912011472488, 0.9908060200668897),
+    (0.8999999999999999, 0.005508912011472488, 0.972943143812709),
+    (0.95, 0.0022360679774997894, 0.9778595317725752),
+    (0.95, 0.0035097438282184618, 0.9657324414715719),
+]
+
+
 @pytest.mark.parametrize("eta,xi,rs2,winding", GATE_CELLS + [
-    (eta, xi, rs2, 0) for rs2, eta, xi in HIGH_REFLECTIVITY])
+    (eta, xi, rs2, 0) for rs2, eta, xi in HIGH_REFLECTIVITY] + [
+    (eta, xi, rs2, 0) for eta, xi, rs2 in WHITE_LIGHT_CELLS])
 def test_oracle_counts_the_winding_near_the_axis(eta, xi, rs2, winding):
     # the contour, seeded as the oracle's real edge is, winds as often
     ifo = IFO.with_power_reflectivity(rs2)

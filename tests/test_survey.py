@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 
@@ -182,7 +182,7 @@ def test_infeasible_outcomes_shared(small_sweep):
             continue
         key = (outcome.srm_power_reflectivity, outcome.root_label)
         fresh = RootOutcome(*key, math.nan, CellStatus.INFEASIBLE)
-        # nan fields break dataclass equality, so compare the full repr
+        # a nan field compares unequal to a copy of itself, so compare the full repr
         assert repr(outcome) == repr(fresh)
         assert shared.setdefault(key, outcome) is outcome
     assert set(shared) == {(rs2, label) for rs2 in (0.5, 0.8)
@@ -195,11 +195,12 @@ def test_pickle_round_trip(small_sweep):
     outcome = RootOutcome(0.8, "larger", 1.5e3, CellStatus.OPTICAL_INSTABILITY,
                           winding=1, min_distance=0.25, marginal=True, rho_r=0.75,
                           note="marginal contour reclassified as unstable")
-    assert all(getattr(outcome, f.name) != f.default for f in fields(outcome))
+    assert all(getattr(outcome, name) != default
+               for name, default in RootOutcome._field_defaults.items())
     assert repr(pickle.loads(pickle.dumps(outcome))) == repr(outcome)
     row = small_sweep.cells[:len(SMALL_GRID)]
     copied = pickle.loads(pickle.dumps(list(row)))
-    # nan fields break dataclass equality, so compare the full repr
+    # a nan field compares unequal to a copy of itself, so compare the full repr
     assert repr(copied) == repr(list(row))
     infeasible = [cell.outcomes for cell in copied if not cell.feasible]
     assert len(infeasible) > 1
@@ -253,7 +254,7 @@ def test_sweep_matches_per_configuration_reference(small_sweep):
                     continue
                 med = MediumParams(cell.gamma12, cell.gamma_opt_total, *delta0)
                 expected.append(reference_outcome(spec, rs2, label, med))
-        # nan fields break dataclass equality, so compare the full repr
+        # a nan field compares unequal to a copy of itself, so compare the full repr
         assert repr(cell.outcomes) == repr(tuple(expected))
         compared |= {o.status for o in expected}
     # eta < 1 on the grid, so no medium is inverted
@@ -265,7 +266,7 @@ def test_sweep_deterministic_across_workers():
                      srm_power_reflectivities=(0.8,))
     serial = run_sweep(spec, IFO, workers=1)
     parallel = run_sweep(spec, IFO, workers=2)
-    # nan fields break dataclass equality, so compare the full repr
+    # a nan field compares unequal to a copy of itself, so compare the full repr
     assert repr(serial) == repr(parallel)
 
 
@@ -347,7 +348,7 @@ def test_double_root_cell_computed_once(monkeypatch):
     statuses = []
     for smaller, larger in (cell.outcomes[:2], cell.outcomes[2:]):
         assert (smaller.root_label, larger.root_label) == ("smaller", "larger")
-        assert replace(smaller, root_label="larger") == larger
+        assert smaller._replace(root_label="larger") == larger
         statuses.append(smaller.status)
     assert statuses == [CellStatus.STABLE, CellStatus.OPTICAL_INSTABILITY]
 
