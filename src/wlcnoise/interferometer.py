@@ -96,7 +96,14 @@ class IfoParams:
         return math.pi / self.tau
 
     def with_power_reflectivity(self, rs2: float) -> "IfoParams":
-        return replace(self, srm_amplitude_reflectivity=math.sqrt(rs2))
+        return replace(self, srm_amplitude_reflectivity=_amplitude_of(rs2))
+
+
+def _amplitude_of(rs2: float) -> float:
+    """The SRM amplitude reflectivity of the power reflectivity rs2."""
+    if not 0.0 <= rs2 < 1.0:
+        raise ValueError(f"SRM power reflectivity must lie in [0, 1), got {rs2}")
+    return math.sqrt(rs2)
 
 
 def reference_detector(srm_power_reflectivity: float = 0.8,
@@ -112,7 +119,7 @@ def reference_detector(srm_power_reflectivity: float = 0.8,
         arm_length=4000.0,
         circulating_power=800e3,
         carrier_angular_frequency=2.0 * math.pi * SPEED_OF_LIGHT / wavelength,
-        srm_amplitude_reflectivity=math.sqrt(srm_power_reflectivity),
+        srm_amplitude_reflectivity=_amplitude_of(srm_power_reflectivity),
         homodyne_angle=homodyne_angle,
         include_additional_noise=include_additional_noise,
     )

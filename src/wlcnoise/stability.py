@@ -10,20 +10,21 @@ happen where |r_s G_o| > 1; they are counted in closed form inside
 that gain window. The closest approach to (1, 0) is exact: the
 distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1, and each
 sampled descent into a minimum is polished by a safeguarded Newton
-search with closed-form derivatives. The closed forms and the sampler
-are elementwise, and one routine, _verdicts, takes the verdicts of
-many configurations (a survey row) from a few array calls;
-classify_system is its call on one configuration. nyquist_contour
-samples the whole contour for output and as a reference, bisecting it
-wherever a segment turns by pi/2 or more about (1, 0). An independent
-argument-principle oracle counts the same zeros by integrating the
-logarithmic derivative of 1 - r_s G_o around a rectangle in the upper
-half plane. Both references take their frequency range from one place,
-_omega_range, which passes the gain window. One closed-form bound,
-_quiet_reach, says where |r_s G_o| < 1: there the oracle takes a piece
-of its rectangle as one exact segment, and _omega_range skips the gain
-window. Both references seed their real lines with _axis_nodes and
-refine in one segment pool, _bisect_pool, each with its own test.
+search with closed-form derivatives. One routine, _verdicts, takes the
+verdicts of many configurations (a survey row) from a few array calls;
+classify_system is its call on one configuration, which runs the same
+closed forms on Python floats (_FloatMath), with the same bits.
+nyquist_contour samples the whole contour for output and as a
+reference, bisecting it wherever a segment turns by pi/2 or more about
+(1, 0). An independent argument-principle oracle counts the same zeros
+by integrating the logarithmic derivative of 1 - r_s G_o around a
+rectangle in the upper half plane. Both references take their
+frequency range from one place, _omega_range, which passes the gain
+window. One closed-form bound, _quiet_reach, says where |r_s G_o| < 1:
+there the oracle takes a piece of its rectangle as one exact segment,
+and _omega_range skips the gain window. Both references seed their
+real lines with _axis_nodes and refine in one segment pool,
+_bisect_pool, each with its own test.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def _omega_range(ifo: IfoParams, med: MediumParams) -> float:
     """
     omega_max = 50.0 * _rate_scale(med, ifo.tau)
     if _quiet_reach(ifo, med, 0.0) >= omega_max:
-        hi = float(_gain_window(_Loop.of(ifo, med), 1.0)[1])
+        hi = _gain_window(_Loop.of(ifo, med), 1.0, _FloatMath)[1]
         if hi >= omega_max:
             return 2.0 * hi
     return omega_max
@@ -291,7 +292,21 @@ class _Loop(NamedTuple):
         return cls(*map(np.array, zip(*loops)))
 
 
-def _gain_window(loop: _Loop, level):
+class _FloatMath:
+    """NumPy's calls in the closed forms below, on Python floats, which
+    skip the fixed cost of one-element arrays. The window ends are the
+    same bits; math.atan and atan2 at times differ from NumPy's in the
+    last bit, but only whole turns of the phase reach a report."""
+
+    maximum, minimum, sqrt, copysign = max, min, math.sqrt, math.copysign
+    float_power, arctan, arctan2, floor = math.pow, math.atan, math.atan2, math.floor
+
+    @staticmethod
+    def where(condition, a, b):
+        return a if condition else b
+
+
+def _gain_window(loop: _Loop, level, xp=np):
     """Frequencies omega >= 0 where |r_s G_o(omega)| > level, as (lo, hi).
 
     With g = gamma12 - Gamma, M = num / (den_+ den_-) where
@@ -302,11 +317,12 @@ def _gain_window(loop: _Loop, level):
     in y, mirrored onto omega < 0. Rates are scaled by their largest
     before squaring, and the roots in y are taken stably: the larger in
     magnitude from q = -(b + sign(b) sqrt(disc)) / 2, the other from the
-    root product. Elementwise, broadcasting loop against level; (0, 0)
-    where the set is empty or a single point (a discriminant within
-    1e-10 of the larger of b^2 and |4ac|).
+    root product. Elementwise on arrays (xp=np), broadcasting loop
+    against level, or on floats (xp=_FloatMath); (0, 0) where the set is
+    empty or a single point (a discriminant within 1e-10 of the larger
+    of b^2 and |4ac|).
     """
-    scale = np.maximum(np.maximum(loop.delta0, loop.gap), loop.gamma)
+    scale = xp.maximum(xp.maximum(loop.delta0, loop.gap), loop.gamma)
     d, g, gam = loop.delta0 / scale, loop.gap / scale, loop.gamma / scale
     c0 = d * d + g * g + 2.0 * gam * g
     e0 = d * d + g * g
@@ -315,22 +331,22 @@ def _gain_window(loop: _Loop, level):
     # float_power squares with the C library's pow, as float ** 2 does,
     # where an array's ** 2 multiplies and at times differs in the last bit
     a = r2 - l2
-    b = (r2 * (4.0 * np.float_power(g + gam, 2.0) - 2.0 * c0)
+    b = (r2 * (4.0 * xp.float_power(g + gam, 2.0) - 2.0 * c0)
          - l2 * (4.0 * g * g - 2.0 * e0))
     c = r2 * c0 * c0 - l2 * e0 * e0
     b2, ac4 = b * b, 4.0 * a * c
     disc = b2 - ac4
-    found = disc > 1e-10 * np.maximum(b2, abs(ac4))
-    q = np.where(found, -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b)), 1.0)
+    found = disc > 1e-10 * xp.maximum(b2, abs(ac4))
+    q = xp.where(found, -0.5 * (b + xp.copysign(xp.sqrt(xp.maximum(disc, 0.0)), b)), 1.0)
     y1, y2 = q / a, c / q
-    y_hi = np.maximum(y1, y2)
+    y_hi = xp.maximum(y1, y2)
     found &= y_hi > 0.0  # and zeroes both ends where it is false
-    lo = np.sqrt(np.maximum(np.minimum(y1, y2), 0.0) * found) * scale
-    hi = np.sqrt(np.maximum(y_hi, 0.0) * found) * scale
+    lo = xp.sqrt(xp.maximum(xp.minimum(y1, y2), 0.0) * found) * scale
+    hi = xp.sqrt(xp.maximum(y_hi, 0.0) * found) * scale
     return lo, hi
 
 
-def _loop_phase_turns(loop: _Loop, omega):
+def _loop_phase_turns(loop: _Loop, omega, xp=np):
     """Continuous phase of G_o at real omega >= 0, in turns, 0 at omega = 0.
 
     The phase is 2 omega tau + arg num - arg den_+ - arg den_- on
@@ -339,23 +355,23 @@ def _loop_phase_turns(loop: _Loop, omega):
     omega - r_k for the two roots r_k = -i(g + Gamma) +- sqrt(delta0^2 -
     Gamma^2) of num, which lie in the lower half plane, so each
     omega - r_k stays in the upper one. Elementwise, broadcasting loop
-    against omega.
+    against omega, on arrays or floats as _gain_window.
     """
     g, gam, d = loop.gap, loop.gamma, loop.delta0
     h = g + gam
     # sqrt(delta0^2 - Gamma^2) where real, else the size of the imaginary one
-    s = np.sqrt(abs((d - gam) * (d + gam)))
+    s = xp.sqrt(abs((d - gam) * (d + gam)))
     # h - s from the product (h - s)(h + s) = c0, free of cancellation
-    arg_num = np.where(d >= gam,
-                       np.arctan2(h, omega - s) + np.arctan2(h, omega + s),
-                       np.arctan2((d * d + g * g + 2.0 * gam * g) / (h + s), omega)
-                       + np.arctan2(h + s, omega))
+    arg_num = xp.where(d >= gam,
+                       xp.arctan2(h, omega - s) + xp.arctan2(h, omega + s),
+                       xp.arctan2((d * d + g * g + 2.0 * gam * g) / (h + s), omega)
+                       + xp.arctan2(h + s, omega))
     phase = (2.0 * omega * loop.tau + arg_num - math.pi
-             + np.arctan((omega + d) / g) + np.arctan((omega - d) / g))
+             + xp.arctan((omega + d) / g) + xp.arctan((omega - d) / g))
     return phase / (2.0 * math.pi)
 
 
-def _ray_crossings(loop: _Loop, lo, hi):
+def _ray_crossings(loop: _Loop, lo, hi, xp=np):
     """Winding of r_s G_o about (1, 0) as signed crossings of [1, inf).
 
     A crossing needs |r_s G_o| > 1, so it lies in the gain window
@@ -363,12 +379,13 @@ def _ray_crossings(loop: _Loop, lo, hi):
     floor(phase(hi)) - floor(phase(lo)) in turns, and the conjugate half
     omega < 0 adds as many. A window starting at omega = 0 is one
     interval symmetric about zero that crosses the ray at omega = 0
-    itself, where G_o = M(0) > 0. Elementwise; 0 where the window is
-    empty.
+    itself, where G_o = M(0) > 0. Elementwise, on arrays or floats as
+    _gain_window; 0 where the window is empty. The count is a float.
     """
-    turns_lo, turns_hi = np.floor(_loop_phase_turns(loop, np.stack([lo, hi])))
-    crossings = np.where(lo == 0.0, 2.0 * turns_hi + 1.0, 2.0 * (turns_hi - turns_lo))
-    return np.where(hi > 0.0, crossings, 0.0).astype(int)
+    turns_lo = xp.floor(_loop_phase_turns(loop, lo, xp))
+    turns_hi = xp.floor(_loop_phase_turns(loop, hi, xp))
+    crossings = xp.where(lo == 0.0, 2.0 * turns_hi + 1.0, 2.0 * (turns_hi - turns_lo))
+    return xp.where(hi > 0.0, crossings, 0.0)
 
 
 def _loop_series(loop: _Loop, omega, exp=np.exp):
@@ -483,9 +500,10 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float =
     Each verdict is the report classify_system returns, or the
     MarginalStabilityError it raises. A medium-level class, the lasing
     threshold and the open loop r_s = 0 need no loop quantity. The
-    other configurations share the array calls: both gain windows (at
-    the near level of _closest_approach and at 1) in one, then the
-    closest approach and the ray crossings.
+    others share the calls of the gain windows (at the near level of
+    _closest_approach and at 1), the ray crossings and the closest
+    approach. The closed forms run on arrays, or on floats for exactly
+    one configuration, whose report is the same bits alone or in a row.
     """
     verdicts: list = []
     for ifo, med in configs:
@@ -503,15 +521,18 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float =
     looped = [i for i, verdict in enumerate(verdicts) if verdict is None]
     if not looped:
         return verdicts
-    loop = _Loop.stack([_Loop.of(*configs[i]) for i in looped])
+    loops = [_Loop.of(*configs[i]) for i in looped]
+    stacked = _Loop.stack(loops)
+    # one configuration takes the closed forms on floats, a row on arrays
+    loop, xp = (loops[0], _FloatMath) if len(loops) == 1 else (stacked, np)
     # the closest approach is searched where |r_s G_o| is above this level
-    level = np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
-    (near_lo, gain_lo), (near_hi, gain_hi) = _gain_window(
-        loop, np.stack([level, np.ones_like(level)]))
-    dist = _closest_approach(loop, near_lo, near_hi, level)
-    windings = _ray_crossings(loop, gain_lo, gain_hi)
+    level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
+    near_lo, near_hi = _gain_window(loop, level, xp)
+    windings = _ray_crossings(loop, *_gain_window(loop, 1.0, xp), xp)
+    near_lo, near_hi, level, windings = np.atleast_1d(near_lo, near_hi, level, windings)
+    dist = _closest_approach(stacked, near_lo, near_hi, level)
     for i, d, lo, hi, winding in zip(looped, dist.tolist(), near_lo.tolist(),
-                                     near_hi.tolist(), windings.tolist()):
+                                     near_hi.tolist(), windings.astype(int).tolist()):
         if d < MARGINAL_ERROR_DISTANCE:
             verdicts[i] = MarginalStabilityError(
                 f"Nyquist contour passes within {d:.3e} of (1, 0)")

@@ -134,6 +134,16 @@ def test_params_validation(field, value):
         replace(IFO, **{field: value})
 
 
+@pytest.mark.parametrize("make", [IFO.with_power_reflectivity, reference_detector],
+                         ids=["with_power_reflectivity", "reference_detector"])
+@pytest.mark.parametrize("rs2", [-0.1, 1.0, math.nan, math.inf])
+def test_power_reflectivity_validation(make, rs2):
+    # rejected by name before its square root is taken, which for -0.1
+    # raised a bare math domain error
+    with pytest.raises(ValueError, match="power reflectivity must lie in"):
+        make(rs2)
+
+
 # ---------------------------------------------------------------------------
 # quadrature conversion
 # ---------------------------------------------------------------------------

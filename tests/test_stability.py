@@ -429,6 +429,64 @@ def test_row_verdicts_match_classify_system():
                     Classification.STABLE, Classification.OPTICAL_INSTABILITY}
 
 
+def drawn_loops(rng, count):
+    """count (ifo, medium) pairs with rates from 1e-6/tau to 3e4/tau, rs^2
+    up to 0.9999 and every damping gap positive; Gamma = 0, delta0 = 0
+    and delta0 = Gamma each take a share of the draws."""
+    configs = []
+    for k in range(count):
+        gamma12 = 10.0 ** rng.uniform(-6.0, math.log10(3e4)) / IFO.tau
+        gamma_opt = 0.0 if k % 7 == 0 else rng.uniform(0.0, 0.999) * gamma12
+        delta0 = (0.0 if k % 5 == 0 else gamma_opt if k % 5 == 1
+                  else 10.0 ** rng.uniform(-6.0, math.log10(3e4)) / IFO.tau)
+        rs2 = 0.9999 if k % 11 == 0 else rng.uniform(0.0, 0.9999)
+        configs.append((IFO.with_power_reflectivity(rs2),
+                        MediumParams(gamma12, gamma_opt, delta0)))
+    return configs
+
+
+def test_float_and_array_closed_forms_agree():
+    # one configuration runs the closed forms on floats, a row on
+    # arrays: the gain windows and the crossing counts agree bit for bit,
+    # the float path raises nothing, and every report is the same alone
+    # as in a row
+    configs = drawn_loops(np.random.default_rng(7), 300)
+    loops = [_Loop.of(ifo, med) for ifo, med in configs]
+    stacked = _Loop.stack(loops)
+    level = np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + stacked.rs))
+    near = _gain_window(stacked, level)
+    gain = _gain_window(stacked, 1.0)
+    crossings = stability._ray_crossings(stacked, *gain)
+    seen = set()
+    for k, loop in enumerate(loops):
+        lo, hi = _gain_window(loop, 1.0, stability._FloatMath)
+        assert (lo, hi) == (gain[0][k], gain[1][k])
+        assert _gain_window(loop, float(level[k]), stability._FloatMath) == (
+            near[0][k], near[1][k])
+        assert stability._ray_crossings(loop, lo, hi, stability._FloatMath) == crossings[k]
+        seen.add("delta0 >= Gamma" if loop.delta0 >= loop.gamma else "delta0 < Gamma")
+        seen.update(name for name, hit in (
+            ("Gamma = 0", loop.gamma == 0.0), ("delta0 = 0", loop.delta0 == 0.0),
+            ("delta0 = Gamma", loop.delta0 == loop.gamma), ("empty window", hi == 0.0),
+            ("window from 0", hi > 0.0 and lo == 0.0), ("window off 0", lo > 0.0),
+            ("winds", crossings[k] != 0.0)) if hit)
+    assert len(seen) == 9
+    # the reports of the configurations whose near window the sampler
+    # covers in at most 3,300 points (the closed forms are checked above
+    # on all)
+    short = np.flatnonzero((near[1] - near[0]) * stacked.tau / math.pi <= 200.0).tolist()
+    reports = []
+    for k in short:
+        try:
+            reports.append(classify_system(*configs[k]))
+        except MarginalStabilityError as exc:
+            reports.append(exc)
+    row = stability._verdicts([configs[k] for k in short])
+    assert list(map(repr, reports)) == list(map(repr, row))
+    assert sum(classify_medium(configs[k][1]) is MediumClass.STATIONARY
+               and near[1][k] > 0.0 for k in short) >= 100
+
+
 # ---------------------------------------------------------------------------
 # root-counting oracle specifics
 # ---------------------------------------------------------------------------
@@ -858,6 +916,25 @@ def test_oracle_counts_the_winding_near_the_axis(eta, xi, rs2, winding):
     assert report.winding == winding
     assert root_count_oracle(ifo, med) == report.winding
     assert round(accumulate_winding(nyquist_contour(ifo, med), 1.0) / (2.0 * math.pi)) == winding
+
+
+def test_oracle_counts_the_winding_at_high_reflectivity():
+    # seeded draws from the regime of the re-entrant islands, rs^2
+    # 0.95-0.999, eta 0.30-0.95, xi log-uniform from 1e-4 to eta, both
+    # roots: every stationary configuration's oracle count is its winding
+    rng = np.random.default_rng(11)
+    windings = []
+    while len(windings) < 60:
+        eta = rng.uniform(0.30, 0.95)
+        xi = 10.0 ** rng.uniform(-4.0, math.log10(eta))
+        ifo = IFO.with_power_reflectivity(rng.uniform(0.95, 0.999))
+        gamma12, gamma_opt = map_eta_xi(eta, xi, ifo.tau)
+        for delta0 in solve_detuning(gamma12, gamma_opt, ifo.tau):
+            med = MediumParams(gamma12, gamma_opt, delta0)
+            if classify_medium(med) is MediumClass.STATIONARY:
+                windings.append(classify_system(ifo, med).winding)
+                assert root_count_oracle(ifo, med) == windings[-1]
+    assert len(set(windings)) >= 4
 
 
 @pytest.mark.parametrize("rs2,grid_points", [
