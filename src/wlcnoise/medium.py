@@ -172,14 +172,16 @@ def classify_medium(p: MediumParams, margin: float = 1.0) -> MediumClass:
     its own. Otherwise the beat of the two pumps at 2*delta0 must stay
     negligible, which requires delta0^2 + (gamma12 - Gamma)^2 to exceed
     margin * Gamma^2 / 4; the margin factor makes the survey threshold
-    reproducible and tunable.
+    reproducible and tunable. The rates are scaled by the power of two
+    that brings the largest below 1, exactly, so no square overflows.
     """
     if not margin >= 1.0:
         raise ValueError(f"margin must be >= 1, got {margin}")
     if p.gamma12 < p.gamma_opt_total:
         return MediumClass.ATOMIC_INSTABILITY
-    lhs = p.delta0**2 + p.damping_gap**2
-    if lhs < margin * p.gamma_opt_total**2 / 4.0:
+    exponent = -math.frexp(max(p.gamma12, p.delta0))[1]
+    delta0, gap = math.ldexp(p.delta0, exponent), math.ldexp(p.damping_gap, exponent)
+    if delta0**2 + gap**2 < margin * math.ldexp(p.gamma_opt_total, exponent)**2 / 4.0:
         return MediumClass.NON_STATIONARY
     return MediumClass.STATIONARY
 

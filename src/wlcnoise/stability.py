@@ -13,7 +13,8 @@ sampled descent into a minimum is polished by a safeguarded Newton
 search with closed-form derivatives. One routine, _verdicts, takes the
 verdicts of many configurations (a survey row) from a few array calls;
 classify_system is its call on one configuration, which runs the same
-closed forms on Python floats (_FloatMath), with the same bits.
+closed forms on Python floats (_FloatMath) and samples its own near
+window, with the same bits.
 nyquist_contour samples the whole contour for output and as a
 reference, bisecting it wherever a segment turns by pi/2 or more about
 (1, 0). An independent argument-principle oracle counts the same zeros
@@ -123,7 +124,8 @@ def _axis_nodes(ifo: IfoParams, med: MediumParams, lo: float, hi: float,
     """Start nodes of a contour reference on the real segment [lo, hi].
 
     The uniform nodes of _uniform_count within +-reach, plus the nearest
-    one outside on either side, merged in order with the clusters
+    one outside on either side (only these are built, by index, as
+    np.linspace builds them), merged in order with the clusters
     +-delta0 + max(gap, 1e-3 delta0) * _PEAK_CLUSTER about the gain peaks
     and the node 0, where they lie between the kept ends. There zeros
     close to the axis would otherwise hide a whole turn between two
@@ -132,12 +134,23 @@ def _axis_nodes(ifo: IfoParams, med: MediumParams, lo: float, hi: float,
     h whose ends have equal |F|, since F(-omega) = conj F(omega). A
     repeated node only adds a segment whose ratio is exactly 1.
     """
-    uniform = np.linspace(lo, hi, _uniform_count(ifo, lo, hi))
-    first = max(np.searchsorted(uniform, -reach, side="right") - 1, 0)
-    last = min(np.searchsorted(uniform, reach), uniform.size - 1)
+    count = _uniform_count(ifo, lo, hi)
+    step = (hi - lo) / (count - 1)
+
+    def place(x: float) -> float:  # x's place among the uniform nodes, clamped to them
+        return min(max((x - lo) / step, 0.0), count - 1.0)
+
+    # the nodes from a guard node before -reach to one after reach
+    start = max(math.floor(place(-reach)) - 1, 0)
+    stop = min(math.ceil(place(reach)) + 1, count - 1)
+    uniform = np.arange(start, stop + 1) * step + lo
+    if stop == count - 1:
+        uniform[-1] = hi
+    first = max(uniform.searchsorted(-reach, side="right") - 1, 0)
+    last = min(uniform.searchsorted(reach), uniform.size - 1)
     kept = uniform[first:last + 1]
-    width = max(med.damping_gap, 1e-3 * med.delta0)
-    peaks = np.append(np.array([[-med.delta0], [med.delta0]]) + width * _PEAK_CLUSTER, 0.0)
+    cluster = max(med.damping_gap, 1e-3 * med.delta0) * _PEAK_CLUSTER
+    peaks = np.concatenate([cluster - med.delta0, cluster + med.delta0, [0.0]])
     return np.sort(np.concatenate([kept, peaks[(peaks > kept[0]) & (peaks < kept[-1])]]))
 
 
@@ -393,18 +406,20 @@ def _loop_series(loop: _Loop, omega, exp=np.exp):
 
     With G_o = e^{k omega} M, k = 2 i tau, and M = 1 - Gamma (1/d_+ +
     1/d_-) for d_pm = i(omega +- delta0) - g, each derivative of M is a
-    sum of powers of 1/d_pm. omega and loop hold arrays (exp=np.exp) or
-    floats (exp=cmath.exp, which keeps the Newton steps in plain Python).
+    sum of powers of 1/d_pm. omega holds an array (exp=np.exp), or a
+    float (exp=cmath.exp, which keeps the Newton steps in plain Python);
+    loop holds floats, or arrays like omega.
     """
     gam, g = loop.gamma, loop.gap
     k = 2j * loop.tau
     inv_p = 1.0 / (1j * (omega + loop.delta0) - g)
     inv_m = 1.0 / (1j * (omega - loop.delta0) - g)
+    inv_p2, inv_m2 = inv_p * inv_p, inv_m * inv_m
     m = 1.0 - gam * (inv_p + inv_m)
-    dm = 1j * gam * (inv_p * inv_p + inv_m * inv_m)
-    ddm = 2.0 * gam * (inv_p * inv_p * inv_p + inv_m * inv_m * inv_m)
-    e = -loop.rs * exp(k * omega)
-    return 1.0 + e * m, e * (k * m + dm), e * (k * (k * m + 2.0 * dm) + ddm)
+    dm = 1j * gam * (inv_p2 + inv_m2)
+    ddm = 2.0 * gam * (inv_p2 * inv_p + inv_m2 * inv_m)
+    e, km = -loop.rs * exp(k * omega), k * m
+    return 1.0 + e * m, e * (km + dm), e * (k * (km + 2.0 * dm) + ddm)
 
 
 def _polish_minimum(loop: _Loop, lo: float, hi: float) -> float:
@@ -441,37 +456,67 @@ def _polish_minimum(loop: _Loop, lo: float, hi: float) -> float:
     return best
 
 
-def _closest_approach(loop: _Loop, lo, hi, level):
-    """Closest approach of r_s G_o to (1, 0), for every configuration of
+def _near_samples(loop: _Loop, lo, hi, xp=np) -> tuple:
+    """The sample rule of the near windows [lo, hi]: 33 points plus 16
+    per delay turn, spaced as np.linspace spaces them, joined by the peak
+    nodes delta0 + max(gap, 1e-3 delta0) * _PEAK_CLUSTER[::4] inside.
+    Returns the point counts (an int on floats, xp=_FloatMath, else a
+    float each) and the peak nodes (a row each). AccuracyError when a
+    window needs more than MAX_SAMPLES points."""
+    turns = (hi - lo) * loop.tau / math.pi
+    widest = turns if xp is _FloatMath else turns.max()
+    if 33 + 16.0 * widest > MAX_SAMPLES:
+        raise AccuracyError(f"the near window spans {widest:.3g} delay turns; "
+                            f"16 samples per turn exceed {MAX_SAMPLES}")
+    width = xp.maximum(loop.gap, 1e-3 * loop.delta0)
+    return 33 + xp.floor(16.0 * turns), (loop.delta0 + width * _PEAK_CLUSTER[::4, None]).T
+
+
+def _descents(f: np.ndarray, df: np.ndarray, ddf: np.ndarray) -> np.ndarray:
+    """Which sample intervals d|F|/domega turns over from negative to positive;
+    where a slope is 0 (at omega = 0, by symmetry) the curvature stands in."""
+    slope = (f.conj() * df).real
+    if (flat := (slope == 0.0).nonzero()[0]).size:
+        slope[flat] = abs(df[flat]) ** 2 + (f[flat].conj() * ddf[flat]).real
+    return (slope[:-1] < 0.0) & (slope[1:] > 0.0)
+
+
+def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
+    """Closest approach of r_s G_o to (1, 0), for the configuration of
+    the floats in loop (xp=_FloatMath), or for every configuration of
     the arrays in loop at once.
 
     Only the near window [lo, hi] where |r_s G_o| >= level is searched;
     everywhere else the distance exceeds 1 - level, which is returned
     instead when the window is empty (hi = 0) or the approach is
-    farther. |F| = |1 - r_s G_o| is sampled on every window in one array
-    call: 16 points per delay turn, spaced as np.linspace spaces them,
-    plus one per width of _PEAK_CLUSTER about the gain peak delta0
-    (AccuracyError when a window needs more than MAX_SAMPLES). Every
-    sample interval of a window over which d|F|/domega turns from
-    negative to positive is polished to its minimum by _polish_minimum.
-    At omega = 0 the slope vanishes by symmetry, so there the sign of
-    the curvature stands in for it. Searching omega >= 0 suffices
-    because the other half is the complex conjugate.
+    farther. |F| = |1 - r_s G_o| is sampled as _near_samples says, in one
+    array call: one configuration's own window, or a row's windows
+    joined. Every sample interval of a window over which d|F|/domega
+    turns from negative to positive (_descents) is polished to its
+    minimum by _polish_minimum. Searching omega >= 0 suffices because
+    the other half is the complex conjugate.
     """
+    counts, peak = _near_samples(loop, lo, hi, xp)
+    if xp is _FloatMath:
+        if hi == 0.0:
+            return 1.0 - level
+        omegas = np.arange(counts) * ((hi - lo) / (counts - 1)) + lo
+        omegas[-1] = hi
+        if (inside := peak[(peak > lo) & (peak < hi)]).size:
+            omegas = np.sort(np.concatenate([omegas, inside]))
+        f, df, ddf = _loop_series(loop, omegas)
+        dist = float(abs(f).min())
+        for k in _descents(f, df, ddf).nonzero()[0].tolist():
+            dist = min(dist, _polish_minimum(loop, *omegas[k:k + 2].tolist()))
+        return min(dist, 1.0 - level)
     span = hi - lo
-    turns = span * loop.tau / math.pi
-    if 33 + 16.0 * turns.max() > MAX_SAMPLES:
-        raise AccuracyError(f"the near window spans {turns.max():.3g} delay turns; "
-                            f"16 samples per turn exceed {MAX_SAMPLES}")
-    counts = (33 + (16.0 * turns).astype(int)) * (hi > 0.0)
+    counts = counts.astype(int) * (hi > 0.0)
     ends = counts.cumsum()
     owner = np.arange(counts.size).repeat(counts)
     step = span / np.maximum(counts - 1, 1)
     omegas = (np.arange(ends[-1]) - (ends - counts)[owner]) * step[owner] + lo[owner]
     searched = counts > 0
     omegas[ends[searched] - 1] = hi[searched]
-    peak = (loop.delta0[:, None]
-            + np.maximum(loop.gap, 1e-3 * loop.delta0)[:, None] * _PEAK_CLUSTER[::4])
     inside = (peak > lo[:, None]) & (peak < hi[:, None])
     owner = np.concatenate([owner, inside.nonzero()[0]])
     omegas = np.concatenate([omegas, peak[inside]])
@@ -479,14 +524,10 @@ def _closest_approach(loop: _Loop, lo, hi, level):
     owner, omegas = owner[order], omegas[order]
 
     f, df, ddf = _loop_series(_Loop(*(p[owner] for p in loop)), omegas)
-    slope = (f.conj() * df).real
-    if (flat := np.flatnonzero(slope == 0.0)).size:
-        slope[flat] = abs(df[flat]) ** 2 + (f[flat].conj() * ddf[flat]).real
     dist = np.full(counts.size, math.inf)
     np.minimum.at(dist, owner, abs(f))
     floats = list(zip(*(p.tolist() for p in loop)))
-    for k in np.flatnonzero((slope[:-1] < 0.0) & (slope[1:] > 0.0)
-                            & (owner[:-1] == owner[1:])).tolist():
+    for k in (_descents(f, df, ddf) & (owner[:-1] == owner[1:])).nonzero()[0].tolist():
         c = owner[k]
         dist[c] = min(dist[c], _polish_minimum(_Loop(*floats[c]), float(omegas[k]),
                                                float(omegas[k + 1])))
@@ -521,25 +562,26 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float =
     looped = [i for i, verdict in enumerate(verdicts) if verdict is None]
     if not looped:
         return verdicts
-    loops = [_Loop.of(*configs[i]) for i in looped]
-    stacked = _Loop.stack(loops)
     # one configuration takes the closed forms on floats, a row on arrays
-    loop, xp = (loops[0], _FloatMath) if len(loops) == 1 else (stacked, np)
+    if len(looped) == 1:
+        loop, xp = _Loop.of(*configs[looped[0]]), _FloatMath
+    else:
+        loop, xp = _Loop.stack([_Loop.of(*configs[i]) for i in looped]), np
     # the closest approach is searched where |r_s G_o| is above this level
     level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
     near_lo, near_hi = _gain_window(loop, level, xp)
     windings = _ray_crossings(loop, *_gain_window(loop, 1.0, xp), xp)
-    near_lo, near_hi, level, windings = np.atleast_1d(near_lo, near_hi, level, windings)
-    dist = _closest_approach(stacked, near_lo, near_hi, level)
-    for i, d, lo, hi, winding in zip(looped, dist.tolist(), near_lo.tolist(),
-                                     near_hi.tolist(), windings.astype(int).tolist()):
+    dist = _closest_approach(loop, near_lo, near_hi, level, xp)
+    columns = (dist, near_lo, near_hi, windings)
+    rows = [columns] if xp is _FloatMath else zip(*(column.tolist() for column in columns))
+    for i, (d, lo, hi, winding) in zip(looped, rows):
         if d < MARGINAL_ERROR_DISTANCE:
             verdicts[i] = MarginalStabilityError(
                 f"Nyquist contour passes within {d:.3e} of (1, 0)")
             continue
         classification = (Classification.STABLE if winding == 0
                           else Classification.OPTICAL_INSTABILITY)
-        verdicts[i] = StabilityReport(classification, winding, d, (lo, hi),
+        verdicts[i] = StabilityReport(classification, int(winding), d, (lo, hi),
                                       marginal=d < MARGINAL_FLAG_DISTANCE)
     return verdicts
 
@@ -606,7 +648,7 @@ def _log_test(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, tuple]:
     is the principal log of F(end) / F(start), as its real and imaginary
     parts (np.log of a complex array is many times slower)."""
     ratio = fb / fa
-    log_mod, arg = np.log(np.abs(ratio)), np.angle(ratio)
+    log_mod, arg = np.log(np.abs(ratio)), np.arctan2(ratio.imag, ratio.real)
     return np.maximum(np.abs(log_mod), np.abs(arg)) >= 0.5, (log_mod, arg)
 
 

@@ -524,6 +524,21 @@ def test_nyquist_detuning_out_of_float_range(tmp_path, capsys):
     assert not (out / "nyquist.csv").exists()
 
 
+def test_nyquist_rates_near_float_range(tmp_path, capsys):
+    # rates near 1e300, whose squares overflow a float, are a stationary
+    # medium whose near window needs far more samples than the cap: an
+    # error by field
+    path = write_scenario(tmp_path, {
+        "detector": DETECTOR,
+        "medium": {"gamma12": 1e300, "gamma_opt_total": 5e299, "delta0": 1e300},
+    })
+    out = tmp_path / "out"
+    assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: detector.arm_length:") and "delay turns" in err
+    assert not (out / "nyquist.csv").exists()
+
+
 def test_nyquist_contour_accuracy_error_by_field(tmp_path, capsys, monkeypatch):
     # a contour whose refinement does not end fails by field, with no
     # traceback and no nyquist.csv

@@ -217,6 +217,25 @@ def test_classify_margin_knob():
         classify_medium(p, margin=0.5)
 
 
+def test_classify_large_finite_rates():
+    # delta0**2 of a float overflows beyond about 1.3e154; the classes
+    # of media at rates near 1e300 are those of the same media at unit
+    # rates, and scaling every rate by a power of two changes no class
+    assert classify_medium(MediumParams(1e300, 5e299, 1e300)) is MediumClass.STATIONARY
+    assert classify_medium(MediumParams(1e300, 0.999e300, 1e297)) is MediumClass.NON_STATIONARY
+    assert classify_medium(MediumParams(1e300, 0.6e300, 0.4e300),
+                           margin=4.0) is MediumClass.NON_STATIONARY
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        gamma12 = rng.uniform(0.1, 10.0)
+        p = MediumParams(gamma12, rng.uniform(0.0, 1.2) * gamma12, rng.uniform(0.0, 10.0))
+        margin = rng.uniform(1.0, 4.0)
+        for power in (-900, -300, 300, 1000):
+            scaled = MediumParams(*(math.ldexp(rate, power)
+                                    for rate in (p.gamma12, p.gamma_opt_total, p.delta0)))
+            assert classify_medium(scaled, margin) is classify_medium(p, margin)
+
+
 @pytest.mark.parametrize("margin", [math.nan, -math.inf, 0.5])
 def test_margin_below_one_raises(margin):
     # a NaN margin passes no comparison, so it would read STATIONARY

@@ -265,6 +265,10 @@ def test_closest_approach_matches_dense_reference(eta, xi_share, larger_root, rs
     loop = _Loop.stack([_Loop.of(ifo, med)])
     level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs[0]))
     (dist,) = _closest_approach(loop, *_gain_window(loop, level), level)
+    # one configuration's floats sample its own window, with the same bits
+    floats = _Loop.of(ifo, med)
+    window = _gain_window(floats, level, stability._FloatMath)
+    assert _closest_approach(floats, *window, level, stability._FloatMath) == dist
     # |1 - r_s G_o| is known only to a few ulps of 1, which bounds the
     # agreement of two evaluations where the contour nearly touches
     assert dist == pytest.approx(dense_closest_approach(ifo, med),
@@ -445,11 +449,12 @@ def drawn_loops(rng, count):
     return configs
 
 
-def test_float_and_array_closed_forms_agree():
-    # one configuration runs the closed forms on floats, a row on
-    # arrays: the gain windows and the crossing counts agree bit for bit,
-    # the float path raises nothing, and every report is the same alone
-    # as in a row
+def test_float_and_array_closed_forms_agree(monkeypatch):
+    # one configuration runs the closed forms on floats and samples its
+    # own near window, a row runs them on arrays and samples its windows
+    # joined: the gain windows and the crossing counts agree bit for
+    # bit, the float path raises nothing, and every report is the same
+    # alone as in a row
     configs = drawn_loops(np.random.default_rng(7), 300)
     loops = [_Loop.of(ifo, med) for ifo, med in configs]
     stacked = _Loop.stack(loops)
@@ -473,18 +478,73 @@ def test_float_and_array_closed_forms_agree():
     assert len(seen) == 9
     # the reports of the configurations whose near window the sampler
     # covers in at most 3,300 points (the closed forms are checked above
-    # on all)
+    # on all), alone with the sampler's branches recorded, then in a row
     short = np.flatnonzero((near[1] - near[0]) * stacked.tau / math.pi <= 200.0).tolist()
+    descents, polish = stability._descents, stability._polish_minimum
+    flat, polished = [], []
+
+    def record_descents(f, df, ddf):
+        flat.append(bool(np.any((f.conj() * df).real == 0.0)))
+        return descents(f, df, ddf)
+
+    def record_polish(*args):
+        polished[-1] += 1
+        return polish(*args)
+
+    monkeypatch.setattr(stability, "_descents", record_descents)
+    monkeypatch.setattr(stability, "_polish_minimum", record_polish)
     reports = []
     for k in short:
+        polished.append(0)
         try:
             reports.append(classify_system(*configs[k]))
         except MarginalStabilityError as exc:
             reports.append(exc)
+    monkeypatch.undo()
     row = stability._verdicts([configs[k] for k in short])
     assert list(map(repr, reports)) == list(map(repr, row))
-    assert sum(classify_medium(configs[k][1]) is MediumClass.STATIONARY
-               and near[1][k] > 0.0 for k in short) >= 100
+    stationary = [k for k in short if classify_medium(configs[k][1]) is MediumClass.STATIONARY]
+    assert sum(near[1][k] > 0.0 for k in stationary) >= 100
+    # every branch of the one-configuration sampler ran: a zero slope at
+    # omega = 0, gain-peak nodes joining a window, a window with two or
+    # more polished brackets, and an empty window
+    width = np.maximum(stacked.gap, 1e-3 * stacked.delta0)
+    peak = stacked.delta0[:, None] + width[:, None] * stability._PEAK_CLUSTER[::4]
+    joined = (peak > near[0][:, None]) & (peak < near[1][:, None])
+    assert any(flat)
+    assert any(joined[k].any() for k in stationary)
+    assert max(polished) >= 2
+    assert any(near[1][k] == 0.0 for k in stationary)
+
+
+def test_near_window_cap_raises_alike_alone_and_in_a_row(monkeypatch):
+    # with a sample cap below the widest near window of a row and above
+    # the others, the row stops with the text that classify_system
+    # raises for that configuration alone, and the others pass alone
+    def samples(configs):
+        loops = _Loop.stack([_Loop.of(*config) for config in configs])
+        lo, hi = _gain_window(loops, np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loops.rs)))
+        return 33 + 16.0 * (hi - lo) * loops.tau / math.pi
+
+    configs = [(ifo, med) for ifo, med in drawn_loops(np.random.default_rng(5), 60)
+               if classify_medium(med) is MediumClass.STATIONARY]
+    configs = [config for config, n in zip(configs, samples(configs)) if n <= 3300.0]
+    counts = samples(configs)
+    widest = int(np.argmax(counts))
+    cap = int(np.delete(counts, widest).max()) + 1
+    assert cap < counts[widest] and len(configs) >= 20
+    monkeypatch.setattr(stability, "MAX_SAMPLES", cap)
+    with pytest.raises(AccuracyError, match="the near window spans") as alone:
+        classify_system(*configs[widest])
+    with pytest.raises(AccuracyError) as in_row:
+        stability._verdicts(configs)
+    assert str(in_row.value) == str(alone.value)
+    for k, config in enumerate(configs):
+        if k != widest:
+            try:
+                classify_system(*config)
+            except MarginalStabilityError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +907,34 @@ def test_custom_rectangle_matches_per_edge_reference(eta, xi, root, rs2, height,
     quiet = [stability._quiet_reach(ifo, med, y) == 0.0 for y in rect[2:]]
     assert quiet == ([False, False] if height > 0 else [True, True])
     assert check_pool_against_reference(ifo, med, rect, stability.MAX_SAMPLES) == zeros
+
+
+# the first medium has a zero within three damping gaps of delta0
+@pytest.mark.parametrize("eta,xi,root,rs2,zeros_at_peak", [(0.4, 0.1, "larger", 0.8, 1),
+                                                            (0.4, 0.4, "smaller", 0.5, 0)])
+@pytest.mark.parametrize("side", ["beyond +reach", "below -reach", "across +reach only",
+                                  "across -reach only", "narrow about delta0"])
+def test_one_sided_rectangle_matches_per_edge_reference(eta, xi, root, rs2, zeros_at_peak,
+                                                        side):
+    # the bottom edge keeps only the uniform nodes about +-reach; where
+    # the rectangle lies wholly on one side of them it keeps its one end
+    # node, and where it crosses one of them the nodes about that one
+    ifo = IFO.with_power_reflectivity(rs2)
+    med = wlc_medium(eta, xi, root)
+    re_lo, re_hi, _, im_hi = default_rect(ifo, med)
+    reach = stability._quiet_reach(ifo, med, 0.0)
+    assert med.delta0 < reach < 0.1 * re_hi
+    re_lo, re_hi = {
+        "beyond +reach": (1.5 * reach, re_hi),
+        "below -reach": (re_lo, -1.5 * reach),
+        "across +reach only": (0.5 * reach, re_hi),
+        "across -reach only": (re_lo, -0.5 * reach),
+        "narrow about delta0": (med.delta0 - 3.0 * med.damping_gap,
+                                med.delta0 + 3.0 * med.damping_gap),
+    }[side]
+    zeros = check_pool_against_reference(ifo, med, (re_lo, re_hi, 0.0, im_hi),
+                                         stability.MAX_SAMPLES)
+    assert zeros == (zeros_at_peak if side == "narrow about delta0" else 0)
 
 
 @settings(max_examples=50, deadline=None)
