@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for sweeps, at most the core "
-                             "count (0 = all cores)")
+                             "count and the eta row count (0 = all cores)")
     parser.add_argument("--margin", type=float, default=1.0,
                         help="non-stationarity threshold factor (>= 1)")
     return parser

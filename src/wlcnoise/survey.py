@@ -13,7 +13,7 @@ worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
@@ -40,6 +40,17 @@ __all__ = [
     "improvement_factor",
     "run_sweep",
 ]
+
+
+def __getattr__(name: str):
+    # the process pool pulls in multiprocessing, socket and logging, which
+    # only a pooled sweep needs: import it on first access and bind it, so
+    # a rebinding of survey.ProcessPoolExecutor is what run_sweep uses
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 class RootChoice(Enum):
@@ -293,9 +304,11 @@ def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]
 def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
     """Evaluate every (eta, xi) cell of the survey, one eta row at a time.
 
-    workers > 1 distributes the rows over a process pool, one row per
-    task; the assembly is ordered by cell index, so the result does not
-    depend on the worker count. Two per-cell failures are recorded in
+    workers > 1 distributes the rows over a process pool of at most one
+    worker per row, one row per task; a single row runs in-process. The
+    assembly is ordered by cell index, so the result does not depend on
+    the worker count. Raises ValueError when workers < 1, before any
+    cell is computed. Two per-cell failures are recorded in
     the cell's outcome rather than aborting the run: a
     MarginalStabilityError from the stability verdict (status optical,
     flagged marginal, with the message as note) and an AccuracyError
@@ -305,13 +318,16 @@ def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
     before any cell is computed when the readout carries no signal,
     since no strain noise could be integrated.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if not ifo.reads_signal:
         raise ZeroSignalError(
             f"readout at homodyne angle {ifo.homodyne_angle} carries no signal")
     job = partial(_compute_row, spec, ifo)
+    workers = min(workers, len(spec.eta_grid))
     if workers == 1:
         rows = [job(eta) for eta in spec.eta_grid]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(job, spec.eta_grid))
     return SweepGrid(spec=spec, cells=tuple(cell for row in rows for cell in row))

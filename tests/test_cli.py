@@ -14,9 +14,10 @@ import wlcnoise
 from wlcnoise import cli, survey
 from wlcnoise.cli import main
 from wlcnoise.errors import AccuracyError
+from wlcnoise.interferometer import reference_detector
 from wlcnoise.medium import MediumParams, map_eta_xi, solve_detuning
 from wlcnoise.scenario import ScenarioError, load_scenario
-from wlcnoise.survey import CellStatus, default_grid, run_sweep
+from wlcnoise.survey import CellStatus, RootChoice, SweepSpec, default_grid, run_sweep
 
 DETECTOR = {
     "arm_length": 4000.0,
@@ -347,6 +348,22 @@ def test_cli_import_leaves_scipy_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_leaves_process_pool_unloaded():
+    # only a pooled sweep needs concurrent.futures and multiprocessing;
+    # survey.ProcessPoolExecutor imports them on first access
+    src = os.path.dirname(os.path.dirname(wlcnoise.__file__))
+    probe = ("import sys, wlcnoise, wlcnoise.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules))); "
+             "import concurrent.futures; "
+             "print(wlcnoise.survey.ProcessPoolExecutor is "
+             "concurrent.futures.ProcessPoolExecutor)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +780,8 @@ def test_pool_failure_is_not_an_out_error(tmp_path, monkeypatch):
 
     monkeypatch.setattr(survey, "ProcessPoolExecutor", no_workers)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    path = write_scenario(tmp_path, _EVERY_COMMAND_DOC)
+    # two eta rows, since a single row runs in-process with no pool
+    path = _small_sweep(tmp_path, eta=(0.5, 0.6))
     with pytest.raises(BlockingIOError):
         main(["sweep", "--scenario", str(path), "--out", str(tmp_path),
               "--threads", "2"])
@@ -829,10 +847,10 @@ class _RecordingPool:
         return map(fn, items)
 
 
-def _single_cell_sweep(tmp_path):
+def _small_sweep(tmp_path, eta=(0.5,)):
     return write_scenario(tmp_path, {
         "detector": DETECTOR,
-        "sweep": {"eta": [0.5], "xi": [0.3], "srm_power_reflectivities": [0.5],
+        "sweep": {"eta": list(eta), "xi": [0.3], "srm_power_reflectivities": [0.5],
                   "root_choice": "larger"},
     })
 
@@ -843,20 +861,47 @@ def _single_cell_sweep(tmp_path):
 def test_sweep_threads_capped_at_core_count(tmp_path, monkeypatch, threads,
                                             cores, workers):
     # the pool never asks for more processes than there are cores; the
-    # stand-in runs the cells serially, so no process is started
+    # stand-in runs the cells serially, so no process is started; three
+    # eta rows, so the row count does not cap the pool here
     monkeypatch.setattr(survey, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    path = _single_cell_sweep(tmp_path)
+    path = _small_sweep(tmp_path, eta=(0.3, 0.5, 0.7))
     assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path),
                  "--threads", threads]) == 0
     assert _RecordingPool.sizes == [workers]
 
 
+@pytest.mark.parametrize("rows,sizes", [(1, []), (3, [3])])
+def test_pool_sized_to_rows(monkeypatch, rows, sizes):
+    # with the fork start method a pool starts all its workers at its
+    # first task, so it gets at most one per eta row, and one row gets none
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    spec = SweepSpec(eta_grid=default_grid(rows), xi_grid=(0.3, 0.6),
+                     srm_power_reflectivities=(0.5,), root_choice=RootChoice.LARGER)
+    ifo = reference_detector(0.5)
+    pooled = run_sweep(spec, ifo, workers=8)
+    assert _RecordingPool.sizes == sizes
+    # a nan field compares unequal to a copy of itself, so compare the full repr
+    assert repr(pooled) == repr(run_sweep(spec, ifo, workers=1))
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_sweep_workers_below_one_rejected(monkeypatch, workers):
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(survey, "_compute_row", no_rows)
+    spec = SweepSpec(eta_grid=(0.5,), xi_grid=(0.3,))
+    with pytest.raises(ValueError, match=r"^workers must be >= 1, got -?\d"):
+        run_sweep(spec, reference_detector(0.5), workers=workers)
+
+
 def test_sweep_negative_threads_rejected(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(survey, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    path = _single_cell_sweep(tmp_path)
+    path = _small_sweep(tmp_path)
     assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path),
                  "--threads", "-1"]) == 1
     assert "error: --threads" in capsys.readouterr().err
