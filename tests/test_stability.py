@@ -618,13 +618,18 @@ def dense_reference_edges(ifo, med, rect):
     counterclockwise order, each from corner to corner: a horizontal
     edge on a line where the quiet bound is below 1/2 is its two
     corners, otherwise uniform with 8 nodes per delay turn (at least
-    1024), the bottom one merged with the clusters about +-delta0; a
-    side keeps 256 nodes' spacing up to its first such node, then joins
-    the top corner. Bisected edge by edge with no piece taken on trust,
-    its integral is the reference for the oracle's."""
+    1024) and the node 0 where it lies inside, the bottom one merged
+    with the clusters about +-delta0; a side keeps 256 nodes' spacing up
+    to its first such node, then joins the top corner. Bisected edge by
+    edge with no piece taken on trust, its integral is the reference for
+    the oracle's. The node 0 splits the segment from -h to h that
+    symmetric uniform nodes leave: F(-x + iy) = conj F(x + iy), so its
+    end ratio has unit modulus and can hide a whole turn of F."""
     re_lo, re_hi, im_lo, im_hi = rect
     turns = (re_hi - re_lo) * ifo.tau / math.pi
     uniform = np.linspace(re_lo, re_hi, max(1024, int(8 * turns)))
+    if re_lo < 0.0 < re_hi:
+        uniform = np.union1d(uniform, [0.0])
     corners = np.array([re_lo, re_hi])
     bottom = corners if quiet_bound(ifo, med, im_lo) < 0.5 else uniform
     top = corners if quiet_bound(ifo, med, im_hi) < 0.5 else uniform
