@@ -12,6 +12,7 @@ gain plus the medium's added noise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -95,6 +96,9 @@ class IfoParams:
         """Angular free spectral range pi / tau used as integration limit."""
         return math.pi / self.tau
 
+    # memoized: a frozen detector can be shared, so each (detector, rs^2)
+    # is derived once however many media use it; an error is not cached
+    @functools.lru_cache(maxsize=64)
     def with_power_reflectivity(self, rs2: float) -> "IfoParams":
         return replace(self, srm_amplitude_reflectivity=_amplitude_of(rs2))
 

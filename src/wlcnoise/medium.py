@@ -78,6 +78,11 @@ class MediumParams:
     atom_count: int = 1
 
     def __post_init__(self) -> None:
+        # valid input passes one chained comparison (NaN fails each);
+        # the checks below only name the first bad field
+        if (0.0 < self.gamma12 < math.inf > self.gamma_opt_total >= 0.0 <= self.delta0
+                < math.inf and self.atom_count >= 1):
+            return
         for name in ("gamma12", "gamma_opt_total", "delta0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -226,10 +231,11 @@ def solve_detuning(gamma12: float, gamma_opt_total: float,
     within 1e-10 of max(b^2, |4ac|) is a repeated root -b / 2a. At
     b = 0 (A = 2 g^2) the product c >= 0 leaves no positive root.
     """
-    for name, value in (("gamma12", gamma12), ("gamma_opt_total", gamma_opt_total),
-                        ("tau", tau)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not 0.0 < gamma12 < math.inf > gamma_opt_total > 0.0 < tau < math.inf:
+        for name, value in (("gamma12", gamma12), ("gamma_opt_total", gamma_opt_total),
+                            ("tau", tau)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
     g2 = (gamma12 - gamma_opt_total) ** 2
     a_rate = gamma_opt_total / tau
     a, b, c = 1.0, 2.0 * g2 - a_rate, g2 * (g2 + a_rate)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wlcnoise.errors import MarginalStabilityError, ZeroSignalError
@@ -139,9 +139,25 @@ def test_params_validation(field, value):
 @pytest.mark.parametrize("rs2", [-0.1, 1.0, math.nan, math.inf])
 def test_power_reflectivity_validation(make, rs2):
     # rejected by name before its square root is taken, which for -0.1
-    # raised a bare math domain error
-    with pytest.raises(ValueError, match="power reflectivity must lie in"):
-        make(rs2)
+    # raised a bare math domain error; twice, since a memoized derivation
+    # must not remember an error
+    for _ in range(2):
+        with pytest.raises(ValueError, match="power reflectivity must lie in"):
+            make(rs2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True))
+@example(0.0)
+@example(1.0 - 2.0**-53)
+@example(-0.0)
+def test_with_power_reflectivity_is_replace_of_sqrt(rs2):
+    # the derived detector is memoized: equal to the plain derivation
+    # (-0.0 to the 0.0 one), and the same object on a repeat call
+    derived = IFO.with_power_reflectivity(rs2)
+    assert derived == replace(IFO, srm_amplitude_reflectivity=math.sqrt(rs2))
+    assert derived == IFO.with_power_reflectivity(abs(rs2))
+    assert IFO.with_power_reflectivity(rs2) is derived
 
 
 # ---------------------------------------------------------------------------

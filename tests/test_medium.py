@@ -191,6 +191,30 @@ def test_commutation_defect_closed_form():
         assert np.abs(defect[band]).max() <= envelope
 
 
+@pytest.mark.parametrize("model", list(NoiseModel))
+def test_commutator_deficit_identity(model):
+    # |M|^2 - B (|N+|^2 + |N-|^2) - 1 = -Gamma^2 |1/d+ - 1/d-|^2 with
+    # d_pm = i(omega +- delta0) - (gamma12 - Gamma) and B the bath count:
+    # the model's added noise falls short of the phase-insensitive
+    # amplifier floor (Caves 1982) wherever delta0 > 0
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        gamma12 = 10.0 ** rng.uniform(-2.0, 2.0)
+        gamma_opt = rng.uniform(0.0, 0.99) * gamma12
+        delta0 = rng.uniform(0.0, 10.0) * gamma12
+        p = MediumParams(gamma12, gamma_opt, delta0, atom_count=int(rng.integers(1, 50)))
+        omegas = rng.uniform(-3.0, 3.0, 16) * (delta0 + gamma12)
+        baths = p.atom_count if model is NoiseModel.LOCAL else 1
+        n_up, n_lo = noise_coefficients(p, omegas, model)
+        gain = np.abs(probe_transfer(p, omegas)) ** 2
+        noise = baths * (np.abs(n_up) ** 2 + np.abs(n_lo) ** 2)
+        gap = gamma12 - gamma_opt
+        d_plus = 1j * (omegas + delta0) - gap
+        d_minus = 1j * (omegas - delta0) - gap
+        deficit = -gamma_opt**2 * np.abs(1.0 / d_plus - 1.0 / d_minus) ** 2
+        assert np.all(np.abs(gain - noise - 1.0 - deficit) <= 1e-14 * (gain + noise + 1.0))
+
+
 # ---------------------------------------------------------------------------
 # classification and validity
 # ---------------------------------------------------------------------------
@@ -459,6 +483,33 @@ def test_params_validation(kwargs):
     bad = [name for name, value in kwargs.items() if not math.isfinite(value)]
     with pytest.raises(ValueError, match=bad[0] if bad else None):
         MediumParams(**kwargs)
+
+
+VALID = dict(gamma12=1.0, gamma_opt_total=0.1, delta0=1.0)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    *(({**VALID, field: value}, f"{field} must be finite, got {value}")
+      for field in ("gamma12", "gamma_opt_total", "delta0")
+      for value in (math.nan, math.inf, -math.inf)),
+    ({**VALID, "gamma12": 0.0}, "gamma12 must be positive, got 0.0"),
+    ({**VALID, "gamma12": -1.0}, "gamma12 must be positive, got -1.0"),
+    ({**VALID, "gamma_opt_total": -0.1}, "gamma_opt_total must be nonnegative, got -0.1"),
+    ({**VALID, "delta0": -1.0}, "delta0 must be nonnegative, got -1.0"),
+    ({**VALID, "atom_count": 0}, "atom_count must be >= 1, got 0"),
+    # two bad fields: a non-finite rate is named before an out-of-range
+    # one, and otherwise the fields are checked in declaration order
+    ({**VALID, "gamma12": 0.0, "delta0": math.nan}, "delta0 must be finite, got nan"),
+    ({**VALID, "gamma_opt_total": math.inf, "delta0": -math.inf},
+     "gamma_opt_total must be finite, got inf"),
+    ({**VALID, "gamma12": -1.0, "gamma_opt_total": -1.0},
+     "gamma12 must be positive, got -1.0"),
+    ({**VALID, "delta0": -1.0, "atom_count": 0}, "delta0 must be nonnegative, got -1.0"),
+])
+def test_params_validation_messages(kwargs, message):
+    with pytest.raises(ValueError) as excinfo:
+        MediumParams(**kwargs)
+    assert str(excinfo.value) == message
 
 
 def test_per_atom_rate():
