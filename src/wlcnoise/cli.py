@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import medium as med_mod
@@ -73,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="worker processes for sweeps, at most the core "
                              "count and the eta row count (0 = all cores)")
-    parser.add_argument("--margin", type=float, default=1.0,
-                        help="non-stationarity threshold factor (>= 1)")
     return parser
 
 
@@ -106,13 +103,13 @@ def _cmd_response(scenario: Scenario, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_nyquist(scenario: Scenario, out_dir: Path, margin: float) -> int:
+def _cmd_nyquist(scenario: Scenario, out_dir: Path) -> int:
     med = scenario.medium
     if med is None:
         raise ScenarioError("nyquist command needs a 'medium' block")
     ifo = scenario.detector
     try:
-        report = classify_system(ifo, med, margin=margin)
+        report = classify_system(ifo, med)
     except MarginalStabilityError as exc:
         print(f"marginal: {exc}")
         return EXIT_MARGINAL
@@ -181,15 +178,13 @@ def _sweep_tables(grid: SweepGrid, out_dir: Path) -> dict:
     return summary
 
 
-def _cmd_sweep(scenario: Scenario, out_dir: Path, threads: int,
-               margin: float) -> int:
+def _cmd_sweep(scenario: Scenario, out_dir: Path, threads: int) -> int:
     if scenario.sweep is None:
         raise ScenarioError("sweep command needs a 'sweep' block")
-    spec = replace(scenario.sweep, margin=margin)
     cores = os.cpu_count() or 1
     workers = min(threads, cores) if threads > 0 else cores
     try:
-        grid = run_sweep(spec, scenario.detector, workers=workers)
+        grid = run_sweep(scenario.sweep, scenario.detector, workers=workers)
     except OverflowError as exc:
         raise ScenarioError(f"sweep: {exc}") from None
     summary = _sweep_tables(grid, out_dir)
@@ -206,8 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not args.margin >= 1.0:
-            raise ScenarioError("--margin must be >= 1")
         if args.threads < 0:
             raise ScenarioError("--threads must be >= 0")
         scenario = load_scenario(args.scenario)
@@ -219,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "response":
             return _cmd_response(scenario, out_dir)
         if args.command == "nyquist":
-            return _cmd_nyquist(scenario, out_dir, args.margin)
-        return _cmd_sweep(scenario, out_dir, args.threads, args.margin)
+            return _cmd_nyquist(scenario, out_dir)
+        return _cmd_sweep(scenario, out_dir, args.threads)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

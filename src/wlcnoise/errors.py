@@ -30,9 +30,5 @@ class SingularParametrizationError(ValueError):
     """The (eta, xi) map is singular at the requested point (eta = 1)."""
 
 
-class ZeroSignalError(ValueError):
-    """Homodyne readout is orthogonal to the signal quadrature."""
-
-
 class MediumNotStationaryError(ValueError):
     """Operation requires a stationary gain medium."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import medium as med_mod
-from .errors import MarginalStabilityError, ZeroSignalError
+from .errors import MarginalStabilityError
 from .medium import MediumParams, NoiseModel
 
 __all__ = [
@@ -44,7 +44,6 @@ class IfoParams:
     circulating_power           P_c in the arms
     carrier_angular_frequency   omega_0 of the laser
     srm_amplitude_reflectivity  r_s in [0, 1); t_s^2 = 1 - r_s^2 (lossless)
-    homodyne_angle              readout quadrature angle; 0 reads phase
     include_additional_noise    whether the medium's added noise enters
                                 the strain spectral density
     """
@@ -53,12 +52,11 @@ class IfoParams:
     circulating_power: float
     carrier_angular_frequency: float
     srm_amplitude_reflectivity: float
-    homodyne_angle: float = 0.0
     include_additional_noise: bool = True
 
     def __post_init__(self) -> None:
         for name in ("arm_length", "circulating_power", "carrier_angular_frequency",
-                     "srm_amplitude_reflectivity", "homodyne_angle"):
+                     "srm_amplitude_reflectivity"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.arm_length <= 0.0:
@@ -86,12 +84,6 @@ class IfoParams:
                 * self.arm_length**2 / (HBAR * SPEED_OF_LIGHT**2))
 
     @property
-    def reads_signal(self) -> bool:
-        """False when the homodyne readout is orthogonal to the signal
-        quadrature (|cos homodyne_angle| at roundoff level)."""
-        return abs(math.cos(self.homodyne_angle)) > 1e-13
-
-    @property
     def free_spectral_range(self) -> float:
         """Angular free spectral range pi / tau used as integration limit."""
         return math.pi / self.tau
@@ -111,7 +103,6 @@ def _amplitude_of(rs2: float) -> float:
 
 
 def reference_detector(srm_power_reflectivity: float = 0.8,
-                       homodyne_angle: float = 0.0,
                        include_additional_noise: bool = True) -> IfoParams:
     """A 4 km, 800 kW, 1064 nm detector used for figure reproduction.
 
@@ -124,7 +115,6 @@ def reference_detector(srm_power_reflectivity: float = 0.8,
         circulating_power=800e3,
         carrier_angular_frequency=2.0 * math.pi * SPEED_OF_LIGHT / wavelength,
         srm_amplitude_reflectivity=_amplitude_of(srm_power_reflectivity),
-        homodyne_angle=homodyne_angle,
         include_additional_noise=include_additional_noise,
     )
 
@@ -150,17 +140,16 @@ def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
     noise blocks, and the medium is phase insensitive, so the block
     chain collapses to the open-loop gain G:
 
-        S = (|G - r_s|^2 + B t_s^2 (|N+|^2 + |N-|^2)) / (2 K t_s^2 cos^2 zeta)
+        S = (|G - r_s|^2 + B t_s^2 (|N+|^2 + |N-|^2)) / (2 K t_s^2)
 
-    with K the signal strength, zeta the homodyne angle and B the bath
-    count (atom_count for LOCAL, 1 for COLLECTIVE); the noise term is
-    dropped when the added noise is switched off. The atom count
+    with K the signal strength, read in the phase quadrature, and B the
+    bath count (atom_count for LOCAL, 1 for COLLECTIVE); the noise term
+    is dropped when the added noise is switched off. The atom count
     cancels between B and the per-bath coefficients, making the result
     independent of it.
 
     Raises MarginalStabilityError, naming the first such omega, when the
-    closed loop is singular (|1 - r_s G| <= 1e-6) and ZeroSignalError
-    when the readout is orthogonal to the signal quadrature.
+    closed loop is singular (|1 - r_s G| <= 1e-6).
     """
     rs = ifo.srm_amplitude_reflectivity
     ts2 = ifo.srm_amplitude_transmissivity**2
@@ -175,17 +164,13 @@ def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
             raise MarginalStabilityError(
                 f"closed loop singular at omega = {float(np.ravel(omega)[k])!r} "
                 f"(|1 - r_s G| = {closed[k]:.3e})")
-    if not ifo.reads_signal:
-        raise ZeroSignalError(
-            f"readout at homodyne angle {ifo.homodyne_angle} carries no signal")
 
     power = np.abs(gain - rs) ** 2
     if ifo.include_additional_noise:
         baths = med.atom_count if model is NoiseModel.LOCAL else 1
         n_up, n_lo = med_mod._noise_pair(med, model, *dens)
         power += baths * ts2 * (np.abs(n_up) ** 2 + np.abs(n_lo) ** 2)
-    signal = 2.0 * ifo.signal_strength * ts2 * math.cos(ifo.homodyne_angle) ** 2
-    return power / signal
+    return power / (2.0 * ifo.signal_strength * ts2)
 
 
 def baseline_integrated_inverse_psd(ifo: IfoParams) -> float:

@@ -170,23 +170,21 @@ def _noise_pair(p: MediumParams, model: NoiseModel, den_plus, den_minus):
     return amp / (-den_minus), amp / (-den_plus)
 
 
-def classify_medium(p: MediumParams, margin: float = 1.0) -> MediumClass:
+def classify_medium(p: MediumParams) -> MediumClass:
     """Stationarity classification of the bare medium.
 
     Population inversion (gamma12 < Gamma) makes the ensemble lase on
     its own. Otherwise the beat of the two pumps at 2*delta0 must stay
-    negligible, which requires delta0^2 + (gamma12 - Gamma)^2 to exceed
-    margin * Gamma^2 / 4; the margin factor makes the survey threshold
-    reproducible and tunable. The rates are scaled by the power of two
-    that brings the largest below 1, exactly, so no square overflows.
+    negligible, which requires delta0^2 + (gamma12 - Gamma)^2 to reach
+    Gamma^2 / 4; a medium exactly on that threshold is stationary. The
+    rates are scaled by the power of two that brings the largest below
+    1, exactly, so no square overflows.
     """
-    if not margin >= 1.0:
-        raise ValueError(f"margin must be >= 1, got {margin}")
     if p.gamma12 < p.gamma_opt_total:
         return MediumClass.ATOMIC_INSTABILITY
     exponent = -math.frexp(max(p.gamma12, p.delta0))[1]
     delta0, gap = math.ldexp(p.delta0, exponent), math.ldexp(p.damping_gap, exponent)
-    if delta0**2 + gap**2 < margin * math.ldexp(p.gamma_opt_total, exponent)**2 / 4.0:
+    if delta0**2 + gap**2 < math.ldexp(p.gamma_opt_total, exponent)**2 / 4.0:
         return MediumClass.NON_STATIONARY
     return MediumClass.STATIONARY
 

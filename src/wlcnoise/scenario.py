@@ -24,10 +24,11 @@ MAX_AXIS_COUNT = 10_000
 # the fields each block accepts; any other key is rejected by name
 _SCENARIO_FIELDS = ("detector", "medium", "noise_model", "response", "sweep")
 _DETECTOR_FIELDS = ("arm_length", "circulating_power", "carrier_angular_frequency",
-                    "carrier_wavelength", "srm_power_reflectivity", "homodyne_angle",
+                    "carrier_wavelength", "srm_power_reflectivity",
                     "include_additional_noise")
 _RATE_FIELDS = ("gamma12", "gamma_opt_total", "delta0", "atom_count")
 _COORDINATE_FIELDS = ("eta", "xi", "root")
+_RESPONSE_FIELDS = ("omega",)
 _SWEEP_FIELDS = ("eta", "xi", "srm_power_reflectivities", "root_choice",
                  "include_additional_noise", "rel_tol")
 _AXIS_FIELDS = ("start", "stop", "count")
@@ -178,7 +179,6 @@ def _parse_detector(block) -> tuple[IfoParams, float]:
         arm_length=arm, circulating_power=power,
         carrier_angular_frequency=omega0,
         srm_amplitude_reflectivity=math.sqrt(rs2),
-        homodyne_angle=_number(block, "homodyne_angle", where, sign="any", default=0.0),
         include_additional_noise=_flag(block, "include_additional_noise", where, True),
     )
     try:  # the strain noise scale and the rho_r baseline; arm_length**2 may raise
@@ -229,10 +229,6 @@ def _parse_sweep(block, detector: IfoParams, rs2: float,
     """The sweep; its reflectivities default to the detector's, rs2."""
     where = "sweep"
     _object(block, where, _SWEEP_FIELDS)
-    if not detector.reads_signal:
-        raise ScenarioError(
-            f"detector.homodyne_angle: readout at {detector.homodyne_angle} "
-            "carries no signal, so a sweep has no strain noise to integrate")
     fields = dict(
         eta_grid=_axis(block, "eta", where),
         xi_grid=_axis(block, "xi", where),
@@ -277,7 +273,7 @@ def load_scenario(path: str | Path) -> Scenario:
     medium = _parse_medium(doc["medium"], detector.tau) if "medium" in doc else None
     response_omegas = None
     if "response" in doc:
-        response = _object(doc["response"], "response", ("omega",))
+        response = _object(doc["response"], "response", _RESPONSE_FIELDS)
         response_omegas = _axis(response, "omega", "response")
     sweep = (_parse_sweep(doc["sweep"], detector, rs2, noise_model)
              if "sweep" in doc else None)

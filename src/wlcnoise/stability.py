@@ -534,7 +534,7 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     return np.minimum(dist, 1.0 - level)
 
 
-def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float = 1.0
+def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]]
               ) -> list[StabilityReport | MarginalStabilityError]:
     """Stability verdicts of many (ifo, medium) configurations at once.
 
@@ -548,7 +548,7 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float =
     """
     verdicts: list = []
     for ifo, med in configs:
-        med_class = med_mod.classify_medium(med, margin=margin)
+        med_class = med_mod.classify_medium(med)
         if med_class is not MediumClass.STATIONARY:
             verdicts.append(StabilityReport(Classification(med_class.value), 0, math.inf,
                                             (0.0, 0.0)))
@@ -586,8 +586,7 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]], margin: float =
     return verdicts
 
 
-def classify_system(ifo: IfoParams, med: MediumParams,
-                    margin: float = 1.0) -> StabilityReport:
+def classify_system(ifo: IfoParams, med: MediumParams) -> StabilityReport:
     """Stability verdict for the full interferometer-plus-medium loop.
 
     Medium-level instabilities are reported before any loop quantity is
@@ -601,7 +600,7 @@ def classify_system(ifo: IfoParams, med: MediumParams,
     MarginalStabilityError; within 1e-6 the report is flagged marginal.
     The verdict is the one _verdicts gives a one-element list.
     """
-    (verdict,) = _verdicts([(ifo, med)], margin)
+    (verdict,) = _verdicts([(ifo, med)])
     if isinstance(verdict, MarginalStabilityError):
         raise verdict
     return verdict

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .errors import AccuracyError, MarginalStabilityError, ZeroSignalError
+from .errors import AccuracyError, MarginalStabilityError
 from .interferometer import (
     IfoParams,
     baseline_integrated_inverse_psd,
@@ -93,7 +93,6 @@ class SweepSpec:
     include_additional_noise: bool = True
     noise_model: NoiseModel = NoiseModel.LOCAL
     rel_tol: float = 1e-4
-    margin: float = 1.0
 
     def __post_init__(self) -> None:
         for name, grid in (("eta_grid", self.eta_grid), ("xi_grid", self.xi_grid)):
@@ -111,8 +110,6 @@ class SweepSpec:
             raise ValueError("srm_power_reflectivities must not repeat a value")
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
-        if not self.margin >= 1.0:
-            raise ValueError(f"margin must be >= 1, got {self.margin}")
 
 
 class RootOutcome(NamedTuple):
@@ -283,7 +280,7 @@ def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]
         for rs2 in detectors:
             for label, med in media.items():
                 first_label.setdefault((rs2, med), label)
-    verdicts = _verdicts([(detectors[rs2], med) for rs2, med in first_label], spec.margin)
+    verdicts = _verdicts([(detectors[rs2], med) for rs2, med in first_label])
     outcome_of = {(rs2, med): _outcome(spec, detectors[rs2], rs2, label, med, verdict)
                   for ((rs2, med), label), verdict in zip(first_label.items(), verdicts)}
     row = []
@@ -314,15 +311,10 @@ def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
     flagged marginal, with the message as note) and an AccuracyError
     from the rho_r integral (the best estimate, with a note). Any other
     exception in a row aborts the sweep: an OverflowError from a cell's
-    detuning solve names its eta, xi, tau and rates. Raises ZeroSignalError
-    before any cell is computed when the readout carries no signal,
-    since no strain noise could be integrated.
+    detuning solve names its eta, xi, tau and rates.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if not ifo.reads_signal:
-        raise ZeroSignalError(
-            f"readout at homodyne angle {ifo.homodyne_angle} carries no signal")
     job = partial(_compute_row, spec, ifo)
     workers = min(workers, len(spec.eta_grid))
     if workers == 1:

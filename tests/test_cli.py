@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -160,6 +161,18 @@ def test_scenario_unknown_fields(tmp_path):
         load_scenario(path)
 
 
+def test_readme_schema_example_loads(tmp_path):
+    # the README's schema example is a scenario the loader accepts, so
+    # it names no field the schema has dropped
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```json\n(.*?)^```$", readme, flags=re.M | re.S)
+    path = tmp_path / "readme.json"
+    path.write_text(example, encoding="utf-8")
+    scenario = load_scenario(path)
+    assert scenario.medium is not None and scenario.response_omegas is not None
+    assert scenario.sweep is not None
+
+
 _ONE_CELL_SWEEP = {"eta": [0.5], "xi": [0.3], "srm_power_reflectivities": [0.5]}
 
 
@@ -185,7 +198,11 @@ _ONE_CELL_SWEEP = {"eta": [0.5], "xi": [0.3], "srm_power_reflectivities": [0.5]}
     ("sweep", {"detector": DETECTOR,
                "sweep": {**_ONE_CELL_SWEEP, "abs_tol": 1e-12}},
      "sweep", "abs_tol"),
-], ids=["detector", "medium", "response", "sweep", "axis", "sweep-abs-tol"])
+    ("sweep", {"detector": {**DETECTOR, "homodyne_angle": 0.0},
+               "sweep": _ONE_CELL_SWEEP},
+     "detector", "homodyne_angle"),
+], ids=["detector", "medium", "response", "sweep", "axis", "sweep-abs-tol",
+        "detector-homodyne-angle"])
 def test_scenario_unknown_field_in_each_block(tmp_path, capsys, command, doc,
                                               block, key):
     # a misspelt or retired key fails by block and name; it never runs
@@ -658,18 +675,6 @@ def test_sweep_tables_round_trip(tmp_path):
     assert table["stable_cells"] == len(stable)
 
 
-def test_sweep_zero_signal_readout(tmp_path, capsys):
-    # a readout orthogonal to the signal has no strain noise to integrate
-    path = write_scenario(tmp_path, {
-        "detector": {**DETECTOR, "homodyne_angle": math.pi / 2.0},
-        "sweep": {"eta": [0.4], "xi": [0.4], "srm_power_reflectivities": [0.5],
-                  "root_choice": "smaller"},
-    })
-    assert main(["sweep", "--scenario", str(path),
-                 "--out", str(tmp_path)]) == 1
-    assert "detector.homodyne_angle" in capsys.readouterr().err
-
-
 def test_sweep_duplicate_reflectivities(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "detector": DETECTOR,
@@ -794,15 +799,13 @@ def test_bad_usage_returns_one():
 
 def test_bad_flag_values(tmp_path, capsys):
     path = write_scenario(tmp_path, _nyquist_doc(0.5))
-    assert main(["nyquist", "--scenario", str(path), "--margin", "0.5"]) == 1
-    assert main(["nyquist", "--scenario", str(path), "--margin", "nan",
-                 "--out", str(tmp_path)]) == 1
     # the contour's range follows from the gain window, so there is no
-    # range multiplier: the old flag fails as an unknown argument
-    capsys.readouterr()
-    assert main(["nyquist", "--scenario", str(path),
-                 "--omega-max-mult", "50"]) == 1
-    assert "unrecognized arguments: --omega-max-mult" in capsys.readouterr().err
+    # range multiplier, and the stationarity threshold is the paper's,
+    # so there is no margin: each old flag fails as an unknown argument
+    for flag, value in (("--omega-max-mult", "50"), ("--margin", "2")):
+        assert main(["nyquist", "--scenario", str(path), flag, value,
+                     "--out", str(tmp_path)]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,doc,field", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wlcnoise.errors import MarginalStabilityError, ZeroSignalError
+from wlcnoise.errors import MarginalStabilityError
 from wlcnoise.interferometer import (
     baseline_integrated_inverse_psd,
     open_loop_gain,
@@ -85,18 +85,14 @@ def reference_strain_psd(ifo, med, model, omega):
     """Strain spectral density from the block chain.
 
     Vacuum reaches the readout through m_k, the signal through
-    t_s m_c d_vec, and each bath's added noise through t_s m_c m0.
+    t_s m_c d_vec, and each bath's added noise through t_s m_c m0. The
+    readout is the phase quadrature.
     """
     blocks = reference_loop(ifo, med, model, omega)
-    v_h = np.array([math.sin(ifo.homodyne_angle), math.cos(ifo.homodyne_angle)])
+    v_h = np.array([0.0, 1.0])
     ts = ifo.srm_amplitude_transmissivity
 
-    response = blocks.m_c @ blocks.d_vec
-    signal_power = abs(ts * (v_h @ response)) ** 2
-    # orthogonal readout leaves only roundoff-level signal
-    if signal_power <= (1e-13 * ts * np.linalg.norm(response)) ** 2:
-        raise ZeroSignalError("readout carries no signal")
-
+    signal_power = abs(ts * (v_h @ blocks.m_c @ blocks.d_vec)) ** 2
     power = np.linalg.norm(v_h @ blocks.m_k) ** 2
     if ifo.include_additional_noise:
         baths = med.atom_count if model is NoiseModel.LOCAL else 1
@@ -125,8 +121,7 @@ def test_srm_relation():
     ("srm_amplitude_reflectivity", 1.0),
     ("srm_amplitude_reflectivity", -0.1),
     *((field, value) for field in ("arm_length", "circulating_power",
-                                   "carrier_angular_frequency", "srm_amplitude_reflectivity",
-                                   "homodyne_angle")
+                                   "carrier_angular_frequency", "srm_amplitude_reflectivity")
       for value in (math.nan, math.inf, -math.inf)),
 ])
 def test_params_validation(field, value):
@@ -321,7 +316,7 @@ def test_additional_noise_only_adds():
 @pytest.mark.parametrize("model", list(NoiseModel))
 @pytest.mark.parametrize("noise", [True, False])
 def test_strain_psd_array_matches_scalar_calls(model, noise):
-    ifo = replace(IFO, include_additional_noise=noise, homodyne_angle=0.4)
+    ifo = replace(IFO, include_additional_noise=noise)
     med = wlc_medium(atom_count=7)
     omegas = np.linspace(-1.0, 1.0, 81) * IFO.free_spectral_range
     psd = strain_psd(ifo, med, model, omegas)
@@ -338,28 +333,20 @@ def test_strain_psd_array_matches_scalar_calls(model, noise):
         baths = med.atom_count if model is NoiseModel.LOCAL else 1
         n_up, n_lo = noise_coefficients(med, omegas, model)
         power += baths * ts2 * (np.abs(n_up) ** 2 + np.abs(n_lo) ** 2)
-    composed = power / (2.0 * ifo.signal_strength * ts2 * math.cos(ifo.homodyne_angle) ** 2)
+    composed = power / (2.0 * ifo.signal_strength * ts2)
     assert psd.tolist() == composed.tolist()
-
-
-def test_zero_signal_readout():
-    ifo = replace(IFO, homodyne_angle=math.pi / 2.0)
-    for psd in (strain_psd, reference_strain_psd):
-        with pytest.raises(ZeroSignalError):
-            psd(ifo, BARE, NoiseModel.LOCAL, 0.3 * IFO.free_spectral_range)
 
 
 @settings(max_examples=300, deadline=None)
 @given(eta=st.floats(0.02, 0.98), xi_share=st.floats(0.01, 1.0),
        larger_root=st.booleans(), rs2=st.floats(0.0, 0.99),
-       angle=st.floats(-math.pi, math.pi), atom_count=st.integers(1, 1000),
+       atom_count=st.integers(1, 1000),
        model=st.sampled_from(NoiseModel), noise=st.booleans(),
        omega_share=st.floats(0.0, 1.0))
-def test_strain_psd_matches_block_chain(eta, xi_share, larger_root, rs2, angle,
+def test_strain_psd_matches_block_chain(eta, xi_share, larger_root, rs2,
                                         atom_count, model, noise, omega_share):
-    assume(abs(math.cos(angle)) >= 0.1)
     ifo = replace(IFO, srm_amplitude_reflectivity=math.sqrt(rs2),
-                  homodyne_angle=angle, include_additional_noise=noise)
+                  include_additional_noise=noise)
     gamma12, gamma_opt = map_eta_xi(eta, xi_share * eta, ifo.tau)
     roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
     assume(roots)
@@ -370,19 +357,6 @@ def test_strain_psd_matches_block_chain(eta, xi_share, larger_root, rs2, angle,
     assume(abs(1.0 - rs * open_loop_gain(ifo, med, omega)) >= 1e-3)
     assert strain_psd(ifo, med, model, omega) == pytest.approx(
         reference_strain_psd(ifo, med, model, omega), rel=1e-12)
-
-
-def test_homodyne_angle_scaling_without_noise():
-    # with the added noise off every block is scalar, so rotating the
-    # readout only rescales the signal by cos(angle)
-    med = wlc_medium()
-    ifo0 = replace(IFO, include_additional_noise=False)
-    omega = 0.37 * IFO.free_spectral_range
-    base = strain_psd(ifo0, med, NoiseModel.LOCAL, omega)
-    for angle in (0.3, -0.7, 1.2):
-        rotated = strain_psd(replace(ifo0, homodyne_angle=angle), med,
-                             NoiseModel.LOCAL, omega)
-        assert rotated * math.cos(angle) ** 2 == pytest.approx(base, rel=1e-12)
 
 
 def test_baseline_integral_srm_independent():

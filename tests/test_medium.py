@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wlcnoise.errors import PoleError, SingularParametrizationError
-from wlcnoise.interferometer import reference_detector
 from wlcnoise.medium import (
     MediumClass,
     MediumParams,
@@ -22,7 +21,6 @@ from wlcnoise.medium import (
     validity_margin,
 )
 from wlcnoise.numerics import derivative_central
-from wlcnoise.stability import classify_system
 
 REF = MediumParams(gamma12=1.0, gamma_opt_total=0.1, delta0=2.0)
 
@@ -232,13 +230,20 @@ def test_classify_non_stationary():
     assert classify_medium(p) is MediumClass.NON_STATIONARY  # 1.01e-4 < 0.2495
 
 
-def test_classify_margin_knob():
-    # just stationary at margin 1, pushed over by a larger margin
-    p = MediumParams(1.0, 0.6, 0.4)  # lhs = 0.32, rhs = 0.09
-    assert classify_medium(p) is MediumClass.STATIONARY
-    assert classify_medium(p, margin=4.0) is MediumClass.NON_STATIONARY
-    with pytest.raises(ValueError):
-        classify_medium(p, margin=0.5)
+# on delta0^2 + (gamma12 - Gamma)^2 = Gamma^2 / 4 (9 + 16 = 100 / 4), and
+# just inside it; every square and sum is exact, so no rounding decides
+ON_THRESHOLD = (14.0, 10.0, 3.0)
+INSIDE_THRESHOLD = (14.0, 10.0, 3.0 - 2.0**-20)
+
+
+def test_classify_threshold():
+    # the comparison is strict: a medium on the threshold is stationary,
+    # at any power-of-two scale of its rates
+    for power in (0, -900, 900):
+        on, inside = (MediumParams(*(math.ldexp(rate, power) for rate in rates))
+                      for rates in (ON_THRESHOLD, INSIDE_THRESHOLD))
+        assert classify_medium(on) is MediumClass.STATIONARY
+        assert classify_medium(inside) is MediumClass.NON_STATIONARY
 
 
 def test_classify_large_finite_rates():
@@ -247,27 +252,16 @@ def test_classify_large_finite_rates():
     # rates, and scaling every rate by a power of two changes no class
     assert classify_medium(MediumParams(1e300, 5e299, 1e300)) is MediumClass.STATIONARY
     assert classify_medium(MediumParams(1e300, 0.999e300, 1e297)) is MediumClass.NON_STATIONARY
-    assert classify_medium(MediumParams(1e300, 0.6e300, 0.4e300),
-                           margin=4.0) is MediumClass.NON_STATIONARY
     rng = np.random.default_rng(3)
+    draws = [ON_THRESHOLD, INSIDE_THRESHOLD]
     for _ in range(200):
         gamma12 = rng.uniform(0.1, 10.0)
-        p = MediumParams(gamma12, rng.uniform(0.0, 1.2) * gamma12, rng.uniform(0.0, 10.0))
-        margin = rng.uniform(1.0, 4.0)
+        draws.append((gamma12, rng.uniform(0.0, 1.2) * gamma12, rng.uniform(0.0, 10.0)))
+    for rates in draws:
+        p = MediumParams(*rates)
         for power in (-900, -300, 300, 1000):
-            scaled = MediumParams(*(math.ldexp(rate, power)
-                                    for rate in (p.gamma12, p.gamma_opt_total, p.delta0)))
-            assert classify_medium(scaled, margin) is classify_medium(p, margin)
-
-
-@pytest.mark.parametrize("margin", [math.nan, -math.inf, 0.5])
-def test_margin_below_one_raises(margin):
-    # a NaN margin passes no comparison, so it would read STATIONARY
-    p = MediumParams(100.0, 90.0, 1.0)  # non-stationary at margin 1
-    with pytest.raises(ValueError, match="margin"):
-        classify_medium(p, margin=margin)
-    with pytest.raises(ValueError, match="margin"):
-        classify_system(reference_detector(0.8), p, margin=margin)
+            scaled = MediumParams(*(math.ldexp(rate, power) for rate in rates))
+            assert classify_medium(scaled) is classify_medium(p)
 
 
 def test_validity_margin_values():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from wlcnoise import survey
-from wlcnoise.errors import AccuracyError, MarginalStabilityError, ZeroSignalError
+from wlcnoise.errors import AccuracyError, MarginalStabilityError
 from wlcnoise.interferometer import reference_detector
 from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from wlcnoise.stability import Classification, classify_system
@@ -55,8 +55,6 @@ def test_default_grid_inside_unit_interval():
     dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=-1e-4),
     dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=math.nan),
     dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=math.inf),
-    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, margin=0.5),
-    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, margin=math.nan),
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -221,7 +219,7 @@ def reference_outcome(spec, rs2, label, med):
     ifo = replace(IFO.with_power_reflectivity(rs2),
                   include_additional_noise=spec.include_additional_noise)
     try:
-        report = classify_system(ifo, med, margin=spec.margin)
+        report = classify_system(ifo, med)
     except MarginalStabilityError as exc:
         return RootOutcome(rs2, label, med.delta0, CellStatus.OPTICAL_INSTABILITY,
                            marginal=True, note=str(exc))
@@ -336,9 +334,9 @@ def test_double_root_cell_computed_once(monkeypatch):
     calls = []
     original = survey._verdicts
 
-    def counting(configs, margin):
+    def counting(configs):
         calls.extend((ifo.srm_amplitude_reflectivity, med.delta0) for ifo, med in configs)
-        return original(configs, margin)
+        return original(configs)
 
     monkeypatch.setattr(survey, "_verdicts", counting)
     spec = SweepSpec(eta_grid=(0.4,), xi_grid=(0.4,),
@@ -351,13 +349,3 @@ def test_double_root_cell_computed_once(monkeypatch):
         assert smaller._replace(root_label="larger") == larger
         statuses.append(smaller.status)
     assert statuses == [CellStatus.STABLE, CellStatus.OPTICAL_INSTABILITY]
-
-
-def test_sweep_zero_signal_readout_fails_fast(monkeypatch):
-    # a readout orthogonal to the signal is rejected before any cell
-    monkeypatch.setattr(survey, "_compute_row", None)
-    spec = SweepSpec(eta_grid=(0.4,), xi_grid=(0.1,),
-                     srm_power_reflectivities=(0.5,))
-    ifo = replace(IFO, homodyne_angle=math.pi / 2.0)
-    with pytest.raises(ZeroSignalError, match="homodyne angle 1.5707"):
-        run_sweep(spec, ifo)
