@@ -93,7 +93,7 @@ def _cmd_response(scenario: Scenario, out_dir: Path) -> int:
                 "(gamma12 == gamma_opt_total and omega == +-delta0)") from None
         # the other response functions share the pole guard checked above
         m = med_mod.probe_transfer(med, omega)
-        n_up, n_lo = med_mod.noise_coefficients(med, omega, scenario.noise_model)
+        n_up, n_lo = med_mod.noise_coefficients(med, omega, med_mod.NoiseModel.COLLECTIVE)
         rows.append([_fmt(omega), _fmt(chi.real), _fmt(chi.imag),
                      _fmt(abs(m)), _fmt(math.atan2(m.imag, m.real)),
                      _fmt(abs(n_up)), _fmt(abs(n_lo)),
@@ -110,17 +110,15 @@ def _cmd_nyquist(scenario: Scenario, out_dir: Path) -> int:
     ifo = scenario.detector
     try:
         report = classify_system(ifo, med)
+        stationary = report.classification not in (Classification.ATOMIC_INSTABILITY,
+                                                    Classification.NON_STATIONARY)
+        contour = nyquist_contour(ifo, med) if stationary else None
     except MarginalStabilityError as exc:
         print(f"marginal: {exc}")
         return EXIT_MARGINAL
-    except AccuracyError as exc:  # the delay turns grow with the arm length
-        raise ScenarioError(f"detector.arm_length: {exc}") from None
-    if report.classification not in (Classification.ATOMIC_INSTABILITY,
-                                     Classification.NON_STATIONARY):
-        try:
-            contour = nyquist_contour(ifo, med)
-        except AccuracyError as exc:  # a contour whose refinement does not end
-            raise ScenarioError(f"detector.arm_length, medium: {exc}") from None
+    except AccuracyError as exc:  # the delay turns grow with the arm and the rates
+        raise ScenarioError(f"detector.arm_length, medium: {exc}") from None
+    if contour is not None:
         _write_csv(out_dir / "nyquist.csv",
                    [["re", "im"], *([_fmt(z.real), _fmt(z.imag)] for z in contour)])
         print(f"wrote {out_dir / 'nyquist.csv'} ({len(contour)} points)")

@@ -2,8 +2,8 @@
 
 A scenario bundles the detector, the medium (either raw rates plus
 detuning, or survey coordinates plus a root choice, whose detuning is
-solved at load time), the noise model, and optional response / sweep
-blocks. See README for the schema.
+solved at load time) and optional response / sweep blocks. See README
+for the schema.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .interferometer import SPEED_OF_LIGHT, IfoParams, baseline_integrated_inverse_psd
-from .medium import MediumParams, NoiseModel
+from .medium import MediumParams
 from .survey import RootChoice, SweepSpec, _cell_media, default_grid
 
 __all__ = ["ScenarioError", "Scenario", "load_scenario"]
@@ -22,11 +22,10 @@ __all__ = ["ScenarioError", "Scenario", "load_scenario"]
 MAX_AXIS_COUNT = 10_000
 
 # the fields each block accepts; any other key is rejected by name
-_SCENARIO_FIELDS = ("detector", "medium", "noise_model", "response", "sweep")
-_DETECTOR_FIELDS = ("arm_length", "circulating_power", "carrier_angular_frequency",
-                    "carrier_wavelength", "srm_power_reflectivity",
-                    "include_additional_noise")
-_RATE_FIELDS = ("gamma12", "gamma_opt_total", "delta0", "atom_count")
+_SCENARIO_FIELDS = ("detector", "medium", "response", "sweep")
+_DETECTOR_FIELDS = ("arm_length", "circulating_power", "carrier_wavelength",
+                    "srm_power_reflectivity")
+_RATE_FIELDS = ("gamma12", "gamma_opt_total", "delta0")
 _COORDINATE_FIELDS = ("eta", "xi", "root")
 _RESPONSE_FIELDS = ("omega",)
 _SWEEP_FIELDS = ("eta", "xi", "srm_power_reflectivities", "root_choice",
@@ -59,7 +58,6 @@ def _parse_int(text: str):
 @dataclass(frozen=True)
 class Scenario:
     detector: IfoParams
-    noise_model: NoiseModel
     medium: MediumParams | None = None
     response_omegas: tuple[float, ...] | None = None
     sweep: SweepSpec | None = None
@@ -101,9 +99,9 @@ def _number(block: dict, key: str, where: str, sign: str = "positive",
     return float(value)
 
 
-def _count(block: dict, key: str, where: str, default: int | None = None) -> int:
+def _count(block: dict, key: str, where: str) -> int:
     """A positive integer; true and false are not counts."""
-    value = _field(block, key, where, default)
+    value = _field(block, key, where)
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ScenarioError(f"{where}.{key}: expected a positive integer")
     return value
@@ -161,17 +159,9 @@ def _parse_detector(block) -> tuple[IfoParams, float]:
     _object(block, where, _DETECTOR_FIELDS)
     arm = _number(block, "arm_length", where)
     power = _number(block, "circulating_power", where)
-    if ("carrier_angular_frequency" in block) == ("carrier_wavelength" in block):
-        raise ScenarioError(f"{where}: specify exactly one of carrier_angular_frequency "
-                            "or carrier_wavelength")
-    if "carrier_angular_frequency" in block:
-        carrier = "carrier_angular_frequency"
-        omega0 = _number(block, carrier, where)
-    else:
-        carrier = "carrier_wavelength"
-        omega0 = 2.0 * math.pi * SPEED_OF_LIGHT / _number(block, carrier, where)
-        if omega0 == math.inf:
-            raise ScenarioError(f"{where}.{carrier}: 2 pi c / wavelength overflows")
+    omega0 = 2.0 * math.pi * SPEED_OF_LIGHT / _number(block, "carrier_wavelength", where)
+    if omega0 == math.inf:
+        raise ScenarioError(f"{where}.carrier_wavelength: 2 pi c / wavelength overflows")
     rs2 = _number(block, "srm_power_reflectivity", where, sign="any")
     if not 0.0 <= rs2 < 1.0:
         raise ScenarioError(f"{where}.srm_power_reflectivity: must lie in [0, 1)")
@@ -179,7 +169,6 @@ def _parse_detector(block) -> tuple[IfoParams, float]:
         arm_length=arm, circulating_power=power,
         carrier_angular_frequency=omega0,
         srm_amplitude_reflectivity=math.sqrt(rs2),
-        include_additional_noise=_flag(block, "include_additional_noise", where, True),
     )
     try:  # the strain noise scale and the rho_r baseline; arm_length**2 may raise
         scales = (ifo.signal_strength, baseline_integrated_inverse_psd(ifo))
@@ -187,7 +176,7 @@ def _parse_detector(block) -> tuple[IfoParams, float]:
         scales = (math.inf,)
     if not all(0.0 < v < math.inf for v in scales):
         raise ScenarioError(
-            f"{where}.arm_length, circulating_power, {carrier}: the signal "
+            f"{where}.arm_length, circulating_power, carrier_wavelength: the signal "
             "scale or the baseline integral leaves the float range")
     return ifo, rs2
 
@@ -204,8 +193,7 @@ def _parse_medium(block, tau: float) -> MediumParams:
         return MediumParams(
             _number(block, "gamma12", where),
             _number(block, "gamma_opt_total", where, sign="nonnegative"),
-            _number(block, "delta0", where, sign="nonnegative", default=0.0),
-            _count(block, "atom_count", where, default=1))
+            _number(block, "delta0", where, sign="nonnegative", default=0.0))
     eta = _number(block, "eta", where)
     if eta >= 1.0:
         raise ScenarioError(f"{where}.eta: must lie in (0, 1), got {eta}")
@@ -224,8 +212,7 @@ def _parse_medium(block, tau: float) -> MediumParams:
     return media[root]
 
 
-def _parse_sweep(block, detector: IfoParams, rs2: float,
-                 noise_model: NoiseModel) -> SweepSpec:
+def _parse_sweep(block, rs2: float) -> SweepSpec:
     """The sweep; its reflectivities default to the detector's, rs2."""
     where = "sweep"
     _object(block, where, _SWEEP_FIELDS)
@@ -236,12 +223,11 @@ def _parse_sweep(block, detector: IfoParams, rs2: float,
                                           where, default=[rs2]),
         root_choice=RootChoice(_choice(block, "root_choice", where,
                                        tuple(c.value for c in RootChoice), "both")),
-        include_additional_noise=_flag(block, "include_additional_noise", where,
-                                       detector.include_additional_noise),
+        include_additional_noise=_flag(block, "include_additional_noise", where, True),
         rel_tol=_number(block, "rel_tol", where, default=1e-4),
     )
     try:
-        return SweepSpec(noise_model=noise_model, **fields)
+        return SweepSpec(**fields)
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
@@ -268,14 +254,11 @@ def load_scenario(path: str | Path) -> Scenario:
     where = "scenario"
     _object(doc, where, _SCENARIO_FIELDS)
     detector, rs2 = _parse_detector(_field(doc, "detector", where))
-    noise_model = NoiseModel(_choice(doc, "noise_model", where,
-                                     tuple(m.value for m in NoiseModel), "local"))
     medium = _parse_medium(doc["medium"], detector.tau) if "medium" in doc else None
     response_omegas = None
     if "response" in doc:
         response = _object(doc["response"], "response", _RESPONSE_FIELDS)
         response_omegas = _axis(response, "omega", "response")
-    sweep = (_parse_sweep(doc["sweep"], detector, rs2, noise_model)
-             if "sweep" in doc else None)
-    return Scenario(detector=detector, noise_model=noise_model,
-                    medium=medium, response_omegas=response_omegas, sweep=sweep)
+    sweep = _parse_sweep(doc["sweep"], rs2) if "sweep" in doc else None
+    return Scenario(detector=detector, medium=medium,
+                    response_omegas=response_omegas, sweep=sweep)

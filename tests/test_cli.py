@@ -59,15 +59,13 @@ def assert_csv_writer_bytes(path, rows=None):
 def test_scenario_round_trip(tmp_path):
     path = write_scenario(tmp_path, {
         "detector": DETECTOR,
-        "medium": {"gamma12": 2e4, "gamma_opt_total": 1e3, "delta0": 5e3,
-                   "atom_count": 3},
-        "noise_model": "collective",
+        "medium": {"gamma12": 2e4, "gamma_opt_total": 1e3, "delta0": 5e3},
     })
     scenario = load_scenario(path)
     assert scenario.detector.arm_length == 4000.0
     assert scenario.detector.srm_amplitude_reflectivity == pytest.approx(
         math.sqrt(0.5))
-    assert scenario.medium == MediumParams(2e4, 1e3, 5e3, 3)
+    assert scenario.medium == MediumParams(2e4, 1e3, 5e3)
 
 
 def test_scenario_eta_xi_medium(tmp_path):
@@ -201,8 +199,23 @@ _ONE_CELL_SWEEP = {"eta": [0.5], "xi": [0.3], "srm_power_reflectivities": [0.5]}
     ("sweep", {"detector": {**DETECTOR, "homodyne_angle": 0.0},
                "sweep": _ONE_CELL_SWEEP},
      "detector", "homodyne_angle"),
+    ("nyquist", {"detector": {**DETECTOR, "carrier_angular_frequency": 1.0},
+                 "medium": {"eta": 0.4, "xi": 0.4}},
+     "detector", "carrier_angular_frequency"),
+    ("sweep", {"detector": {**DETECTOR, "include_additional_noise": False},
+               "sweep": _ONE_CELL_SWEEP},
+     "detector", "include_additional_noise"),
+    ("sweep", {"detector": DETECTOR, "noise_model": "collective",
+               "sweep": _ONE_CELL_SWEEP},
+     "scenario", "noise_model"),
+    ("response", {"detector": DETECTOR,
+                  "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3,
+                             "delta0": 2e4, "atom_count": 3},
+                  "response": {"omega": [0.0]}},
+     "medium", "atom_count"),
 ], ids=["detector", "medium", "response", "sweep", "axis", "sweep-abs-tol",
-        "detector-homodyne-angle"])
+        "detector-homodyne-angle", "detector-carrier-angular-frequency",
+        "detector-include-additional-noise", "noise-model", "medium-atom-count"])
 def test_scenario_unknown_field_in_each_block(tmp_path, capsys, command, doc,
                                               block, key):
     # a misspelt or retired key fails by block and name; it never runs
@@ -225,11 +238,10 @@ def test_scenario_unknown_field_in_each_block(tmp_path, capsys, command, doc,
     ("nyquist", {"detector": {**DETECTOR, "circulating_power": "@"},
                  "medium": {"eta": 0.4, "xi": 0.4}},
      "9" * 401, "detector.circulating_power"),
-    ("response", {"detector": DETECTOR,
-                  "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3,
-                             "delta0": 2e4, "atom_count": "@"},
-                  "response": {"omega": [0.0]}},
-     "9" * 401, "medium.atom_count"),
+    ("sweep", {"detector": DETECTOR,
+               "sweep": {"eta": {"start": 0.1, "stop": 0.9, "count": "@"},
+                         "xi": [0.1]}},
+     "9" * 401, "sweep.eta.count: expected a positive integer"),
     ("response", {"detector": DETECTOR,
                   "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3,
                              "delta0": 2e4},
@@ -240,7 +252,7 @@ def test_scenario_unknown_field_in_each_block(tmp_path, capsys, command, doc,
                              "delta0": 2e4},
                   "response": {"omega": [0.0, "@"]}},
      "-Infinity", "response.omega"),
-], ids=["nan", "overflowing-float", "huge-integer", "huge-atom-count",
+], ids=["nan", "overflowing-float", "huge-integer", "huge-axis-count",
         "nan-omega", "infinite-omega"])
 def test_scenario_non_finite_numbers(tmp_path, capsys, command, doc, literal,
                                      field):
@@ -254,20 +266,12 @@ def test_scenario_non_finite_numbers(tmp_path, capsys, command, doc, literal,
     assert not (tmp_path / f"{command}.csv").exists()
 
 
-@pytest.mark.parametrize("carriers", [
-    {"carrier_wavelength": 1.064e-6, "carrier_angular_frequency": 1.0},
-    {},
-], ids=["both", "neither"])
-def test_detector_needs_exactly_one_carrier_field(tmp_path, capsys, carriers):
-    # with both fields the wavelength used to be dropped in silence, and
-    # the contour computed at omega_0 = 1 rad/s
+def test_detector_needs_carrier_wavelength(tmp_path, capsys):
     detector = {k: v for k, v in DETECTOR.items() if k != "carrier_wavelength"}
-    doc = {**_nyquist_doc(0.5), "detector": {**detector, **carriers}}
-    path = write_scenario(tmp_path, doc)
+    path = write_scenario(tmp_path, {**_nyquist_doc(0.5), "detector": detector})
     assert main(["nyquist", "--scenario", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: detector: ")
-    assert "carrier_angular_frequency" in err and "carrier_wavelength" in err
+    assert err == "error: detector: missing required field 'carrier_wavelength'\n"
     assert not (tmp_path / "nyquist.csv").exists()
 
 
@@ -297,16 +301,11 @@ def test_detector_out_of_float_range(tmp_path, capsys, field, value):
                "sweep": {"eta": {"start": 0.1, "stop": 0.9, "count": True},
                          "xi": [0.1]}},
      "sweep.eta.count"),
-    ("response", {"detector": DETECTOR,
-                  "medium": {"gamma12": 1e4, "gamma_opt_total": 1e3,
-                             "delta0": 2e4, "atom_count": True},
-                  "response": {"omega": [0.0]}},
-     "medium.atom_count"),
     ("sweep", {"detector": DETECTOR,
                "sweep": {"eta": [0.5],
                          "xi": {"start": 0.1, "stop": 0.9, "count": 10_001}}},
      "sweep.xi.count"),
-], ids=["boolean-count", "boolean-atom-count", "count-over-limit"])
+], ids=["boolean-count", "count-over-limit"])
 def test_scenario_axis_and_atom_count_validation(tmp_path, capsys, command,
                                                  doc, field):
     path = write_scenario(tmp_path, doc)
@@ -522,7 +521,7 @@ def test_nyquist_near_window_beyond_sample_cap(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: detector.arm_length:") and "delay turns" in err
+    assert err.startswith("error: detector.arm_length, medium: ") and "delay turns" in err
     assert not (out / "nyquist.csv").exists()
 
 
@@ -569,7 +568,7 @@ def test_nyquist_rates_near_float_range(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: detector.arm_length:") and "delay turns" in err
+    assert err.startswith("error: detector.arm_length, medium: ") and "delay turns" in err
     assert not (out / "nyquist.csv").exists()
 
 
@@ -628,6 +627,31 @@ def test_sweep_single_cell(tmp_path):
         assert rows[0]["eta"] == "0.5" and rows[0]["xi"] == "0.3"
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["tables"]) == 2
+
+
+def test_sweep_noise_switch(tmp_path):
+    # sweep.include_additional_noise is the scenario's one noise switch:
+    # the table holds the rho_r run_sweep gives with the same switch
+    detector = load_scenario(write_scenario(tmp_path, {"detector": DETECTOR})).detector
+    written = {}
+    for noise in (True, False):
+        path = write_scenario(tmp_path, {
+            "detector": DETECTOR,
+            "sweep": {**_ONE_CELL_SWEEP, "include_additional_noise": noise},
+        })
+        out = tmp_path / f"noise_{noise}"
+        assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 0
+        (row,) = read_csv(out / "sweep_rs2_0.5_root_larger.csv")
+        spec = SweepSpec(eta_grid=(0.5,), xi_grid=(0.3,),
+                         srm_power_reflectivities=(0.5,),
+                         include_additional_noise=noise)
+        ((_, outcome),) = run_sweep(spec, detector).outcomes(0.5, "larger")
+        assert row["rho_r"] == repr(outcome.rho_r)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["include_additional_noise"] is noise
+        written[noise] = float(row["rho_r"])
+    # 0.662... with the added noise, 0.734... without it
+    assert written[True] < written[False]
 
 
 def test_sweep_tables_round_trip(tmp_path):
