@@ -25,10 +25,3 @@ class MarginalStabilityError(RuntimeError):
 class PoleError(ValueError):
     """Response function evaluated exactly on a pole of the medium."""
 
-
-class SingularParametrizationError(ValueError):
-    """The (eta, xi) map is singular at the requested point (eta = 1)."""
-
-
-class MediumNotStationaryError(ValueError):
-    """Operation requires a stationary gain medium."""

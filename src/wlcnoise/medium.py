@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PoleError, SingularParametrizationError
+from .errors import PoleError
 
 __all__ = [
     "MediumParams",
@@ -267,8 +267,7 @@ def map_eta_xi(eta: float, xi: float, tau: float) -> tuple[float, float]:
     """
     if not 0.0 < eta < 1.0:
         if eta == 1.0:
-            raise SingularParametrizationError(
-                "eta = 1 is unreachable through this parametrization")
+            raise ValueError("eta = 1 is unreachable through this parametrization")
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"xi must lie in (0, 1], got {xi}")

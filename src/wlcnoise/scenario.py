@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .interferometer import SPEED_OF_LIGHT, IfoParams, baseline_integrated_inverse_psd
+from .interferometer import IfoParams, baseline_integrated_inverse_psd, reference_detector
 from .medium import MediumParams
 from .survey import RootChoice, SweepSpec, _cell_media, default_grid
 
@@ -23,8 +23,7 @@ MAX_AXIS_COUNT = 10_000
 
 # the fields each block accepts; any other key is rejected by name
 _SCENARIO_FIELDS = ("detector", "medium", "response", "sweep")
-_DETECTOR_FIELDS = ("arm_length", "circulating_power", "carrier_wavelength",
-                    "srm_power_reflectivity")
+_DETECTOR_FIELDS = ("arm_length", "srm_power_reflectivity")
 _RATE_FIELDS = ("gamma12", "gamma_opt_total", "delta0")
 _COORDINATE_FIELDS = ("eta", "xi", "root")
 _RESPONSE_FIELDS = ("omega",)
@@ -53,6 +52,17 @@ def _parse_float(text: str):
 
 def _parse_int(text: str):
     return int(text) if math.isfinite(float(text)) else _NonFinite(text)
+
+
+def _unique_keys(pairs: list, path: Path) -> dict:
+    """A JSON object as a dict; json.loads alone keeps a repeated key's
+    last value without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioError(f"{path}: field {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
 
 
 @dataclass(frozen=True)
@@ -154,30 +164,25 @@ def _axis(block: dict, key: str, where: str) -> tuple[float, ...]:
 
 
 def _parse_detector(block) -> tuple[IfoParams, float]:
-    """The detector and its SRM power reflectivity as written."""
+    """The detector and its SRM power reflectivity as written.
+
+    S_hh scales as 1 / (P_c omega_0) and rho_r not at all, so no output
+    depends on the power or the carrier: both are the reference detector's.
+    """
     where = "detector"
     _object(block, where, _DETECTOR_FIELDS)
     arm = _number(block, "arm_length", where)
-    power = _number(block, "circulating_power", where)
-    omega0 = 2.0 * math.pi * SPEED_OF_LIGHT / _number(block, "carrier_wavelength", where)
-    if omega0 == math.inf:
-        raise ScenarioError(f"{where}.carrier_wavelength: 2 pi c / wavelength overflows")
     rs2 = _number(block, "srm_power_reflectivity", where, sign="any")
     if not 0.0 <= rs2 < 1.0:
         raise ScenarioError(f"{where}.srm_power_reflectivity: must lie in [0, 1)")
-    ifo = IfoParams(
-        arm_length=arm, circulating_power=power,
-        carrier_angular_frequency=omega0,
-        srm_amplitude_reflectivity=math.sqrt(rs2),
-    )
+    ifo = replace(reference_detector(rs2), arm_length=arm)
     try:  # the strain noise scale and the rho_r baseline; arm_length**2 may raise
         scales = (ifo.signal_strength, baseline_integrated_inverse_psd(ifo))
     except OverflowError:
         scales = (math.inf,)
     if not all(0.0 < v < math.inf for v in scales):
-        raise ScenarioError(
-            f"{where}.arm_length, circulating_power, carrier_wavelength: the signal "
-            "scale or the baseline integral leaves the float range")
+        raise ScenarioError(f"{where}.arm_length: the signal scale or the baseline "
+                            "integral leaves the float range")
     return ifo, rs2
 
 
@@ -236,8 +241,8 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file.
 
     Raises ScenarioError with a line/field diagnostic on any problem,
-    including unknown fields in any block and numbers with no finite
-    float value.
+    including unknown fields in any block, a field given twice and
+    numbers with no finite float value.
     """
     path = Path(path)
     try:
@@ -246,7 +251,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
     try:
         doc = json.loads(text, parse_float=_parse_float, parse_int=_parse_int,
-                         parse_constant=_NonFinite)
+                         parse_constant=_NonFinite,
+                         object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: JSON syntax error at line {exc.lineno}, "

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import medium as med_mod
-from .errors import AccuracyError, MarginalStabilityError, MediumNotStationaryError
+from .errors import AccuracyError, MarginalStabilityError
 from .interferometer import IfoParams, open_loop_gain
 from .medium import MediumClass, MediumParams
 
@@ -268,8 +268,7 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
     is traversed with omega increasing.
     """
     if med_mod.classify_medium(med) is not MediumClass.STATIONARY:
-        raise MediumNotStationaryError(
-            "Nyquist contour requires a stationary medium")
+        raise ValueError("Nyquist contour requires a stationary medium")
     _require_damped(med)
 
     def evaluate(omega: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from wlcnoise import survey
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
-from wlcnoise.interferometer import reference_detector
+from wlcnoise.interferometer import SPEED_OF_LIGHT, reference_detector
 from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from wlcnoise.stability import Classification, classify_system
 from wlcnoise.survey import (
@@ -131,6 +131,27 @@ def test_improvement_factor_pinned(monkeypatch, eta_index, xi_index, rs2, label,
     rho = improvement_factor(ifo, med, NoiseModel.LOCAL, check_stability=False)
     assert rho == pytest.approx(rho_r, rel=1e-12, abs=0.0)
     assert [r.evaluations for r in results] == [evaluations]
+
+
+def test_survey_independent_of_power_and_carrier():
+    # with heavy test masses S_hh scales as 1 / (P_c omega_0), so rho_r
+    # and every verdict cancel both; the scenario fixes them on this
+    # cancellation, which a term such as radiation pressure would break
+    spec = SweepSpec(eta_grid=(default_grid(50)[16],), xi_grid=default_grid(50),
+                     srm_power_reflectivities=(0.5, 0.8, 0.9))
+    reference = [outcome for _, outcome in run_sweep(spec, IFO).outcomes()]
+    for power, wavelength in ((1.234e6, 1550e-9), (1.0, 1.0), (3e9, 210e-9)):
+        ifo = replace(IFO, circulating_power=power,
+                      carrier_angular_frequency=2.0 * math.pi * SPEED_OF_LIGHT / wavelength)
+        stable = set()
+        outcomes = [outcome for _, outcome in run_sweep(spec, ifo).outcomes()]
+        for ref, out in zip(reference, outcomes, strict=True):
+            assert (out.status, out.winding, out.min_distance) == (
+                ref.status, ref.winding, ref.min_distance)
+            if ref.status is CellStatus.STABLE:
+                assert out.rho_r == pytest.approx(ref.rho_r, rel=1e-12, abs=0.0)
+                stable.add(ref.srm_power_reflectivity)
+        assert stable == {0.5, 0.8, 0.9}
 
 
 # ---------------------------------------------------------------------------
