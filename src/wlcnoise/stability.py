@@ -57,6 +57,11 @@ MARGINAL_FLAG_DISTANCE = 1e-6
 NEAR_DISTANCE = 0.1  # the closest approach is searched where |F| may be below it
 MAX_SAMPLES = 2**22  # per sampled near window, and per contour reference
 _PEAK_CLUSTER = np.linspace(-30.0, 30.0, 241)  # gain-peak offsets, in widths
+_NEAR_CLUSTER = _PEAK_CLUSTER[::4]  # those of the near windows' samples
+# the clusters about -delta0 and +delta0, then the node 0, of _axis_nodes:
+# width * _PEAK_NODES + delta0 * _PEAK_SIGNS
+_PEAK_NODES = np.concatenate([_PEAK_CLUSTER, _PEAK_CLUSTER, [0.0]])
+_PEAK_SIGNS = np.concatenate([np.full(241, -1.0), np.ones(241), [0.0]])
 
 
 class Classification(Enum):
@@ -119,22 +124,24 @@ def _uniform_count(ifo: IfoParams, lo: float, hi: float) -> int:
     return max(1024, int(8.0 * turns))
 
 
-def _axis_nodes(ifo: IfoParams, med: MediumParams, lo: float, hi: float,
-                reach: float) -> np.ndarray:
+def _axis_nodes(med: MediumParams, lo: float, hi: float, reach: float,
+                count: int) -> tuple[np.ndarray, bool, bool]:
     """Start nodes of a contour reference on the real segment [lo, hi].
 
-    The uniform nodes of _uniform_count within +-reach, plus the nearest
-    one outside on either side (only these are built, by index, as
-    np.linspace builds them), merged in order with the clusters
-    +-delta0 + max(gap, 1e-3 delta0) * _PEAK_CLUSTER about the gain peaks
-    and the node 0, where they lie between the kept ends. There zeros
-    close to the axis would otherwise hide a whole turn between two
-    uniform nodes: at the peaks, and at the white-light point omega = 0,
-    where the symmetric uniform nodes would leave one segment from -h to
-    h whose ends have equal |F|, since F(-omega) = conj F(omega). A
-    repeated node only adds a segment whose ratio is exactly 1.
+    Of count uniform nodes (_uniform_count), those within +-reach, plus
+    the nearest one outside on either side (only these are built, by
+    index, as np.linspace builds them), merged in order with the
+    clusters +-delta0 + max(gap, 1e-3 delta0) * _PEAK_CLUSTER about the
+    gain peaks and the node 0, where they lie between the kept ends, and
+    with lo and hi where they lie beyond them. There zeros close to the
+    axis would otherwise hide a whole turn between two uniform nodes: at
+    the peaks, and at the white-light point omega = 0, where the
+    symmetric uniform nodes would leave one segment from -h to h whose
+    ends have equal |F|, since F(-omega) = conj F(omega). A repeated
+    node only adds a segment whose ratio is exactly 1. Returns the nodes
+    and whether lo and hi were added (head, tail): the segments to them
+    lie beyond the reach.
     """
-    count = _uniform_count(ifo, lo, hi)
     step = (hi - lo) / (count - 1)
 
     def place(x: float) -> float:  # x's place among the uniform nodes, clamped to them
@@ -149,9 +156,13 @@ def _axis_nodes(ifo: IfoParams, med: MediumParams, lo: float, hi: float,
     first = max(uniform.searchsorted(-reach, side="right") - 1, 0)
     last = min(uniform.searchsorted(reach), uniform.size - 1)
     kept = uniform[first:last + 1]
-    cluster = max(med.damping_gap, 1e-3 * med.delta0) * _PEAK_CLUSTER
-    peaks = np.concatenate([cluster - med.delta0, cluster + med.delta0, [0.0]])
-    return np.sort(np.concatenate([kept, peaks[(peaks > kept[0]) & (peaks < kept[-1])]]))
+    start, stop = kept[0], kept[-1]
+    head, tail = bool(start > lo), bool(stop < hi)
+    peaks = max(med.damping_gap, 1e-3 * med.delta0) * _PEAK_NODES + med.delta0 * _PEAK_SIGNS
+    nodes = np.concatenate([kept, peaks[(peaks > start) & (peaks < stop)],
+                            [lo] * head + [hi] * tail])
+    nodes.sort()
+    return nodes, head, tail
 
 
 def _bisect_pool(evaluate: Callable, test: Callable, w: np.ndarray, f: np.ndarray,
@@ -160,38 +171,42 @@ def _bisect_pool(evaluate: Callable, test: Callable, w: np.ndarray, f: np.ndarra
     values f = evaluate(w), until test passes every one.
 
     test(fa, fb) takes the end values of some segments and returns which
-    of them fail, and a tuple of arrays (none or more) with a term per
-    segment, each summed over the passing segments. Settled segments
-    pass untested. The segments share one pool: each round tests only
-    the halves the last round made, and evaluate takes all their
-    midpoints in one call. Returns the lists of the nodes and values
-    evaluated, w and f first, and the list of sums. Raises AccuracyError,
-    naming what, when segments still fail after 40 rounds, or once the
-    pool has held MAX_SAMPLES segments.
+    of them fail, and a tuple of new arrays (none or more) with a term
+    per segment, each summed over the passing segments (a failing one's
+    term is set to 0). Settled segments pass untested. The segments
+    share one pool: each round tests only the halves the last round
+    made, and evaluate takes all their midpoints in one call. Returns
+    the lists of the nodes and values evaluated, w and f first, and the
+    list of sums. Raises AccuracyError, naming what, when segments still
+    fail after 40 rounds, or once the pool has held MAX_SAMPLES segments.
     """
     nodes, values = [w], [f]
     a, b, fa, fb = w[:-1], w[1:], f[:-1], f[1:]
     split, terms = test(fa, fb)
     if settled is not None:
-        split &= ~settled
+        split[settled] = False
     total = [0.0] * len(terms)
     segments = w.size - 1
     for rounds in range(41):
-        if not split.any():
-            return nodes, values, [t + term.sum() for t, term in zip(total, terms)]
-        passed = ~split
-        total = [t + term[passed].sum() for t, term in zip(total, terms)]
-        a, b, fa, fb = a[split], b[split], fa[split], fb[split]
+        idx = split.nonzero()[0]
+        for term in terms:
+            term[idx] = 0.0
+        total = [t + term.sum() for t, term in zip(total, terms)]
+        if not idx.size:
+            return nodes, values, total
+        a, b, fa, fb = a[idx], b[idx], fa[idx], fb[idx]
         if rounds == 40 or segments >= MAX_SAMPLES:
-            raise AccuracyError(f"{a.size} {what} after {rounds} rounds "
+            raise AccuracyError(f"{idx.size} {what} after {rounds} rounds "
                                 f"({segments} segments)")
-        segments += a.size
+        segments += idx.size
         mid = 0.5 * (a + b)
         f_mid = evaluate(mid)
         nodes.append(mid)
         values.append(f_mid)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        fa, fb = np.concatenate([fa, f_mid]), np.concatenate([f_mid, fb])
+        # the halves [a, mid] and [mid, b], as two views of one array each
+        ends, f_ends = np.concatenate([a, mid, b]), np.concatenate([fa, f_mid, fb])
+        n = idx.size
+        a, b, fa, fb = ends[:2 * n], ends[n:], f_ends[:2 * n], f_ends[n:]
         split, terms = test(fa, fb)
 
 
@@ -277,7 +292,8 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
             raise MarginalStabilityError("contour passes exactly through (1, 0)")
         return z
 
-    omegas = _axis_nodes(ifo, med, 0.0, _omega_range(ifo, med), math.inf)
+    hi = _omega_range(ifo, med)
+    omegas = _axis_nodes(med, 0.0, hi, math.inf, _uniform_count(ifo, 0.0, hi))[0]
     omegas, z, _ = _bisect_pool(evaluate, _turn_test, omegas, evaluate(omegas),
                                 "contour segments still turn by pi/2 or more about (1, 0)")
     omegas, z = np.concatenate(omegas), np.concatenate(z)
@@ -400,14 +416,15 @@ def _ray_crossings(loop: _Loop, lo, hi, xp=np):
     return xp.where(hi > 0.0, crossings, 0.0)
 
 
-def _loop_series(loop: _Loop, omega, exp=np.exp):
+def _loop_series(loop: _Loop, omega, exp=np.exp, _terms=3):
     """F = 1 - r_s G_o and its first two omega-derivatives at real omega.
 
     With G_o = e^{k omega} M, k = 2 i tau, and M = 1 - Gamma (1/d_+ +
     1/d_-) for d_pm = i(omega +- delta0) - g, each derivative of M is a
     sum of powers of 1/d_pm. omega holds an array (exp=np.exp), or a
     float (exp=cmath.exp, which keeps the Newton steps in plain Python);
-    loop holds floats, or arrays like omega.
+    loop holds floats, or arrays like omega. _terms=2 stops after F and
+    F', which are the same bits as the first two of the three.
     """
     gam, g = loop.gamma, loop.gap
     k = 2j * loop.tau
@@ -416,8 +433,10 @@ def _loop_series(loop: _Loop, omega, exp=np.exp):
     inv_p2, inv_m2 = inv_p * inv_p, inv_m * inv_m
     m = 1.0 - gam * (inv_p + inv_m)
     dm = 1j * gam * (inv_p2 + inv_m2)
-    ddm = 2.0 * gam * (inv_p2 * inv_p + inv_m2 * inv_m)
     e, km = -loop.rs * exp(k * omega), k * m
+    if _terms == 2:
+        return 1.0 + e * m, e * (km + dm)
+    ddm = 2.0 * gam * (inv_p2 * inv_p + inv_m2 * inv_m)
     return 1.0 + e * m, e * (km + dm), e * (k * (km + 2.0 * dm) + ddm)
 
 
@@ -457,26 +476,28 @@ def _polish_minimum(loop: _Loop, lo: float, hi: float) -> float:
 
 def _near_samples(loop: _Loop, lo, hi, xp=np) -> tuple:
     """The sample rule of the near windows [lo, hi]: 33 points plus 16
-    per delay turn, spaced as np.linspace spaces them, joined by the peak
-    nodes delta0 + max(gap, 1e-3 delta0) * _PEAK_CLUSTER[::4] inside.
+    per delay turn, spaced as np.linspace spaces them, joined by the
+    peak nodes delta0 + max(gap, 1e-3 delta0) * _NEAR_CLUSTER inside.
     Returns the point counts (an int on floats, xp=_FloatMath, else a
-    float each) and the peak nodes (a row each). AccuracyError when a
-    window needs more than MAX_SAMPLES points."""
+    float each) and the peak nodes (in order on floats, else a row
+    each). _verdicts samples no window of more than MAX_SAMPLES points."""
     turns = (hi - lo) * loop.tau / math.pi
-    widest = turns if xp is _FloatMath else turns.max()
-    if 33 + 16.0 * widest > MAX_SAMPLES:
-        raise AccuracyError(f"the near window spans {widest:.3g} delay turns; "
-                            f"16 samples per turn exceed {MAX_SAMPLES}")
     width = xp.maximum(loop.gap, 1e-3 * loop.delta0)
-    return 33 + xp.floor(16.0 * turns), (loop.delta0 + width * _PEAK_CLUSTER[::4, None]).T
+    if xp is _FloatMath:
+        return 33 + math.floor(16.0 * turns), loop.delta0 + width * _NEAR_CLUSTER
+    return 33 + np.floor(16.0 * turns), (loop.delta0 + width * _NEAR_CLUSTER[:, None]).T
 
 
-def _descents(f: np.ndarray, df: np.ndarray, ddf: np.ndarray) -> np.ndarray:
-    """Which sample intervals d|F|/domega turns over from negative to positive;
-    where a slope is 0 (at omega = 0, by symmetry) the curvature stands in."""
+def _descents(f: np.ndarray, df: np.ndarray, omegas: np.ndarray,
+              loop_of: Callable[[int], _Loop]) -> np.ndarray:
+    """Which sample intervals d|F|/domega turns over from negative to
+    positive. Where a slope is 0 (at omega = 0, by symmetry) the
+    curvature stands in, from the float series of loop_of(k), the
+    configuration of sample k, so it is the same bits alone and in a row."""
     slope = (f.conj() * df).real
-    if (flat := (slope == 0.0).nonzero()[0]).size:
-        slope[flat] = abs(df[flat]) ** 2 + (f[flat].conj() * ddf[flat]).real
+    for k in (slope == 0.0).nonzero()[0].tolist():
+        fk, dfk, ddfk = _loop_series(loop_of(k), float(omegas[k]), cmath.exp)
+        slope[k] = abs(dfk) ** 2 + (fk.conjugate() * ddfk).real
     return (slope[:-1] < 0.0) & (slope[1:] > 0.0)
 
 
@@ -488,26 +509,31 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     Only the near window [lo, hi] where |r_s G_o| >= level is searched;
     everywhere else the distance exceeds 1 - level, which is returned
     instead when the window is empty (hi = 0) or the approach is
-    farther. |F| = |1 - r_s G_o| is sampled as _near_samples says, in one
+    farther. |F| = |1 - r_s G_o| and its slope are sampled as
+    _near_samples says (each window within MAX_SAMPLES points), in one
     array call: one configuration's own window, or a row's windows
     joined. Every sample interval of a window over which d|F|/domega
     turns from negative to positive (_descents) is polished to its
     minimum by _polish_minimum. Searching omega >= 0 suffices because
     the other half is the complex conjugate.
     """
-    counts, peak = _near_samples(loop, lo, hi, xp)
     if xp is _FloatMath:
         if hi == 0.0:
             return 1.0 - level
+        counts, peak = _near_samples(loop, lo, hi, xp)
         omegas = np.arange(counts) * ((hi - lo) / (counts - 1)) + lo
         omegas[-1] = hi
-        if (inside := peak[(peak > lo) & (peak < hi)]).size:
-            omegas = np.sort(np.concatenate([omegas, inside]))
-        f, df, ddf = _loop_series(loop, omegas)
+        # the peak nodes are in order: those inside are one slice
+        first, stop = peak.searchsorted(lo, "right"), peak.searchsorted(hi)
+        if first < stop:
+            omegas = np.concatenate([omegas, peak[first:stop]])
+            omegas.sort()
+        f, df = _loop_series(loop, omegas, _terms=2)
         dist = float(abs(f).min())
-        for k in _descents(f, df, ddf).nonzero()[0].tolist():
+        for k in _descents(f, df, omegas, lambda _: loop).nonzero()[0].tolist():
             dist = min(dist, _polish_minimum(loop, *omegas[k:k + 2].tolist()))
         return min(dist, 1.0 - level)
+    counts, peak = _near_samples(loop, lo, hi)
     span = hi - lo
     counts = counts.astype(int) * (hi > 0.0)
     ends = counts.cumsum()
@@ -522,11 +548,12 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     order = np.lexsort((omegas, owner))
     owner, omegas = owner[order], omegas[order]
 
-    f, df, ddf = _loop_series(_Loop(*(p[owner] for p in loop)), omegas)
+    f, df = _loop_series(_Loop(*(p[owner] for p in loop)), omegas, _terms=2)
     dist = np.full(counts.size, math.inf)
     np.minimum.at(dist, owner, abs(f))
     floats = list(zip(*(p.tolist() for p in loop)))
-    for k in (_descents(f, df, ddf) & (owner[:-1] == owner[1:])).nonzero()[0].tolist():
+    descents = _descents(f, df, omegas, lambda k: _Loop(*floats[owner[k]]))
+    for k in (descents & (owner[:-1] == owner[1:])).nonzero()[0].tolist():
         c = owner[k]
         dist[c] = min(dist[c], _polish_minimum(_Loop(*floats[c]), float(omegas[k]),
                                                float(omegas[k + 1])))
@@ -534,16 +561,18 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
 
 
 def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]]
-              ) -> list[StabilityReport | MarginalStabilityError]:
+              ) -> list[StabilityReport | MarginalStabilityError | AccuracyError]:
     """Stability verdicts of many (ifo, medium) configurations at once.
 
     Each verdict is the report classify_system returns, or the
-    MarginalStabilityError it raises. A medium-level class, the lasing
-    threshold and the open loop r_s = 0 need no loop quantity. The
-    others share the calls of the gain windows (at the near level of
-    _closest_approach and at 1), the ray crossings and the closest
-    approach. The closed forms run on arrays, or on floats for exactly
-    one configuration, whose report is the same bits alone or in a row.
+    MarginalStabilityError or AccuracyError (a near window beyond
+    MAX_SAMPLES samples, _near_samples) it raises. A medium-level class,
+    the lasing threshold and the open loop r_s = 0 need no loop
+    quantity. The others share the calls of the gain windows (at the
+    near level of _closest_approach and at 1), the ray crossings and the
+    closest approach. The closed forms run on arrays, or on floats for
+    exactly one configuration, whose report is the same bits alone or in
+    a row.
     """
     verdicts: list = []
     for ifo, med in configs:
@@ -570,10 +599,18 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]]
     level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
     near_lo, near_hi = _gain_window(loop, level, xp)
     windings = _ray_crossings(loop, *_gain_window(loop, 1.0, xp), xp)
-    dist = _closest_approach(loop, near_lo, near_hi, level, xp)
-    columns = (dist, near_lo, near_hi, windings)
+    # a window beyond the sample cap of _near_samples is searched as empty
+    turns = (near_hi - near_lo) * loop.tau / math.pi
+    wide = 33 + 16.0 * turns > MAX_SAMPLES
+    dist = _closest_approach(loop, xp.where(wide, 0.0, near_lo), xp.where(wide, 0.0, near_hi),
+                             level, xp)
+    columns = (dist, near_lo, near_hi, windings, turns, wide)
     rows = [columns] if xp is _FloatMath else zip(*(column.tolist() for column in columns))
-    for i, (d, lo, hi, winding) in zip(looped, rows):
+    for i, (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
+        if too_wide:
+            verdicts[i] = AccuracyError(f"the near window spans {turn:.3g} delay turns; "
+                                        f"16 samples per turn exceed {MAX_SAMPLES}")
+            continue
         if d < MARGINAL_ERROR_DISTANCE:
             verdicts[i] = MarginalStabilityError(
                 f"Nyquist contour passes within {d:.3e} of (1, 0)")
@@ -597,10 +634,12 @@ def classify_system(ifo: IfoParams, med: MediumParams) -> StabilityReport:
     above 1; elsewhere it is reported as the bound 1 - level (see
     _closest_approach). An approach within 1e-9 raises
     MarginalStabilityError; within 1e-6 the report is flagged marginal.
-    The verdict is the one _verdicts gives a one-element list.
+    A near window that needs more than MAX_SAMPLES samples raises
+    AccuracyError. The verdict is the one _verdicts gives a one-element
+    list.
     """
     (verdict,) = _verdicts([(ifo, med)])
-    if isinstance(verdict, MarginalStabilityError):
+    if isinstance(verdict, Exception):
         raise verdict
     return verdict
 
@@ -613,10 +652,11 @@ def _loop_denominator(ifo: IfoParams, med: MediumParams, w):
     """F = 1 - r_s G_o at complex frequencies w; MarginalStabilityError
     when a sample has |F| < 1e-9, before any ratio of samples is formed."""
     # M = 1 - Gamma (1/(u + i delta0) + 1/(u - i delta0)), u = i w - gap,
-    # as one fraction
-    u = 1j * w - med.damping_gap
-    m = 1.0 - 2.0 * med.gamma_opt_total * u / (u * u + med.delta0 * med.delta0)
-    f = 1.0 - ifo.srm_amplitude_reflectivity * np.exp(2j * w * ifo.tau) * m
+    # as one fraction in v = -i u = w + i gap, times r_s
+    v = w + 1j * med.damping_gap
+    rs = ifo.srm_amplitude_reflectivity
+    rs_m = rs - (2j * rs * med.gamma_opt_total) * v / (med.delta0 * med.delta0 - v * v)
+    f = 1.0 - np.exp((2j * ifo.tau) * w) * rs_m
     min_f = np.abs(f).min()
     if min_f < 1e-9:
         raise MarginalStabilityError(
@@ -624,20 +664,22 @@ def _loop_denominator(ifo: IfoParams, med: MediumParams, w):
     return f
 
 
-def _edge(ifo: IfoParams, med: MediumParams, lo: float, hi: float, y: float) -> tuple:
+_QUIET = np.ones(1, dtype=bool)  # the flag of an edge that is one quiet segment
+_SIDE = np.zeros(255, dtype=bool)  # the flags of a side's 256 nodes
+
+
+def _edge(med: MediumParams, lo: float, hi: float, y: float, reach: float,
+          count: int) -> tuple:
     """The oracle's nodes from lo to hi on the line Im w = y, ends
-    included, and which of their segments are quiet: the whole line where
-    _quiet_reach is 0, else the stretches beyond _axis_nodes to lo and hi.
+    included, from _axis_nodes with the line's reach (> 0) and count
+    uniform nodes, and which of their segments are quiet: those beyond
+    the reach to lo and hi.
     """
-    reach = _quiet_reach(ifo, med, y)
-    if reach == 0.0:  # Python lists: NumPy calls on two nodes cost more
-        return [complex(lo, y), complex(hi, y)], [True]
-    x = _axis_nodes(ifo, med, lo, hi, reach)
-    head, tail = bool(x[0] > lo), bool(x[-1] < hi)
-    quiet = np.zeros(x.size - 1 + head + tail, dtype=bool)
+    x, head, tail = _axis_nodes(med, lo, hi, reach, count)
+    quiet = np.zeros(x.size - 1, dtype=bool)
     quiet[0] = head
     quiet[-1] |= tail
-    return np.concatenate([[lo] * head, x, [hi] * tail]) + 1j * y, quiet
+    return x + 1j * y, quiet
 
 
 def _log_test(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -656,28 +698,34 @@ def _rectangle_integral(ifo: IfoParams, med: MediumParams,
 
     The rectangle is one closed polyline. Where _quiet_reach proves
     |r_s G_o| < 1, Re F > 0, so the principal log of the ratio F(end) /
-    F(start) of a quiet segment is the exact integral along it. The
-    horizontal edges come from _edge; a side whose bottom corner lies
-    beyond the bottom line's reach is quiet (the bound falls as y grows),
-    and a side that is not holds 256 nodes. F on all nodes comes from one
-    call, and the other segments go to _bisect_pool with _log_test. The
-    sum is exact up to the no-phase-wrap resolution of the partition.
+    F(start) of a quiet segment is the exact integral along it. A
+    horizontal edge on a line whose reach is 0 is quiet, the others come
+    from _edge; a side whose bottom corner lies beyond the bottom line's
+    reach is quiet (the bound falls as y grows), and a side that is not
+    holds 256 nodes. F on all nodes comes from one call, and the other
+    segments go to _bisect_pool with _log_test. The sum is exact up to
+    the no-phase-wrap resolution of the partition.
     """
     re_lo, re_hi, im_lo, im_hi = rect
-    _uniform_count(ifo, re_lo, re_hi)  # even where both lines are quiet
-    reach = _quiet_reach(ifo, med, im_lo)
-    bottom, top = (_edge(ifo, med, re_lo, re_hi, y) for y in (im_lo, im_hi))
-
-    def side(re: float) -> tuple:
-        if abs(re) >= reach:
-            return [complex(re, im_lo), complex(re, im_hi)], [True]
-        return re + 1j * np.linspace(im_lo, im_hi, 256), np.zeros(255, dtype=bool)
-
-    # counterclockwise from the corner re_lo + i im_lo; each edge's last
-    # node starts the next one
-    edges = [bottom, side(re_hi), *((nodes[::-1], quiet[::-1])
-                                    for nodes, quiet in (top, side(re_lo)))]
-    w = np.concatenate([nodes[:-1] for nodes, _ in edges] + [bottom[0][:1]])
+    count = _uniform_count(ifo, re_lo, re_hi)  # even where both lines are quiet
+    reach, top_reach = _quiet_reach(ifo, med, im_lo), _quiet_reach(ifo, med, im_hi)
+    # counterclockwise from the corner re_lo + i im_lo, each edge as its
+    # nodes but the last, which starts the next edge, and its segments'
+    # flags; a quiet edge is its first corner and one quiet segment
+    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
+                        complex(re_hi, im_hi), complex(re_lo, im_hi)])
+    edges = [(corners[k:k + 1], _QUIET) for k in range(4)]
+    if reach > 0.0:
+        nodes, quiet = _edge(med, re_lo, re_hi, im_lo, reach, count)
+        edges[0] = nodes[:-1], quiet
+    if top_reach > 0.0:
+        nodes, quiet = _edge(med, re_lo, re_hi, im_hi, top_reach, count)
+        edges[2] = nodes[:0:-1], quiet[::-1]
+    if abs(re_hi) < reach:
+        edges[1] = (re_hi + 1j * np.linspace(im_lo, im_hi, 256))[:-1], _SIDE
+    if abs(re_lo) < reach:
+        edges[3] = (re_lo + 1j * np.linspace(im_lo, im_hi, 256))[:0:-1], _SIDE
+    w = np.concatenate([nodes for nodes, _ in edges] + [edges[0][0][:1]])
     quiet = np.concatenate([q for _, q in edges])
     return complex(*_bisect_pool(
         lambda mid: _loop_denominator(ifo, med, mid), _log_test, w,

@@ -269,20 +269,26 @@ def _outcome(spec: SweepSpec, ifo: IfoParams, rs2: float, label: str,
 def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]:
     """The cells of one eta row. The stability verdicts of all its
     distinct (rs^2, medium) configurations come from one _verdicts call;
-    a repeated root's two labels share one configuration and one rho_r."""
+    a repeated root's two labels share one configuration and one rho_r.
+    An AccuracyError verdict (a near window beyond the sample cap) is
+    raised, naming eta, xi and rs^2."""
     detectors = {rs2: replace(ifo.with_power_reflectivity(rs2),
                               include_additional_noise=spec.include_additional_noise)
                  for rs2 in spec.srm_power_reflectivities}
     cells = [(xi, *_cell_media(eta, xi, ifo.tau, spec.root_choice.labels))
              for xi in spec.xi_grid]
-    first_label = {}  # (rs^2, medium) -> the first root label that names it
-    for *_, media in cells:
+    first_label = {}  # (rs^2, medium) -> the first root label that names it, and its xi
+    for xi, _, _, media in cells:
         for rs2 in detectors:
             for label, med in media.items():
-                first_label.setdefault((rs2, med), label)
+                first_label.setdefault((rs2, med), (label, xi))
     verdicts = _verdicts([(detectors[rs2], med) for rs2, med in first_label])
+    for ((rs2, _), (_, xi)), verdict in zip(first_label.items(), verdicts):
+        if isinstance(verdict, AccuracyError):
+            raise AccuracyError(f"stability verdict at eta={eta}, xi={xi}, "
+                                f"rs^2={rs2}: {verdict}")
     outcome_of = {(rs2, med): _outcome(spec, detectors[rs2], rs2, label, med, verdict)
-                  for ((rs2, med), label), verdict in zip(first_label.items(), verdicts)}
+                  for ((rs2, med), (label, _)), verdict in zip(first_label.items(), verdicts)}
     row = []
     for xi, gamma12, gamma_opt, media in cells:
         outcomes = []
@@ -311,7 +317,9 @@ def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
     flagged marginal, with the message as note) and an AccuracyError
     from the rho_r integral (the best estimate, with a note). Any other
     exception in a row aborts the sweep: an OverflowError from a cell's
-    detuning solve names its eta, xi, tau and rates.
+    detuning solve names its eta, xi, tau and rates, and an
+    AccuracyError from a stability verdict (a near window beyond the
+    sample cap) its eta, xi and rs^2.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

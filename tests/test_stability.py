@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -480,9 +481,9 @@ def test_float_and_array_closed_forms_agree(monkeypatch):
     descents, polish = stability._descents, stability._polish_minimum
     flat, polished = [], []
 
-    def record_descents(f, df, ddf):
+    def record_descents(f, df, *args):
         flat.append(bool(np.any((f.conj() * df).real == 0.0)))
-        return descents(f, df, ddf)
+        return descents(f, df, *args)
 
     def record_polish(*args):
         polished[-1] += 1
@@ -514,34 +515,80 @@ def test_float_and_array_closed_forms_agree(monkeypatch):
     assert any(near[1][k] == 0.0 for k in stationary)
 
 
+def test_two_term_series_is_the_first_two_of_three():
+    # the near windows sample F and F' only: bit for bit the first two
+    # terms of the three-term series, on arrays and on floats
+    loops = [_Loop.of(ifo, med) for ifo, med in drawn_loops(np.random.default_rng(3), 60)]
+    stacked = _Loop.stack(loops)
+    omegas = stacked.delta0 * np.random.default_rng(4).uniform(0.0, 3.0, len(loops))
+    omegas[::6] = 0.0
+    two = stability._loop_series(stacked, omegas, _terms=2)
+    three = stability._loop_series(stacked, omegas)
+    assert len(two) == 2 and len(three) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(two, three))
+    for loop, omega in zip(loops, omegas.tolist()):
+        two = stability._loop_series(loop, omega, cmath.exp, _terms=2)
+        assert two == stability._loop_series(loop, omega, cmath.exp)[:2]
+
+
+def near_samples(configs):
+    """33 + 16 per delay turn of each configuration's near window."""
+    loops = _Loop.stack([_Loop.of(*config) for config in configs])
+    lo, hi = _gain_window(loops, np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loops.rs)))
+    return 33 + 16.0 * (hi - lo) * loops.tau / math.pi
+
+
+def row_against_alone(configs):
+    """The verdicts of configs in one _verdicts row, each checked against
+    classify_system alone: the same report, or an error of the same type
+    and text. Returns the places of the AccuracyError verdicts."""
+    errors = []
+    for k, (config, verdict) in enumerate(zip(configs, stability._verdicts(configs),
+                                              strict=True)):
+        try:
+            report = classify_system(*config)
+        except (MarginalStabilityError, AccuracyError) as exc:
+            assert type(verdict) is type(exc) and str(verdict) == str(exc)
+            if isinstance(exc, AccuracyError):
+                errors.append(k)
+            continue
+        assert verdict == report
+    return errors
+
+
 def test_near_window_cap_raises_alike_alone_and_in_a_row(monkeypatch):
     # with a sample cap below the widest near window of a row and above
-    # the others, the row stops with the text that classify_system
-    # raises for that configuration alone, and the others pass alone
-    def samples(configs):
-        loops = _Loop.stack([_Loop.of(*config) for config in configs])
-        lo, hi = _gain_window(loops, np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loops.rs)))
-        return 33 + 16.0 * (hi - lo) * loops.tau / math.pi
-
+    # the others, that configuration alone raises AccuracyError; in the
+    # row it holds the same error in its slot, and every other verdict
+    # is the one it gets alone
     configs = [(ifo, med) for ifo, med in drawn_loops(np.random.default_rng(5), 60)
                if classify_medium(med) is MediumClass.STATIONARY]
-    configs = [config for config, n in zip(configs, samples(configs)) if n <= 3300.0]
-    counts = samples(configs)
+    configs = [config for config, n in zip(configs, near_samples(configs)) if n <= 3300.0]
+    counts = near_samples(configs)
     widest = int(np.argmax(counts))
     cap = int(np.delete(counts, widest).max()) + 1
     assert cap < counts[widest] and len(configs) >= 20
     monkeypatch.setattr(stability, "MAX_SAMPLES", cap)
-    with pytest.raises(AccuracyError, match="the near window spans") as alone:
+    with pytest.raises(AccuracyError, match="the near window spans"):
         classify_system(*configs[widest])
-    with pytest.raises(AccuracyError) as in_row:
-        stability._verdicts(configs)
-    assert str(in_row.value) == str(alone.value)
-    for k, config in enumerate(configs):
-        if k != widest:
-            try:
-                classify_system(*config)
-            except MarginalStabilityError:
-                pass
+    assert row_against_alone(configs) == [widest]
+
+
+def test_near_window_cap_in_a_drawn_row():
+    # two stationary seed-7 draws of test_float_and_array_closed_forms_agree
+    # need more than MAX_SAMPLES near-window samples; a row of them and
+    # every draw whose window fits 3,300 samples keeps all the other
+    # verdicts (the draws in between, windows of up to 1.7 million
+    # samples, would hold some 1.2 GB at once in the row)
+    configs = drawn_loops(np.random.default_rng(7), 300)
+    counts = near_samples(configs)
+    stationary = [classify_medium(med) is MediumClass.STATIONARY for _, med in configs]
+    wide = [k for k, n in enumerate(counts) if n > stability.MAX_SAMPLES and stationary[k]]
+    row = [config for config, n in zip(configs, counts)
+           if n <= 3300.0 or n > stability.MAX_SAMPLES]
+    assert len(wide) == 2 and len(row) >= 200
+    errors = row_against_alone(row)
+    assert [row[k] for k in errors] == [configs[k] for k in wide]
 
 
 # ---------------------------------------------------------------------------

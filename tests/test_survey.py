@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from wlcnoise import survey
+from wlcnoise import stability, survey
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
 from wlcnoise.interferometer import SPEED_OF_LIGHT, reference_detector
 from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
@@ -287,6 +287,18 @@ def test_sweep_deterministic_across_workers():
     parallel = run_sweep(spec, IFO, workers=2)
     # a nan field compares unequal to a copy of itself, so compare the full repr
     assert repr(serial) == repr(parallel)
+
+
+def test_sweep_names_a_near_window_beyond_the_sample_cap(monkeypatch):
+    # under a cap of 33 samples every nonempty near window is too wide:
+    # its verdict is an AccuracyError, which the row raises naming the
+    # cell and the reflectivity of the first such configuration
+    monkeypatch.setattr(stability, "MAX_SAMPLES", 33)
+    spec = SweepSpec(eta_grid=(0.5,), xi_grid=(0.1, 0.3), srm_power_reflectivities=(0.5, 0.8))
+    with pytest.raises(AccuracyError, match=(
+            r"^stability verdict at eta=0\.5, xi=0\.1, rs\^2=0\.5: "
+            r"the near window spans 0\.03 delay turns; 16 samples per turn exceed 33$")):
+        run_sweep(spec, IFO)
 
 
 def test_sweep_counts_and_filters(small_sweep):
