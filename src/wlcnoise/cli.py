@@ -183,7 +183,7 @@ def _cmd_sweep(scenario: Scenario, out_dir: Path, threads: int) -> int:
     workers = min(threads, cores) if threads > 0 else cores
     try:
         grid = run_sweep(scenario.sweep, scenario.detector, workers=workers)
-    except OverflowError as exc:
+    except AccuracyError as exc:  # a near window beyond the sample cap
         raise ScenarioError(f"sweep: {exc}") from None
     summary = _sweep_tables(grid, out_dir)
     summary_path = out_dir / "summary.json"

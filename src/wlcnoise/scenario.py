@@ -186,7 +186,8 @@ def _parse_detector(block) -> tuple[IfoParams, float]:
     return ifo, rs2
 
 
-def _parse_medium(block, tau: float) -> MediumParams:
+def _parse_medium(block, ifo: IfoParams) -> MediumParams:
+    """The medium in rad/s; coordinates are solved as a sweep cell is."""
     where = "medium"
     _object(block, where, _RATE_FIELDS + _COORDINATE_FIELDS)
     has_rates = not block.keys().isdisjoint(_RATE_FIELDS)
@@ -206,15 +207,17 @@ def _parse_medium(block, tau: float) -> MediumParams:
     if xi > 1.0:
         raise ScenarioError(f"{where}.xi: must lie in (0, 1], got {xi}")
     root = _choice(block, "root", where, RootChoice.BOTH.labels, "smaller")
-    try:
-        *_, media = _cell_media(eta, xi, tau, (root,))
-    except OverflowError as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
+    *_, media = _cell_media(eta, xi, (root,))
     if not media:
         raise ScenarioError(
             f"{where}: no phase-cancellation detuning exists at "
             f"eta={eta}, xi={xi} (requires xi <= eta)")
-    return media[root]
+    med = media[root]
+    rates = [rate / ifo.tau for rate in (med.gamma12, med.gamma_opt_total, med.delta0)]
+    if 0.0 in rates:  # rates below about 1e31 per tau cannot overflow at an accepted arm
+        raise ScenarioError(f"{where}: at eta={eta}, xi={xi} the rates in rad/s round to 0 "
+                            f"for detector.arm_length={ifo.arm_length:g}")
+    return MediumParams(*rates)
 
 
 def _parse_sweep(block, rs2: float) -> SweepSpec:
@@ -260,7 +263,7 @@ def load_scenario(path: str | Path) -> Scenario:
     where = "scenario"
     _object(doc, where, _SCENARIO_FIELDS)
     detector, rs2 = _parse_detector(_field(doc, "detector", where))
-    medium = _parse_medium(doc["medium"], detector.tau) if "medium" in doc else None
+    medium = _parse_medium(doc["medium"], detector) if "medium" in doc else None
     response_omegas = None
     if "response" in doc:
         response = _object(doc["response"], "response", _RESPONSE_FIELDS)

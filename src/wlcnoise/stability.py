@@ -25,7 +25,9 @@ window. One closed-form bound, _quiet_reach, says where |r_s G_o| < 1:
 there the oracle takes a piece of its rectangle as one exact segment,
 and _omega_range skips the gain window. Both references seed their
 real lines with _axis_nodes and refine in one segment pool,
-_bisect_pool, each with its own test.
+_bisect_pool, each with its own test. Inside, the arm delay tau is the
+time unit: rates are times tau, frequencies w = omega tau, and _Loop.of
+is the one place that multiplies by tau.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import medium as med_mod
 from .errors import AccuracyError, MarginalStabilityError
-from .interferometer import IfoParams, open_loop_gain
+from .interferometer import IfoParams
 from .medium import MediumClass, MediumParams
 
 __all__ = [
@@ -100,9 +102,30 @@ class StabilityReport:
         return self.classification is Classification.STABLE
 
 
-def _rate_scale(med: MediumParams, tau: float) -> float:
-    """The largest rate scale of the loop: max(delta0, gamma12, Gamma, 1/tau)."""
-    return max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / tau)
+class _Loop(NamedTuple):
+    """Parameters of the loop r_s G_o, rates in units of 1/tau, as floats
+    or as equal-length arrays with one element per configuration (or
+    per sample)."""
+
+    rs: float | np.ndarray
+    delta0: float | np.ndarray
+    gap: float | np.ndarray  # gamma12 - Gamma
+    gamma: float | np.ndarray
+
+    @classmethod
+    def of(cls, ifo: IfoParams, med: MediumParams) -> "_Loop":
+        tau = ifo.tau
+        return cls(ifo.srm_amplitude_reflectivity, med.delta0 * tau,
+                   med.damping_gap * tau, med.gamma_opt_total * tau)
+
+    @classmethod
+    def stack(cls, loops: Sequence["_Loop"]) -> "_Loop":
+        return cls(*map(np.array, zip(*loops)))
+
+
+def _rate_scale(loop: _Loop) -> float:
+    """The largest rate scale of a damped loop: max(delta0, gamma12, 1)."""
+    return max(loop.delta0, loop.gap + loop.gamma, 1.0)
 
 
 _UNDAMPED = ("medium is on the lasing threshold (gamma12 == gamma_opt_total); "
@@ -115,17 +138,17 @@ def _require_damped(med: MediumParams) -> None:
         raise MarginalStabilityError(_UNDAMPED)
 
 
-def _uniform_count(ifo: IfoParams, lo: float, hi: float) -> int:
+def _uniform_count(lo: float, hi: float) -> int:
     """8 nodes per delay turn of [lo, hi], at least 1024 (AccuracyError beyond MAX_SAMPLES)."""
-    turns = (hi - lo) * ifo.tau / math.pi
+    turns = (hi - lo) / math.pi
     if 8.0 * turns > MAX_SAMPLES:
         raise AccuracyError(f"the range spans {turns:.3g} delay turns; "
                             f"8 samples per turn exceed {MAX_SAMPLES}")
     return max(1024, int(8.0 * turns))
 
 
-def _axis_nodes(med: MediumParams, lo: float, hi: float, reach: float,
-                count: int) -> tuple[np.ndarray, bool, bool]:
+def _axis_nodes(loop: _Loop, lo: float, hi: float, reach: float,
+                count: int) -> tuple[np.ndarray, np.ndarray]:
     """Start nodes of a contour reference on the real segment [lo, hi].
 
     Of count uniform nodes (_uniform_count), those within +-reach, plus
@@ -139,8 +162,8 @@ def _axis_nodes(med: MediumParams, lo: float, hi: float, reach: float,
     symmetric uniform nodes would leave one segment from -h to h whose
     ends have equal |F|, since F(-omega) = conj F(omega). A repeated
     node only adds a segment whose ratio is exactly 1. Returns the nodes
-    and whether lo and hi were added (head, tail): the segments to them
-    lie beyond the reach.
+    and which of their segments are quiet: those to lo and hi where they
+    were added, which lie beyond the reach.
     """
     step = (hi - lo) / (count - 1)
 
@@ -158,11 +181,14 @@ def _axis_nodes(med: MediumParams, lo: float, hi: float, reach: float,
     kept = uniform[first:last + 1]
     start, stop = kept[0], kept[-1]
     head, tail = bool(start > lo), bool(stop < hi)
-    peaks = max(med.damping_gap, 1e-3 * med.delta0) * _PEAK_NODES + med.delta0 * _PEAK_SIGNS
+    peaks = max(loop.gap, 1e-3 * loop.delta0) * _PEAK_NODES + loop.delta0 * _PEAK_SIGNS
     nodes = np.concatenate([kept, peaks[(peaks > start) & (peaks < stop)],
                             [lo] * head + [hi] * tail])
     nodes.sort()
-    return nodes, head, tail
+    quiet = np.zeros(nodes.size - 1, dtype=bool)
+    quiet[0] = head
+    quiet[-1] |= tail
+    return nodes, quiet
 
 
 def _bisect_pool(evaluate: Callable, test: Callable, w: np.ndarray, f: np.ndarray,
@@ -232,92 +258,81 @@ def _closed_contour(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, down, up, mirrored])
 
 
-def _quiet_reach(ifo: IfoParams, med: MediumParams, y: float) -> float:
+def _quiet_reach(loop: _Loop, y: float) -> float:
     """The |Re w| beyond which |r_s G_o| < 1 on the line Im w = y >= 0.
 
-    There |e^{2 i w tau}| = e^{-2 y tau}, and the denominators d_pm =
+    There |e^{2 i w}| = e^{-2 y}, and the denominators d_pm =
     i(w +- delta0) - gap of M have |d_pm| >= sqrt((y + gap)^2 + s^2), s
     the distance of Re w from the nearer gain peak +-delta0, so
     |r_s G_o| <= c (1 + 2 Gamma / sqrt((y + gap)^2 + s^2)) with c =
-    r_s e^{-2 y tau}. That bound is below 1 where the square root
+    r_s e^{-2 y}. That bound is below 1 where the square root
     exceeds the radius 2 Gamma c / (1 - c): at every |Re w| >= the
     returned reach, and on the whole line where the reach is 0 (the
     radius is below y + gap). The radius and the reach are both grown
     by 1e-9 against rounding. On a quiet piece |F - 1| < 1, so Re F > 0
     and F cannot wind.
     """
-    c = ifo.srm_amplitude_reflectivity * math.exp(-2.0 * y * ifo.tau)
-    radius = 2.0 * med.gamma_opt_total * c / (1.0 - c) * (1.0 + 1e-9)
-    low = y + med.damping_gap
+    c = loop.rs * math.exp(-2.0 * y)
+    radius = 2.0 * loop.gamma * c / (1.0 - c) * (1.0 + 1e-9)
+    low = y + loop.gap
     if radius < low:
         return 0.0
-    return (med.delta0 + math.sqrt((radius - low) * (radius + low))) * (1.0 + 1e-9)
+    return (loop.delta0 + math.sqrt((radius - low) * (radius + low))) * (1.0 + 1e-9)
 
 
-def _omega_range(ifo: IfoParams, med: MediumParams) -> float:
+def _omega_range(loop: _Loop) -> float:
     """Upper end of the frequency range both contour references cover.
 
-    omega_max, 50 times _rate_scale, or twice the upper end hi of the
-    gain window |r_s G_o| > 1 when the window reaches that limit. The
-    window is not computed where the real axis is quiet from below
-    omega_max on (_quiet_reach at y = 0): it then ends before omega_max.
+    w_max, 50 times _rate_scale, or twice the upper end hi of the gain
+    window |r_s G_o| > 1 when the window reaches that limit. The window
+    is not computed where the real axis is quiet from below w_max on
+    (_quiet_reach at y = 0): it then ends before w_max.
     """
-    omega_max = 50.0 * _rate_scale(med, ifo.tau)
-    if _quiet_reach(ifo, med, 0.0) >= omega_max:
-        hi = _gain_window(_Loop.of(ifo, med), 1.0, _FloatMath)[1]
-        if hi >= omega_max:
+    w_max = 50.0 * _rate_scale(loop)
+    if _quiet_reach(loop, 0.0) >= w_max:
+        hi = _gain_window(loop, 1.0, _FloatMath)[1]
+        if hi >= w_max:
             return 2.0 * hi
-    return omega_max
+    return w_max
+
+
+def _loop_gain(loop: _Loop, w):
+    """r_s G_o at complex frequencies w, with M = 1 - Gamma (1/(u + i delta0)
+    + 1/(u - i delta0)), u = i w - gap, as one fraction in v = -i u = w + i gap."""
+    v = w + 1j * loop.gap
+    rs_m = loop.rs - (2j * loop.rs * loop.gamma) * v / (loop.delta0 * loop.delta0 - v * v)
+    return np.exp(2j * w) * rs_m
 
 
 def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
     """Closed image of r_s G_o along the real axis plus the closing arc.
 
-    Samples omega in [0, _omega_range], from _axis_nodes with no reach.
-    Beyond that range |r_s G_o| < 1, so the dropped tail and the closing
-    chord through the origin cannot wind about (1, 0). _bisect_pool
-    bisects every segment that turns by pi/2 or more about (1, 0), and
-    every evaluated point is kept, in omega order. Requires a stationary
-    medium, whose response poles then lie in the lower half plane. The
-    returned polyline starts and ends at the omega = 0 point (real) and
-    is traversed with omega increasing.
+    Samples w = omega tau in [0, _omega_range], from _axis_nodes with no
+    reach. Beyond that range |r_s G_o| < 1, so the dropped tail and the
+    closing chord through the origin cannot wind about (1, 0).
+    _bisect_pool bisects every segment that turns by pi/2 or more about
+    (1, 0), and every evaluated point is kept, in omega order. Requires a
+    stationary medium, whose response poles then lie in the lower half
+    plane. The returned polyline starts and ends at the omega = 0 point
+    (real) and is traversed with omega increasing.
     """
     if med_mod.classify_medium(med) is not MediumClass.STATIONARY:
         raise ValueError("Nyquist contour requires a stationary medium")
     _require_damped(med)
+    loop = _Loop.of(ifo, med)
 
-    def evaluate(omega: np.ndarray) -> np.ndarray:
-        z = ifo.srm_amplitude_reflectivity * open_loop_gain(ifo, med, omega)
+    def evaluate(w: np.ndarray) -> np.ndarray:
+        z = _loop_gain(loop, w)
         if np.any(z == CRITICAL_POINT):
             raise MarginalStabilityError("contour passes exactly through (1, 0)")
         return z
 
-    hi = _omega_range(ifo, med)
-    omegas = _axis_nodes(med, 0.0, hi, math.inf, _uniform_count(ifo, 0.0, hi))[0]
-    omegas, z, _ = _bisect_pool(evaluate, _turn_test, omegas, evaluate(omegas),
-                                "contour segments still turn by pi/2 or more about (1, 0)")
-    omegas, z = np.concatenate(omegas), np.concatenate(z)
-    return _closed_contour(z[np.argsort(omegas, kind="stable")])
-
-
-class _Loop(NamedTuple):
-    """Parameters of the loop r_s G_o, as floats or as equal-length arrays
-    with one element per configuration (or per sample)."""
-
-    rs: float | np.ndarray
-    tau: float | np.ndarray
-    delta0: float | np.ndarray
-    gap: float | np.ndarray  # gamma12 - Gamma
-    gamma: float | np.ndarray
-
-    @classmethod
-    def of(cls, ifo: IfoParams, med: MediumParams) -> "_Loop":
-        return cls(ifo.srm_amplitude_reflectivity, ifo.tau, med.delta0,
-                   med.damping_gap, med.gamma_opt_total)
-
-    @classmethod
-    def stack(cls, loops: Sequence["_Loop"]) -> "_Loop":
-        return cls(*map(np.array, zip(*loops)))
+    hi = _omega_range(loop)
+    w = _axis_nodes(loop, 0.0, hi, math.inf, _uniform_count(0.0, hi))[0]
+    w, z, _ = _bisect_pool(evaluate, _turn_test, w, evaluate(w),
+                           "contour segments still turn by pi/2 or more about (1, 0)")
+    w, z = np.concatenate(w), np.concatenate(z)
+    return _closed_contour(z[np.argsort(w, kind="stable")])
 
 
 class _FloatMath:
@@ -335,14 +350,14 @@ class _FloatMath:
 
 
 def _gain_window(loop: _Loop, level, xp=np):
-    """Frequencies omega >= 0 where |r_s G_o(omega)| > level, as (lo, hi).
+    """Frequencies w >= 0 where |r_s G_o(w)| > level, as (lo, hi).
 
     With g = gamma12 - Gamma, M = num / (den_+ den_-) where
-    num = -omega^2 - 2i(g + Gamma) omega + c0 and
-    den_+ den_- = -omega^2 - 2i g omega + e0, so |r_s M|^2 > level^2 is
-    a quadratic inequality in y = omega^2 whose leading coefficient
+    num = -w^2 - 2i(g + Gamma) w + c0 and
+    den_+ den_- = -w^2 - 2i g w + e0, so |r_s M|^2 > level^2 is
+    a quadratic inequality in y = w^2 whose leading coefficient
     r_s^2 - level^2 is negative for level > r_s: the set is one interval
-    in y, mirrored onto omega < 0. Rates are scaled by their largest
+    in y, mirrored onto w < 0. Rates are scaled by their largest
     before squaring, and the roots in y are taken stably: the larger in
     magnitude from q = -(b + sign(b) sqrt(disc)) / 2, the other from the
     root product. Elementwise on arrays (xp=np), broadcasting loop
@@ -374,16 +389,16 @@ def _gain_window(loop: _Loop, level, xp=np):
     return lo, hi
 
 
-def _loop_phase_turns(loop: _Loop, omega, xp=np):
-    """Continuous phase of G_o at real omega >= 0, in turns, 0 at omega = 0.
+def _loop_phase_turns(loop: _Loop, w, xp=np):
+    """Continuous phase of G_o at real w >= 0, in turns, 0 at w = 0.
 
-    The phase is 2 omega tau + arg num - arg den_+ - arg den_- on
+    The phase is 2 w + arg num - arg den_+ - arg den_- on
     branches that never jump on the real axis: arg den_pm =
-    pi - atan((omega +- delta0) / g), and arg num = pi + the args of
-    omega - r_k for the two roots r_k = -i(g + Gamma) +- sqrt(delta0^2 -
+    pi - atan((w +- delta0) / g), and arg num = pi + the args of
+    w - r_k for the two roots r_k = -i(g + Gamma) +- sqrt(delta0^2 -
     Gamma^2) of num, which lie in the lower half plane, so each
-    omega - r_k stays in the upper one. Elementwise, broadcasting loop
-    against omega, on arrays or floats as _gain_window.
+    w - r_k stays in the upper one. Elementwise, broadcasting loop
+    against w, on arrays or floats as _gain_window.
     """
     g, gam, d = loop.gap, loop.gamma, loop.delta0
     h = g + gam
@@ -391,11 +406,11 @@ def _loop_phase_turns(loop: _Loop, omega, xp=np):
     s = xp.sqrt(abs((d - gam) * (d + gam)))
     # h - s from the product (h - s)(h + s) = c0, free of cancellation
     arg_num = xp.where(d >= gam,
-                       xp.arctan2(h, omega - s) + xp.arctan2(h, omega + s),
-                       xp.arctan2((d * d + g * g + 2.0 * gam * g) / (h + s), omega)
-                       + xp.arctan2(h + s, omega))
-    phase = (2.0 * omega * loop.tau + arg_num - math.pi
-             + xp.arctan((omega + d) / g) + xp.arctan((omega - d) / g))
+                       xp.arctan2(h, w - s) + xp.arctan2(h, w + s),
+                       xp.arctan2((d * d + g * g + 2.0 * gam * g) / (h + s), w)
+                       + xp.arctan2(h + s, w))
+    phase = (2.0 * w + arg_num - math.pi
+             + xp.arctan((w + d) / g) + xp.arctan((w - d) / g))
     return phase / (2.0 * math.pi)
 
 
@@ -405,8 +420,8 @@ def _ray_crossings(loop: _Loop, lo, hi, xp=np):
     A crossing needs |r_s G_o| > 1, so it lies in the gain window
     [lo, hi] of _gain_window at level 1; there the signed count is
     floor(phase(hi)) - floor(phase(lo)) in turns, and the conjugate half
-    omega < 0 adds as many. A window starting at omega = 0 is one
-    interval symmetric about zero that crosses the ray at omega = 0
+    w < 0 adds as many. A window starting at w = 0 is one
+    interval symmetric about zero that crosses the ray at w = 0
     itself, where G_o = M(0) > 0. Elementwise, on arrays or floats as
     _gain_window; 0 where the window is empty. The count is a float.
     """
@@ -416,24 +431,23 @@ def _ray_crossings(loop: _Loop, lo, hi, xp=np):
     return xp.where(hi > 0.0, crossings, 0.0)
 
 
-def _loop_series(loop: _Loop, omega, exp=np.exp, _terms=3):
-    """F = 1 - r_s G_o and its first two omega-derivatives at real omega.
+def _loop_series(loop: _Loop, w, exp=np.exp, _terms=3):
+    """F = 1 - r_s G_o and its first two w-derivatives at real w.
 
-    With G_o = e^{k omega} M, k = 2 i tau, and M = 1 - Gamma (1/d_+ +
-    1/d_-) for d_pm = i(omega +- delta0) - g, each derivative of M is a
-    sum of powers of 1/d_pm. omega holds an array (exp=np.exp), or a
-    float (exp=cmath.exp, which keeps the Newton steps in plain Python);
-    loop holds floats, or arrays like omega. _terms=2 stops after F and
-    F', which are the same bits as the first two of the three.
+    With G_o = e^{k w} M, k = 2 i, and M = 1 - Gamma (1/d_+ + 1/d_-) for
+    d_pm = i(w +- delta0) - g, each derivative of M is a sum of powers
+    of 1/d_pm. w holds an array (exp=np.exp), or a float (exp=cmath.exp,
+    which keeps the Newton steps in plain Python); loop holds floats, or
+    arrays like w. _terms=2 stops after F and F', which are the same
+    bits as the first two of the three.
     """
-    gam, g = loop.gamma, loop.gap
-    k = 2j * loop.tau
-    inv_p = 1.0 / (1j * (omega + loop.delta0) - g)
-    inv_m = 1.0 / (1j * (omega - loop.delta0) - g)
+    gam, g, k = loop.gamma, loop.gap, 2j
+    inv_p = 1.0 / (1j * (w + loop.delta0) - g)
+    inv_m = 1.0 / (1j * (w - loop.delta0) - g)
     inv_p2, inv_m2 = inv_p * inv_p, inv_m * inv_m
     m = 1.0 - gam * (inv_p + inv_m)
     dm = 1j * gam * (inv_p2 + inv_m2)
-    e, km = -loop.rs * exp(k * omega), k * m
+    e, km = -loop.rs * exp(k * w), k * m
     if _terms == 2:
         return 1.0 + e * m, e * (km + dm)
     ddm = 2.0 * gam * (inv_p2 * inv_p + inv_m2 * inv_m)
@@ -481,7 +495,7 @@ def _near_samples(loop: _Loop, lo, hi, xp=np) -> tuple:
     Returns the point counts (an int on floats, xp=_FloatMath, else a
     float each) and the peak nodes (in order on floats, else a row
     each). _verdicts samples no window of more than MAX_SAMPLES points."""
-    turns = (hi - lo) * loop.tau / math.pi
+    turns = (hi - lo) / math.pi
     width = xp.maximum(loop.gap, 1e-3 * loop.delta0)
     if xp is _FloatMath:
         return 33 + math.floor(16.0 * turns), loop.delta0 + width * _NEAR_CLUSTER
@@ -560,14 +574,15 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     return np.minimum(dist, 1.0 - level)
 
 
-def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]]
+def _verdicts(configs: Sequence[tuple[_Loop, MediumParams]]
               ) -> list[StabilityReport | MarginalStabilityError | AccuracyError]:
-    """Stability verdicts of many (ifo, medium) configurations at once.
+    """Stability verdicts of many (loop, medium) configurations at once;
+    the medium, in any unit, gives only its class and damping gap.
 
-    Each verdict is the report classify_system returns, or the
-    MarginalStabilityError or AccuracyError (a near window beyond
-    MAX_SAMPLES samples, _near_samples) it raises. A medium-level class,
-    the lasing threshold and the open loop r_s = 0 need no loop
+    Each verdict is the report classify_system returns, its near window
+    in w, or the MarginalStabilityError or AccuracyError (a near window
+    beyond MAX_SAMPLES samples, _near_samples) it raises. A medium-level
+    class, the lasing threshold and the open loop r_s = 0 need no loop
     quantity. The others share the calls of the gain windows (at the
     near level of _closest_approach and at 1), the ray crossings and the
     closest approach. The closed forms run on arrays, or on floats for
@@ -575,14 +590,14 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]]
     a row.
     """
     verdicts: list = []
-    for ifo, med in configs:
+    for loop, med in configs:
         med_class = med_mod.classify_medium(med)
         if med_class is not MediumClass.STATIONARY:
             verdicts.append(StabilityReport(Classification(med_class.value), 0, math.inf,
                                             (0.0, 0.0)))
         elif med.damping_gap <= 0.0:
             verdicts.append(MarginalStabilityError(_UNDAMPED))
-        elif ifo.srm_amplitude_reflectivity == 0.0:
+        elif loop.rs == 0.0:
             # the open loop is cut: the contour is the origin itself
             verdicts.append(StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0)))
         else:
@@ -592,15 +607,15 @@ def _verdicts(configs: Sequence[tuple[IfoParams, MediumParams]]
         return verdicts
     # one configuration takes the closed forms on floats, a row on arrays
     if len(looped) == 1:
-        loop, xp = _Loop.of(*configs[looped[0]]), _FloatMath
+        loop, xp = configs[looped[0]][0], _FloatMath
     else:
-        loop, xp = _Loop.stack([_Loop.of(*configs[i]) for i in looped]), np
+        loop, xp = _Loop.stack([configs[i][0] for i in looped]), np
     # the closest approach is searched where |r_s G_o| is above this level
     level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
     near_lo, near_hi = _gain_window(loop, level, xp)
     windings = _ray_crossings(loop, *_gain_window(loop, 1.0, xp), xp)
     # a window beyond the sample cap of _near_samples is searched as empty
-    turns = (near_hi - near_lo) * loop.tau / math.pi
+    turns = (near_hi - near_lo) / math.pi
     wide = 33 + 16.0 * turns > MAX_SAMPLES
     dist = _closest_approach(loop, xp.where(wide, 0.0, near_lo), xp.where(wide, 0.0, near_hi),
                              level, xp)
@@ -636,27 +651,25 @@ def classify_system(ifo: IfoParams, med: MediumParams) -> StabilityReport:
     MarginalStabilityError; within 1e-6 the report is flagged marginal.
     A near window that needs more than MAX_SAMPLES samples raises
     AccuracyError. The verdict is the one _verdicts gives a one-element
-    list.
+    list, its near window taken back to rad/s.
     """
-    (verdict,) = _verdicts([(ifo, med)])
+    (verdict,) = _verdicts([(_Loop.of(ifo, med), med)])
     if isinstance(verdict, Exception):
         raise verdict
-    return verdict
+    lo, hi = verdict.omega_range_used
+    return StabilityReport(verdict.classification, verdict.winding,
+                           verdict.min_distance_to_critical, (lo / ifo.tau, hi / ifo.tau),
+                           verdict.marginal)
 
 
 # ---------------------------------------------------------------------------
 # argument-principle oracle
 # ---------------------------------------------------------------------------
 
-def _loop_denominator(ifo: IfoParams, med: MediumParams, w):
+def _loop_denominator(loop: _Loop, w):
     """F = 1 - r_s G_o at complex frequencies w; MarginalStabilityError
     when a sample has |F| < 1e-9, before any ratio of samples is formed."""
-    # M = 1 - Gamma (1/(u + i delta0) + 1/(u - i delta0)), u = i w - gap,
-    # as one fraction in v = -i u = w + i gap, times r_s
-    v = w + 1j * med.damping_gap
-    rs = ifo.srm_amplitude_reflectivity
-    rs_m = rs - (2j * rs * med.gamma_opt_total) * v / (med.delta0 * med.delta0 - v * v)
-    f = 1.0 - np.exp((2j * ifo.tau) * w) * rs_m
+    f = 1.0 - _loop_gain(loop, w)
     min_f = np.abs(f).min()
     if min_f < 1e-9:
         raise MarginalStabilityError(
@@ -666,20 +679,6 @@ def _loop_denominator(ifo: IfoParams, med: MediumParams, w):
 
 _QUIET = np.ones(1, dtype=bool)  # the flag of an edge that is one quiet segment
 _SIDE = np.zeros(255, dtype=bool)  # the flags of a side's 256 nodes
-
-
-def _edge(med: MediumParams, lo: float, hi: float, y: float, reach: float,
-          count: int) -> tuple:
-    """The oracle's nodes from lo to hi on the line Im w = y, ends
-    included, from _axis_nodes with the line's reach (> 0) and count
-    uniform nodes, and which of their segments are quiet: those beyond
-    the reach to lo and hi.
-    """
-    x, head, tail = _axis_nodes(med, lo, hi, reach, count)
-    quiet = np.zeros(x.size - 1, dtype=bool)
-    quiet[0] = head
-    quiet[-1] |= tail
-    return x + 1j * y, quiet
 
 
 def _log_test(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -692,23 +691,22 @@ def _log_test(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, tuple]:
     return np.maximum(np.abs(log_mod), np.abs(arg)) >= 0.5, (log_mod, arg)
 
 
-def _rectangle_integral(ifo: IfoParams, med: MediumParams,
-                        rect: tuple[float, float, float, float]) -> complex:
+def _rectangle_integral(loop: _Loop, rect: tuple[float, float, float, float]) -> complex:
     """Integral of d log F once counterclockwise around rect.
 
     The rectangle is one closed polyline. Where _quiet_reach proves
     |r_s G_o| < 1, Re F > 0, so the principal log of the ratio F(end) /
     F(start) of a quiet segment is the exact integral along it. A
     horizontal edge on a line whose reach is 0 is quiet, the others come
-    from _edge; a side whose bottom corner lies beyond the bottom line's
-    reach is quiet (the bound falls as y grows), and a side that is not
-    holds 256 nodes. F on all nodes comes from one call, and the other
-    segments go to _bisect_pool with _log_test. The sum is exact up to
-    the no-phase-wrap resolution of the partition.
+    from _axis_nodes with the line's reach; a side whose bottom corner
+    lies beyond the bottom line's reach is quiet (the bound falls as y
+    grows), and a side that is not holds 256 nodes. F on all nodes comes
+    from one call; the other segments go to _bisect_pool with _log_test.
+    The sum is exact up to the no-phase-wrap resolution of the partition.
     """
     re_lo, re_hi, im_lo, im_hi = rect
-    count = _uniform_count(ifo, re_lo, re_hi)  # even where both lines are quiet
-    reach, top_reach = _quiet_reach(ifo, med, im_lo), _quiet_reach(ifo, med, im_hi)
+    count = _uniform_count(re_lo, re_hi)  # even where both lines are quiet
+    reach, top_reach = _quiet_reach(loop, im_lo), _quiet_reach(loop, im_hi)
     # counterclockwise from the corner re_lo + i im_lo, each edge as its
     # nodes but the last, which starts the next edge, and its segments'
     # flags; a quiet edge is its first corner and one quiet segment
@@ -716,11 +714,11 @@ def _rectangle_integral(ifo: IfoParams, med: MediumParams,
                         complex(re_hi, im_hi), complex(re_lo, im_hi)])
     edges = [(corners[k:k + 1], _QUIET) for k in range(4)]
     if reach > 0.0:
-        nodes, quiet = _edge(med, re_lo, re_hi, im_lo, reach, count)
-        edges[0] = nodes[:-1], quiet
+        nodes, quiet = _axis_nodes(loop, re_lo, re_hi, reach, count)
+        edges[0] = nodes[:-1] + 1j * im_lo, quiet
     if top_reach > 0.0:
-        nodes, quiet = _edge(med, re_lo, re_hi, im_hi, top_reach, count)
-        edges[2] = nodes[:0:-1], quiet[::-1]
+        nodes, quiet = _axis_nodes(loop, re_lo, re_hi, top_reach, count)
+        edges[2] = nodes[:0:-1] + 1j * im_hi, quiet[::-1]
     if abs(re_hi) < reach:
         edges[1] = (re_hi + 1j * np.linspace(im_lo, im_hi, 256))[:-1], _SIDE
     if abs(re_lo) < reach:
@@ -728,8 +726,8 @@ def _rectangle_integral(ifo: IfoParams, med: MediumParams,
     w = np.concatenate([nodes for nodes, _ in edges] + [edges[0][0][:1]])
     quiet = np.concatenate([q for _, q in edges])
     return complex(*_bisect_pool(
-        lambda mid: _loop_denominator(ifo, med, mid), _log_test, w,
-        _loop_denominator(ifo, med, w),
+        lambda mid: _loop_denominator(loop, mid), _log_test, w,
+        _loop_denominator(loop, w),
         "oracle segments still turn by half a radian or half a unit of log|F|",
         settled=quiet)[2])
 
@@ -748,22 +746,22 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
     from the Nyquist contour machinery; only the default range is
     shared.
 
-    rect is (re_lo, re_hi, im_lo, im_hi), finite; the default covers
-    [-omega_max, omega_max] x [0, 10 _rate_scale], omega_max the range of
-    nyquist_contour (_omega_range).
+    rect is (re_lo, re_hi, im_lo, im_hi) in rad/s, finite; the default
+    covers [-w_max, w_max] x [0, 10 _rate_scale] in w = omega tau, w_max
+    the range of nyquist_contour (_omega_range).
     """
     _require_damped(med)
+    loop = _Loop.of(ifo, med)
     if rect is None:
-        omega_max = _omega_range(ifo, med)
-        height = 10.0 * _rate_scale(med, ifo.tau)
-        rect = (-omega_max, omega_max, 0.0, height)
-    if not all(map(math.isfinite, rect)):
-        raise ValueError(f"rect {rect} must be finite")
-    re_lo, re_hi, im_lo, im_hi = rect
-    if not (re_lo < re_hi and im_lo < im_hi and im_lo >= 0.0):
-        raise ValueError(f"rectangle {rect} must lie in the upper half plane")
+        w_max = _omega_range(loop)
+        rect_w = (-w_max, w_max, 0.0, 10.0 * _rate_scale(loop))
+    else:
+        re_lo, re_hi, im_lo, im_hi = rect
+        if not (all(map(math.isfinite, rect)) and re_lo < re_hi and 0.0 <= im_lo < im_hi):
+            raise ValueError(f"rect {rect} must be finite and lie in the upper half plane")
+        rect_w = tuple(x * ifo.tau for x in rect)
 
-    count = _rectangle_integral(ifo, med, rect) / (2j * math.pi)
+    count = _rectangle_integral(loop, rect_w) / (2j * math.pi)
     value = count.real
     nearest = round(value)
     if abs(value - nearest) > 0.01 or abs(count.imag) > 0.01:

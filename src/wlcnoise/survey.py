@@ -1,13 +1,13 @@
 """Parameter-space survey over the medium coordinates (eta, xi).
 
-Each grid cell maps to medium rates, solves the phase-cancellation
-detuning, classifies the stability of the full loop per recycling
-mirror value and detuning root, and integrates the sensitivity
-improvement factor for the stable configurations. An eta row is the
-work item: the verdicts of all its configurations are computed
-together, the integrals one per stable configuration. The grid
-assembly is row-major in (eta, xi) and bit-identical regardless of the
-worker count.
+Each grid cell maps to medium rates in units of the arm delay (on a
+detector with tau = 1; the caller's detector sets only the unit of the
+reported rates and detunings), solves the phase-cancellation detuning,
+classifies the loop's stability per recycling mirror value and
+detuning root, and integrates the sensitivity improvement factor for
+the stable configurations. An eta row is the work item: its verdicts
+are computed together, the integrals one per stable configuration. The
+assembly is row-major in (eta, xi) and bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,13 +21,15 @@ from typing import NamedTuple
 
 from .errors import AccuracyError, MarginalStabilityError
 from .interferometer import (
+    SPEED_OF_LIGHT,
     IfoParams,
     baseline_integrated_inverse_psd,
+    reference_detector,
     strain_psd,
 )
 from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from .numerics import integrate_adaptive
-from .stability import _verdicts, classify_system
+from .stability import _Loop, _verdicts, classify_system
 
 __all__ = [
     "RootChoice",
@@ -207,20 +209,17 @@ def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
     return result.value / baseline_integrated_inverse_psd(ifo)
 
 
-def _cell_media(eta: float, xi: float, tau: float, labels: tuple[str, ...]):
+_UNIT_DELAY = replace(reference_detector(), arm_length=SPEED_OF_LIGHT)  # tau == 1.0
+
+
+def _cell_media(eta: float, xi: float, labels: tuple[str, ...]):
     """Rates (gamma12, gamma_opt_total) of the survey cell (eta, xi) and
     its medium per root label, {label: MediumParams}, empty without a
-    detuning; a repeated root is both "smaller" and "larger", so the two
-    labels share one medium. A detuning that leaves the float range
-    raises OverflowError naming the cell, tau and the rates."""
-    gamma12, gamma_opt = map_eta_xi(eta, xi, tau)
-    try:
-        roots = solve_detuning(gamma12, gamma_opt, tau)
-    except OverflowError:
-        raise OverflowError(
-            f"the phase-cancellation detuning at eta={eta}, xi={xi} leaves the "
-            f"float range for the detector's delay tau={tau:.3g} s (rates "
-            f"gamma12={gamma12:.3g}, gamma_opt_total={gamma_opt:.3g})") from None
+    detuning, all in units of 1/tau; a repeated root is both "smaller"
+    and "larger", so the two labels share one medium. The rates stay
+    below about 1e31 for every float eta < 1."""
+    gamma12, gamma_opt = map_eta_xi(eta, xi, 1.0)
+    roots = solve_detuning(gamma12, gamma_opt, 1.0)
     if not roots:
         return gamma12, gamma_opt, {}
     ends = {label: roots[0] if label == "smaller" else roots[-1] for label in labels}
@@ -239,12 +238,12 @@ def _infeasible_outcomes(reflectivities: tuple[float, ...],
 
 
 def _outcome(spec: SweepSpec, ifo: IfoParams, rs2: float, label: str,
-             med: MediumParams, verdict) -> RootOutcome:
+             med: MediumParams, tau: float, verdict) -> RootOutcome:
     """Outcome of one detuning root at one SRM reflectivity, from its
     stability verdict: a report, or the MarginalStabilityError that
-    classify_system raises for it."""
+    classify_system raises for it; its delta0 is med.delta0 / tau."""
     if isinstance(verdict, MarginalStabilityError):
-        return RootOutcome(rs2, label, med.delta0, CellStatus.OPTICAL_INSTABILITY,
+        return RootOutcome(rs2, label, med.delta0 / tau, CellStatus.OPTICAL_INSTABILITY,
                            marginal=True, note=str(verdict))
     status = CellStatus(verdict.classification.value)
     note = ""
@@ -260,34 +259,33 @@ def _outcome(spec: SweepSpec, ifo: IfoParams, rs2: float, label: str,
         except AccuracyError as exc:
             rho = exc.best_estimate
             note = f"integration tolerance not met: {exc}"
-    return RootOutcome(rs2, label, med.delta0, status,
+    return RootOutcome(rs2, label, med.delta0 / tau, status,
                        winding=verdict.winding,
                        min_distance=verdict.min_distance_to_critical,
                        marginal=verdict.marginal, rho_r=rho, note=note)
 
 
 def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]:
-    """The cells of one eta row. The stability verdicts of all its
-    distinct (rs^2, medium) configurations come from one _verdicts call;
-    a repeated root's two labels share one configuration and one rho_r.
-    An AccuracyError verdict (a near window beyond the sample cap) is
-    raised, naming eta, xi and rs^2."""
-    detectors = {rs2: replace(ifo.with_power_reflectivity(rs2),
+    """The cells of one eta row, solved on _UNIT_DELAY. The stability
+    verdicts of all its distinct (rs^2, medium) configurations come from
+    one _verdicts call; a repeated root's two labels share one
+    configuration and one rho_r. An AccuracyError verdict (a near window
+    beyond the sample cap) is raised, naming eta, xi and rs^2."""
+    detectors = {rs2: replace(_UNIT_DELAY.with_power_reflectivity(rs2),
                               include_additional_noise=spec.include_additional_noise)
                  for rs2 in spec.srm_power_reflectivities}
-    cells = [(xi, *_cell_media(eta, xi, ifo.tau, spec.root_choice.labels))
-             for xi in spec.xi_grid]
+    cells = [(xi, *_cell_media(eta, xi, spec.root_choice.labels)) for xi in spec.xi_grid]
     first_label = {}  # (rs^2, medium) -> the first root label that names it, and its xi
     for xi, _, _, media in cells:
         for rs2 in detectors:
             for label, med in media.items():
                 first_label.setdefault((rs2, med), (label, xi))
-    verdicts = _verdicts([(detectors[rs2], med) for rs2, med in first_label])
+    verdicts = _verdicts([(_Loop.of(detectors[rs2], med), med) for rs2, med in first_label])
     for ((rs2, _), (_, xi)), verdict in zip(first_label.items(), verdicts):
         if isinstance(verdict, AccuracyError):
             raise AccuracyError(f"stability verdict at eta={eta}, xi={xi}, "
                                 f"rs^2={rs2}: {verdict}")
-    outcome_of = {(rs2, med): _outcome(spec, detectors[rs2], rs2, label, med, verdict)
+    outcome_of = {(rs2, med): _outcome(spec, detectors[rs2], rs2, label, med, ifo.tau, verdict)
                   for ((rs2, med), (label, _)), verdict in zip(first_label.items(), verdicts)}
     row = []
     for xi, gamma12, gamma_opt, media in cells:
@@ -299,8 +297,8 @@ def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]
                                 else outcome._replace(root_label=label))
         if not media:
             outcomes = _infeasible_outcomes(spec.srm_power_reflectivities, spec.root_choice)
-        row.append(SweepCell(eta=eta, xi=xi, gamma12=gamma12, gamma_opt_total=gamma_opt,
-                             feasible=bool(media), outcomes=tuple(outcomes)))
+        row.append(SweepCell(eta, xi, gamma12 / ifo.tau, gamma_opt / ifo.tau, bool(media),
+                             tuple(outcomes)))
     return row
 
 
@@ -316,10 +314,10 @@ def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
     MarginalStabilityError from the stability verdict (status optical,
     flagged marginal, with the message as note) and an AccuracyError
     from the rho_r integral (the best estimate, with a note). Any other
-    exception in a row aborts the sweep: an OverflowError from a cell's
-    detuning solve names its eta, xi, tau and rates, and an
-    AccuracyError from a stability verdict (a near window beyond the
-    sample cap) its eta, xi and rs^2.
+    exception in a row aborts the sweep: an AccuracyError from a
+    stability verdict (a near window beyond the sample cap) names its
+    eta, xi and rs^2. Only ifo's arm delay is read, as the unit of the
+    cells' rates and the outcomes' delta0 (each divided by tau once).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wlcnoise
-from wlcnoise import cli, survey
+from wlcnoise import cli, stability, survey
 from wlcnoise.cli import main
 from wlcnoise.errors import AccuracyError
 from wlcnoise.interferometer import reference_detector
@@ -561,20 +561,58 @@ def test_nyquist_contour_beyond_sample_cap(tmp_path, capsys):
     assert not (out / "nyquist.csv").exists()
 
 
-def test_nyquist_detuning_out_of_float_range(tmp_path, capsys):
+def test_nyquist_detuning_at_a_short_arm(tmp_path, capsys):
     # a short arm and eta near 1 give rates near 1e173, whose squared
-    # damping gap overflows while the detuning is solved at load
+    # damping gap would overflow; the detuning is solved in units of the
+    # arm delay, so the medium loads, and it is not stationary
     path = write_scenario(tmp_path, {
         "detector": {**DETECTOR, "arm_length": 1e-150},
         "medium": {"eta": 0.99999999, "xi": 0.4},
     })
+    scenario = load_scenario(path)
+    _, _, media = survey._cell_media(0.99999999, 0.4, ("smaller",))
+    unit, tau = media["smaller"], scenario.detector.tau
+    assert scenario.medium == MediumParams(unit.gamma12 / tau, unit.gamma_opt_total / tau,
+                                           unit.delta0 / tau)
+    assert 1e173 < scenario.medium.gamma12 < 1e174
     out = tmp_path / "out"
-    assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: medium: ") and "float range" in err
-    assert "eta=0.99999999, xi=0.4" in err and "tau=3.34e-159 s" in err
-    assert "Traceback" not in err
+    assert main(["nyquist", "--scenario", str(path), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "classification: non-stationary" in captured.out and captured.err == ""
     assert not (out / "nyquist.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["nyquist", "sweep"])
+def test_medium_rates_rounding_to_zero(tmp_path, capsys, command):
+    # at arm_length 1e130 the rates of (0.5, 1e-300), some 5e-301 per tau,
+    # divide by tau to 0 rad/s: the medium fails by block, naming the
+    # cell and the arm length, whatever the command
+    path = write_scenario(tmp_path, {
+        "detector": {**DETECTOR, "arm_length": 1e130},
+        "medium": {"eta": 0.5, "xi": 1e-300},
+        "sweep": {"eta": [0.5], "xi": [1e-300]},
+    })
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: medium: ") and "Traceback" not in err
+    assert "eta=0.5, xi=1e-300" in err and "arm_length=1e+130" in err
+    assert not out.exists()
+
+
+def test_sweep_rows_do_not_see_the_arm_length(tmp_path, capsys):
+    # the same detector and cell as a sweep alone: its rows solve in units
+    # of the arm delay, and only the delta0 column reads the arm length
+    path = write_scenario(tmp_path, {
+        "detector": {**DETECTOR, "arm_length": 1e130},
+        "sweep": {"eta": [0.5], "xi": [1e-300], "srm_power_reflectivities": [0.5]},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out)]) == 0
+    _, _, media = survey._cell_media(0.5, 1e-300, ("smaller",))
+    (row,) = read_csv(out / "sweep_rs2_0.5_root_smaller.csv")
+    assert row["delta0"] == repr(media["smaller"].delta0 / load_scenario(path).detector.tau)
+    assert row["classification"] == "stable"
 
 
 def test_nyquist_rates_near_float_range(tmp_path, capsys):
@@ -612,10 +650,10 @@ def test_nyquist_contour_accuracy_error_by_field(tmp_path, capsys, monkeypatch):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("threads", ["1", "0"])
-def test_sweep_detuning_out_of_float_range(tmp_path, capsys, threads):
-    # the scenario loads and the eta = 0.5 row computes (rates near
-    # 1e151), but the detuning of the eta = 0.99999999 row overflows
-    # while the sweep runs; the sweep fails naming that cell
+def test_sweep_detuning_at_a_short_arm(tmp_path, capsys, threads):
+    # rates near 1e151 and 1e167 rad/s: the rows solve in units of the
+    # arm delay, so the detuning of eta = 0.99999999 stays in the float
+    # range, and the delta0 column is the unit-delay root divided by tau
     path = write_scenario(tmp_path, {
         "detector": {**DETECTOR, "arm_length": 1e-144},
         "sweep": {"eta": [0.5, 0.99999999], "xi": [0.4],
@@ -623,12 +661,31 @@ def test_sweep_detuning_out_of_float_range(tmp_path, capsys, threads):
     })
     out = tmp_path / "out"
     assert main(["sweep", "--scenario", str(path), "--out", str(out),
-                 "--threads", threads]) == 1
+                 "--threads", threads]) == 0
+    assert capsys.readouterr().err == ""
+    tau = load_scenario(path).detector.tau
+    rows = read_csv(out / "sweep_rs2_0.5_root_larger.csv")
+    for eta, row in zip((0.5, 0.99999999), rows, strict=True):
+        _, _, media = survey._cell_media(eta, 0.4, ("larger",))
+        assert row["delta0"] == repr(media["larger"].delta0 / tau)
+    assert rows[1]["classification"] == "non-stationary"
+
+
+def test_sweep_near_window_beyond_sample_cap(tmp_path, capsys, monkeypatch):
+    # a verdict whose near window needs more than MAX_SAMPLES samples
+    # aborts the sweep with an error line naming its cell, and no table
+    monkeypatch.setattr(stability, "MAX_SAMPLES", 33)
+    path = write_scenario(tmp_path, {
+        "detector": DETECTOR,
+        "sweep": {"eta": [0.5], "xi": [0.1, 0.3], "srm_power_reflectivities": [0.5]},
+    })
+    out = tmp_path / "out"
+    assert main(["sweep", "--scenario", str(path), "--out", str(out),
+                 "--threads", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: sweep: ") and "eta=0.99999999, xi=0.4" in err
-    assert "tau=3.34e-153 s" in err
-    assert "float range" in err and "Traceback" not in err
-    assert not list(out.iterdir())
+    assert re.match(r"error: sweep: stability verdict at eta=0\.5, xi=0\.[13], rs\^2=0\.5: "
+                    "the near window spans .* delay turns", err)
+    assert "Traceback" not in err and not list(out.iterdir())
 
 def test_sweep_single_cell(tmp_path):
     path = write_scenario(tmp_path, {

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wlcnoise import stability
+from wlcnoise import stability, survey
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
 from wlcnoise.interferometer import open_loop_gain, reference_detector
 from wlcnoise.medium import (
@@ -31,12 +31,15 @@ from wlcnoise.stability import (
 )
 
 IFO = reference_detector(0.8)
+# the sweep rows' detector, tau == 1: its rates and frequencies are those
+# of the private routines, which take rates times tau and w = omega tau
+UNIT = survey._UNIT_DELAY
 BARE = MediumParams(gamma12=1.0 / IFO.tau, gamma_opt_total=0.0, delta0=0.0)
 
 
-def wlc_medium(eta, xi, root):
-    gamma12, gamma_opt = map_eta_xi(eta, xi, IFO.tau)
-    roots = solve_detuning(gamma12, gamma_opt, IFO.tau)
+def wlc_medium(eta, xi, root, ifo=IFO):
+    gamma12, gamma_opt = map_eta_xi(eta, xi, ifo.tau)
+    roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
     index = 0 if root == "smaller" else -1
     return MediumParams(gamma12, gamma_opt, roots[index])
 
@@ -157,7 +160,7 @@ def test_extreme_rates_stop_both_references_before_any_evaluation(monkeypatch):
         raise AssertionError("F was evaluated")
 
     monkeypatch.setattr(stability, "_loop_denominator", refuse)
-    monkeypatch.setattr(stability, "open_loop_gain", refuse)
+    monkeypatch.setattr(stability, "_loop_gain", refuse)
     for reference in (nyquist_contour, root_count_oracle):
         with pytest.raises(AccuracyError, match="delay turns"):
             reference(IFO, med)
@@ -186,7 +189,7 @@ def test_report_fields():
     med = wlc_medium(0.4, 0.4, "smaller")
     report = classify_system(IFO, med)
     lo, hi = report.omega_range_used
-    assert 0.0 <= lo < hi < 50.0 * stability._rate_scale(med, IFO.tau)
+    assert 0.0 <= lo < hi < 50.0 * stability._rate_scale(_Loop.of(IFO, med)) / IFO.tau
     rs = IFO.srm_amplitude_reflectivity
     level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + rs))
     ends = np.abs(rs * open_loop_gain(IFO, med, np.array([lo, hi])))
@@ -232,7 +235,7 @@ def dense_closest_approach(ifo, med, samples=200_001, rounds=4):
     Used only here, as the oracle for the exact search."""
     rs = ifo.srm_amplitude_reflectivity
     level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + rs))
-    lo, hi = map(float, _gain_window(_Loop.of(ifo, med), level))
+    lo, hi = (float(w) / ifo.tau for w in _gain_window(_Loop.of(ifo, med), level))
     if hi == 0.0:
         return 1.0 - level
     omegas = np.linspace(lo, hi, samples)
@@ -297,15 +300,17 @@ def test_closest_approach_pinned(eta, xi, rs2, root, distance, stable):
 
 
 @pytest.mark.parametrize("eta,xi,rs2,root,distance", [
-    (0.31387755102040815, 0.11795918367346939, 0.5, "smaller", 0.0020396530175336484),
-    (0.31387755102040815, 0.1571428571428571, 0.8, "larger", 0.0019122869836964243),
-    (0.509795918367347, 0.09836734693877551, 0.9, "larger", 0.0010267289964294806),
+    (0.31387755102040815, 0.11795918367346939, 0.5, "smaller", 0.002039653017533621),
+    (0.31387755102040815, 0.1571428571428571, 0.8, "larger", 0.0019122869836963965),
+    (0.509795918367347, 0.09836734693877551, 0.9, "larger", 0.0010267289964294803),
 ])
 def test_closest_approach_near_the_gain_peak_pinned_exactly(eta, xi, rs2, root, distance):
     # seed-0 survey configurations whose minimum is polished from a
-    # bracket that ends on a gain-peak node, within 30 widths of delta0:
-    # a change to the sampler's nodes changes these bits
-    report = classify_system(IFO.with_power_reflectivity(rs2), wlc_medium(eta, xi, root))
+    # bracket that ends on a gain-peak node, within 30 widths of delta0,
+    # on the sweep rows' detector: a change to the sampler's nodes
+    # changes these bits
+    report = classify_system(UNIT.with_power_reflectivity(rs2),
+                             wlc_medium(eta, xi, root, UNIT))
     assert report.min_distance_to_critical == distance
 
 
@@ -351,8 +356,8 @@ def test_ray_crossings_match_sampled_contour(rs2):
                 assert report.winding == round(
                     accumulate_winding(nyquist_contour(ifo, med), 1.0) / (2.0 * math.pi))
                 windings.add(report.winding)
-                hi = _gain_window(_Loop.of(ifo, med), 1.0)[1]
-                extended += bool(hi >= 50.0 * stability._rate_scale(med, ifo.tau))
+                loop = _Loop.of(ifo, med)
+                extended += bool(_gain_window(loop, 1.0)[1] >= 50.0 * stability._rate_scale(loop))
     if rs2 < 0.999:
         assert {0, 1, 2, 3} <= windings
     else:
@@ -370,8 +375,8 @@ def test_oracle_range_passes_the_gain_window(eta, xi, winding):
     # counts 35 and 79)
     ifo = IFO.with_power_reflectivity(0.999)
     med = wlc_medium(eta, xi, "larger")
-    omega_max = 50.0 * stability._rate_scale(med, ifo.tau)
-    assert _gain_window(_Loop.of(ifo, med), 1.0)[1] > omega_max
+    loop = _Loop.of(ifo, med)
+    assert _gain_window(loop, 1.0)[1] > 50.0 * stability._rate_scale(loop)
     assert classify_system(ifo, med).winding == winding
     assert root_count_oracle(ifo, med) == winding
 
@@ -386,31 +391,37 @@ def test_omega_range_bound_keeps_the_window_inside(log_gamma12, share, log_delta
     # window must end at or before the reach
     gamma12 = 10.0 ** log_gamma12 / IFO.tau
     med = MediumParams(gamma12, share * gamma12, 10.0 ** log_delta0 / IFO.tau)
-    ifo = replace(IFO, srm_amplitude_reflectivity=1.0 - 10.0 ** log_loss)
-    omega_max = 50.0 * stability._rate_scale(med, ifo.tau)
-    reach = stability._quiet_reach(ifo, med, 0.0)
-    assume(reach < omega_max)
-    assert _gain_window(_Loop.of(ifo, med), 1.0)[1] <= reach
-    assert stability._omega_range(ifo, med) == omega_max
+    loop = _Loop.of(replace(IFO, srm_amplitude_reflectivity=1.0 - 10.0 ** log_loss), med)
+    w_max = 50.0 * stability._rate_scale(loop)
+    reach = stability._quiet_reach(loop, 0.0)
+    assume(reach < w_max)
+    assert _gain_window(loop, 1.0)[1] <= reach
+    assert stability._omega_range(loop) == w_max
+
+
+def row_verdicts(configs):
+    """stability._verdicts of (ifo, medium) configurations."""
+    return stability._verdicts([(_Loop.of(ifo, med), med) for ifo, med in configs])
 
 
 def test_row_verdicts_match_classify_system():
     # the row form against one classify_system call per
     # configuration, on a slice with rs^2 = 0, empty near windows and a
     # repeated root, and a medium non-stationary at the paper's threshold
-    # (1 + 10^2 < 90^2 / 4)
-    configs = [(IFO.with_power_reflectivity(rs2), MediumParams(100.0, 90.0, 1.0))
+    # (1 + 10^2 < 90^2 / 4); on the sweep rows' detector, whose near
+    # windows classify_system reports in the same bits
+    configs = [(UNIT.with_power_reflectivity(rs2), MediumParams(100.0, 90.0, 1.0))
                for rs2 in (0.0, 0.5, 0.9)]
     repeated = 0
     for eta in (0.05, 0.2, 0.4, 0.7, 0.9):
         for xi in (0.02, 0.05, 0.2, 0.4):
-            gamma12, gamma_opt = map_eta_xi(eta, xi, IFO.tau)
-            roots = solve_detuning(gamma12, gamma_opt, IFO.tau)
+            gamma12, gamma_opt = map_eta_xi(eta, xi, UNIT.tau)
+            roots = solve_detuning(gamma12, gamma_opt, UNIT.tau)
             repeated += len(roots) == 1
-            configs += [(IFO.with_power_reflectivity(rs2), MediumParams(gamma12, gamma_opt, d))
+            configs += [(UNIT.with_power_reflectivity(rs2), MediumParams(gamma12, gamma_opt, d))
                         for d in roots for rs2 in (0.0, 0.5, 0.9)]
     seen = set()
-    for (ifo, med), verdict in zip(configs, stability._verdicts(configs), strict=True):
+    for (ifo, med), verdict in zip(configs, row_verdicts(configs), strict=True):
         rs = ifo.srm_amplitude_reflectivity
         try:
             report = classify_system(ifo, med)
@@ -432,17 +443,18 @@ def test_row_verdicts_match_classify_system():
 
 
 def drawn_loops(rng, count):
-    """count (ifo, medium) pairs with rates from 1e-6/tau to 3e4/tau, rs^2
-    up to 0.9999 and every damping gap positive; Gamma = 0, delta0 = 0
-    and delta0 = Gamma each take a share of the draws."""
+    """count (ifo, medium) pairs on the sweep rows' detector with rates
+    from 1e-6 to 3e4 per tau, rs^2 up to 0.9999 and every damping gap
+    positive; Gamma = 0, delta0 = 0 and delta0 = Gamma each take a share
+    of the draws."""
     configs = []
     for k in range(count):
-        gamma12 = 10.0 ** rng.uniform(-6.0, math.log10(3e4)) / IFO.tau
+        gamma12 = 10.0 ** rng.uniform(-6.0, math.log10(3e4))
         gamma_opt = 0.0 if k % 7 == 0 else rng.uniform(0.0, 0.999) * gamma12
         delta0 = (0.0 if k % 5 == 0 else gamma_opt if k % 5 == 1
-                  else 10.0 ** rng.uniform(-6.0, math.log10(3e4)) / IFO.tau)
+                  else 10.0 ** rng.uniform(-6.0, math.log10(3e4)))
         rs2 = 0.9999 if k % 11 == 0 else rng.uniform(0.0, 0.9999)
-        configs.append((IFO.with_power_reflectivity(rs2),
+        configs.append((UNIT.with_power_reflectivity(rs2),
                         MediumParams(gamma12, gamma_opt, delta0)))
     return configs
 
@@ -477,7 +489,7 @@ def test_float_and_array_closed_forms_agree(monkeypatch):
     # the reports of the configurations whose near window the sampler
     # covers in at most 3,300 points (the closed forms are checked above
     # on all), alone with the sampler's branches recorded, then in a row
-    short = np.flatnonzero((near[1] - near[0]) * stacked.tau / math.pi <= 200.0).tolist()
+    short = np.flatnonzero((near[1] - near[0]) / math.pi <= 200.0).tolist()
     descents, polish = stability._descents, stability._polish_minimum
     flat, polished = [], []
 
@@ -499,7 +511,7 @@ def test_float_and_array_closed_forms_agree(monkeypatch):
         except MarginalStabilityError as exc:
             reports.append(exc)
     monkeypatch.undo()
-    row = stability._verdicts([configs[k] for k in short])
+    row = row_verdicts([configs[k] for k in short])
     assert list(map(repr, reports)) == list(map(repr, row))
     stationary = [k for k in short if classify_medium(configs[k][1]) is MediumClass.STATIONARY]
     assert sum(near[1][k] > 0.0 for k in stationary) >= 100
@@ -535,7 +547,7 @@ def near_samples(configs):
     """33 + 16 per delay turn of each configuration's near window."""
     loops = _Loop.stack([_Loop.of(*config) for config in configs])
     lo, hi = _gain_window(loops, np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loops.rs)))
-    return 33 + 16.0 * (hi - lo) * loops.tau / math.pi
+    return 33 + 16.0 * (hi - lo) / math.pi
 
 
 def row_against_alone(configs):
@@ -543,8 +555,7 @@ def row_against_alone(configs):
     classify_system alone: the same report, or an error of the same type
     and text. Returns the places of the AccuracyError verdicts."""
     errors = []
-    for k, (config, verdict) in enumerate(zip(configs, stability._verdicts(configs),
-                                              strict=True)):
+    for k, (config, verdict) in enumerate(zip(configs, row_verdicts(configs), strict=True)):
         try:
             report = classify_system(*config)
         except (MarginalStabilityError, AccuracyError) as exc:
@@ -597,9 +608,8 @@ def test_near_window_cap_in_a_drawn_row():
 
 def test_oracle_bare_medium_zero():
     assert root_count_oracle(IFO, BARE) == 0
-    rect = (-100.0 * stability._rate_scale(BARE, IFO.tau),
-            100.0 * stability._rate_scale(BARE, IFO.tau),
-            0.0, 20.0 / IFO.tau)
+    scale = stability._rate_scale(_Loop.of(IFO, BARE)) / IFO.tau
+    rect = (-100.0 * scale, 100.0 * scale, 0.0, 20.0 / IFO.tau)
     assert root_count_oracle(IFO, BARE, rect=rect) == 0
 
 
@@ -608,13 +618,12 @@ def test_oracle_denominator_matches_loop_series(eta, xi, root, rs2, winding):
     # the oracle and the verdict code F = 1 - r_s G_o independently:
     # the two must agree on the real axis, here over the default range
     # and a cluster at the gain peak
-    ifo = IFO.with_power_reflectivity(rs2)
-    med = wlc_medium(eta, xi, root)
-    omega_max = 50.0 * stability._rate_scale(med, ifo.tau)
-    omegas = np.concatenate([np.linspace(-omega_max, omega_max, 20001),
-                             med.delta0 + med.damping_gap * np.linspace(-30.0, 30.0, 241)])
-    oracle = stability._loop_denominator(ifo, med, omegas)
-    series = stability._loop_series(_Loop.of(ifo, med), omegas)[0]
+    loop = _Loop.of(IFO.with_power_reflectivity(rs2), wlc_medium(eta, xi, root))
+    w_max = 50.0 * stability._rate_scale(loop)
+    w = np.concatenate([np.linspace(-w_max, w_max, 20001),
+                        loop.delta0 + loop.gap * np.linspace(-30.0, 30.0, 241)])
+    oracle = stability._loop_denominator(loop, w)
+    series = stability._loop_series(loop, w)[0]
     assert np.all(np.abs(oracle - series) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
 
 
@@ -702,7 +711,7 @@ def line_pieces(ifo, med, rect, y):
     re_lo, re_hi = rect[:2]
     turns = (re_hi - re_lo) * ifo.tau / math.pi
     uniform = np.linspace(re_lo, re_hi, max(1024, int(8 * turns)))
-    reach = stability._quiet_reach(ifo, med, y)
+    reach = stability._quiet_reach(_Loop.of(ifo, med), y)
     if reach == 0.0:
         return [(np.array([re_lo, re_hi]) + 1j * y, True)]
     left, right = np.flatnonzero(uniform <= -reach), np.flatnonzero(uniform >= reach)
@@ -728,7 +737,7 @@ def starting_pieces(ifo, med, rect):
     A side whose bottom corner lies beyond the reach of the bottom line
     is one quiet piece, and a side that is not 256 nodes."""
     re_lo, re_hi, im_lo, im_hi = rect
-    reach = stability._quiet_reach(ifo, med, im_lo)
+    reach = stability._quiet_reach(_Loop.of(ifo, med), im_lo)
     right_quiet, left_quiet = abs(re_hi) >= reach, abs(re_lo) >= reach
     side = np.array([im_lo, im_hi]) if right_quiet else np.linspace(im_lo, im_hi, 256)
     pieces = [*line_pieces(ifo, med, rect, im_lo), (re_hi + 1j * side, right_quiet)]
@@ -769,7 +778,7 @@ def reference_edge_integral(ifo, med, w):
 
 def default_rect(ifo, med):
     """The oracle's default rectangle."""
-    omega_max = stability._omega_range(ifo, med)
+    omega_max = stability._omega_range(_Loop.of(ifo, med)) / ifo.tau
     height = 10.0 * max(med.delta0, med.gamma12, med.gamma_opt_total, 1.0 / ifo.tau)
     return -omega_max, omega_max, 0.0, height
 
@@ -826,13 +835,13 @@ class StartingNodes(Exception):
 
 def starting_nodes(ifo, med, rect):
     """The closed polyline the pool starts from: its first F call's nodes."""
-    def capture(ifo, med, w):
+    def capture(loop, w):
         raise StartingNodes(w)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stability, "_loop_denominator", capture)
         with pytest.raises(StartingNodes) as info:
-            stability._rectangle_integral(ifo, med, rect)
+            stability._rectangle_integral(_Loop.of(ifo, med), rect)
     return info.value.args[0]
 
 
@@ -842,7 +851,9 @@ def check_pool_against_reference(ifo, med, rect, max_samples):
     it ends, the count equals the dense seeding's, and its integral
     equals the dense seeding's per-edge integral to 1e-12 turns; a
     contour that reached a limit raises AccuracyError rather than
-    summing its failing segments."""
+    summing its failing segments. The pieces are in rad/s and the pool
+    in w = omega tau, so ifo is a detector with tau = 1."""
+    assert ifo.tau == 1.0
     pieces = starting_pieces(ifo, med, rect)
     closed = np.concatenate([nodes[:-1] for nodes, _ in pieces] + [pieces[-1][0][-1:]])
     assert np.array_equal(starting_nodes(ifo, med, rect), closed)
@@ -851,11 +862,11 @@ def check_pool_against_reference(ifo, med, rect, max_samples):
     assert outcome == expected
     if total is None:
         with pytest.raises(AccuracyError, match="still turn"):
-            stability._rectangle_integral(ifo, med, rect)
+            stability._rectangle_integral(_Loop.of(ifo, med), rect)
     else:
         dense, dense_total = dense_root_count(ifo, med, rect)
         assert outcome == dense
-        raw = stability._rectangle_integral(ifo, med, rect)
+        raw = stability._rectangle_integral(_Loop.of(ifo, med), rect)
         assert abs(raw - dense_total) / (2.0 * math.pi) <= 1e-12
         assert abs(raw - total) / (2.0 * math.pi) <= 1e-12
     return outcome
@@ -878,15 +889,15 @@ def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
     # xi == eta gives a repeated root
     for eta, xi in ((0.2, 0.05), (0.2, 0.2), (0.4, 0.05), (0.4, 0.4),
                     (0.7, 0.05), (0.7, 0.2), (0.7, 0.4)):
-        gamma12, gamma_opt = map_eta_xi(eta, xi, IFO.tau)
-        roots = solve_detuning(gamma12, gamma_opt, IFO.tau)
+        gamma12, gamma_opt = map_eta_xi(eta, xi, UNIT.tau)
+        roots = solve_detuning(gamma12, gamma_opt, UNIT.tau)
         repeated += len(roots) == 1
         for delta0 in roots:
             med = MediumParams(gamma12, gamma_opt, delta0)
             if classify_medium(med) is not MediumClass.STATIONARY:
                 continue
             for rs2 in (0.5, 0.8, 0.9):
-                ifo = IFO.with_power_reflectivity(rs2)
+                ifo = UNIT.with_power_reflectivity(rs2)
                 outcomes.append(check_pool_against_reference(
                     ifo, med, default_rect(ifo, med), max_samples))
     assert repeated >= 1 and len(outcomes) == 36
@@ -902,14 +913,12 @@ HIGH_REFLECTIVITY = [(0.99, 0.865, 0.0026588446), (0.995, 0.86, 0.0013796037),
 
 
 def quiet_media():
-    """(ifo, medium) of every KNOWN_VERDICTS row and high-reflectivity cell."""
+    """(ifo, medium) of every KNOWN_VERDICTS row and high-reflectivity
+    cell, on the sweep rows' detector."""
     for eta, xi, root, rs2, _ in KNOWN_VERDICTS:
-        yield IFO.with_power_reflectivity(rs2), wlc_medium(eta, xi, root)
+        yield UNIT.with_power_reflectivity(rs2), wlc_medium(eta, xi, root, UNIT)
     for rs2, eta, xi in HIGH_REFLECTIVITY:
-        ifo = reference_detector(rs2)
-        gamma12, gamma_opt = map_eta_xi(eta, xi, ifo.tau)
-        yield ifo, MediumParams(gamma12, gamma_opt,
-                                solve_detuning(gamma12, gamma_opt, ifo.tau)[-1])
+        yield UNIT.with_power_reflectivity(rs2), wlc_medium(eta, xi, "larger", UNIT)
 
 
 @pytest.mark.parametrize("ifo,med", list(quiet_media()))
@@ -930,7 +939,7 @@ def test_quiet_edges_cannot_wind(ifo, med):
         assert np.all((1.0 - ifo.srm_amplitude_reflectivity * open_loop_gain(ifo, med, w)).real > 0.0)
     # the tails start at the uniform nodes nearest outside the reach,
     # which lies where the bound on the real axis crosses 1
-    reach = stability._quiet_reach(ifo, med, 0.0)
+    reach = stability._quiet_reach(_Loop.of(ifo, med), 0.0)
     assert quiet[0][1].real <= -reach and quiet[1][0].real >= reach
     assert quiet_bound(ifo, med, 0.0, reach - med.delta0) < 1.0
     assert quiet_bound(ifo, med, 0.0, peak_distance(med, (1.0 - 1e-6) * reach)) >= 1.0
@@ -946,14 +955,14 @@ def test_quiet_edges_cannot_wind(ifo, med):
     (0.4, 0.1, "larger", 0.8, -0.1, 0),
 ])
 def test_custom_rectangle_matches_per_edge_reference(eta, xi, root, rs2, height, zeros):
-    ifo = IFO.with_power_reflectivity(rs2)
-    med = wlc_medium(eta, xi, root)
+    ifo = UNIT.with_power_reflectivity(rs2)
+    med = wlc_medium(eta, xi, root, UNIT)
     re_lo, re_hi, _, im_hi = default_rect(ifo, med)
     # height > 0: the top edge at that share of the default height;
     # height < 0: the bottom edge at minus that share
     rect = ((re_lo, re_hi, 0.0, height * im_hi) if height > 0
             else (re_lo, re_hi, -height * im_hi, im_hi))
-    quiet = [stability._quiet_reach(ifo, med, y) == 0.0 for y in rect[2:]]
+    quiet = [stability._quiet_reach(_Loop.of(ifo, med), y) == 0.0 for y in rect[2:]]
     assert quiet == ([False, False] if height > 0 else [True, True])
     assert check_pool_against_reference(ifo, med, rect, stability.MAX_SAMPLES) == zeros
 
@@ -968,10 +977,10 @@ def test_one_sided_rectangle_matches_per_edge_reference(eta, xi, root, rs2, zero
     # the bottom edge keeps only the uniform nodes about +-reach; where
     # the rectangle lies wholly on one side of them it keeps its one end
     # node, and where it crosses one of them the nodes about that one
-    ifo = IFO.with_power_reflectivity(rs2)
-    med = wlc_medium(eta, xi, root)
+    ifo = UNIT.with_power_reflectivity(rs2)
+    med = wlc_medium(eta, xi, root, UNIT)
     re_lo, re_hi, _, im_hi = default_rect(ifo, med)
-    reach = stability._quiet_reach(ifo, med, 0.0)
+    reach = stability._quiet_reach(_Loop.of(ifo, med), 0.0)
     assert med.delta0 < reach < 0.1 * re_hi
     re_lo, re_hi = {
         "beyond +reach": (1.5 * reach, re_hi),
@@ -994,11 +1003,11 @@ def test_oracle_matches_dense_reference(rates, rs2, log_lift):
     # rectangle and on one whose bottom edge is raised by 1e-4 to 1e-1 of
     # its height, the oracle gives the dense seeding's count, or both
     # raise the same exception type
-    gamma12, gamma_opt, delta0 = (10.0 ** r / IFO.tau for r in rates)
+    gamma12, gamma_opt, delta0 = (10.0 ** r for r in rates)
     assume(gamma_opt < gamma12)
     med = MediumParams(gamma12, gamma_opt, delta0)
     assume(classify_medium(med) is MediumClass.STATIONARY)
-    ifo = IFO.with_power_reflectivity(rs2)
+    ifo = UNIT.with_power_reflectivity(rs2)
     re_lo, re_hi, _, im_hi = rect = default_rect(ifo, med)
     for rect in (rect, (re_lo, re_hi, 10.0 ** log_lift * im_hi, im_hi)):
         assert pool_outcome(ifo, med, rect) == dense_root_count(ifo, med, rect)[0]
@@ -1072,6 +1081,32 @@ def test_oracle_counts_the_winding_at_high_reflectivity():
                 windings.append(classify_system(ifo, med).winding)
                 assert root_count_oracle(ifo, med) == windings[-1]
     assert len(set(windings)) >= 4
+
+
+def test_gate_verdicts_in_rad_per_second_and_in_delay_units():
+    # a seeded sample of the benchmark gate's configurations (reference
+    # detector, rates in rad/s) against the same loops on the sweep rows'
+    # detector, each rate times tau: the same verdict and oracle count
+    rng = np.random.default_rng(12)
+    grid = survey.default_grid(50)
+    tau = IFO.tau
+    windings = []
+    while len(windings) < 40:
+        xi, eta = (grid[k] for k in sorted(rng.integers(0, 50, 2)))
+        rs2 = float(rng.choice((0.5, 0.8, 0.9)))
+        si, unit = IFO.with_power_reflectivity(rs2), UNIT.with_power_reflectivity(rs2)
+        gamma12, gamma_opt = map_eta_xi(eta, xi, tau)
+        for delta0 in solve_detuning(gamma12, gamma_opt, tau):
+            med = MediumParams(gamma12, gamma_opt, delta0)
+            if classify_medium(med) is not MediumClass.STATIONARY:
+                continue
+            scaled = MediumParams(gamma12 * tau, gamma_opt * tau, delta0 * tau)
+            report, unit_report = classify_system(si, med), classify_system(unit, scaled)
+            assert (report.classification, report.winding, report.marginal) == (
+                unit_report.classification, unit_report.winding, unit_report.marginal)
+            assert root_count_oracle(si, med) == root_count_oracle(unit, scaled)
+            windings.append(report.winding)
+    assert {0, 1, 2} <= set(windings)
 
 
 @pytest.mark.parametrize("rs2,grid_points", [

@@ -135,23 +135,47 @@ def test_improvement_factor_pinned(monkeypatch, eta_index, xi_index, rs2, label,
 
 def test_survey_independent_of_power_and_carrier():
     # with heavy test masses S_hh scales as 1 / (P_c omega_0), so rho_r
-    # and every verdict cancel both; the scenario fixes them on this
-    # cancellation, which a term such as radiation pressure would break
+    # cancels both and no verdict reads them; the sweep rows take the
+    # reference detector's power and carrier on this cancellation, which
+    # a term such as radiation pressure would break
     spec = SweepSpec(eta_grid=(default_grid(50)[16],), xi_grid=default_grid(50),
                      srm_power_reflectivities=(0.5, 0.8, 0.9))
-    reference = [outcome for _, outcome in run_sweep(spec, IFO).outcomes()]
-    for power, wavelength in ((1.234e6, 1550e-9), (1.0, 1.0), (3e9, 210e-9)):
-        ifo = replace(IFO, circulating_power=power,
-                      carrier_angular_frequency=2.0 * math.pi * SPEED_OF_LIGHT / wavelength)
-        stable = set()
-        outcomes = [outcome for _, outcome in run_sweep(spec, ifo).outcomes()]
-        for ref, out in zip(reference, outcomes, strict=True):
-            assert (out.status, out.winding, out.min_distance) == (
-                ref.status, ref.winding, ref.min_distance)
-            if ref.status is CellStatus.STABLE:
-                assert out.rho_r == pytest.approx(ref.rho_r, rel=1e-12, abs=0.0)
-                stable.add(ref.srm_power_reflectivity)
-        assert stable == {0.5, 0.8, 0.9}
+    stable = set()
+    for cell, outcome in run_sweep(spec, IFO).outcomes():
+        if outcome.status is not CellStatus.STABLE:
+            continue
+        rs2 = outcome.srm_power_reflectivity
+        _, _, media = survey._cell_media(cell.eta, cell.xi, (outcome.root_label,))
+        for power, wavelength in ((1.234e6, 1550e-9), (1.0, 1.0), (3e9, 210e-9)):
+            ifo = replace(survey._UNIT_DELAY.with_power_reflectivity(rs2),
+                          circulating_power=power,
+                          carrier_angular_frequency=2.0 * math.pi * SPEED_OF_LIGHT / wavelength)
+            rho = improvement_factor(ifo, media[outcome.root_label], spec.noise_model,
+                                     rel_tol=spec.rel_tol, check_stability=False)
+            assert rho == pytest.approx(outcome.rho_r, rel=1e-12, abs=0.0)
+        stable.add(rs2)
+    assert stable == {0.5, 0.8, 0.9}
+
+
+def test_sweep_independent_of_arm_length():
+    # the rows solve in units of the arm delay: the arm length reaches
+    # only the unit of the rates and of delta0
+    spec = SweepSpec(eta_grid=default_grid(12), xi_grid=default_grid(12),
+                     srm_power_reflectivities=(0.5, 0.9))
+    reference = run_sweep(spec, IFO)
+    statuses = set()
+    for arm in (1.0, 4e6):
+        ifo = replace(IFO, arm_length=arm)
+        for (ref_cell, ref), (cell, out) in zip(reference.outcomes(),
+                                                run_sweep(spec, ifo).outcomes(), strict=True):
+            assert out._replace(delta0=0.0) == ref._replace(delta0=0.0)
+            statuses.add(out.status)
+            if out.status is not CellStatus.INFEASIBLE:
+                assert out.delta0 * ifo.tau == pytest.approx(ref.delta0 * IFO.tau,
+                                                              rel=1e-14, abs=0.0)
+            assert cell.gamma12 * ifo.tau == pytest.approx(ref_cell.gamma12 * IFO.tau,
+                                                           rel=1e-14, abs=0.0)
+    assert statuses == set(CellStatus) - {CellStatus.ATOMIC_INSTABILITY}
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +251,24 @@ def test_pickle_round_trip(small_sweep):
 
 
 def test_sweep_rates_match_map(small_sweep):
+    # the rows map (eta, xi) in units of the arm delay, then divide by tau
     for cell in small_sweep.cells:
-        gamma12, gamma_opt = map_eta_xi(cell.eta, cell.xi, IFO.tau)
-        assert cell.gamma12 == gamma12
-        assert cell.gamma_opt_total == gamma_opt
+        gamma12, gamma_opt = map_eta_xi(cell.eta, cell.xi, 1.0)
+        assert cell.gamma12 == gamma12 / IFO.tau
+        assert cell.gamma_opt_total == gamma_opt / IFO.tau
 
 
 def reference_outcome(spec, rs2, label, med):
     """One outcome from classify_system and improvement_factor, called
-    per configuration as the survey did before it took its verdicts a
-    row at a time."""
-    ifo = replace(IFO.with_power_reflectivity(rs2),
+    per configuration on the rows' unit-delay detector, as the survey
+    did before it took its verdicts a row at a time; delta0 in rad/s."""
+    ifo = replace(survey._UNIT_DELAY.with_power_reflectivity(rs2),
                   include_additional_noise=spec.include_additional_noise)
+    delta0 = med.delta0 / IFO.tau
     try:
         report = classify_system(ifo, med)
     except MarginalStabilityError as exc:
-        return RootOutcome(rs2, label, med.delta0, CellStatus.OPTICAL_INSTABILITY,
+        return RootOutcome(rs2, label, delta0, CellStatus.OPTICAL_INSTABILITY,
                            marginal=True, note=str(exc))
     status, note, rho = CellStatus(report.classification.value), "", None
     if report.marginal and status is CellStatus.STABLE:
@@ -253,7 +279,7 @@ def reference_outcome(spec, rs2, label, med):
                                      check_stability=False)
         except AccuracyError as exc:
             rho, note = exc.best_estimate, f"integration tolerance not met: {exc}"
-    return RootOutcome(rs2, label, med.delta0, status, winding=report.winding,
+    return RootOutcome(rs2, label, delta0, status, winding=report.winding,
                        min_distance=report.min_distance_to_critical,
                        marginal=report.marginal, rho_r=rho, note=note)
 
@@ -264,14 +290,15 @@ def test_sweep_matches_per_configuration_reference(small_sweep):
     spec = small_sweep.spec
     compared = set()
     for cell in small_sweep.cells:
-        roots = solve_detuning(cell.gamma12, cell.gamma_opt_total, IFO.tau)
+        gamma12, gamma_opt = map_eta_xi(cell.eta, cell.xi, 1.0)
+        roots = solve_detuning(gamma12, gamma_opt, 1.0)
         expected = []
         for rs2 in spec.srm_power_reflectivities:
             for label, delta0 in (("smaller", roots[:1]), ("larger", roots[-1:])):
                 if not delta0:
                     expected.append(RootOutcome(rs2, label, math.nan, CellStatus.INFEASIBLE))
                     continue
-                med = MediumParams(cell.gamma12, cell.gamma_opt_total, *delta0)
+                med = MediumParams(gamma12, gamma_opt, *delta0)
                 expected.append(reference_outcome(spec, rs2, label, med))
         # a nan field compares unequal to a copy of itself, so compare the full repr
         assert repr(cell.outcomes) == repr(tuple(expected))
@@ -321,8 +348,8 @@ def test_root_choice_single():
     (cell,) = grid.cells
     assert len(cell.outcomes) == 1
     assert cell.outcomes[0].root_label == "larger"
-    roots = solve_detuning(cell.gamma12, cell.gamma_opt_total, IFO.tau)
-    assert cell.outcomes[0].delta0 == roots[-1]
+    roots = solve_detuning(*map_eta_xi(0.5, 0.3, 1.0), 1.0)
+    assert cell.outcomes[0].delta0 == roots[-1] / IFO.tau
 
 
 def test_root_choice_labels():
@@ -368,7 +395,7 @@ def test_double_root_cell_computed_once(monkeypatch):
     original = survey._verdicts
 
     def counting(configs):
-        calls.extend((ifo.srm_amplitude_reflectivity, med.delta0) for ifo, med in configs)
+        calls.extend((loop.rs, med.delta0) for loop, med in configs)
         return original(configs)
 
     monkeypatch.setattr(survey, "_verdicts", counting)
