@@ -263,7 +263,7 @@ def map_eta_xi(eta: float, xi: float, tau: float) -> tuple[float, float]:
     eta = Gamma / gamma12 and xi = 8 (gamma12 - Gamma)^2 tau / gamma12,
     so gamma12 = xi / (8 tau (1 - eta)^2) and Gamma = eta gamma12. The
     map is singular along eta = 1 (zero damping gap); ValueError where
-    8 tau (1 - eta)^2 underflows to 0.
+    8 tau (1 - eta)^2 underflows to 0, or gamma12 or Gamma rounds to 0.
     """
     if not 0.0 < eta < 1.0:
         if eta == 1.0:
@@ -278,5 +278,9 @@ def map_eta_xi(eta: float, xi: float, tau: float) -> tuple[float, float]:
         raise ValueError(f"8 tau (1 - eta)^2 underflows to 0 at eta={eta}, xi={xi}, "
                          f"tau={tau}")
     gamma12 = xi / scale
-    return gamma12, eta * gamma12
+    gamma_opt = eta * gamma12
+    if gamma_opt == 0.0:  # and so where gamma12 is 0
+        raise ValueError(f"the rates round to 0 at eta={eta}, xi={xi}, tau={tau}: "
+                         f"gamma12={gamma12}, gamma_opt_total={gamma_opt}")
+    return gamma12, gamma_opt
 

@@ -207,7 +207,10 @@ def _parse_medium(block, ifo: IfoParams) -> MediumParams:
     if xi > 1.0:
         raise ScenarioError(f"{where}.xi: must lie in (0, 1], got {xi}")
     root = _choice(block, "root", where, RootChoice.BOTH.labels, "smaller")
-    *_, media = _cell_media(eta, xi, (root,))
+    try:
+        *_, media = _cell_media(eta, xi, (root,))
+    except ValueError as exc:  # rates that round to 0
+        raise ScenarioError(f"{where}: {exc}") from None
     if not media:
         raise ScenarioError(
             f"{where}: no phase-cancellation detuning exists at "

@@ -19,11 +19,13 @@ nyquist_contour samples the whole contour for output and as a
 reference, bisecting it wherever a segment turns by pi/2 or more about
 (1, 0). An independent argument-principle oracle counts the same zeros
 by integrating the logarithmic derivative of 1 - r_s G_o around a
-rectangle in the upper half plane. Both references take their
-frequency range from one place, _omega_range, which passes the gain
-window. One closed-form bound, _quiet_reach, says where |r_s G_o| < 1:
-there the oracle takes a piece of its rectangle as one exact segment,
-and _omega_range skips the gain window. Both references seed their
+rectangle in the upper half plane; on one symmetric about Re w = 0 it
+integrates the right half only, since F(-conj w) = conj F(w) bit for
+bit, the symmetry _closed_contour and _ray_crossings use too. Both
+references take their frequency range from one place, _omega_range,
+which passes the gain window. One closed-form bound, _quiet_reach,
+says where |r_s G_o| < 1: there the oracle takes a piece of its
+rectangle as one exact segment, and _omega_range skips the gain window. Both references seed their
 real lines with _axis_nodes and refine in one segment pool,
 _bisect_pool, each with its own test. Inside, the arm delay tau is the
 time unit: rates are times tau, frequencies w = omega tau, and _Loop.of
@@ -58,6 +60,7 @@ MARGINAL_ERROR_DISTANCE = 1e-9
 MARGINAL_FLAG_DISTANCE = 1e-6
 NEAR_DISTANCE = 0.1  # the closest approach is searched where |F| may be below it
 MAX_SAMPLES = 2**22  # per sampled near window, and per contour reference
+_ROW_SAMPLES = 2**18  # near-window samples a row's verdicts hold at once
 _PEAK_CLUSTER = np.linspace(-30.0, 30.0, 241)  # gain-peak offsets, in widths
 _NEAR_CLUSTER = _PEAK_CLUSTER[::4]  # those of the near windows' samples
 # the clusters about -delta0 and +delta0, then the node 0, of _axis_nodes:
@@ -158,12 +161,14 @@ def _axis_nodes(loop: _Loop, lo: float, hi: float, reach: float,
     gain peaks and the node 0, where they lie between the kept ends, and
     with lo and hi where they lie beyond them. There zeros close to the
     axis would otherwise hide a whole turn between two uniform nodes: at
-    the peaks, and at the white-light point omega = 0, where the
-    symmetric uniform nodes would leave one segment from -h to h whose
-    ends have equal |F|, since F(-omega) = conj F(omega). A repeated
-    node only adds a segment whose ratio is exactly 1. Returns the nodes
-    and which of their segments are quiet: those to lo and hi where they
-    were added, which lie beyond the reach.
+    the peaks, and at the white-light point omega = 0 inside [lo, hi]
+    (an asymmetric oracle rectangle; the contour and a folded rectangle
+    start there), where uniform nodes symmetric about 0 would leave one
+    segment from -h to h whose ends have equal |F|, since F(-omega) =
+    conj F(omega). A repeated node only adds a segment whose ratio is
+    exactly 1. Returns the nodes and which of their segments are quiet:
+    those to lo and hi where they were added, which lie beyond the
+    reach.
     """
     step = (hi - lo) / (count - 1)
 
@@ -526,9 +531,11 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     farther. |F| = |1 - r_s G_o| and its slope are sampled as
     _near_samples says (each window within MAX_SAMPLES points), in one
     array call: one configuration's own window, or a row's windows
-    joined. Every sample interval of a window over which d|F|/domega
-    turns from negative to positive (_descents) is polished to its
-    minimum by _polish_minimum. Searching omega >= 0 suffices because
+    joined, whole configurations at a time up to _ROW_SAMPLES samples
+    (a configuration with more is a call of its own), which bounds a
+    row's memory. Every sample interval of a window over which
+    d|F|/domega turns from negative to positive (_descents) is polished
+    to its minimum by _polish_minimum. Searching omega >= 0 suffices because
     the other half is the complex conjugate.
     """
     if xp is _FloatMath:
@@ -548,29 +555,40 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
             dist = min(dist, _polish_minimum(loop, *omegas[k:k + 2].tolist()))
         return min(dist, 1.0 - level)
     counts, peak = _near_samples(loop, lo, hi)
-    span = hi - lo
     counts = counts.astype(int) * (hi > 0.0)
-    ends = counts.cumsum()
-    owner = np.arange(counts.size).repeat(counts)
-    step = span / np.maximum(counts - 1, 1)
-    omegas = (np.arange(ends[-1]) - (ends - counts)[owner]) * step[owner] + lo[owner]
-    searched = counts > 0
-    omegas[ends[searched] - 1] = hi[searched]
     inside = (peak > lo[:, None]) & (peak < hi[:, None])
-    owner = np.concatenate([owner, inside.nonzero()[0]])
-    omegas = np.concatenate([omegas, peak[inside]])
-    order = np.lexsort((omegas, owner))
-    owner, omegas = owner[order], omegas[order]
-
-    f, df = _loop_series(_Loop(*(p[owner] for p in loop)), omegas, _terms=2)
     dist = np.full(counts.size, math.inf)
-    np.minimum.at(dist, owner, abs(f))
     floats = list(zip(*(p.tolist() for p in loop)))
-    descents = _descents(f, df, omegas, lambda k: _Loop(*floats[owner[k]]))
-    for k in (descents & (owner[:-1] == owner[1:])).nonzero()[0].tolist():
-        c = owner[k]
-        dist[c] = min(dist[c], _polish_minimum(_Loop(*floats[c]), float(omegas[k]),
-                                               float(omegas[k + 1])))
+    sizes = (counts + inside.sum(axis=1)).tolist()
+    start = 0
+    while start < counts.size:
+        # the next configurations up to _ROW_SAMPLES samples, the first
+        # one whatever its size, and any with no samples
+        stop, held = start, 0
+        while stop < counts.size and (not held or not sizes[stop]
+                                      or held + sizes[stop] <= _ROW_SAMPLES):
+            held += sizes[stop]
+            stop += 1
+        part = slice(start, stop)
+        n, ends = counts[part], counts[part].cumsum()
+        owner = np.arange(n.size).repeat(n)
+        step = (hi[part] - lo[part]) / np.maximum(n - 1, 1)
+        omegas = (np.arange(ends[-1]) - (ends - n)[owner]) * step[owner] + lo[part][owner]
+        searched = n > 0
+        omegas[ends[searched] - 1] = hi[part][searched]
+        owner = np.concatenate([owner, inside[part].nonzero()[0]]) + start
+        omegas = np.concatenate([omegas, peak[part][inside[part]]])
+        order = np.lexsort((omegas, owner))
+        owner, omegas = owner[order], omegas[order]
+
+        f, df = _loop_series(_Loop(*(p[owner] for p in loop)), omegas, _terms=2)
+        np.minimum.at(dist, owner, abs(f))
+        descents = _descents(f, df, omegas, lambda k: _Loop(*floats[owner[k]]))
+        for k in (descents & (owner[:-1] == owner[1:])).nonzero()[0].tolist():
+            c = owner[k]
+            dist[c] = min(dist[c], _polish_minimum(_Loop(*floats[c]), float(omegas[k]),
+                                                   float(omegas[k + 1])))
+        start = stop
     return np.minimum(dist, 1.0 - level)
 
 
@@ -694,18 +712,29 @@ def _log_test(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, tuple]:
 def _rectangle_integral(loop: _Loop, rect: tuple[float, float, float, float]) -> complex:
     """Integral of d log F once counterclockwise around rect.
 
-    The rectangle is one closed polyline. Where _quiet_reach proves
-    |r_s G_o| < 1, Re F > 0, so the principal log of the ratio F(end) /
-    F(start) of a quiet segment is the exact integral along it. A
-    horizontal edge on a line whose reach is 0 is quiet, the others come
-    from _axis_nodes with the line's reach; a side whose bottom corner
-    lies beyond the bottom line's reach is quiet (the bound falls as y
-    grows), and a side that is not holds 256 nodes. F on all nodes comes
-    from one call; the other segments go to _bisect_pool with _log_test.
-    The sum is exact up to the no-phase-wrap resolution of the partition.
+    Where _quiet_reach proves |r_s G_o| < 1, Re F > 0, so the principal
+    log of the ratio F(end) / F(start) of a quiet segment is the exact
+    integral along it. A horizontal edge on a line whose reach is 0 is
+    quiet, the others come from _axis_nodes with the line's reach; a
+    side whose bottom corner lies beyond the bottom line's reach is
+    quiet (the bound falls as y grows), and a side that is not holds 256
+    nodes. F on all nodes comes from one call; the other segments go to
+    _bisect_pool with _log_test. The sum is exact up to the no-phase-wrap
+    resolution of the partition.
+
+    A rectangle symmetric about Re w = 0 is folded: since F(-conj w) =
+    conj F(w), its left half adds -conj P to the sum P along its right
+    half, the path i im_lo -> re_hi + i im_lo -> re_hi + i im_hi ->
+    i im_hi, so the integral is P - conj P = 2i Im P. Its real edges keep
+    the full rectangle's spacing, from half its uniform nodes (rounded
+    up), and F at the path's ends, on Re w = 0, must be real
+    (AccuracyError). Any other rectangle is one closed polyline.
     """
     re_lo, re_hi, im_lo, im_hi = rect
     count = _uniform_count(re_lo, re_hi)  # even where both lines are quiet
+    folded = re_lo == -re_hi
+    if folded:
+        re_lo, count = 0.0, (count + 1) // 2
     reach, top_reach = _quiet_reach(loop, im_lo), _quiet_reach(loop, im_hi)
     # counterclockwise from the corner re_lo + i im_lo, each edge as its
     # nodes but the last, which starts the next edge, and its segments'
@@ -721,15 +750,23 @@ def _rectangle_integral(loop: _Loop, rect: tuple[float, float, float, float]) ->
         edges[2] = nodes[:0:-1] + 1j * im_hi, quiet[::-1]
     if abs(re_hi) < reach:
         edges[1] = (re_hi + 1j * np.linspace(im_lo, im_hi, 256))[:-1], _SIDE
-    if abs(re_lo) < reach:
-        edges[3] = (re_lo + 1j * np.linspace(im_lo, im_hi, 256))[:0:-1], _SIDE
-    w = np.concatenate([nodes for nodes, _ in edges] + [edges[0][0][:1]])
+    if folded:  # the half path ends at its top-left corner, on Re w = 0
+        edges, end = edges[:3], corners[3:]
+    else:  # the closed polyline ends at its start
+        if abs(re_lo) < reach:
+            edges[3] = (re_lo + 1j * np.linspace(im_lo, im_hi, 256))[:0:-1], _SIDE
+        end = corners[:1]
+    w = np.concatenate([nodes for nodes, _ in edges] + [end])
     quiet = np.concatenate([q for _, q in edges])
-    return complex(*_bisect_pool(
-        lambda mid: _loop_denominator(loop, mid), _log_test, w,
-        _loop_denominator(loop, w),
+    f = _loop_denominator(loop, w)
+    if folded and (f[0].imag != 0.0 or f[-1].imag != 0.0):
+        raise AccuracyError(f"F is not real at the folded path's ends on Re w = 0: "
+                            f"{complex(f[0])}, {complex(f[-1])}")
+    total = complex(*_bisect_pool(
+        lambda mid: _loop_denominator(loop, mid), _log_test, w, f,
         "oracle segments still turn by half a radian or half a unit of log|F|",
         settled=quiet)[2])
+    return 2j * total.imag if folded else total
 
 
 def root_count_oracle(ifo: IfoParams, med: MediumParams,
@@ -739,12 +776,14 @@ def root_count_oracle(ifo: IfoParams, med: MediumParams,
     Counts via (1 / 2 pi i) of the contour integral of the logarithmic
     derivative along the rectangle edges (_rectangle_integral): a piece
     where a closed-form bound keeps |r_s G_o| below 1 is one exact
-    segment, the rest is sampled with adaptive refinement. The result
-    must land within 0.01 of a nonnegative integer, and the telescoping
-    real part of the closed log integral must vanish. A sample with
-    |F| < 1e-9 raises MarginalStabilityError. The count is independent
-    from the Nyquist contour machinery; only the default range is
-    shared.
+    segment, the rest is sampled with adaptive refinement. A rectangle
+    symmetric about Re w = 0, as the default one is, is integrated along
+    its right half only, and F must be real at that path's two ends on
+    Re w = 0; on any other rectangle the telescoping real part of the
+    closed log integral must vanish. The result must land within 0.01
+    of a nonnegative integer. A sample with |F| < 1e-9 raises
+    MarginalStabilityError. The count is independent from the Nyquist
+    contour machinery; only the default range is shared.
 
     rect is (re_lo, re_hi, im_lo, im_hi) in rad/s, finite; the default
     covers [-w_max, w_max] x [0, 10 _rate_scale] in w = omega tau, w_max

@@ -112,6 +112,9 @@ class SweepSpec:
             raise ValueError("srm_power_reflectivities must not repeat a value")
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
+        # the rows' rates (at tau = 1) grow with eta and with xi, so the
+        # first cell has the smallest: if they do not round to 0, none do
+        map_eta_xi(self.eta_grid[0], self.xi_grid[0], 1.0)
 
 
 class RootOutcome(NamedTuple):

@@ -600,6 +600,27 @@ def test_medium_rates_rounding_to_zero(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block,command", [("sweep", "sweep"), ("medium", "sweep"),
+                                           ("medium", "response"), ("medium", "nyquist")])
+def test_rates_rounding_to_zero_in_delay_units(tmp_path, capsys, block, command):
+    # at eta = xi = 1e-300 the rates per tau, gamma12 1.25e-301 and Gamma
+    # = eta gamma12, round to 0 whatever the arm: the block fails while
+    # the scenario loads, naming the cell, before any table is written
+    doc = {"detector": DETECTOR, "response": {"omega": [0.0]},
+           "sweep": {"eta": [0.5], "xi": [0.1]}}
+    doc[block] = {"eta": [1e-300, 0.5], "xi": [1e-300]} if block == "sweep" else {
+        "eta": 1e-300, "xi": 1e-300}
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {block}: the rates round to 0 at eta=1e-300, xi=1e-300")
+    assert "Traceback" not in err and not out.exists()
+    if block == "sweep":
+        with pytest.raises(ValueError, match="round to 0"):
+            SweepSpec(eta_grid=(1e-300, 0.5), xi_grid=(1e-300,))
+
+
 def test_sweep_rows_do_not_see_the_arm_length(tmp_path, capsys):
     # the same detector and cell as a sweep alone: its rows solve in units
     # of the arm delay, and only the delta0 column reads the arm length

@@ -436,6 +436,20 @@ def test_map_eta_xi_underflow_names_the_cell():
         map_eta_xi(0.9999999999999999, 0.5, 1e-300)
 
 
+@pytest.mark.parametrize("eta,xi,zero", [
+    (1e-300, 1e-300, "gamma_opt_total=0.0"),  # Gamma = eta gamma12 underflows
+    (0.5, 5e-324, "gamma12=0.0"),             # gamma12 itself rounds to 0
+])
+def test_map_eta_xi_rates_rounding_to_zero_name_the_cell(eta, xi, zero):
+    # before, gamma_opt_total came back 0 and solve_detuning raised on it,
+    # naming neither coordinate
+    with pytest.raises(ValueError, match=rf"round to 0 at eta={eta}, xi={xi}, tau=1\.0: "
+                                         rf".*{zero}"):
+        map_eta_xi(eta, xi, 1.0)
+    # the smallest rates that do not round to 0 still map
+    assert map_eta_xi(0.5, 1e-300, 1.0) == (5e-301, 2.5e-301)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
 @pytest.mark.parametrize("call,name", [
     (lambda v: solve_detuning(v, 0.5, 1.0), "gamma12"),

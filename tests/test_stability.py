@@ -602,6 +602,36 @@ def test_near_window_cap_in_a_drawn_row():
     assert [row[k] for k in errors] == [configs[k] for k in wide]
 
 
+@pytest.mark.parametrize("budget", [1, 1000, 20_000])
+def test_row_memory_chunks_keep_every_report(monkeypatch, budget):
+    # a row samples whole configurations at a time, up to _ROW_SAMPLES
+    # samples (one with more is a chunk of its own): on the seed-7 drawn
+    # row of test_near_window_cap_in_a_drawn_row, chunks of one
+    # configuration, of a few and of many give the reports of one
+    # unchunked call, repr for repr
+    configs = drawn_loops(np.random.default_rng(7), 300)
+    counts = near_samples(configs)
+    row = [config for config, n in zip(configs, counts)
+           if n <= 3300.0 or n > stability.MAX_SAMPLES]
+    calls = []
+    series = stability._loop_series
+
+    def count_array_calls(loop, w, *args, **kwargs):
+        calls.append(isinstance(w, np.ndarray))
+        return series(loop, w, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "_loop_series", count_array_calls)
+    monkeypatch.setattr(stability, "_ROW_SAMPLES", 2**62)
+    whole = list(map(repr, row_verdicts(row)))
+    assert sum(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(stability, "_ROW_SAMPLES", budget)
+    assert list(map(repr, row_verdicts(row))) == whole
+    # one array call per chunk: at a budget of 1 sample each of the 110
+    # searched windows is a chunk, which takes the empty windows with it
+    assert sum(calls) == {1: 110, 1000: 26, 20_000: 2}[budget]
+
+
 # ---------------------------------------------------------------------------
 # root-counting oracle specifics
 # ---------------------------------------------------------------------------
@@ -625,6 +655,73 @@ def test_oracle_denominator_matches_loop_series(eta, xi, root, rs2, winding):
     oracle = stability._loop_denominator(loop, w)
     series = stability._loop_series(loop, w)[0]
     assert np.all(np.abs(oracle - series) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+
+
+def test_loop_gain_mirror_symmetry_is_exact():
+    # the oracle folds a symmetric rectangle onto its right half, the
+    # contour mirrors its half axis (_closed_contour) and the ray count
+    # doubles its half-axis crossings: all stand on F(-conj w) = conj F(w)
+    # bit for bit, and on F being exactly real on Re w = 0. Checked on
+    # drawn loops at upper-half-plane w spread over the whole range, on
+    # Re w = 0, within a few widths of +-delta0, and at tiny and large Im w
+    rng = np.random.default_rng(13)
+    for ifo, med in drawn_loops(rng, 200):
+        loop = _Loop.of(ifo, med)
+        scale = stability._rate_scale(loop)
+        width = max(loop.gap, 1e-3 * loop.delta0)
+        x = np.concatenate([scale * rng.uniform(-50.0, 50.0, 200), np.zeros(50),
+                            np.repeat([-loop.delta0, loop.delta0], 50)
+                            + width * rng.uniform(-5.0, 5.0, 100)])
+        y = np.concatenate([scale * rng.uniform(0.0, 10.0, 150),
+                            10.0 ** rng.uniform(-300.0, -6.0, 100),
+                            scale * 10.0 ** rng.uniform(1.0, 6.0, 100)])
+        w = x + 1j * rng.permutation(y)
+        gain = stability._loop_gain(loop, w)
+        assert np.all(np.isfinite(gain))
+        assert np.all(stability._loop_gain(loop, -w.conj()) == gain.conj())
+        axis = 1j * np.concatenate([[0.0], y])
+        assert np.all((1.0 - stability._loop_gain(loop, axis)).imag == 0.0)
+
+
+def test_oracle_evaluates_only_the_right_half_of_its_default_rectangle(monkeypatch):
+    # on the default rectangle (symmetric about Re w = 0) every F the
+    # oracle evaluates lies at Re w >= 0, and the path's ends on Re w = 0
+    # are among them; the left half as a rectangle of its own is a closed
+    # polyline at Re w <= 0, and holds one of the two zeros
+    real_parts = []
+    denominator = stability._loop_denominator
+
+    def spy(loop, w):
+        real_parts.append(np.asarray(w).real)
+        return denominator(loop, w)
+
+    monkeypatch.setattr(stability, "_loop_denominator", spy)
+    for eta, xi, root, rs2, winding in KNOWN_VERDICTS:
+        real_parts.clear()
+        assert root_count_oracle(IFO.with_power_reflectivity(rs2),
+                                 wlc_medium(eta, xi, root)) == winding
+        seen = np.concatenate(real_parts)
+        assert seen.min() == 0.0 and (seen == 0.0).sum() >= 2
+    real_parts.clear()
+    med = wlc_medium(0.4, 0.1, "larger")
+    re_lo, re_hi, im_lo, im_hi = default_rect(IFO, med)
+    assert root_count_oracle(IFO, med, (re_lo, 0.0, im_lo, im_hi)) == 1
+    seen = np.concatenate(real_parts)
+    assert seen.max() == 0.0 and seen.min() == re_lo * IFO.tau
+
+
+def test_folded_oracle_checks_its_real_ends(monkeypatch):
+    # a loop gain that broke the mirror symmetry by a tilt of 1e-12 rad
+    # would leave F off the real axis at the folded path's ends: the
+    # oracle raises rather than count with a fold that does not hold
+    gain = stability._loop_gain
+    monkeypatch.setattr(stability, "_loop_gain",
+                        lambda loop, w: gain(loop, w) * cmath.exp(1e-12j))
+    med = wlc_medium(0.4, 0.1, "larger")
+    with pytest.raises(AccuracyError, match="not real at the folded path's ends"):
+        root_count_oracle(IFO, med)
+    re_lo, re_hi, im_lo, im_hi = default_rect(IFO, med)
+    assert root_count_oracle(IFO, med, (re_lo, 0.5 * re_hi, im_lo, im_hi)) == 2
 
 
 def test_oracle_rejects_bad_rectangle():
@@ -707,10 +804,15 @@ def line_pieces(ifo, med, rect, y):
     from the last one at or before -reach to the first one at or beyond
     reach, merged with the clusters and the node 0 between them; the
     rest of it is one quiet piece on either side. A quiet line (reach 0)
-    is one quiet piece."""
+    is one quiet piece. On a rectangle symmetric about Re w = 0 the edge
+    runs from 0 to re_hi, the half the oracle folds the rectangle onto,
+    and its uniform nodes are half the dense seeding's, rounded up."""
     re_lo, re_hi = rect[:2]
     turns = (re_hi - re_lo) * ifo.tau / math.pi
-    uniform = np.linspace(re_lo, re_hi, max(1024, int(8 * turns)))
+    count = max(1024, int(8 * turns))
+    if re_lo == -re_hi:
+        re_lo, count = 0.0, (count + 1) // 2
+    uniform = np.linspace(re_lo, re_hi, count)
     reach = stability._quiet_reach(_Loop.of(ifo, med), y)
     if reach == 0.0:
         return [(np.array([re_lo, re_hi]) + 1j * y, True)]
@@ -735,15 +837,18 @@ def starting_pieces(ifo, med, rect):
     counterclockwise order, each from a corner or joint to the next: the
     bottom edge and, reversed, the top edge as line_pieces seeds them.
     A side whose bottom corner lies beyond the reach of the bottom line
-    is one quiet piece, and a side that is not 256 nodes."""
+    is one quiet piece, and a side that is not 256 nodes. On a rectangle
+    symmetric about Re w = 0 the pieces are its right half, the open
+    path i im_lo -> re_hi + i im_lo -> re_hi + i im_hi -> i im_hi."""
     re_lo, re_hi, im_lo, im_hi = rect
     reach = stability._quiet_reach(_Loop.of(ifo, med), im_lo)
     right_quiet, left_quiet = abs(re_hi) >= reach, abs(re_lo) >= reach
     side = np.array([im_lo, im_hi]) if right_quiet else np.linspace(im_lo, im_hi, 256)
     pieces = [*line_pieces(ifo, med, rect, im_lo), (re_hi + 1j * side, right_quiet)]
     pieces += [(nodes[::-1], q) for nodes, q in reversed(line_pieces(ifo, med, rect, im_hi))]
-    side = np.array([im_lo, im_hi]) if left_quiet else np.linspace(im_lo, im_hi, 256)
-    pieces.append((re_lo + 1j * side[::-1], left_quiet))
+    if re_lo != -re_hi:
+        side = np.array([im_lo, im_hi]) if left_quiet else np.linspace(im_lo, im_hi, 256)
+        pieces.append((re_lo + 1j * side[::-1], left_quiet))
     return pieces
 
 
@@ -787,10 +892,13 @@ def reference_root_count(ifo, med, pieces, max_samples=stability.MAX_SAMPLES):
     """(zero count or exception type, raw integral) from (nodes, quiet)
     pieces, one at a time: a quiet piece is the principal log of its end
     ratio and one segment in every round, the others are integrated by
-    reference_edge_integral. The integral is None when the contour
-    reached a limit: segments still failing after 40 rounds, or at a
-    failing round whose pieces hold max_samples segments in all (the
-    closed contour has as many nodes as segments)."""
+    reference_edge_integral. The pieces of a closed contour give its
+    integral as their sum P; those of a right half path (starting_pieces
+    on a symmetric rectangle, which ends where it does not start) give
+    the closed integral as P - conj P = 2i Im P. The integral is None
+    when the contour reached a limit: segments still failing after 40
+    rounds, or at a failing round whose pieces hold max_samples segments
+    in all (as many as the path has nodes, less one)."""
     total, min_f, rounds = 0j, math.inf, []
     for w, quiet in pieces:
         if quiet:
@@ -806,6 +914,8 @@ def reference_root_count(ifo, med, pieces, max_samples=stability.MAX_SAMPLES):
             return AccuracyError, None
     if total is None:
         return AccuracyError, None
+    if pieces[0][0][0] != pieces[-1][0][-1]:
+        total = 2j * total.imag
     if min_f < 1e-9:
         return MarginalStabilityError, total
     count = total / (2j * math.pi)
@@ -834,7 +944,7 @@ class StartingNodes(Exception):
 
 
 def starting_nodes(ifo, med, rect):
-    """The closed polyline the pool starts from: its first F call's nodes."""
+    """The polyline the pool starts from: its first F call's nodes."""
     def capture(loop, w):
         raise StartingNodes(w)
 
@@ -849,14 +959,16 @@ def check_pool_against_reference(ifo, med, rect, max_samples):
     """The pool starts from the nodes of starting_pieces, and gives the
     count or error that the pieces give under the cap max_samples. When
     it ends, the count equals the dense seeding's, and its integral
-    equals the dense seeding's per-edge integral to 1e-12 turns; a
-    contour that reached a limit raises AccuracyError rather than
-    summing its failing segments. The pieces are in rad/s and the pool
-    in w = omega tau, so ifo is a detector with tau = 1."""
+    equals the dense seeding's per-edge integral around the whole
+    rectangle to 1e-12 turns (on a symmetric rectangle, 2i Im of the
+    right half's sum); a contour that reached a limit raises
+    AccuracyError rather than summing its failing segments. The pieces
+    are in rad/s and the pool in w = omega tau, so ifo is a detector
+    with tau = 1."""
     assert ifo.tau == 1.0
     pieces = starting_pieces(ifo, med, rect)
-    closed = np.concatenate([nodes[:-1] for nodes, _ in pieces] + [pieces[-1][0][-1:]])
-    assert np.array_equal(starting_nodes(ifo, med, rect), closed)
+    path = np.concatenate([nodes[:-1] for nodes, _ in pieces] + [pieces[-1][0][-1:]])
+    assert np.array_equal(starting_nodes(ifo, med, rect), path)
     expected, total = reference_root_count(ifo, med, pieces, max_samples)
     outcome = pool_outcome(ifo, med, rect)
     assert outcome == expected
@@ -872,17 +984,17 @@ def check_pool_against_reference(ifo, med, rect, max_samples):
     return outcome
 
 
-@pytest.mark.parametrize("max_samples", [stability.MAX_SAMPLES, 850])
+@pytest.mark.parametrize("max_samples", [stability.MAX_SAMPLES, 430])
 def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
     # the pool bisects the same segments in the same rounds as the
     # per-piece form, so the nodes are the same and only the order of
-    # summation differs. These contours start with 80 to 794 nodes (five
-    # of them quiet segments), and a round that still fails holds at
-    # most 686, except in the two at rs^2 0.9 and (eta, xi) = (0.7, 0.4):
-    # they start with 786 and 794 nodes and still fail with 862 and 852
-    # in their fourth and third rounds. So a cap of 850 stops exactly
-    # these two mid-refinement, which then raise AccuracyError instead
-    # of summing segments that still fail
+    # summation differs. These right half paths start with 30 to 398
+    # nodes (three of them quiet segments), and a round that still fails
+    # holds at most 342 segments, except in the two at rs^2 0.9 and
+    # (eta, xi) = (0.7, 0.4): they start with 394 and 398 nodes and still
+    # fail with 434 and 440 segments in their fourth rounds. So a cap of
+    # 430 stops exactly these two mid-refinement, which then raise
+    # AccuracyError instead of summing segments that still fail
     monkeypatch.setattr(stability, "MAX_SAMPLES", max_samples)
     outcomes = []
     repeated = 0
@@ -901,7 +1013,7 @@ def test_segment_pool_matches_per_edge_reference(monkeypatch, max_samples):
                 outcomes.append(check_pool_against_reference(
                     ifo, med, default_rect(ifo, med), max_samples))
     assert repeated >= 1 and len(outcomes) == 36
-    if max_samples == 850:
+    if max_samples == 430:
         assert outcomes.count(AccuracyError) == 2
     else:
         assert AccuracyError not in outcomes and {0, 1, 2} <= set(outcomes)
@@ -923,13 +1035,13 @@ def quiet_media():
 
 @pytest.mark.parametrize("ifo,med", list(quiet_media()))
 def test_quiet_edges_cannot_wind(ifo, med):
-    # on every piece the oracle accepts as one segment, both real-edge
-    # tails, both sides and the top edge of the default rectangle,
-    # |r_s G_o| sampled densely stays at or below its bound, the bound
-    # stays below 1, and so Re F > 0: F cannot wind there
+    # on every piece the oracle accepts as one segment, the real edge's
+    # tail, the side and the top edge of the right half of the default
+    # rectangle, |r_s G_o| sampled densely stays at or below its bound,
+    # the bound stays below 1, and so Re F > 0: F cannot wind there
     rect = default_rect(ifo, med)
     quiet = [nodes for nodes, q in starting_pieces(ifo, med, rect) if q]
-    assert len(quiet) == 5
+    assert len(quiet) == 3
     for nodes in quiet:
         a, b = nodes
         w = a + (b - a) * np.linspace(0.0, 1.0, 200_001 if a.imag == b.imag else 20_001)
@@ -937,10 +1049,10 @@ def test_quiet_edges_cannot_wind(ifo, med):
         bound = quiet_bound(ifo, med, w.imag, peak_distance(med, w.real))
         assert np.all(gain <= bound) and bound.max() < 1.0
         assert np.all((1.0 - ifo.srm_amplitude_reflectivity * open_loop_gain(ifo, med, w)).real > 0.0)
-    # the tails start at the uniform nodes nearest outside the reach,
+    # the tail starts at the uniform node nearest outside the reach,
     # which lies where the bound on the real axis crosses 1
     reach = stability._quiet_reach(_Loop.of(ifo, med), 0.0)
-    assert quiet[0][1].real <= -reach and quiet[1][0].real >= reach
+    assert quiet[0][0].real >= reach
     assert quiet_bound(ifo, med, 0.0, reach - med.delta0) < 1.0
     assert quiet_bound(ifo, med, 0.0, peak_distance(med, (1.0 - 1e-6) * reach)) >= 1.0
 
