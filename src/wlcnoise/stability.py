@@ -10,7 +10,9 @@ happen where |r_s G_o| > 1; they are counted in closed form inside
 that gain window. The closest approach to (1, 0) is exact: the
 distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1, and each
 sampled descent into a minimum is polished by a safeguarded Newton
-search with closed-form derivatives. One routine, _verdicts, takes the
+search with closed-form derivatives where a floor on |F| over it
+(_polish_floor) does not show that it cannot lower the report: 2,817
+of the seed-0 survey's 5,699. One routine, _verdicts, takes the
 verdicts of many configurations (a survey row) from a few array calls;
 classify_system is its call on one configuration, which runs the same
 closed forms on Python floats (_FloatMath) and samples its own near
@@ -343,11 +345,13 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
 class _FloatMath:
     """NumPy's calls in the closed forms below, on Python floats, which
     skip the fixed cost of one-element arrays. The window ends are the
-    same bits; math.atan and atan2 at times differ from NumPy's in the
-    last bit, but only whole turns of the phase reach a report."""
+    same bits; math.atan, atan2 and hypot at times differ from NumPy's in
+    the last bit, but only whole turns of the phase reach a report, and a
+    polish floor only decides which polishes run."""
 
     maximum, minimum, sqrt, copysign = max, min, math.sqrt, math.copysign
     float_power, arctan, arctan2, floor = math.pow, math.atan, math.atan2, math.floor
+    hypot = math.hypot
 
     @staticmethod
     def where(condition, a, b):
@@ -493,6 +497,22 @@ def _polish_minimum(loop: _Loop, lo: float, hi: float) -> float:
     return best
 
 
+def _polish_floor(loop: _Loop, a, b, fa, fb, xp=np):
+    """A floor on |F| over each real bracket [a, b] whose ends have |F| =
+    fa and fb, as _quiet_reach bounds |r_s G_o|: there |d_pm| >= D_pm =
+    hypot(s_pm, gap), s_pm the distance of [a, b] from -+delta0, so |F'| =
+    r_s |2i M + M'| <= L = r_s (2 (1 + Gamma (1/D_+ + 1/D_-)) + Gamma
+    (1/D_+^2 + 1/D_-^2)) and |F| >= (fa + fb - L (b - a)) / 2, here moved
+    down by 1e-9 of each term and by 1e-12 against rounding. Elementwise,
+    broadcasting loop against the brackets, as _gain_window."""
+    d = loop.delta0
+    inv_p = 1.0 / xp.hypot(xp.maximum(xp.maximum(a + d, -d - b), 0.0), loop.gap)
+    inv_m = 1.0 / xp.hypot(xp.maximum(xp.maximum(a - d, d - b), 0.0), loop.gap)
+    lip = loop.rs * (2.0 * (1.0 + loop.gamma * (inv_p + inv_m))
+                     + loop.gamma * (inv_p * inv_p + inv_m * inv_m))
+    return 0.5 * ((fa + fb) * (1.0 - 1e-9) - lip * (b - a) * (1.0 + 1e-9)) - 1e-12
+
+
 def _near_samples(loop: _Loop, lo, hi, xp=np) -> tuple:
     """The sample rule of the near windows [lo, hi]: 33 points plus 16
     per delay turn, spaced as np.linspace spaces them, joined by the
@@ -505,6 +525,17 @@ def _near_samples(loop: _Loop, lo, hi, xp=np) -> tuple:
     if xp is _FloatMath:
         return 33 + math.floor(16.0 * turns), loop.delta0 + width * _NEAR_CLUSTER
     return 33 + np.floor(16.0 * turns), (loop.delta0 + width * _NEAR_CLUSTER[:, None]).T
+
+
+def _merge_samples(owner: np.ndarray, w: np.ndarray, peak_owner: np.ndarray,
+                   peak_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The samples (owner, w) and the peak nodes (peak_owner, peak_w),
+    each in (owner, w) order, merged in the order a stable
+    np.lexsort((w, owner)) gives them joined, a peak node after an equal
+    sample: complex numbers compare as (real, imag) pairs, and np.insert
+    keeps values bound for one place in order."""
+    at = np.searchsorted(owner + 1j * w, peak_owner + 1j * peak_w, "right")
+    return np.insert(owner, at, peak_owner), np.insert(w, at, peak_w)
 
 
 def _descents(f: np.ndarray, df: np.ndarray, omegas: np.ndarray,
@@ -533,10 +564,12 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     array call: one configuration's own window, or a row's windows
     joined, whole configurations at a time up to _ROW_SAMPLES samples
     (a configuration with more is a call of its own), which bounds a
-    row's memory. Every sample interval of a window over which
-    d|F|/domega turns from negative to positive (_descents) is polished
-    to its minimum by _polish_minimum. Searching omega >= 0 suffices because
-    the other half is the complex conjugate.
+    row's memory. A sample interval over which d|F|/domega turns from
+    negative to positive (_descents) is polished by _polish_minimum
+    unless its _polish_floor (a chunk's in one array call, one
+    configuration's on floats) lies above both the distance so far and
+    1 - level, since a polish never returns less than it. Searching
+    omega >= 0 suffices because the other half is the complex conjugate.
     """
     if xp is _FloatMath:
         if hi == 0.0:
@@ -550,14 +583,18 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
             omegas = np.concatenate([omegas, peak[first:stop]])
             omegas.sort()
         f, df = _loop_series(loop, omegas, _terms=2)
-        dist = float(abs(f).min())
+        mod, bound = abs(f), 1.0 - level
+        dist = float(mod.min())
         for k in _descents(f, df, omegas, lambda _: loop).nonzero()[0].tolist():
-            dist = min(dist, _polish_minimum(loop, *omegas[k:k + 2].tolist()))
-        return min(dist, 1.0 - level)
+            (a, b), (fa, fb) = omegas[k:k + 2].tolist(), mod[k:k + 2].tolist()
+            if _polish_floor(loop, a, b, fa, fb, xp) <= min(dist, bound):
+                dist = min(dist, _polish_minimum(loop, a, b))
+        return min(dist, bound)
     counts, peak = _near_samples(loop, lo, hi)
     counts = counts.astype(int) * (hi > 0.0)
     inside = (peak > lo[:, None]) & (peak < hi[:, None])
     dist = np.full(counts.size, math.inf)
+    bounds = np.broadcast_to(1.0 - level, dist.shape).tolist()
     floats = list(zip(*(p.tolist() for p in loop)))
     sizes = (counts + inside.sum(axis=1)).tolist()
     start = 0
@@ -576,18 +613,21 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
         omegas = (np.arange(ends[-1]) - (ends - n)[owner]) * step[owner] + lo[part][owner]
         searched = n > 0
         omegas[ends[searched] - 1] = hi[part][searched]
-        owner = np.concatenate([owner, inside[part].nonzero()[0]]) + start
-        omegas = np.concatenate([omegas, peak[part][inside[part]]])
-        order = np.lexsort((omegas, owner))
-        owner, omegas = owner[order], omegas[order]
+        owner, omegas = _merge_samples(owner + start, omegas, inside[part].nonzero()[0] + start,
+                                       peak[part][inside[part]])
 
         f, df = _loop_series(_Loop(*(p[owner] for p in loop)), omegas, _terms=2)
-        np.minimum.at(dist, owner, abs(f))
+        mod = abs(f)
+        np.minimum.at(dist, owner, mod)
         descents = _descents(f, df, omegas, lambda k: _Loop(*floats[owner[k]]))
-        for k in (descents & (owner[:-1] == owner[1:])).nonzero()[0].tolist():
-            c = owner[k]
-            dist[c] = min(dist[c], _polish_minimum(_Loop(*floats[c]), float(omegas[k]),
-                                                   float(omegas[k + 1])))
+        ks = (descents & (owner[:-1] == owner[1:])).nonzero()[0]
+        owners = owner[ks]
+        floors = _polish_floor(_Loop(*(p[owners] for p in loop)), omegas[ks],
+                               omegas[ks + 1], mod[ks], mod[ks + 1])
+        for k, c, floor in zip(ks.tolist(), owners.tolist(), floors.tolist()):
+            if floor <= min(dist[c], bounds[c]):
+                dist[c] = min(dist[c], _polish_minimum(_Loop(*floats[c]), float(omegas[k]),
+                                                       float(omegas[k + 1])))
         start = stop
     return np.minimum(dist, 1.0 - level)
 

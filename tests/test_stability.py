@@ -404,12 +404,12 @@ def row_verdicts(configs):
     return stability._verdicts([(_Loop.of(ifo, med), med) for ifo, med in configs])
 
 
-def test_row_verdicts_match_classify_system():
-    # the row form against one classify_system call per
-    # configuration, on a slice with rs^2 = 0, empty near windows and a
-    # repeated root, and a medium non-stationary at the paper's threshold
-    # (1 + 10^2 < 90^2 / 4); on the sweep rows' detector, whose near
-    # windows classify_system reports in the same bits
+def verdict_slice():
+    """(ifo, medium) pairs with rs^2 = 0, empty near windows and a
+    repeated root, and a medium non-stationary at the paper's threshold
+    (1 + 10^2 < 90^2 / 4), on the sweep rows' detector, whose near
+    windows classify_system reports in the same bits; and the number of
+    repeated roots."""
     configs = [(UNIT.with_power_reflectivity(rs2), MediumParams(100.0, 90.0, 1.0))
                for rs2 in (0.0, 0.5, 0.9)]
     repeated = 0
@@ -420,6 +420,13 @@ def test_row_verdicts_match_classify_system():
             repeated += len(roots) == 1
             configs += [(UNIT.with_power_reflectivity(rs2), MediumParams(gamma12, gamma_opt, d))
                         for d in roots for rs2 in (0.0, 0.5, 0.9)]
+    return configs, repeated
+
+
+def test_row_verdicts_match_classify_system():
+    # the row form against one classify_system call per configuration,
+    # on the slice of verdict_slice
+    configs, repeated = verdict_slice()
     seen = set()
     for (ifo, med), verdict in zip(configs, row_verdicts(configs), strict=True):
         rs = ifo.srm_amplitude_reflectivity
@@ -541,6 +548,127 @@ def test_two_term_series_is_the_first_two_of_three():
     for loop, omega in zip(loops, omegas.tolist()):
         two = stability._loop_series(loop, omega, cmath.exp, _terms=2)
         assert two == stability._loop_series(loop, omega, cmath.exp)[:2]
+
+
+def test_polish_floor_bounds_dense_samples():
+    # on sample brackets of the seed-3 drawn near windows (rs^2 up to
+    # 0.9999), on brackets within 30 widths of delta0 and on brackets
+    # that hold delta0, |F| at 2,001 points of each bracket never falls
+    # below its _polish_floor; the floor is positive on some of each
+    # kind, where it can skip a polish
+    rng = np.random.default_rng(11)
+    stacked = _Loop.stack([_Loop.of(*config)
+                           for config in drawn_loops(np.random.default_rng(3), 60)])
+    assert stacked.rs.max() ** 2 == pytest.approx(0.9999)
+    lo, hi = _gain_window(stacked, np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + stacked.rs)))
+    assert np.sum(hi > 0.0) >= 20
+    step = (hi - lo) / (32.0 + np.floor(16.0 * (hi - lo) / math.pi))
+    width = np.maximum(stacked.gap, 1e-3 * stacked.delta0)
+    columns = _Loop(*(p[:, None] for p in stacked))
+    for _ in range(4):
+        # a window's sample spacing (an empty window's: a delay turn / 16)
+        spacing = np.where(hi > 0.0, step, math.pi / 16.0)
+        start = np.where(hi > 0.0, lo + (hi - lo) * rng.uniform(0.0, 1.0, lo.size),
+                         rng.uniform(0.0, 2.0, lo.size) * (stacked.delta0 + 1.0))
+        peak = np.maximum(stacked.delta0 + width * rng.uniform(-30.0, 30.0, lo.size), 0.0)
+        holding = np.maximum(stacked.delta0 - width * rng.uniform(0.0, 1.0, lo.size), 0.0)
+        for a, b in ((start, start + spacing),
+                     (peak, peak + width * rng.uniform(0.05, 2.0, lo.size)),
+                     (holding, stacked.delta0 + width * rng.uniform(0.0, 1.0, lo.size))):
+            w = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 2001)
+            mod = abs(stability._loop_series(columns, w, _terms=2)[0])
+            floor = stability._polish_floor(stacked, w[:, 0], w[:, -1], mod[:, 0], mod[:, -1])
+            assert np.all(mod.min(axis=1) >= floor)
+            assert np.any(floor > 0.0)
+
+
+def test_skipped_polishes_change_no_report(monkeypatch):
+    # a polish never returns less than its floor, so one skipped where
+    # the floor lies above the distance so far leaves the report as it
+    # was: with the floor forced to -inf, so that every descent is
+    # polished, every polish is at least its floor, and the reports alone
+    # and in a row are the skipping ones, repr for repr, on the slice of
+    # verdict_slice and on the seed-3 draws whose near window fits
+    # 50,000 samples (56 of the 60; the other four, of up to 3 million
+    # samples, would take seconds)
+    draws = drawn_loops(np.random.default_rng(3), 60)
+    draws = [config for config, n in zip(draws, near_samples(draws)) if n <= 50_000]
+    configs = verdict_slice()[0] + draws
+    assert len(draws) == 56
+    polish, floor = stability._polish_minimum, stability._polish_floor
+    polished, floors = [], []
+
+    def record_polish(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    def no_floor(*args):
+        floors.extend(np.ravel(floor(*args)).tolist())
+        return np.full(np.shape(args[1]), -math.inf)
+
+    def reports():
+        """The reports alone and in a row, and the polishes of each."""
+        polished.clear()
+        alone = []
+        for config in configs:
+            try:
+                alone.append(classify_system(*config))
+            except (MarginalStabilityError, AccuracyError) as exc:
+                alone.append(exc)
+        count = len(polished)
+        row = row_verdicts(configs)
+        return list(map(repr, alone)), list(map(repr, row)), count, len(polished) - count
+
+    monkeypatch.setattr(stability, "_polish_minimum", record_polish)
+    *skipping, alone_count, row_count = reports()
+    monkeypatch.setattr(stability, "_polish_floor", no_floor)
+    *every, every_alone, every_row = reports()
+    every_count = every_alone + every_row
+    assert skipping == every
+    assert skipping[0] == skipping[1]
+    # the float path and the row path skip the same brackets
+    assert alone_count == row_count < every_alone // 2
+    # one floor per polished bracket, alone then in a row, in order
+    assert len(floors) == every_count
+    assert all(value >= bound for value, bound in zip(polished, floors))
+
+
+def test_peak_nodes_merge_in_lexsort_order():
+    # the row sampler's merge of the peak nodes into the uniform samples
+    # is np.lexsort's order of the two joined, on random owners (some
+    # with no samples or no peak nodes), windows and peak nodes, ties
+    # included: values on a grid of 0.1, and a peak node -0.0 equal to a
+    # sample 0.0, whose bits tell which of them comes first
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        counts, peak_counts = rng.integers(0, 6, 8), rng.integers(0, 4, 8)
+        owner, peak_owner = np.arange(8).repeat(counts), np.arange(8).repeat(peak_counts)
+        w = np.concatenate([np.sort(rng.integers(0, 10, n)) / 10.0 for n in counts])
+        peak_w = np.concatenate([np.sort(rng.integers(0, 10, n)) / 10.0 for n in peak_counts])
+        peak_w[peak_w == 0.0] = -0.0
+        joined_owner, joined_w = np.concatenate([owner, peak_owner]), np.concatenate([w, peak_w])
+        order = np.lexsort((joined_w, joined_owner))
+        merged_owner, merged_w = stability._merge_samples(owner, w, peak_owner, peak_w)
+        assert np.array_equal(merged_owner, joined_owner[order])
+        assert np.array_equal(merged_w.view(np.int64), joined_w[order].view(np.int64))
+
+
+def test_polished_brackets_of_one_survey_row_pinned(monkeypatch):
+    # the closed-form floor skips most polishes of this seed-0 survey
+    # row (eta = 0.5686, the 29th of 50): 32 of its 171 descents are
+    # polished, so a change that loses the skip shows here
+    polish, polished = stability._polish_minimum, []
+
+    def record_polish(*args):
+        polished.append(args)
+        return polish(*args)
+
+    monkeypatch.setattr(stability, "_polish_minimum", record_polish)
+    spec = survey.SweepSpec(eta_grid=(survey.default_grid(50)[28],),
+                            xi_grid=survey.default_grid(50), srm_power_reflectivities=(0.5, 0.8, 0.9),
+                            root_choice=survey.RootChoice.BOTH)
+    survey.run_sweep(spec, IFO)
+    assert len(polished) == 32
 
 
 def near_samples(configs):
