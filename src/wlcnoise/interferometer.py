@@ -125,11 +125,12 @@ def open_loop_gain(ifo: IfoParams, med: MediumParams, omega):
 
     The closed-loop scalar is 1 / (1 - r_s * open_loop_gain).
     """
-    return _loop_gain(ifo, med, omega, med_mod._denominators(med, omega))
+    return _loop_gain(np.asarray(omega), ifo.tau, med.gamma_opt_total,
+                      med_mod._denominators(med, omega))
 
 
-def _loop_gain(ifo: IfoParams, med: MediumParams, omega, dens):
-    return np.exp(2j * np.asarray(omega) * ifo.tau) * med_mod._transfer(med, *dens)
+def _loop_gain(omega, tau, gamma_opt_total, dens):
+    return np.exp(2j * omega * tau) * med_mod._transfer(gamma_opt_total, *dens)
 
 
 def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
@@ -151,10 +152,30 @@ def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
     Raises MarginalStabilityError, naming the first such omega, when the
     closed loop is singular (|1 - r_s G| <= 1e-6).
     """
-    rs = ifo.srm_amplitude_reflectivity
+    return _strain_noise(np.asarray(omega), *_strain_terms(ifo, med, model))
+
+
+def _strain_terms(ifo: IfoParams, med: MediumParams, model: NoiseModel) -> tuple[float, ...]:
+    """The scalars of one configuration's strain noise, in the order
+    _strain_noise takes them: tau, r_s, delta0, Gamma - gamma12, Gamma,
+    the noise amplitude, B t_s^2 (0 without the added noise) and
+    2 K t_s^2."""
     ts2 = ifo.srm_amplitude_transmissivity**2
-    dens = med_mod._denominators(med, omega)
-    gain = _loop_gain(ifo, med, omega, dens)
+    amp = weight = 0.0
+    if ifo.include_additional_noise:
+        amp = med_mod._noise_amplitude(med, model)
+        weight = (med.atom_count if model is NoiseModel.LOCAL else 1) * ts2
+    return (ifo.tau, ifo.srm_amplitude_reflectivity, med.delta0,
+            med.gamma_opt_total - med.gamma12, med.gamma_opt_total, amp, weight,
+            2.0 * ifo.signal_strength * ts2)
+
+
+def _strain_noise(omega, tau, rs, delta0, base, gamma_opt_total, amp, weight, scale):
+    """strain_psd's formula on _strain_terms, each term a scalar or an
+    array like omega: elementwise, so a point's value has the same bits
+    whether its terms come as scalars or broadcast to an array."""
+    dens = med_mod._resonances(omega, delta0, base)
+    gain = _loop_gain(omega, tau, gamma_opt_total, dens)
     closed = np.ravel(np.abs(1.0 - rs * gain))
     # look for the index only when the minimum (or a NaN) calls for it
     if not closed.min(initial=math.inf) > 1e-6:
@@ -166,11 +187,11 @@ def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
                 f"(|1 - r_s G| = {closed[k]:.3e})")
 
     power = np.abs(gain - rs) ** 2
-    if ifo.include_additional_noise:
-        baths = med.atom_count if model is NoiseModel.LOCAL else 1
-        n_up, n_lo = med_mod._noise_pair(med, model, *dens)
-        power += baths * ts2 * (np.abs(n_up) ** 2 + np.abs(n_lo) ** 2)
-    return power / (2.0 * ifo.signal_strength * ts2)
+    if np.any(weight):
+        n_up, n_lo = med_mod._noise_pair(amp, *dens)
+        # a zero weight adds +0.0, which leaves power's bits as they are
+        power += weight * (np.abs(n_up) ** 2 + np.abs(n_lo) ** 2)
+    return power / scale
 
 
 def baseline_integrated_inverse_psd(ifo: IfoParams) -> float:

@@ -107,15 +107,19 @@ class MediumParams:
 
 
 def _denominators(p: MediumParams, omega):
-    """The two resonance denominators i(omega +- delta0) - gamma12 + Gamma.
+    """The two resonance denominators i(omega +- delta0) - gamma12 + Gamma."""
+    return _resonances(np.asarray(omega), p.delta0, p.gamma_opt_total - p.gamma12)
 
-    For real omega their real part is the scalar Gamma - gamma12, so a
-    pole needs that to vanish and only then are the arrays scanned.
+
+def _resonances(omega, delta0, base):
+    """The two resonance denominators i(omega +- delta0) + base, for
+    base = Gamma - gamma12; delta0 and base are scalars or arrays like
+    omega. For real omega their real part is base, so a pole needs a
+    base to vanish and only then are the arrays scanned.
     """
-    base = p.gamma_opt_total - p.gamma12
-    den_plus = 1j * (np.asarray(omega) + p.delta0) + base
-    den_minus = 1j * (np.asarray(omega) - p.delta0) + base
-    if base == 0.0 and (np.any(den_plus == 0) or np.any(den_minus == 0)):
+    den_plus = 1j * (omega + delta0) + base
+    den_minus = 1j * (omega - delta0) + base
+    if np.any(base == 0.0) and (np.any(den_plus == 0) or np.any(den_minus == 0)):
         raise PoleError(
             "response evaluated on a pole: gamma12 == gamma_opt_total "
             "and omega == +-delta0")
@@ -140,11 +144,11 @@ def probe_transfer(p: MediumParams, omega):
     so the identity is a cross-check rather than a definition. Satisfies
     conj(M(-omega)) == M(omega) for real omega.
     """
-    return _transfer(p, *_denominators(p, omega))
+    return _transfer(p.gamma_opt_total, *_denominators(p, omega))
 
 
-def _transfer(p: MediumParams, den_plus, den_minus):
-    return 1.0 - p.gamma_opt_total / den_plus - p.gamma_opt_total / den_minus
+def _transfer(gamma_opt_total, den_plus, den_minus):
+    return 1.0 - gamma_opt_total / den_plus - gamma_opt_total / den_minus
 
 
 def noise_coefficients(p: MediumParams, omega, model: NoiseModel):
@@ -156,15 +160,16 @@ def noise_coefficients(p: MediumParams, omega, model: NoiseModel):
     the COLLECTIVE single-bath model. Both satisfy
     conj(N_plus(-omega)) == N_minus(omega).
     """
-    return _noise_pair(p, model, *_denominators(p, omega))
+    return _noise_pair(_noise_amplitude(p, model), *_denominators(p, omega))
 
 
-def _noise_pair(p: MediumParams, model: NoiseModel, den_plus, den_minus):
-    if model is NoiseModel.LOCAL:
-        g_pump = p.gamma_opt_per_atom
-    else:
-        g_pump = p.gamma_opt_total
-    amp = math.sqrt(2.0 * p.gamma12 * g_pump)
+def _noise_amplitude(p: MediumParams, model: NoiseModel) -> float:
+    """sqrt(2 g12 g_pump), the numerator of both noise coefficients."""
+    g_pump = p.gamma_opt_per_atom if model is NoiseModel.LOCAL else p.gamma_opt_total
+    return math.sqrt(2.0 * p.gamma12 * g_pump)
+
+
+def _noise_pair(amp, den_plus, den_minus):
     # +i d0 - i omega + g12 - G == -(i(omega - d0) + G - g12), and the
     # -d0 channel likewise picks up the other resonance denominator
     return amp / (-den_minus), amp / (-den_plus)

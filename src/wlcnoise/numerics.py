@@ -38,31 +38,36 @@ def _simpson(fa, fm, fb, width):
     return width / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _sweep(feval: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
-           max_depth: int, first=None) -> tuple[float, float, np.ndarray]:
-    """Refine Simpson panels one level at a time until each converges.
+def _sweep(feval: Callable[[np.ndarray, np.ndarray], np.ndarray], panels: np.ndarray,
+           owner: np.ndarray, count: int, max_depth: int, first=None):
+    """Refine the Simpson panels of many integrals in lockstep, one
+    level at a time, until each converges.
 
     panels is a C-ordered array with one column per panel and the rows
     a, m, b, f(a), f(m), f(b), the panel's Simpson estimate and its
-    share of the tolerance. Each level evaluates the quarter points of
-    every open panel in one call (none when first holds the first
-    level's values), then accepts or bisects each panel on its own
-    Richardson error estimate. Returns (value, error estimate, left
-    ends of the panels that reached max_depth unconverged).
+    share of the tolerance; owner holds the index (below count) of each
+    panel's integral. Each level evaluates the quarter points of every
+    open panel in one call (none when first holds the first level's
+    values), then accepts or bisects each panel on its own Richardson
+    error estimate. Returns, per integral index, its value, its error
+    estimate and the smallest left end of its panels that reached
+    max_depth unconverged (inf when none did).
     """
     eps = np.finfo(float).eps
-    total = err_total = 0.0
-    failed = panels[0, :0]
+    totals, errors = [0.0] * count, [0.0] * count
+    failed = np.full(count, np.inf)
     depth = 0
     while True:
         n = panels.shape[1]
         a, _, b, fa, _, fb, whole, tol = panels
         # the halves of n panels: left ones in columns :n, right ones
-        # in n:, so joining two adjacent rows gives a row of the halves
+        # in n:, so joining two adjacent rows gives a row of the halves;
+        # one integral's columns keep its own sweep's order in each half
         lo, hi = panels[0:2].ravel(), panels[1:3].ravel()
         f_lo, f_hi = panels[3:5].ravel(), panels[4:6].ravel()
+        owners = np.concatenate([owner, owner])
         mid = 0.5 * (lo + hi)
-        f_mid, first = feval(mid) if first is None else first, None
+        f_mid, first = feval(mid, owners) if first is None else first, None
         halves = _simpson(f_lo, f_mid, f_hi, hi - lo)
         pair = halves[:n] + halves[n:]
         delta = pair - whole
@@ -76,20 +81,124 @@ def _sweep(feval: Callable[[np.ndarray], np.ndarray], panels: np.ndarray,
             done |= err <= noise
             accepted = np.count_nonzero(done)
         if depth >= max_depth:
-            failed = a[~done]
+            np.minimum.at(failed, owner[~done], a[~done])
+            done[:] = True
             accepted = n
         if accepted:
             value, spread = pair + delta / 15.0, err / 15.0
+            _add_by_owner(totals, errors, value[done], spread[done], owner[done])
             if accepted == n:
-                return total + float(value.sum()), err_total + float(spread.sum()), failed
-            total += float(value[done].sum())
-            err_total += float(spread[done].sum())
+                return totals, errors, failed
         panels = np.array([lo, mid, hi, f_lo, f_mid, f_hi, halves,
                            0.5 * np.concatenate([tol, tol])])
+        owner = owners
         if accepted:
             # both halves of an open panel go on
             panels = panels.reshape(8, 2, n)[:, :, ~done].reshape(8, -1)
+            owner = owner.reshape(2, n)[:, ~done].ravel()
         depth += 1
+
+
+def _add_by_owner(totals: list, errors: list, value: np.ndarray, spread: np.ndarray,
+                  owner: np.ndarray) -> None:
+    """Add each integral's accepted values and error estimates, in their
+    order, each as one contiguous ndarray.sum: that sum is pairwise, as
+    in the integral's own sweep, where a segmented reduction
+    (np.add.reduceat, np.bincount) adds in another order."""
+    order = np.argsort(owner, kind="stable")
+    value, spread, owner = value[order], spread[order], owner[order]
+    cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), owner.size]
+    for start, stop in zip(cuts, cuts[1:]):
+        k = owner[start]
+        totals[k] += float(value[start:stop].sum())
+        errors[k] += float(spread[start:stop].sum())
+
+
+def _integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    intervals: Sequence[tuple[float, float, Sequence[float]]],
+                    rel_tol: float = 1e-9,
+                    max_depth: int = 40) -> list[QuadratureResult | AccuracyError]:
+    """Adaptive Simpson integration of many integrals in lockstep.
+
+    intervals lists each integral's (lo, hi, breakpoints). f is called
+    with a 1-D array of abscissae and an equal array of the index of
+    the integral that each abscissa belongs to, and must return the
+    integrands' values in an array of the same shape; each level of the
+    refinement is one call for all the integrals. Each integral is
+    refined, reswept and counted as integrate_adaptive would alone, to
+    the same bits; its entry is its QuadratureResult, or the
+    AccuracyError (carrying the best estimate) it would raise.
+    """
+    for lo, hi, _ in intervals:
+        if not lo < hi:
+            raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+    count = len(intervals)
+    if not count:
+        return []
+    evals = np.zeros(count, dtype=int)
+
+    def feval(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        evals[:] += np.bincount(owner, minlength=count)
+        y = np.asarray(f(x, owner), dtype=float)
+        if y.shape != x.shape:
+            raise ValueError(f"integrand returned shape {y.shape} for abscissae of shape "
+                             f"{x.shape}; it must accept and return arrays")
+        finite = np.isfinite(y)
+        if not finite.all():
+            raise ValueError(f"integrand is not finite at x = {float(x[~finite][0])!r}")
+        return y
+
+    # coarse pass for the tolerance scales, with the first level's quarter
+    # points: every integral's edges, then its panels' midpoints and quarters
+    edges = [[lo, *(b for b in sorted(set(breakpoints)) if lo < b < hi), hi]
+             for lo, hi, breakpoints in intervals]
+    sizes = [len(e) for e in edges]
+    x = np.array([v for e in edges for v in e], dtype=float)
+    ends = np.cumsum(sizes)
+    left, right = np.ones(x.size, dtype=bool), np.ones(x.size, dtype=bool)
+    left[ends - 1] = right[ends - sizes] = False
+    a, b = x[left], x[right]
+    m = 0.5 * (a + b)
+    quarters = 0.5 * (np.concatenate([a, m]) + np.concatenate([m, b]))
+    edge_owner = np.repeat(np.arange(count), sizes)
+    owner = edge_owner[left]
+    y = feval(np.concatenate([x, m, quarters]),
+              np.concatenate([edge_owner, owner, owner, owner]))
+    fa, fb, fm, first = y[:x.size][left], y[:x.size][right], y[x.size:-2 * a.size], y[-2 * a.size:]
+    whole = _simpson(fa, fm, fb, b - a)
+    # each scale from its own integral's panels, summed as they alone would be
+    cuts = (np.cumsum([0, *sizes]) - np.arange(count + 1)).tolist()
+    tols = [max(rel_tol * abs(float(whole[i:j].sum())), 1e-300) for i, j in zip(cuts, cuts[1:])]
+    spans = np.array([hi - lo for lo, hi, _ in intervals])[owner]
+
+    # the coarse estimate can be badly inflated by sharp features, so an
+    # integral resweeps when its converged value reveals the scale was
+    # too loose: a further lockstep pass over only those that need it
+    active = list(range(count))
+    results = [None] * count
+    for resweep in range(3):
+        panels = np.array([a, m, b, fa, fm, fb, whole, np.array(tols)[owner] * (b - a) / spans])
+        keep = np.isin(owner, active)
+        totals, errors, failed = _sweep(feval, panels[:, keep], owner[keep], count, max_depth,
+                                        None if resweep else first)
+        again = []
+        for k in active:
+            results[k] = totals[k], errors[k], failed[k]
+            tol_true = max(rel_tol * abs(totals[k]), 1e-300)
+            if not tols[k] <= 4.0 * tol_true:
+                tols[k] = tol_true
+                again.append(k)
+        if not again:
+            break
+        active = again
+
+    return [AccuracyError(f"quadrature did not converge at depth {max_depth} "
+                          f"near x = {fail:.6g}", best_estimate=total, error_estimate=err)
+            if fail < math.inf else
+            QuadratureResult(value=total, error_estimate=err, evaluations=int(evals[k]))
+            for k, (total, err, fail) in enumerate(results)]
 
 
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
@@ -103,58 +212,17 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
     share of the global tolerance rel_tol * |integral|.
     Optional breakpoints, in any order, seed the initial panel edges
     inside (lo, hi), which helps with integrands whose sharp features
-    are known in advance. Deterministic for fixed inputs.
+    are known in advance. Deterministic for fixed inputs; the
+    one-integral case of _integrate_many.
 
     Raises AccuracyError (carrying the best estimate) if any panel hits
     max_depth before converging.
     """
-    if not lo < hi:
-        raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
-    if not 0.0 < rel_tol < math.inf:
-        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
-
-    edges = np.array([lo, *(b for b in sorted(set(breakpoints)) if lo < b < hi), hi],
-                     dtype=float)
-    evals = 0
-
-    def feval(x: np.ndarray) -> np.ndarray:
-        nonlocal evals
-        evals += x.size
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise ValueError(f"integrand returned shape {y.shape} for abscissae of shape "
-                             f"{x.shape}; it must accept and return arrays")
-        finite = np.isfinite(y)
-        if not finite.all():
-            raise ValueError(f"integrand is not finite at x = {float(x[~finite][0])!r}")
-        return y
-
-    # coarse pass for the tolerance scale, with the first level's quarter points
-    a, b = edges[:-1], edges[1:]
-    m = 0.5 * (a + b)
-    quarters = 0.5 * (np.concatenate([a, m]) + np.concatenate([m, b]))
-    y = feval(np.concatenate([edges, m, quarters]))
-    fa, fb, fm, first = y[:a.size], y[1:edges.size], y[edges.size:-2 * a.size], y[-2 * a.size:]
-    whole = _simpson(fa, fm, fb, b - a)
-
-    # the coarse estimate can be badly inflated by sharp features, so
-    # resweep when the converged value reveals the scale was too loose
-    tol = max(rel_tol * abs(float(np.sum(whole))), 1e-300)
-    for resweep in range(3):
-        panels = np.array([a, m, b, fa, fm, fb, whole, tol * (b - a) / (hi - lo)])
-        total, err_total, failed = _sweep(feval, panels, max_depth,
-                                          None if resweep else first)
-        tol_true = max(rel_tol * abs(total), 1e-300)
-        if tol <= 4.0 * tol_true:
-            break
-        tol = tol_true
-
-    if failed.size:
-        raise AccuracyError(
-            f"quadrature did not converge at depth {max_depth} "
-            f"near x = {failed.min():.6g}",
-            best_estimate=total, error_estimate=err_total)
-    return QuadratureResult(value=total, error_estimate=err_total, evaluations=evals)
+    (result,) = _integrate_many(lambda x, _: f(x), [(lo, hi, breakpoints)], rel_tol,
+                                max_depth)
+    if isinstance(result, AccuracyError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

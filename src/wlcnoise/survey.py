@@ -6,8 +6,8 @@ reported rates and detunings), solves the phase-cancellation detuning,
 classifies the loop's stability per recycling mirror value and
 detuning root, and integrates the sensitivity improvement factor for
 the stable configurations. An eta row is the work item: its verdicts
-are computed together, the integrals one per stable configuration. The
-assembly is row-major in (eta, xi) and bit-identical for any worker count.
+are computed together, and its integrals in lockstep, in one
+improvement_factor call. The assembly is row-major in (eta, xi) and bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -17,19 +17,23 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import AccuracyError, MarginalStabilityError
 from .interferometer import (
     SPEED_OF_LIGHT,
     IfoParams,
+    _strain_noise,
+    _strain_terms,
     baseline_integrated_inverse_psd,
     reference_detector,
-    strain_psd,
+    strain_psd,  # noqa: F401  (unused here; bench/test_bench.py reads survey.strain_psd)
 )
 from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
-from .numerics import integrate_adaptive
-from .stability import _Loop, _verdicts, classify_system
+from .numerics import _integrate_many
+from .stability import _ROW_SAMPLES, _Loop, _verdicts, classify_system
 
 __all__ = [
     "RootChoice",
@@ -189,30 +193,63 @@ def _integration_breakpoints(med: MediumParams, fsr: float) -> tuple[float, ...]
     return tuple(points)
 
 
-def improvement_factor(ifo: IfoParams, med: MediumParams, model: NoiseModel,
-                       rel_tol: float = 1e-4, check_stability: bool = True) -> float:
+def improvement_factor(ifo: IfoParams | Sequence[IfoParams],
+                       med: MediumParams | Sequence[MediumParams], model: NoiseModel,
+                       rel_tol: float = 1e-4,
+                       check_stability: bool = True) -> float | list[float | AccuracyError]:
     """Integrated sensitivity gain over the conventional detector.
 
     Ratio of the integral of 1/S_hh over one free spectral range to the
     analytic value of the same integral for the detector without the
     medium. Defined only for stable configurations; the stability
     precheck can be skipped by callers that already classified the
-    system.
+    system. Raises AccuracyError when the quadrature misses rel_tol;
+    its best and error estimates are in the units of the ratio.
+
+    ifo and med may also be equal-length sequences of detectors and
+    media: their integrals are then taken in lockstep, each to the same
+    bits as alone, and the call returns a list holding each
+    configuration's ratio, or its AccuracyError in its place; any other
+    error (a singular closed loop) is raised for the whole call.
     """
+    single = isinstance(ifo, IfoParams)
+    detectors, media = ((ifo,), (med,)) if single else (tuple(ifo), tuple(med))
+    if len(detectors) != len(media):
+        raise ValueError(f"{len(detectors)} detectors for {len(media)} media")
     if check_stability:
-        report = classify_system(ifo, med)
-        if not report.stable:
-            raise ValueError(
-                f"improvement factor undefined for {report.classification.value} "
-                "configuration")
-    fsr = ifo.free_spectral_range
-    result = integrate_adaptive(
-        lambda omega: 1.0 / strain_psd(ifo, med, model, omega), 0.0, fsr,
-        rel_tol=rel_tol, breakpoints=_integration_breakpoints(med, fsr))
-    return result.value / baseline_integrated_inverse_psd(ifo)
+        for ifo, med in zip(detectors, media):
+            report = classify_system(ifo, med)
+            if not report.stable:
+                raise ValueError(
+                    f"improvement factor undefined for {report.classification.value} "
+                    "configuration")
+    terms = np.array([_strain_terms(ifo, med, model) for ifo, med in zip(detectors, media)]).T
+    results = _integrate_many(
+        lambda omega, owner: 1.0 / _strain_noise(omega, *terms[:, owner]),
+        [(0.0, ifo.free_spectral_range,
+          _integration_breakpoints(med, ifo.free_spectral_range))
+         for ifo, med in zip(detectors, media)], rel_tol=rel_tol)
+    rho = []
+    for ifo, result in zip(detectors, results):
+        baseline = baseline_integrated_inverse_psd(ifo)
+        if isinstance(result, AccuracyError):
+            rho.append(AccuracyError(str(result), best_estimate=result.best_estimate / baseline,
+                                     error_estimate=result.error_estimate / baseline))
+        else:
+            rho.append(result.value / baseline)
+    if not single:
+        return rho
+    if isinstance(rho[0], AccuracyError):
+        raise rho[0]
+    return rho[0]
 
 
 _UNIT_DELAY = replace(reference_detector(), arm_length=SPEED_OF_LIGHT)  # tau == 1.0
+
+# integrals per improvement_factor call of a row: a Simpson level holds
+# at most about 90 points per integral at the survey's rel_tol, so a call
+# keeps to the row budget of _ROW_SAMPLES (2^18) points
+_ROW_INTEGRALS = _ROW_SAMPLES // 128
 
 
 def _cell_media(eta: float, xi: float, labels: tuple[str, ...]):
@@ -240,44 +277,49 @@ def _infeasible_outcomes(reflectivities: tuple[float, ...],
                  for rs2 in reflectivities for label in choice.labels)
 
 
-def _outcome(spec: SweepSpec, ifo: IfoParams, rs2: float, label: str,
-             med: MediumParams, tau: float, verdict) -> RootOutcome:
-    """Outcome of one detuning root at one SRM reflectivity, from its
-    stability verdict: a report, or the MarginalStabilityError that
-    classify_system raises for it; its delta0 is med.delta0 / tau."""
+def _status(verdict) -> tuple[CellStatus, str]:
+    """Status and note of one configuration from its stability verdict:
+    a report, or the MarginalStabilityError that classify_system raises
+    for it."""
     if isinstance(verdict, MarginalStabilityError):
-        return RootOutcome(rs2, label, med.delta0 / tau, CellStatus.OPTICAL_INSTABILITY,
-                           marginal=True, note=str(verdict))
+        return CellStatus.OPTICAL_INSTABILITY, str(verdict)
     status = CellStatus(verdict.classification.value)
-    note = ""
     if verdict.marginal and status is CellStatus.STABLE:
         # too close to the critical point to trust the winding
-        status = CellStatus.OPTICAL_INSTABILITY
-        note = "marginal contour reclassified as unstable"
-    rho = None
-    if status is CellStatus.STABLE:
-        try:
-            rho = improvement_factor(ifo, med, spec.noise_model,
-                                     rel_tol=spec.rel_tol, check_stability=False)
-        except AccuracyError as exc:
-            rho = exc.best_estimate
-            note = f"integration tolerance not met: {exc}"
-    return RootOutcome(rs2, label, med.delta0 / tau, status,
-                       winding=verdict.winding,
-                       min_distance=verdict.min_distance_to_critical,
+        return CellStatus.OPTICAL_INSTABILITY, "marginal contour reclassified as unstable"
+    return status, ""
+
+
+def _outcome(rs2: float, label: str, delta0: float, verdict, status: CellStatus, note: str,
+             rho, floats: dict) -> RootOutcome:
+    """Outcome of one detuning root at one SRM reflectivity, from its
+    verdict, its _status and its rho_r: None, a float, or the
+    AccuracyError whose best estimate stands in for it. Its distance is
+    looked up in floats, so that equal distances share one float."""
+    if isinstance(verdict, MarginalStabilityError):
+        return RootOutcome(rs2, label, delta0, status, marginal=True, note=note)
+    if isinstance(rho, AccuracyError):
+        rho, note = rho.best_estimate, f"integration tolerance not met: {rho}"
+    distance = verdict.min_distance_to_critical
+    return RootOutcome(rs2, label, delta0, status, winding=verdict.winding,
+                       min_distance=floats.setdefault(distance, distance),
                        marginal=verdict.marginal, rho_r=rho, note=note)
 
 
 def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]:
     """The cells of one eta row, solved on _UNIT_DELAY. The stability
     verdicts of all its distinct (rs^2, medium) configurations come from
-    one _verdicts call; a repeated root's two labels share one
-    configuration and one rho_r. An AccuracyError verdict (a near window
-    beyond the sample cap) is raised, naming eta, xi and rs^2."""
+    one _verdicts call and the rho_r of its stable ones from one
+    improvement_factor call per _ROW_INTEGRALS of them; a repeated
+    root's two labels share one configuration and one rho_r. An
+    AccuracyError verdict (a near window beyond the sample cap) is
+    raised, naming eta, xi and rs^2."""
     detectors = {rs2: replace(_UNIT_DELAY.with_power_reflectivity(rs2),
                               include_additional_noise=spec.include_additional_noise)
                  for rs2 in spec.srm_power_reflectivities}
     cells = [(xi, *_cell_media(eta, xi, spec.root_choice.labels)) for xi in spec.xi_grid]
+    # each medium's reported detuning, one float for all its reflectivities
+    delta0 = {med: med.delta0 / ifo.tau for *_, media in cells for med in media.values()}
     first_label = {}  # (rs^2, medium) -> the first root label that names it, and its xi
     for xi, _, _, media in cells:
         for rs2 in detectors:
@@ -288,8 +330,22 @@ def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]
         if isinstance(verdict, AccuracyError):
             raise AccuracyError(f"stability verdict at eta={eta}, xi={xi}, "
                                 f"rs^2={rs2}: {verdict}")
-    outcome_of = {(rs2, med): _outcome(spec, detectors[rs2], rs2, label, med, ifo.tau, verdict)
-                  for ((rs2, med), (label, _)), verdict in zip(first_label.items(), verdicts)}
+    statuses = [_status(verdict) for verdict in verdicts]
+    stable = [key for key, (status, _) in zip(first_label, statuses)
+              if status is CellStatus.STABLE]
+    rho = {}
+    for start in range(0, len(stable), _ROW_INTEGRALS):
+        chunk = stable[start:start + _ROW_INTEGRALS]
+        rho.update(zip(chunk, improvement_factor(
+            [detectors[rs2] for rs2, _ in chunk], [med for _, med in chunk],
+            spec.noise_model, rel_tol=spec.rel_tol, check_stability=False)))
+    # a row's loops with an empty near window all report the bound
+    # 1 - level of their rs^2 as distance: one float for each
+    floats = {}
+    outcome_of = {(rs2, med): _outcome(rs2, label, delta0[med], verdict, *status,
+                                       rho.get((rs2, med)), floats)
+                  for ((rs2, med), (label, _)), verdict, status
+                  in zip(first_label.items(), verdicts, statuses)}
     row = []
     for xi, gamma12, gamma_opt, media in cells:
         outcomes = []
@@ -316,11 +372,12 @@ def run_sweep(spec: SweepSpec, ifo: IfoParams, workers: int = 1) -> SweepGrid:
     the cell's outcome rather than aborting the run: a
     MarginalStabilityError from the stability verdict (status optical,
     flagged marginal, with the message as note) and an AccuracyError
-    from the rho_r integral (the best estimate, with a note). Any other
+    from the rho_r integral (its best estimate of rho_r, with a note). Any other
     exception in a row aborts the sweep: an AccuracyError from a
     stability verdict (a near window beyond the sample cap) names its
     eta, xi and rs^2. Only ifo's arm delay is read, as the unit of the
-    cells' rates and the outcomes' delta0 (each divided by tau once).
+    cells' rates (divided by tau once per cell) and the outcomes' delta0
+    (once per medium).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

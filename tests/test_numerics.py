@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
 from wlcnoise.medium import solve_detuning
-from wlcnoise.numerics import accumulate_winding, derivative_central, integrate_adaptive
+from wlcnoise.numerics import (
+    _integrate_many,
+    accumulate_winding,
+    derivative_central,
+    integrate_adaptive,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,12 @@ def reference_integrate(f, lo, hi, rel_tol, max_depth=40, breakpoints=()):
     return total, evals, failed
 
 
+def lorentzians(centers, widths):
+    def f(x):
+        return sum(w / (w * w + (x - c) ** 2) for c, w in zip(centers, widths)) + 0.1
+    return f
+
+
 @settings(max_examples=40, deadline=None)
 @given(centers=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=3),
        widths=st.lists(st.floats(1e-6, 1.0), min_size=3, max_size=3),
@@ -177,9 +188,7 @@ def test_integrate_matches_recursive_reference(centers, widths, use_breakpoints,
                                                rel_tol, max_depth):
     # rational integrands only: NumPy rounds +, -, * and / the same in
     # array and one-element loops, so both see identical values
-    def f(x):
-        return sum(w / (w * w + (x - c) ** 2) for c, w in zip(centers, widths)) + 0.1
-
+    f = lorentzians(centers, widths)
     breakpoints = tuple(centers) if use_breakpoints else ()
     value, evals, failed = reference_integrate(f, 0.0, 1.0, rel_tol, max_depth,
                                                breakpoints)
@@ -196,6 +205,53 @@ def test_integrate_matches_recursive_reference(centers, widths, use_breakpoints,
     # positive terms summed in another order: the bound is a few ulps
     # per panel
     assert res.value == pytest.approx(value, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(members=st.lists(st.tuples(st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=3),
+                                  st.lists(st.floats(1e-6, 1.0), min_size=3, max_size=3),
+                                  st.booleans()),
+                        min_size=1, max_size=6),
+       rel_tol=st.sampled_from([1e-4, 1e-8, 1e-11]), max_depth=st.sampled_from([6, 40]))
+def test_stacked_integrals_match_their_own_calls(members, rel_tol, max_depth):
+    # lockstep levels change which array a node is evaluated in and
+    # where its panel sits, never a value, an error estimate, a count
+    # or a failure: each member is bit for bit its own call
+    integrands = [lorentzians(centers, widths) for centers, widths, _ in members]
+    intervals = [(0.0, 1.0, tuple(centers) if use else ())
+                 for centers, _, use in members]
+    calls = []
+
+    def stacked(x, owner):
+        calls.append(x.size)
+        y = np.empty_like(x)
+        for k, f in enumerate(integrands):
+            y[owner == k] = f(x[owner == k])
+        return y
+
+    results = _integrate_many(stacked, intervals, rel_tol=rel_tol, max_depth=max_depth)
+    solo_calls = []
+    for f, (_, _, breakpoints), stacked_result in zip(integrands, intervals, results,
+                                                      strict=True):
+        made = []
+
+        def counted(x):
+            made.append(x.size)
+            return f(x)
+
+        try:
+            alone = integrate_adaptive(counted, 0.0, 1.0, rel_tol=rel_tol,
+                                       max_depth=max_depth, breakpoints=breakpoints)
+        except AccuracyError as exc:
+            assert isinstance(stacked_result, AccuracyError)
+            assert str(stacked_result) == str(exc)
+            assert stacked_result.best_estimate == exc.best_estimate
+            assert stacked_result.error_estimate == exc.error_estimate
+        else:
+            assert stacked_result == alone
+        solo_calls.append(len(made))
+    # a level of the stack is one call for every member still refining
+    assert max(solo_calls) <= len(calls) <= sum(solo_calls)
 
 
 @pytest.mark.parametrize("f, lo, hi, rel_tol, breakpoints, evaluations, value, calls", [

@@ -1,6 +1,7 @@
 import math
 import pickle
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -115,11 +116,12 @@ def test_improvement_factor_pinned(monkeypatch, eta_index, xi_index, rs2, label,
     # stable cells of the paper's 50x50 survey, at its rel_tol 1e-4: the
     # quadrature's nodes and sums are pinned, so a faster integrand or
     # refinement loop that moved either shows here
-    results, integrate = [], survey.integrate_adaptive
+    results, integrate = [], survey._integrate_many
 
     def spy(*args, **kwargs):
-        results.append(integrate(*args, **kwargs))
-        return results[-1]
+        returned = integrate(*args, **kwargs)
+        results.extend(returned)
+        return returned
 
     grid = default_grid(50)
     ifo = reference_detector(rs2)
@@ -127,10 +129,92 @@ def test_improvement_factor_pinned(monkeypatch, eta_index, xi_index, rs2, label,
     roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
     med = MediumParams(gamma12, gamma_opt, roots[0] if label == "smaller" else roots[-1])
     assert classify_system(ifo, med).stable
-    monkeypatch.setattr(survey, "integrate_adaptive", spy)
+    monkeypatch.setattr(survey, "_integrate_many", spy)
     rho = improvement_factor(ifo, med, NoiseModel.LOCAL, check_stability=False)
     assert rho == pytest.approx(rho_r, rel=1e-12, abs=0.0)
     assert [r.evaluations for r in results] == [evaluations]
+
+
+def test_sweep_fallback_rho_is_in_rho_units(monkeypatch):
+    # with the quadrature cut at depth 1, every stable outcome of the row
+    # falls back to the best estimate; it is a ratio like rho_r, the
+    # single call's own, and near the converged value
+    grid = default_grid(50)
+    spec = SweepSpec(eta_grid=(grid[16],), xi_grid=grid[5:12], srm_power_reflectivities=(0.5,))
+    converged = run_sweep(spec, IFO)
+    monkeypatch.setattr(survey, "_integrate_many",
+                        partial(survey._integrate_many, max_depth=1))
+    detector = survey._UNIT_DELAY.with_power_reflectivity(0.5)
+    compared = 0
+    for (cell, good), (_, shallow) in zip(converged.outcomes(), run_sweep(spec, IFO).outcomes(),
+                                          strict=True):
+        if good.status is not CellStatus.STABLE:
+            assert shallow == good
+            continue
+        assert shallow.note.startswith("integration tolerance not met: quadrature did not "
+                                       "converge at depth 1 near x = ")
+        _, _, media = survey._cell_media(cell.eta, cell.xi, (good.root_label,))
+        with pytest.raises(AccuracyError) as info:
+            improvement_factor(detector, media[good.root_label], NoiseModel.LOCAL,
+                               check_stability=False)
+        assert shallow.rho_r == info.value.best_estimate
+        assert shallow.rho_r == pytest.approx(good.rho_r, abs=1e-3)
+        compared += 1
+    assert compared >= 4
+
+
+@pytest.mark.parametrize("stack", [None, 2])
+def test_row_integrates_in_one_call(monkeypatch, small_sweep, stack):
+    # a row's stable configurations go to improvement_factor as one
+    # stack of at most _ROW_INTEGRALS; rows without one make no call,
+    # and how a row is cut into stacks changes no bit
+    calls, original = [], survey.improvement_factor
+
+    def counting(ifo, med, *args, **kwargs):
+        calls.append(len(ifo))
+        return original(ifo, med, *args, **kwargs)
+
+    monkeypatch.setattr(survey, "improvement_factor", counting)
+    if stack:
+        monkeypatch.setattr(survey, "_ROW_INTEGRALS", stack)
+    grid = run_sweep(small_sweep.spec, IFO)
+    assert repr(grid) == repr(small_sweep)
+    width = len(small_sweep.spec.xi_grid)
+    expected = []
+    for start in range(0, len(grid.cells), width):
+        keys = {(o.srm_power_reflectivity, o.delta0) for cell in grid.cells[start:start + width]
+                for o in cell.outcomes if o.status is CellStatus.STABLE}
+        cut = stack or max(len(keys), 1)
+        expected += [min(cut, len(keys) - k) for k in range(0, len(keys), cut)]
+    assert calls == expected
+
+
+def test_improvement_factor_sequences():
+    # the sequence form gives each configuration the bits of its own call
+    grid = default_grid(50)
+    media = []
+    for eta_index, xi_index in ((16, 9), (44, 1), (2, 0)):
+        gamma12, gamma_opt = map_eta_xi(grid[eta_index], grid[xi_index], IFO.tau)
+        media.append(MediumParams(gamma12, gamma_opt,
+                                  solve_detuning(gamma12, gamma_opt, IFO.tau)[-1]))
+    detectors = [reference_detector(rs2) for rs2 in (0.5, 0.8, 0.9)]
+    stacked = improvement_factor(detectors, media, NoiseModel.LOCAL, check_stability=False)
+    assert stacked == [improvement_factor(ifo, med, NoiseModel.LOCAL, check_stability=False)
+                       for ifo, med in zip(detectors, media)]
+    assert improvement_factor([], [], NoiseModel.LOCAL) == []
+    with pytest.raises(ValueError, match="2 detectors for 3 media"):
+        improvement_factor(detectors[:2], media, NoiseModel.LOCAL)
+
+
+def test_row_shares_equal_floats(small_sweep):
+    # a medium's delta0 is one float at every rs^2, and the distance
+    # bound that loops with an empty near window report is one float
+    for start in range(0, len(small_sweep.cells), len(SMALL_GRID)):
+        outcomes = [o for cell in small_sweep.cells[start:start + len(SMALL_GRID)]
+                    for o in cell.outcomes if cell.feasible]
+        for field in ("delta0", "min_distance"):
+            values = [getattr(o, field) for o in outcomes]
+            assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_survey_independent_of_power_and_carrier():
