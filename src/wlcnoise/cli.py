@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import medium as med_mod
-from .errors import AccuracyError, MarginalStabilityError, PoleError
+from .errors import AccuracyError, MarginalStabilityError
 from .scenario import Scenario, ScenarioError, load_scenario
 from .stability import Classification, classify_system, nyquist_contour
 from .survey import CellStatus, SweepGrid, run_sweep
@@ -87,7 +87,7 @@ def _cmd_response(scenario: Scenario, out_dir: Path) -> int:
     for omega in scenario.response_omegas:
         try:
             chi = med_mod.susceptibility(med, omega)
-        except PoleError:
+        except ValueError:  # a pole: no other ValueError arises here
             raise ScenarioError(
                 f"response.omega: {_fmt(omega)} is a pole of the medium response "
                 "(gamma12 == gamma_opt_total and omega == +-delta0)") from None

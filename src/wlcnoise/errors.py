@@ -20,8 +20,3 @@ class MarginalStabilityError(RuntimeError):
     The winding number, and hence the stability classification, is not
     defined for such configurations.
     """
-
-
-class PoleError(ValueError):
-    """Response function evaluated exactly on a pole of the medium."""
-

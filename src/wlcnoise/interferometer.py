@@ -7,7 +7,8 @@ M(omega)), and the signal recycling mirror closing the loop with
 amplitude reflectivity r_s. Test masses are taken infinitely heavy, so
 radiation-pressure back-action is absent and the shot-noise-limited
 strain spectral density follows in closed form from the scalar loop
-gain plus the medium's added noise.
+gain plus the medium's added noise; its inverse, integrated over one
+free spectral range, gives the sensitivity improvement factor rho_r.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import medium as med_mod
-from .errors import MarginalStabilityError
+from .errors import AccuracyError, MarginalStabilityError
 from .medium import MediumParams, NoiseModel
+from .numerics import _integrate_many
 
 __all__ = [
     "IfoParams",
@@ -28,6 +31,7 @@ __all__ = [
     "open_loop_gain",
     "strain_psd",
     "baseline_integrated_inverse_psd",
+    "improvement_factor",
 ]
 
 # exact SI values: the speed of light in vacuum (m/s) and the reduced
@@ -204,3 +208,60 @@ def baseline_integrated_inverse_psd(ifo: IfoParams) -> float:
     """
     return (2.0 * math.pi * ifo.arm_length * ifo.circulating_power
             * ifo.carrier_angular_frequency / (HBAR * SPEED_OF_LIGHT))
+
+
+def _integration_breakpoints(med: MediumParams, fsr: float) -> tuple[float, ...]:
+    """Panel seeds, unsorted, at the known sharp features of the inverse noise curve."""
+    width = max(med.damping_gap, 1e-6 * med.delta0 if med.delta0 else 0.0, 1e-12 * fsr)
+    points = {0.25 * fsr, 0.5 * fsr, 0.75 * fsr}
+    for k in (1.0, 3.0, 10.0, 30.0):
+        points.add(k * width)
+        points.add(fsr - k * width)
+        if med.delta0 > 0.0:
+            points.add(med.delta0 - k * width)
+            points.add(med.delta0 + k * width)
+    if med.delta0 > 0.0:
+        points.update({0.5 * med.delta0, med.delta0, 1.5 * med.delta0})
+    return tuple(points)
+
+
+def improvement_factor(ifo: IfoParams | Sequence[IfoParams],
+                       med: MediumParams | Sequence[MediumParams], model: NoiseModel,
+                       rel_tol: float = 1e-4) -> float | list[float | AccuracyError]:
+    """Integrated sensitivity gain over the conventional detector, rho_r.
+
+    Ratio of the integral of 1/S_hh (strain_psd) over one free spectral
+    range to baseline_integrated_inverse_psd. Meaningful only for stable
+    configurations, which the caller classifies (classify_system).
+    Raises AccuracyError when the quadrature misses rel_tol; its best
+    and error estimates are in the units of the ratio.
+
+    ifo and med may also be equal-length sequences of detectors and
+    media: their integrals are then taken in lockstep, each to the same
+    bits as alone, and the call returns a list holding each
+    configuration's ratio, or its AccuracyError in its place; any other
+    error (a singular closed loop) is raised for the whole call.
+    """
+    single = isinstance(ifo, IfoParams)
+    detectors, media = ((ifo,), (med,)) if single else (tuple(ifo), tuple(med))
+    if len(detectors) != len(media):
+        raise ValueError(f"{len(detectors)} detectors for {len(media)} media")
+    terms = np.array([_strain_terms(ifo, med, model) for ifo, med in zip(detectors, media)]).T
+    results = _integrate_many(
+        lambda omega, owner: 1.0 / _strain_noise(omega, *terms[:, owner]),
+        [(0.0, ifo.free_spectral_range,
+          _integration_breakpoints(med, ifo.free_spectral_range))
+         for ifo, med in zip(detectors, media)], rel_tol=rel_tol)
+    rho = []
+    for ifo, result in zip(detectors, results):
+        baseline = baseline_integrated_inverse_psd(ifo)
+        if isinstance(result, AccuracyError):
+            rho.append(AccuracyError(str(result), best_estimate=result.best_estimate / baseline,
+                                     error_estimate=result.error_estimate / baseline))
+        else:
+            rho.append(result.value / baseline)
+    if not single:
+        return rho
+    if isinstance(rho[0], AccuracyError):
+        raise rho[0]
+    return rho[0]

@@ -23,8 +23,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PoleError
-
 __all__ = [
     "MediumParams",
     "MediumClass",
@@ -120,7 +118,7 @@ def _resonances(omega, delta0, base):
     den_plus = 1j * (omega + delta0) + base
     den_minus = 1j * (omega - delta0) + base
     if np.any(base == 0.0) and (np.any(den_plus == 0) or np.any(den_minus == 0)):
-        raise PoleError(
+        raise ValueError(
             "response evaluated on a pole: gamma12 == gamma_opt_total "
             "and omega == +-delta0")
     return den_plus, den_minus

@@ -22,6 +22,10 @@ __all__ = [
     "accumulate_winding",
 ]
 
+# samples a survey row holds at once: its near windows' (stability) and
+# its rho_r integrals' nodes
+_ROW_SAMPLES = 2**18
+
 
 # ---------------------------------------------------------------------------
 # adaptive Simpson quadrature
@@ -127,8 +131,17 @@ def _integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     refinement is one call for all the integrals. Each integral is
     refined, reswept and counted as integrate_adaptive would alone, to
     the same bits; its entry is its QuadratureResult, or the
-    AccuracyError (carrying the best estimate) it would raise.
+    AccuracyError (carrying the best estimate) it would raise. A pass
+    takes at most _ROW_SAMPLES // 128 integrals: a Simpson level holds
+    at most about 90 points per integral at the survey's rel_tol, so a
+    pass keeps to the row budget; f sees each pass's owners offset back
+    to their place in intervals.
     """
+    cap = _ROW_SAMPLES // 128
+    if len(intervals) > cap:
+        return [result for start in range(0, len(intervals), cap)
+                for result in _integrate_many(lambda x, owner: f(x, owner + start),
+                                              intervals[start:start + cap], rel_tol, max_depth)]
     for lo, hi, _ in intervals:
         if not lo < hi:
             raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")

@@ -11,11 +11,10 @@ that gain window. The closest approach to (1, 0) is exact: the
 distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1, and each
 sampled descent into a minimum is polished by a safeguarded Newton
 search with closed-form derivatives where a floor on |F| over it
-(_polish_floor) does not show that it cannot lower the report: 2,817
-of the seed-0 survey's 5,699. One routine, _verdicts, takes the
-verdicts of many configurations (a survey row) from a few array calls;
-classify_system is its call on one configuration, which runs the same
-closed forms on Python floats (_FloatMath) and samples its own near
+(_polish_floor) does not show that it cannot lower the report.
+classify_system takes the verdicts of many configurations (a survey
+row) from a few array calls, and those of one configuration from the
+same closed forms on Python floats (_FloatMath), sampling its own near
 window, with the same bits.
 nyquist_contour samples the whole contour for output and as a
 reference, bisecting it wherever a segment turns by pi/2 or more about
@@ -48,6 +47,7 @@ from . import medium as med_mod
 from .errors import AccuracyError, MarginalStabilityError
 from .interferometer import IfoParams
 from .medium import MediumClass, MediumParams
+from .numerics import _ROW_SAMPLES
 
 __all__ = [
     "Classification",
@@ -62,7 +62,6 @@ MARGINAL_ERROR_DISTANCE = 1e-9
 MARGINAL_FLAG_DISTANCE = 1e-6
 NEAR_DISTANCE = 0.1  # the closest approach is searched where |F| may be below it
 MAX_SAMPLES = 2**22  # per sampled near window, and per contour reference
-_ROW_SAMPLES = 2**18  # near-window samples a row's verdicts hold at once
 _PEAK_CLUSTER = np.linspace(-30.0, 30.0, 241)  # gain-peak offsets, in widths
 _NEAR_CLUSTER = _PEAK_CLUSTER[::4]  # those of the near windows' samples
 # the clusters about -delta0 and +delta0, then the node 0, of _axis_nodes:
@@ -519,7 +518,8 @@ def _near_samples(loop: _Loop, lo, hi, xp=np) -> tuple:
     peak nodes delta0 + max(gap, 1e-3 delta0) * _NEAR_CLUSTER inside.
     Returns the point counts (an int on floats, xp=_FloatMath, else a
     float each) and the peak nodes (in order on floats, else a row
-    each). _verdicts samples no window of more than MAX_SAMPLES points."""
+    each). classify_system samples no window of more than MAX_SAMPLES
+    points."""
     turns = (hi - lo) / math.pi
     width = xp.maximum(loop.gap, 1e-3 * loop.delta0)
     if xp is _FloatMath:
@@ -632,70 +632,9 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     return np.minimum(dist, 1.0 - level)
 
 
-def _verdicts(configs: Sequence[tuple[_Loop, MediumParams]]
-              ) -> list[StabilityReport | MarginalStabilityError | AccuracyError]:
-    """Stability verdicts of many (loop, medium) configurations at once;
-    the medium, in any unit, gives only its class and damping gap.
-
-    Each verdict is the report classify_system returns, its near window
-    in w, or the MarginalStabilityError or AccuracyError (a near window
-    beyond MAX_SAMPLES samples, _near_samples) it raises. A medium-level
-    class, the lasing threshold and the open loop r_s = 0 need no loop
-    quantity. The others share the calls of the gain windows (at the
-    near level of _closest_approach and at 1), the ray crossings and the
-    closest approach. The closed forms run on arrays, or on floats for
-    exactly one configuration, whose report is the same bits alone or in
-    a row.
-    """
-    verdicts: list = []
-    for loop, med in configs:
-        med_class = med_mod.classify_medium(med)
-        if med_class is not MediumClass.STATIONARY:
-            verdicts.append(StabilityReport(Classification(med_class.value), 0, math.inf,
-                                            (0.0, 0.0)))
-        elif med.damping_gap <= 0.0:
-            verdicts.append(MarginalStabilityError(_UNDAMPED))
-        elif loop.rs == 0.0:
-            # the open loop is cut: the contour is the origin itself
-            verdicts.append(StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0)))
-        else:
-            verdicts.append(None)
-    looped = [i for i, verdict in enumerate(verdicts) if verdict is None]
-    if not looped:
-        return verdicts
-    # one configuration takes the closed forms on floats, a row on arrays
-    if len(looped) == 1:
-        loop, xp = configs[looped[0]][0], _FloatMath
-    else:
-        loop, xp = _Loop.stack([configs[i][0] for i in looped]), np
-    # the closest approach is searched where |r_s G_o| is above this level
-    level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
-    near_lo, near_hi = _gain_window(loop, level, xp)
-    windings = _ray_crossings(loop, *_gain_window(loop, 1.0, xp), xp)
-    # a window beyond the sample cap of _near_samples is searched as empty
-    turns = (near_hi - near_lo) / math.pi
-    wide = 33 + 16.0 * turns > MAX_SAMPLES
-    dist = _closest_approach(loop, xp.where(wide, 0.0, near_lo), xp.where(wide, 0.0, near_hi),
-                             level, xp)
-    columns = (dist, near_lo, near_hi, windings, turns, wide)
-    rows = [columns] if xp is _FloatMath else zip(*(column.tolist() for column in columns))
-    for i, (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
-        if too_wide:
-            verdicts[i] = AccuracyError(f"the near window spans {turn:.3g} delay turns; "
-                                        f"16 samples per turn exceed {MAX_SAMPLES}")
-            continue
-        if d < MARGINAL_ERROR_DISTANCE:
-            verdicts[i] = MarginalStabilityError(
-                f"Nyquist contour passes within {d:.3e} of (1, 0)")
-            continue
-        classification = (Classification.STABLE if winding == 0
-                          else Classification.OPTICAL_INSTABILITY)
-        verdicts[i] = StabilityReport(classification, int(winding), d, (lo, hi),
-                                      marginal=d < MARGINAL_FLAG_DISTANCE)
-    return verdicts
-
-
-def classify_system(ifo: IfoParams, med: MediumParams) -> StabilityReport:
+def classify_system(ifo: IfoParams | Sequence[IfoParams],
+                    med: MediumParams | Sequence[MediumParams]
+                    ) -> StabilityReport | list[StabilityReport | Exception]:
     """Stability verdict for the full interferometer-plus-medium loop.
 
     Medium-level instabilities are reported before any loop quantity is
@@ -708,16 +647,68 @@ def classify_system(ifo: IfoParams, med: MediumParams) -> StabilityReport:
     _closest_approach). An approach within 1e-9 raises
     MarginalStabilityError; within 1e-6 the report is flagged marginal.
     A near window that needs more than MAX_SAMPLES samples raises
-    AccuracyError. The verdict is the one _verdicts gives a one-element
-    list, its near window taken back to rad/s.
+    AccuracyError.
+
+    ifo and med may also be equal-length sequences of detectors and
+    media (a survey row): the call then returns a list holding each
+    configuration's report, or the error it would raise, in its place.
+    The lasing threshold, the open loop r_s = 0 and medium-level classes
+    need no loop quantity; the others share the calls of the gain
+    windows (at the near level of _closest_approach and at 1), the ray
+    crossings and the closest approach. The closed forms run on arrays,
+    or on floats for exactly one such configuration, whose report is
+    the same bits alone or in a row.
     """
-    (verdict,) = _verdicts([(_Loop.of(ifo, med), med)])
-    if isinstance(verdict, Exception):
-        raise verdict
-    lo, hi = verdict.omega_range_used
-    return StabilityReport(verdict.classification, verdict.winding,
-                           verdict.min_distance_to_critical, (lo / ifo.tau, hi / ifo.tau),
-                           verdict.marginal)
+    single = isinstance(ifo, IfoParams)
+    detectors, media = ((ifo,), (med,)) if single else (tuple(ifo), tuple(med))
+    if len(detectors) != len(media):
+        raise ValueError(f"{len(detectors)} detectors for {len(media)} media")
+    verdicts: list = []
+    for ifo, med in zip(detectors, media):
+        med_class = med_mod.classify_medium(med)
+        if med_class is not MediumClass.STATIONARY:
+            verdicts.append(StabilityReport(Classification(med_class.value), 0, math.inf,
+                                            (0.0, 0.0)))
+        elif med.damping_gap <= 0.0:
+            verdicts.append(MarginalStabilityError(_UNDAMPED))
+        elif ifo.srm_amplitude_reflectivity == 0.0:
+            # the open loop is cut: the contour is the origin itself
+            verdicts.append(StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0)))
+        else:
+            verdicts.append(None)
+    looped = [i for i, verdict in enumerate(verdicts) if verdict is None]
+    if looped:
+        # one configuration takes the closed forms on floats, a row on arrays
+        loops = [_Loop.of(detectors[i], media[i]) for i in looped]
+        loop, xp = (loops[0], _FloatMath) if len(loops) == 1 else (_Loop.stack(loops), np)
+        # the closest approach is searched where |r_s G_o| is above this level
+        level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
+        near_lo, near_hi = _gain_window(loop, level, xp)
+        windings = _ray_crossings(loop, *_gain_window(loop, 1.0, xp), xp)
+        # a window beyond the sample cap of _near_samples is searched as empty
+        turns = (near_hi - near_lo) / math.pi
+        wide = 33 + 16.0 * turns > MAX_SAMPLES
+        dist = _closest_approach(loop, xp.where(wide, 0.0, near_lo),
+                                 xp.where(wide, 0.0, near_hi), level, xp)
+        columns = (dist, near_lo, near_hi, windings, turns, wide)
+        rows = [columns] if xp is _FloatMath else zip(*(column.tolist() for column in columns))
+        for i, (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
+            if too_wide:
+                verdicts[i] = AccuracyError(f"the near window spans {turn:.3g} delay turns; "
+                                            f"16 samples per turn exceed {MAX_SAMPLES}")
+            elif d < MARGINAL_ERROR_DISTANCE:
+                verdicts[i] = MarginalStabilityError(
+                    f"Nyquist contour passes within {d:.3e} of (1, 0)")
+            else:
+                tau = detectors[i].tau
+                verdicts[i] = StabilityReport(
+                    Classification.STABLE if winding == 0 else Classification.OPTICAL_INSTABILITY,
+                    int(winding), d, (lo / tau, hi / tau), marginal=d < MARGINAL_FLAG_DISTANCE)
+    if not single:
+        return verdicts
+    if isinstance(verdicts[0], Exception):
+        raise verdicts[0]
+    return verdicts[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ reported rates and detunings), solves the phase-cancellation detuning,
 classifies the loop's stability per recycling mirror value and
 detuning root, and integrates the sensitivity improvement factor for
 the stable configurations. An eta row is the work item: its verdicts
-are computed together, and its integrals in lockstep, in one
-improvement_factor call. The assembly is row-major in (eta, xi) and bit-identical for any worker count.
+come from one classify_system call, and its integrals, in lockstep,
+from one improvement_factor call. The assembly is row-major in
+(eta, xi) and bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -17,23 +18,18 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import AccuracyError, MarginalStabilityError
 from .interferometer import (
     SPEED_OF_LIGHT,
     IfoParams,
-    _strain_noise,
-    _strain_terms,
-    baseline_integrated_inverse_psd,
+    improvement_factor,
     reference_detector,
     strain_psd,  # noqa: F401  (unused here; bench/test_bench.py reads survey.strain_psd)
 )
 from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
-from .numerics import _integrate_many
-from .stability import _ROW_SAMPLES, _Loop, _verdicts, classify_system
+from .stability import classify_system
 
 __all__ = [
     "RootChoice",
@@ -43,7 +39,6 @@ __all__ = [
     "SweepCell",
     "SweepGrid",
     "default_grid",
-    "improvement_factor",
     "run_sweep",
 ]
 
@@ -178,78 +173,7 @@ class SweepGrid:
         return best
 
 
-def _integration_breakpoints(med: MediumParams, fsr: float) -> tuple[float, ...]:
-    """Panel seeds, unsorted, at the known sharp features of the inverse noise curve."""
-    width = max(med.damping_gap, 1e-6 * med.delta0 if med.delta0 else 0.0, 1e-12 * fsr)
-    points = {0.25 * fsr, 0.5 * fsr, 0.75 * fsr}
-    for k in (1.0, 3.0, 10.0, 30.0):
-        points.add(k * width)
-        points.add(fsr - k * width)
-        if med.delta0 > 0.0:
-            points.add(med.delta0 - k * width)
-            points.add(med.delta0 + k * width)
-    if med.delta0 > 0.0:
-        points.update({0.5 * med.delta0, med.delta0, 1.5 * med.delta0})
-    return tuple(points)
-
-
-def improvement_factor(ifo: IfoParams | Sequence[IfoParams],
-                       med: MediumParams | Sequence[MediumParams], model: NoiseModel,
-                       rel_tol: float = 1e-4,
-                       check_stability: bool = True) -> float | list[float | AccuracyError]:
-    """Integrated sensitivity gain over the conventional detector.
-
-    Ratio of the integral of 1/S_hh over one free spectral range to the
-    analytic value of the same integral for the detector without the
-    medium. Defined only for stable configurations; the stability
-    precheck can be skipped by callers that already classified the
-    system. Raises AccuracyError when the quadrature misses rel_tol;
-    its best and error estimates are in the units of the ratio.
-
-    ifo and med may also be equal-length sequences of detectors and
-    media: their integrals are then taken in lockstep, each to the same
-    bits as alone, and the call returns a list holding each
-    configuration's ratio, or its AccuracyError in its place; any other
-    error (a singular closed loop) is raised for the whole call.
-    """
-    single = isinstance(ifo, IfoParams)
-    detectors, media = ((ifo,), (med,)) if single else (tuple(ifo), tuple(med))
-    if len(detectors) != len(media):
-        raise ValueError(f"{len(detectors)} detectors for {len(media)} media")
-    if check_stability:
-        for ifo, med in zip(detectors, media):
-            report = classify_system(ifo, med)
-            if not report.stable:
-                raise ValueError(
-                    f"improvement factor undefined for {report.classification.value} "
-                    "configuration")
-    terms = np.array([_strain_terms(ifo, med, model) for ifo, med in zip(detectors, media)]).T
-    results = _integrate_many(
-        lambda omega, owner: 1.0 / _strain_noise(omega, *terms[:, owner]),
-        [(0.0, ifo.free_spectral_range,
-          _integration_breakpoints(med, ifo.free_spectral_range))
-         for ifo, med in zip(detectors, media)], rel_tol=rel_tol)
-    rho = []
-    for ifo, result in zip(detectors, results):
-        baseline = baseline_integrated_inverse_psd(ifo)
-        if isinstance(result, AccuracyError):
-            rho.append(AccuracyError(str(result), best_estimate=result.best_estimate / baseline,
-                                     error_estimate=result.error_estimate / baseline))
-        else:
-            rho.append(result.value / baseline)
-    if not single:
-        return rho
-    if isinstance(rho[0], AccuracyError):
-        raise rho[0]
-    return rho[0]
-
-
 _UNIT_DELAY = replace(reference_detector(), arm_length=SPEED_OF_LIGHT)  # tau == 1.0
-
-# integrals per improvement_factor call of a row: a Simpson level holds
-# at most about 90 points per integral at the survey's rel_tol, so a call
-# keeps to the row budget of _ROW_SAMPLES (2^18) points
-_ROW_INTEGRALS = _ROW_SAMPLES // 128
 
 
 def _cell_media(eta: float, xi: float, labels: tuple[str, ...]):
@@ -279,8 +203,8 @@ def _infeasible_outcomes(reflectivities: tuple[float, ...],
 
 def _status(verdict) -> tuple[CellStatus, str]:
     """Status and note of one configuration from its stability verdict:
-    a report, or the MarginalStabilityError that classify_system raises
-    for it."""
+    a report, or the MarginalStabilityError that classify_system's row
+    form gives in its place."""
     if isinstance(verdict, MarginalStabilityError):
         return CellStatus.OPTICAL_INSTABILITY, str(verdict)
     status = CellStatus(verdict.classification.value)
@@ -309,11 +233,10 @@ def _outcome(rs2: float, label: str, delta0: float, verdict, status: CellStatus,
 def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]:
     """The cells of one eta row, solved on _UNIT_DELAY. The stability
     verdicts of all its distinct (rs^2, medium) configurations come from
-    one _verdicts call and the rho_r of its stable ones from one
-    improvement_factor call per _ROW_INTEGRALS of them; a repeated
-    root's two labels share one configuration and one rho_r. An
-    AccuracyError verdict (a near window beyond the sample cap) is
-    raised, naming eta, xi and rs^2."""
+    one classify_system call and the rho_r of its stable ones from one
+    improvement_factor call; a repeated root's two labels share one
+    configuration and one rho_r. An AccuracyError verdict (a near window
+    beyond the sample cap) is raised, naming eta, xi and rs^2."""
     detectors = {rs2: replace(_UNIT_DELAY.with_power_reflectivity(rs2),
                               include_additional_noise=spec.include_additional_noise)
                  for rs2 in spec.srm_power_reflectivities}
@@ -325,7 +248,8 @@ def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]
         for rs2 in detectors:
             for label, med in media.items():
                 first_label.setdefault((rs2, med), (label, xi))
-    verdicts = _verdicts([(_Loop.of(detectors[rs2], med), med) for rs2, med in first_label])
+    verdicts = classify_system([detectors[rs2] for rs2, _ in first_label],
+                               [med for _, med in first_label])
     for ((rs2, _), (_, xi)), verdict in zip(first_label.items(), verdicts):
         if isinstance(verdict, AccuracyError):
             raise AccuracyError(f"stability verdict at eta={eta}, xi={xi}, "
@@ -333,12 +257,9 @@ def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]
     statuses = [_status(verdict) for verdict in verdicts]
     stable = [key for key, (status, _) in zip(first_label, statuses)
               if status is CellStatus.STABLE]
-    rho = {}
-    for start in range(0, len(stable), _ROW_INTEGRALS):
-        chunk = stable[start:start + _ROW_INTEGRALS]
-        rho.update(zip(chunk, improvement_factor(
-            [detectors[rs2] for rs2, _ in chunk], [med for _, med in chunk],
-            spec.noise_model, rel_tol=spec.rel_tol, check_stability=False)))
+    rho = dict(zip(stable, improvement_factor(
+        [detectors[rs2] for rs2, _ in stable], [med for _, med in stable],
+        spec.noise_model, rel_tol=spec.rel_tol))) if stable else {}
     # a row's loops with an empty near window all report the bound
     # 1 - level of their rs^2 as distance: one float for each
     floats = {}

@@ -10,10 +10,9 @@ LOCAL noise model and the larger detuning root.
 
 import pytest
 
-from wlcnoise.interferometer import reference_detector
+from wlcnoise.interferometer import improvement_factor, reference_detector
 from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from wlcnoise.stability import Classification, classify_system, root_count_oracle
-from wlcnoise.survey import improvement_factor
 
 CELLS = [
     # rs^2, eta, xi, rho_r at rel_tol 1e-10

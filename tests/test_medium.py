@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlcnoise.errors import PoleError
 from wlcnoise.medium import (
     MediumClass,
     MediumParams,
@@ -23,6 +22,7 @@ from wlcnoise.medium import (
 from wlcnoise.numerics import derivative_central
 
 REF = MediumParams(gamma12=1.0, gamma_opt_total=0.1, delta0=2.0)
+POLE = "response evaluated on a pole: gamma12 == gamma_opt_total and omega == \\+-delta0"
 
 
 def rates_strategy():
@@ -61,9 +61,9 @@ def test_susceptibility_vanishes_at_infinity():
 
 def test_susceptibility_pole():
     p = MediumParams(1.0, 1.0, 2.0)
-    with pytest.raises(PoleError):
+    with pytest.raises(ValueError, match=POLE):
         susceptibility(p, -2.0)
-    with pytest.raises(PoleError):
+    with pytest.raises(ValueError, match=POLE):
         susceptibility(p, 2.0)
 
 
@@ -73,10 +73,10 @@ def test_pole_in_array_raises(omega):
     # frequency at +-delta0 anywhere in the array is a pole
     p = MediumParams(1.0, 1.0, 2.0)
     omega = np.array(omega)
-    with pytest.raises(PoleError):
+    with pytest.raises(ValueError, match=POLE):
         probe_transfer(p, omega)
     for model in NoiseModel:
-        with pytest.raises(PoleError):
+        with pytest.raises(ValueError, match=POLE):
             noise_coefficients(p, omega, model)
 
 

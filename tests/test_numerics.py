@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlcnoise import numerics
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
 from wlcnoise.medium import solve_detuning
 from wlcnoise.numerics import (
@@ -252,6 +253,15 @@ def test_stacked_integrals_match_their_own_calls(members, rel_tol, max_depth):
         solo_calls.append(len(made))
     # a level of the stack is one call for every member still refining
     assert max(solo_calls) <= len(calls) <= sum(solo_calls)
+
+
+def test_split_stacks_match_their_own_calls(monkeypatch):
+    # at a row budget of 256 samples a lockstep pass takes 2 integrals,
+    # so the drawn stacks of up to 6 are split: each member still gets
+    # the bits of its own call, which needs each pass's owners offset
+    # back to their places in the stack
+    monkeypatch.setattr(numerics, "_ROW_SAMPLES", 256)
+    test_stacked_integrals_match_their_own_calls()
 
 
 @pytest.mark.parametrize("f, lo, hi, rel_tol, breakpoints, evaluations, value, calls", [

@@ -22,7 +22,7 @@ def test_root_exports_each_module_all(name):
 def test_root_exports_every_exception():
     classes = [value for value in vars(errors).values()
                if isinstance(value, type) and value.__module__ == errors.__name__]
-    assert len(classes) == 3
+    assert len(classes) == 2
     for cls in classes:
         assert getattr(wlcnoise, cls.__name__) is cls
 

@@ -5,9 +5,9 @@ from functools import partial
 
 import pytest
 
-from wlcnoise import stability, survey
+from wlcnoise import interferometer, numerics, stability, survey
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
-from wlcnoise.interferometer import SPEED_OF_LIGHT, reference_detector
+from wlcnoise.interferometer import SPEED_OF_LIGHT, improvement_factor, reference_detector
 from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
 from wlcnoise.stability import Classification, classify_system
 from wlcnoise.survey import (
@@ -16,7 +16,6 @@ from wlcnoise.survey import (
     RootOutcome,
     SweepSpec,
     default_grid,
-    improvement_factor,
     run_sweep,
 )
 
@@ -85,23 +84,13 @@ def test_weak_medium_improvement_near_unity():
     assert rho == pytest.approx(1.0, abs=0.01)
 
 
-def test_improvement_rejects_unstable():
-    gamma12, gamma_opt = map_eta_xi(0.4, 0.1, IFO.tau)
-    roots = solve_detuning(gamma12, gamma_opt, IFO.tau)
-    med = MediumParams(gamma12, gamma_opt, roots[0])  # unstable at rs2 = 0.8
-    with pytest.raises(ValueError):
-        improvement_factor(IFO, med, NoiseModel.LOCAL)
-
-
 def test_improvement_tolerance_stability():
     gamma12, gamma_opt = map_eta_xi(0.88, 0.03, IFO.tau)
     roots = solve_detuning(gamma12, gamma_opt, IFO.tau)
     med = MediumParams(gamma12, gamma_opt, roots[-1])
     rel_tol = 1e-4
-    rho = improvement_factor(IFO, med, NoiseModel.LOCAL,
-                             rel_tol=rel_tol, check_stability=False)
-    rho_tight = improvement_factor(IFO, med, NoiseModel.LOCAL,
-                                   rel_tol=rel_tol / 2.0, check_stability=False)
+    rho = improvement_factor(IFO, med, NoiseModel.LOCAL, rel_tol=rel_tol)
+    rho_tight = improvement_factor(IFO, med, NoiseModel.LOCAL, rel_tol=rel_tol / 2.0)
     assert abs(rho - rho_tight) / rho_tight < 5.0 * rel_tol
     assert rho > 0.0
 
@@ -116,7 +105,7 @@ def test_improvement_factor_pinned(monkeypatch, eta_index, xi_index, rs2, label,
     # stable cells of the paper's 50x50 survey, at its rel_tol 1e-4: the
     # quadrature's nodes and sums are pinned, so a faster integrand or
     # refinement loop that moved either shows here
-    results, integrate = [], survey._integrate_many
+    results, integrate = [], interferometer._integrate_many
 
     def spy(*args, **kwargs):
         returned = integrate(*args, **kwargs)
@@ -129,8 +118,8 @@ def test_improvement_factor_pinned(monkeypatch, eta_index, xi_index, rs2, label,
     roots = solve_detuning(gamma12, gamma_opt, ifo.tau)
     med = MediumParams(gamma12, gamma_opt, roots[0] if label == "smaller" else roots[-1])
     assert classify_system(ifo, med).stable
-    monkeypatch.setattr(survey, "_integrate_many", spy)
-    rho = improvement_factor(ifo, med, NoiseModel.LOCAL, check_stability=False)
+    monkeypatch.setattr(interferometer, "_integrate_many", spy)
+    rho = improvement_factor(ifo, med, NoiseModel.LOCAL)
     assert rho == pytest.approx(rho_r, rel=1e-12, abs=0.0)
     assert [r.evaluations for r in results] == [evaluations]
 
@@ -142,8 +131,8 @@ def test_sweep_fallback_rho_is_in_rho_units(monkeypatch):
     grid = default_grid(50)
     spec = SweepSpec(eta_grid=(grid[16],), xi_grid=grid[5:12], srm_power_reflectivities=(0.5,))
     converged = run_sweep(spec, IFO)
-    monkeypatch.setattr(survey, "_integrate_many",
-                        partial(survey._integrate_many, max_depth=1))
+    monkeypatch.setattr(interferometer, "_integrate_many",
+                        partial(interferometer._integrate_many, max_depth=1))
     detector = survey._UNIT_DELAY.with_power_reflectivity(0.5)
     compared = 0
     for (cell, good), (_, shallow) in zip(converged.outcomes(), run_sweep(spec, IFO).outcomes(),
@@ -155,19 +144,19 @@ def test_sweep_fallback_rho_is_in_rho_units(monkeypatch):
                                        "converge at depth 1 near x = ")
         _, _, media = survey._cell_media(cell.eta, cell.xi, (good.root_label,))
         with pytest.raises(AccuracyError) as info:
-            improvement_factor(detector, media[good.root_label], NoiseModel.LOCAL,
-                               check_stability=False)
+            improvement_factor(detector, media[good.root_label], NoiseModel.LOCAL)
         assert shallow.rho_r == info.value.best_estimate
         assert shallow.rho_r == pytest.approx(good.rho_r, abs=1e-3)
         compared += 1
     assert compared >= 4
 
 
-@pytest.mark.parametrize("stack", [None, 2])
-def test_row_integrates_in_one_call(monkeypatch, small_sweep, stack):
+@pytest.mark.parametrize("cap", [None, 2])
+def test_row_integrates_in_one_call(monkeypatch, small_sweep, cap):
     # a row's stable configurations go to improvement_factor as one
-    # stack of at most _ROW_INTEGRALS; rows without one make no call,
-    # and how a row is cut into stacks changes no bit
+    # stack, which the quadrature takes in passes of at most
+    # numerics._ROW_SAMPLES // 128 integrals; rows without one make no
+    # call, and how a stack is cut into passes changes no bit
     calls, original = [], survey.improvement_factor
 
     def counting(ifo, med, *args, **kwargs):
@@ -175,8 +164,8 @@ def test_row_integrates_in_one_call(monkeypatch, small_sweep, stack):
         return original(ifo, med, *args, **kwargs)
 
     monkeypatch.setattr(survey, "improvement_factor", counting)
-    if stack:
-        monkeypatch.setattr(survey, "_ROW_INTEGRALS", stack)
+    if cap:
+        monkeypatch.setattr(numerics, "_ROW_SAMPLES", 128 * cap)
     grid = run_sweep(small_sweep.spec, IFO)
     assert repr(grid) == repr(small_sweep)
     width = len(small_sweep.spec.xi_grid)
@@ -184,9 +173,9 @@ def test_row_integrates_in_one_call(monkeypatch, small_sweep, stack):
     for start in range(0, len(grid.cells), width):
         keys = {(o.srm_power_reflectivity, o.delta0) for cell in grid.cells[start:start + width]
                 for o in cell.outcomes if o.status is CellStatus.STABLE}
-        cut = stack or max(len(keys), 1)
-        expected += [min(cut, len(keys) - k) for k in range(0, len(keys), cut)]
+        expected += [len(keys)] if keys else []
     assert calls == expected
+    assert cap is None or max(calls) > cap
 
 
 def test_improvement_factor_sequences():
@@ -198,8 +187,8 @@ def test_improvement_factor_sequences():
         media.append(MediumParams(gamma12, gamma_opt,
                                   solve_detuning(gamma12, gamma_opt, IFO.tau)[-1]))
     detectors = [reference_detector(rs2) for rs2 in (0.5, 0.8, 0.9)]
-    stacked = improvement_factor(detectors, media, NoiseModel.LOCAL, check_stability=False)
-    assert stacked == [improvement_factor(ifo, med, NoiseModel.LOCAL, check_stability=False)
+    stacked = improvement_factor(detectors, media, NoiseModel.LOCAL)
+    assert stacked == [improvement_factor(ifo, med, NoiseModel.LOCAL)
                        for ifo, med in zip(detectors, media)]
     assert improvement_factor([], [], NoiseModel.LOCAL) == []
     with pytest.raises(ValueError, match="2 detectors for 3 media"):
@@ -235,7 +224,7 @@ def test_survey_independent_of_power_and_carrier():
                           circulating_power=power,
                           carrier_angular_frequency=2.0 * math.pi * SPEED_OF_LIGHT / wavelength)
             rho = improvement_factor(ifo, media[outcome.root_label], spec.noise_model,
-                                     rel_tol=spec.rel_tol, check_stability=False)
+                                     rel_tol=spec.rel_tol)
             assert rho == pytest.approx(outcome.rho_r, rel=1e-12, abs=0.0)
         stable.add(rs2)
     assert stable == {0.5, 0.8, 0.9}
@@ -359,8 +348,7 @@ def reference_outcome(spec, rs2, label, med):
         status, note = CellStatus.OPTICAL_INSTABILITY, "marginal contour reclassified as unstable"
     if status is CellStatus.STABLE:
         try:
-            rho = improvement_factor(ifo, med, spec.noise_model, rel_tol=spec.rel_tol,
-                                     check_stability=False)
+            rho = improvement_factor(ifo, med, spec.noise_model, rel_tol=spec.rel_tol)
         except AccuracyError as exc:
             rho, note = exc.best_estimate, f"integration tolerance not met: {exc}"
     return RootOutcome(rs2, label, delta0, status, winding=report.winding,
@@ -476,13 +464,14 @@ def test_double_root_cell_computed_once(monkeypatch):
     # the repeated root is classified (and integrated when stable) once
     # per reflectivity, and both labels share that outcome
     calls = []
-    original = survey._verdicts
+    original = survey.classify_system
 
-    def counting(configs):
-        calls.extend((loop.rs, med.delta0) for loop, med in configs)
-        return original(configs)
+    def counting(detectors, media):
+        calls.extend((ifo.srm_amplitude_reflectivity, med.delta0)
+                     for ifo, med in zip(detectors, media, strict=True))
+        return original(detectors, media)
 
-    monkeypatch.setattr(survey, "_verdicts", counting)
+    monkeypatch.setattr(survey, "classify_system", counting)
     spec = SweepSpec(eta_grid=(0.4,), xi_grid=(0.4,),
                      srm_power_reflectivities=(0.5, 0.8))
     (cell,) = run_sweep(spec, IFO).cells
