@@ -210,19 +210,34 @@ def baseline_integrated_inverse_psd(ifo: IfoParams) -> float:
             * ifo.carrier_angular_frequency / (HBAR * SPEED_OF_LIGHT))
 
 
-def _integration_breakpoints(med: MediumParams, fsr: float) -> tuple[float, ...]:
-    """Panel seeds, unsorted, at the known sharp features of the inverse noise curve."""
-    width = max(med.damping_gap, 1e-6 * med.delta0 if med.delta0 else 0.0, 1e-12 * fsr)
-    points = {0.25 * fsr, 0.5 * fsr, 0.75 * fsr}
-    for k in (1.0, 3.0, 10.0, 30.0):
-        points.add(k * width)
-        points.add(fsr - k * width)
-        if med.delta0 > 0.0:
-            points.add(med.delta0 - k * width)
-            points.add(med.delta0 + k * width)
-    if med.delta0 > 0.0:
-        points.update({0.5 * med.delta0, med.delta0, 1.5 * med.delta0})
-    return tuple(points)
+def _integration_breakpoints(delta0: np.ndarray, gap: np.ndarray,
+                             fsr: np.ndarray) -> np.ndarray:
+    """Panel seeds at the known sharp features of the inverse noise
+    curve on [0, fsr], unsorted, a row per medium (rates and fsr as
+    arrays): the quarters of fsr, and k widths (k = 1, 3, 10, 30) above
+    0, below fsr and about delta0, with delta0 and its halfway points.
+    At delta0 = 0 the seeds about it fall on the others or outside
+    (0, fsr), where _integrate_many drops them."""
+    width = np.maximum(np.maximum(gap, 1e-6 * delta0), 1e-12 * fsr)[:, None]
+    steps = width * np.array([1.0, 3.0, 10.0, 30.0])
+    return np.concatenate([fsr[:, None] * np.array([0.25, 0.5, 0.75]), steps,
+                           fsr[:, None] - steps, delta0[:, None] - steps,
+                           delta0[:, None] + steps,
+                           delta0[:, None] * np.array([0.5, 1.0, 1.5])], axis=1)
+
+
+def _configurations(ifo, med) -> tuple[bool, tuple, tuple]:
+    """Whether ifo and med are one configuration, and the detectors and
+    media as equal-length tuples; TypeError when only one of the two is
+    a sequence, ValueError when their lengths differ."""
+    single = isinstance(ifo, IfoParams)
+    if single is not isinstance(med, MediumParams):
+        raise TypeError(f"ifo and med must both be one configuration or both sequences, "
+                        f"got {type(ifo).__name__} and {type(med).__name__}")
+    detectors, media = ((ifo,), (med,)) if single else (tuple(ifo), tuple(med))
+    if len(detectors) != len(media):
+        raise ValueError(f"{len(detectors)} detectors for {len(media)} media")
+    return single, detectors, media
 
 
 def improvement_factor(ifo: IfoParams | Sequence[IfoParams],
@@ -242,16 +257,15 @@ def improvement_factor(ifo: IfoParams | Sequence[IfoParams],
     configuration's ratio, or its AccuracyError in its place; any other
     error (a singular closed loop) is raised for the whole call.
     """
-    single = isinstance(ifo, IfoParams)
-    detectors, media = ((ifo,), (med,)) if single else (tuple(ifo), tuple(med))
-    if len(detectors) != len(media):
-        raise ValueError(f"{len(detectors)} detectors for {len(media)} media")
-    terms = np.array([_strain_terms(ifo, med, model) for ifo, med in zip(detectors, media)]).T
+    single, detectors, media = _configurations(ifo, med)
+    terms = np.array([_strain_terms(ifo, med, model) for ifo, med in zip(detectors, media)]
+                     ).reshape(-1, 8).T
+    # tau, delta0 and Gamma - gamma12 are terms 0, 2 and 3
+    fsr = math.pi / terms[0]
     results = _integrate_many(
         lambda omega, owner: 1.0 / _strain_noise(omega, *terms[:, owner]),
-        [(0.0, ifo.free_spectral_range,
-          _integration_breakpoints(med, ifo.free_spectral_range))
-         for ifo, med in zip(detectors, media)], rel_tol=rel_tol)
+        np.zeros(fsr.size), fsr, _integration_breakpoints(terms[2], -terms[3], fsr),
+        rel_tol=rel_tol)
     rho = []
     for ifo, result in zip(detectors, results):
         baseline = baseline_integrated_inverse_psd(ifo)

@@ -58,7 +58,7 @@ def _sweep(feval: Callable[[np.ndarray, np.ndarray], np.ndarray], panels: np.nda
     max_depth unconverged (inf when none did).
     """
     eps = np.finfo(float).eps
-    totals, errors = [0.0] * count, [0.0] * count
+    sums = np.zeros((2, count))  # each integral's value and error estimate
     failed = np.full(count, np.inf)
     depth = 0
     while True:
@@ -90,9 +90,9 @@ def _sweep(feval: Callable[[np.ndarray, np.ndarray], np.ndarray], panels: np.nda
             accepted = n
         if accepted:
             value, spread = pair + delta / 15.0, err / 15.0
-            _add_by_owner(totals, errors, value[done], spread[done], owner[done])
+            _add_by_owner(sums, np.array([value[done], spread[done]]), owner[done])
             if accepted == n:
-                return totals, errors, failed
+                return *sums.tolist(), failed
         panels = np.array([lo, mid, hi, f_lo, f_mid, f_hi, halves,
                            0.5 * np.concatenate([tol, tol])])
         owner = owners
@@ -103,30 +103,51 @@ def _sweep(feval: Callable[[np.ndarray, np.ndarray], np.ndarray], panels: np.nda
         depth += 1
 
 
-def _add_by_owner(totals: list, errors: list, value: np.ndarray, spread: np.ndarray,
-                  owner: np.ndarray) -> None:
-    """Add each integral's accepted values and error estimates, in their
-    order, each as one contiguous ndarray.sum: that sum is pairwise, as
-    in the integral's own sweep, where a segmented reduction
-    (np.add.reduceat, np.bincount) adds in another order."""
-    order = np.argsort(owner, kind="stable")
-    value, spread, owner = value[order], spread[order], owner[order]
-    cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), owner.size]
-    for start, stop in zip(cuts, cuts[1:]):
-        k = owner[start]
-        totals[k] += float(value[start:stop].sum())
-        errors[k] += float(spread[start:stop].sum())
+def _add_by_owner(sums: np.ndarray, values: np.ndarray, owner: np.ndarray) -> None:
+    """Add to column k of sums, row by row, the columns of values whose
+    owner is k, in their order, as one contiguous ndarray.sum adds them:
+    pairwise, where a segmented reduction (np.add.reduceat, np.bincount)
+    adds in another order. The owners with equal counts of columns are
+    one block, ordered by count then owner, whose rows sum(axis=-1) adds
+    as it would each alone."""
+    counts = np.bincount(owner)
+    values = np.take(values, np.argsort(counts[owner] * counts.size + owner, kind="stable"),
+                     axis=1)
+    present = counts.nonzero()[0]
+    present = present[np.argsort(counts[present], kind="stable")]
+    runs = counts[present]
+    groups = [0, *(np.flatnonzero(runs[1:] != runs[:-1]) + 1).tolist(), present.size]
+    blocks, start = [], 0
+    for first, last in zip(groups, groups[1:]):
+        rows, run = last - first, runs[first].item()
+        blocks.append(values[:, start:start + rows * run].reshape(-1, rows, run).sum(axis=-1))
+        start += rows * run
+    sums[:, present] += np.concatenate(blocks, axis=1)
 
 
-def _integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                    intervals: Sequence[tuple[float, float, Sequence[float]]],
-                    rel_tol: float = 1e-9,
+def _panel_edges(lo: np.ndarray, hi: np.ndarray,
+                 breakpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each integral's first panel edges, all joined: lo, the breakpoints
+    of its row inside (lo, hi) in ascending order without repeats, and
+    hi; and the count of each integral's edges."""
+    seeds = np.sort(breakpoints, axis=1)
+    inside = (seeds > lo[:, None]) & (seeds < hi[:, None])
+    inside[:, 1:] &= seeds[:, 1:] != seeds[:, :-1]
+    ends = np.ones((lo.size, 1), dtype=bool)
+    keep = np.concatenate([ends, inside, ends], axis=1)
+    return (np.concatenate([lo[:, None], seeds, hi[:, None]], axis=1)[keep],
+            keep.sum(axis=1))
+
+
+def _integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
+                    hi: np.ndarray, breakpoints: np.ndarray, rel_tol: float = 1e-9,
                     max_depth: int = 40) -> list[QuadratureResult | AccuracyError]:
     """Adaptive Simpson integration of many integrals in lockstep.
 
-    intervals lists each integral's (lo, hi, breakpoints). f is called
-    with a 1-D array of abscissae and an equal array of the index of
-    the integral that each abscissa belongs to, and must return the
+    Integral k runs from lo[k] to hi[k], its panels seeded by row k of
+    the 2-D breakpoints, in any order (_panel_edges). f is called with a
+    1-D array of abscissae and an equal array of the index of the
+    integral that each abscissa belongs to, and must return the
     integrands' values in an array of the same shape; each level of the
     refinement is one call for all the integrals. Each integral is
     refined, reswept and counted as integrate_adaptive would alone, to
@@ -135,19 +156,22 @@ def _integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     takes at most _ROW_SAMPLES // 128 integrals: a Simpson level holds
     at most about 90 points per integral at the survey's rel_tol, so a
     pass keeps to the row budget; f sees each pass's owners offset back
-    to their place in intervals.
+    to their place in lo.
     """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    count = lo.size
     cap = _ROW_SAMPLES // 128
-    if len(intervals) > cap:
-        return [result for start in range(0, len(intervals), cap)
+    if count > cap:
+        return [result for start in range(0, count, cap)
                 for result in _integrate_many(lambda x, owner: f(x, owner + start),
-                                              intervals[start:start + cap], rel_tol, max_depth)]
-    for lo, hi, _ in intervals:
-        if not lo < hi:
-            raise ValueError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
+                                              lo[start:start + cap], hi[start:start + cap],
+                                              breakpoints[start:start + cap], rel_tol,
+                                              max_depth)]
+    for k in (~(lo < hi)).nonzero()[0][:1].tolist():
+        raise ValueError(f"integration bounds must satisfy lo < hi, "
+                         f"got [{lo[k].item()}, {hi[k].item()}]")
     if not 0.0 < rel_tol < math.inf:
         raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
-    count = len(intervals)
     if not count:
         return []
     evals = np.zeros(count, dtype=int)
@@ -165,10 +189,7 @@ def _integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     # coarse pass for the tolerance scales, with the first level's quarter
     # points: every integral's edges, then its panels' midpoints and quarters
-    edges = [[lo, *(b for b in sorted(set(breakpoints)) if lo < b < hi), hi]
-             for lo, hi, breakpoints in intervals]
-    sizes = [len(e) for e in edges]
-    x = np.array([v for e in edges for v in e], dtype=float)
+    x, sizes = _panel_edges(lo, hi, np.asarray(breakpoints, dtype=float).reshape(count, -1))
     ends = np.cumsum(sizes)
     left, right = np.ones(x.size, dtype=bool), np.ones(x.size, dtype=bool)
     left[ends - 1] = right[ends - sizes] = False
@@ -182,9 +203,10 @@ def _integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     fa, fb, fm, first = y[:x.size][left], y[:x.size][right], y[x.size:-2 * a.size], y[-2 * a.size:]
     whole = _simpson(fa, fm, fb, b - a)
     # each scale from its own integral's panels, summed as they alone would be
-    cuts = (np.cumsum([0, *sizes]) - np.arange(count + 1)).tolist()
-    tols = [max(rel_tol * abs(float(whole[i:j].sum())), 1e-300) for i, j in zip(cuts, cuts[1:])]
-    spans = np.array([hi - lo for lo, hi, _ in intervals])[owner]
+    coarse = np.zeros((1, count))
+    _add_by_owner(coarse, whole[None], owner)
+    tols = np.maximum(rel_tol * np.abs(coarse[0]), 1e-300).tolist()
+    spans = (hi - lo)[owner]
 
     # the coarse estimate can be badly inflated by sharp features, so an
     # integral resweeps when its converged value reveals the scale was
@@ -231,7 +253,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
     Raises AccuracyError (carrying the best estimate) if any panel hits
     max_depth before converging.
     """
-    (result,) = _integrate_many(lambda x, _: f(x), [(lo, hi, breakpoints)], rel_tol,
+    (result,) = _integrate_many(lambda x, _: f(x), [lo], [hi], [breakpoints], rel_tol,
                                 max_depth)
     if isinstance(result, AccuracyError):
         raise result

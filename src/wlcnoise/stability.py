@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -45,7 +44,7 @@ import numpy as np
 
 from . import medium as med_mod
 from .errors import AccuracyError, MarginalStabilityError
-from .interferometer import IfoParams
+from .interferometer import IfoParams, _configurations
 from .medium import MediumClass, MediumParams
 from .numerics import _ROW_SAMPLES
 
@@ -77,8 +76,7 @@ class Classification(Enum):
     NON_STATIONARY = "non-stationary"
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Outcome of the full-system stability test.
 
     classification  final verdict; medium-level classes take precedence
@@ -538,16 +536,48 @@ def _merge_samples(owner: np.ndarray, w: np.ndarray, peak_owner: np.ndarray,
     return np.insert(owner, at, peak_owner), np.insert(w, at, peak_w)
 
 
-def _descents(f: np.ndarray, df: np.ndarray, omegas: np.ndarray,
-              loop_of: Callable[[int], _Loop]) -> np.ndarray:
+def _zero_curvature(loop: _Loop):
+    """The curvature |F'|^2 + Re(conj F F'') of |F|^2 / 2 at w = 0, in
+    closed form. There, with D = g^2 + delta0^2, M = m = 1 + 2 Gamma g / D,
+    M' = i a1 with a1 = 2 Gamma (g^2 - delta0^2) / D^2, and M'' = a2 =
+    4 Gamma g (3 delta0^2 - g^2) / D^3, so F = 1 - r_s m, F' = -i r_s
+    (2m + a1) and F'' = r_s (4m + 4 a1 - a2). Elementwise on floats or
+    arrays; squares are products, the same bits on both (see
+    _gain_window)."""
+    g, d, gam, rs = loop.gap, loop.delta0, loop.gamma, loop.rs
+    g2, d2 = g * g, d * d
+    inv = 1.0 / (g2 + d2)
+    gam_inv = gam * inv
+    m = 1.0 + 2.0 * gam_inv * g
+    a1 = 2.0 * gam_inv * (g2 - d2) * inv
+    a2 = 4.0 * gam_inv * (g * inv) * (3.0 * d2 - g2) * inv
+    slope = 2.0 * m + a1
+    return rs * rs * slope * slope + (1.0 - rs * m) * rs * (4.0 * m + 4.0 * a1 - a2)
+
+
+def _descents(f: np.ndarray, df: np.ndarray, omegas: np.ndarray, loop: _Loop,
+              owner: np.ndarray | None = None) -> np.ndarray:
     """Which sample intervals d|F|/domega turns over from negative to
-    positive. Where a slope is 0 (at omega = 0, by symmetry) the
-    curvature stands in, from the float series of loop_of(k), the
-    configuration of sample k, so it is the same bits alone and in a row."""
+    positive. Where a slope is 0 the curvature stands in: at omega = 0,
+    where symmetry puts such a zero, _zero_curvature's, elsewhere that of
+    the float series, so it is the same bits alone and in a row. loop
+    holds one configuration's floats, or a row's arrays with owner
+    naming each sample's configuration; a row's zeros at omega = 0 take
+    one array pass."""
     slope = (f.conj() * df).real
-    for k in (slope == 0.0).nonzero()[0].tolist():
-        fk, dfk, ddfk = _loop_series(loop_of(k), float(omegas[k]), cmath.exp)
-        slope[k] = abs(dfk) ** 2 + (fk.conjugate() * ddfk).real
+    flat = (slope == 0.0).nonzero()[0]
+    if owner is not None and flat.size:
+        zero = omegas[flat] == 0.0
+        slope[flat[zero]] = _zero_curvature(_Loop(*(p[owner[flat[zero]]] for p in loop)))
+        flat = flat[~zero]
+    for k in flat.tolist():
+        own = loop if owner is None else _Loop(*(float(p[owner[k]]) for p in loop))
+        w = float(omegas[k])
+        if w == 0.0:
+            slope[k] = _zero_curvature(own)
+        else:
+            fk, dfk, ddfk = _loop_series(own, w, cmath.exp)
+            slope[k] = abs(dfk) ** 2 + (fk.conjugate() * ddfk).real
     return (slope[:-1] < 0.0) & (slope[1:] > 0.0)
 
 
@@ -585,7 +615,7 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
         f, df = _loop_series(loop, omegas, _terms=2)
         mod, bound = abs(f), 1.0 - level
         dist = float(mod.min())
-        for k in _descents(f, df, omegas, lambda _: loop).nonzero()[0].tolist():
+        for k in _descents(f, df, omegas, loop).nonzero()[0].tolist():
             (a, b), (fa, fb) = omegas[k:k + 2].tolist(), mod[k:k + 2].tolist()
             if _polish_floor(loop, a, b, fa, fb, xp) <= min(dist, bound):
                 dist = min(dist, _polish_minimum(loop, a, b))
@@ -595,7 +625,7 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     inside = (peak > lo[:, None]) & (peak < hi[:, None])
     dist = np.full(counts.size, math.inf)
     bounds = np.broadcast_to(1.0 - level, dist.shape).tolist()
-    floats = list(zip(*(p.tolist() for p in loop)))
+    columns = [p.tolist() for p in loop]
     sizes = (counts + inside.sum(axis=1)).tolist()
     start = 0
     while start < counts.size:
@@ -619,17 +649,31 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
         f, df = _loop_series(_Loop(*(p[owner] for p in loop)), omegas, _terms=2)
         mod = abs(f)
         np.minimum.at(dist, owner, mod)
-        descents = _descents(f, df, omegas, lambda k: _Loop(*floats[owner[k]]))
-        ks = (descents & (owner[:-1] == owner[1:])).nonzero()[0]
+        ks = (_descents(f, df, omegas, loop, owner) & (owner[:-1] == owner[1:])).nonzero()[0]
         owners = owner[ks]
         floors = _polish_floor(_Loop(*(p[owners] for p in loop)), omegas[ks],
                                omegas[ks + 1], mod[ks], mod[ks + 1])
-        for k, c, floor in zip(ks.tolist(), owners.tolist(), floors.tolist()):
-            if floor <= min(dist[c], bounds[c]):
-                dist[c] = min(dist[c], _polish_minimum(_Loop(*floats[c]), float(omegas[k]),
-                                                       float(omegas[k + 1])))
+        # a float loop for each configuration that polishes
+        best, loops = dist.tolist(), {}
+        for c, a, b, floor in zip(owners.tolist(), omegas[ks].tolist(),
+                                  omegas[ks + 1].tolist(), floors.tolist()):
+            if floor <= min(best[c], bounds[c]):
+                if c not in loops:
+                    loops[c] = _Loop(*(column[c] for column in columns))
+                best[c] = min(best[c], _polish_minimum(loops[c], a, b))
+        dist = np.array(best)
         start = stop
     return np.minimum(dist, 1.0 - level)
+
+
+def _medium_verdict(med: MediumParams):
+    """The verdict on med that needs no loop quantity: its medium-level
+    class's report, or _UNDAMPED on the lasing threshold; None for a
+    damped stationary medium, whose verdict is the loop's."""
+    med_class = med_mod.classify_medium(med)
+    if med_class is not MediumClass.STATIONARY:
+        return StabilityReport(Classification(med_class.value), 0, math.inf, (0.0, 0.0))
+    return _UNDAMPED if med.damping_gap <= 0.0 else None
 
 
 def classify_system(ifo: IfoParams | Sequence[IfoParams],
@@ -659,28 +703,30 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
     or on floats for exactly one such configuration, whose report is
     the same bits alone or in a row.
     """
-    single = isinstance(ifo, IfoParams)
-    detectors, media = ((ifo,), (med,)) if single else (tuple(ifo), tuple(med))
-    if len(detectors) != len(media):
-        raise ValueError(f"{len(detectors)} detectors for {len(media)} media")
-    verdicts: list = []
+    single, detectors, media = _configurations(ifo, med)
+    verdicts, looped, known, rates = [], [], {}, {}
     for ifo, med in zip(detectors, media):
-        med_class = med_mod.classify_medium(med)
-        if med_class is not MediumClass.STATIONARY:
-            verdicts.append(StabilityReport(Classification(med_class.value), 0, math.inf,
-                                            (0.0, 0.0)))
-        elif med.damping_gap <= 0.0:
-            verdicts.append(MarginalStabilityError(_UNDAMPED))
-        elif ifo.srm_amplitude_reflectivity == 0.0:
+        # a row passes one medium at each of its rs^2: each is classified once
+        if id(med) not in known:
+            known[id(med)] = _medium_verdict(med)
+        verdict = known[id(med)]
+        if verdict is None and ifo.srm_amplitude_reflectivity == 0.0:
             # the open loop is cut: the contour is the origin itself
-            verdicts.append(StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0)))
-        else:
-            verdicts.append(None)
-    looped = [i for i, verdict in enumerate(verdicts) if verdict is None]
+            verdict = StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0))
+        elif verdict is None:
+            # the loop's rates, once per medium and arm delay
+            tau = ifo.tau
+            if (id(med), tau) not in rates:
+                rates[id(med), tau] = _Loop.of(ifo, med)[1:]
+            looped.append((len(verdicts), tau, (ifo.srm_amplitude_reflectivity,
+                                                *rates[id(med), tau])))
+        elif verdict is _UNDAMPED:
+            verdict = MarginalStabilityError(_UNDAMPED)
+        verdicts.append(verdict)
     if looped:
         # one configuration takes the closed forms on floats, a row on arrays
-        loops = [_Loop.of(detectors[i], media[i]) for i in looped]
-        loop, xp = (loops[0], _FloatMath) if len(loops) == 1 else (_Loop.stack(loops), np)
+        loops = [loop for *_, loop in looped]
+        loop, xp = (_Loop(*loops[0]), _FloatMath) if len(loops) == 1 else (_Loop.stack(loops), np)
         # the closest approach is searched where |r_s G_o| is above this level
         level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
         near_lo, near_hi = _gain_window(loop, level, xp)
@@ -692,7 +738,7 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
                                  xp.where(wide, 0.0, near_hi), level, xp)
         columns = (dist, near_lo, near_hi, windings, turns, wide)
         rows = [columns] if xp is _FloatMath else zip(*(column.tolist() for column in columns))
-        for i, (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
+        for (i, tau, _), (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
             if too_wide:
                 verdicts[i] = AccuracyError(f"the near window spans {turn:.3g} delay turns; "
                                             f"16 samples per turn exceed {MAX_SAMPLES}")
@@ -700,10 +746,9 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
                 verdicts[i] = MarginalStabilityError(
                     f"Nyquist contour passes within {d:.3e} of (1, 0)")
             else:
-                tau = detectors[i].tau
                 verdicts[i] = StabilityReport(
                     Classification.STABLE if winding == 0 else Classification.OPTICAL_INSTABILITY,
-                    int(winding), d, (lo / tau, hi / tau), marginal=d < MARGINAL_FLAG_DISTANCE)
+                    int(winding), d, (lo / tau, hi / tau), d < MARGINAL_FLAG_DISTANCE)
     if not single:
         return verdicts
     if isinstance(verdicts[0], Exception):

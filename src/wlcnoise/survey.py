@@ -29,7 +29,7 @@ from .interferometer import (
     strain_psd,  # noqa: F401  (unused here; bench/test_bench.py reads survey.strain_psd)
 )
 from .medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
-from .stability import classify_system
+from .stability import Classification, StabilityReport, classify_system
 
 __all__ = [
     "RootChoice",
@@ -201,84 +201,92 @@ def _infeasible_outcomes(reflectivities: tuple[float, ...],
                  for rs2 in reflectivities for label in choice.labels)
 
 
-def _status(verdict) -> tuple[CellStatus, str]:
-    """Status and note of one configuration from its stability verdict:
-    a report, or the MarginalStabilityError that classify_system's row
-    form gives in its place."""
+# the status of each Nyquist classification
+_STATUS = {c: CellStatus(c.value) for c in Classification}
+
+
+def _outcome(rs2: float, label: str, delta0: float, verdict, rho, floats: dict) -> RootOutcome:
+    """Outcome of one detuning root at one SRM reflectivity, from its
+    stability verdict (a report, or the MarginalStabilityError that
+    classify_system's row form gives in its place) and its rho_r: None,
+    a float, or the AccuracyError whose best estimate stands in for it.
+    Its distance is looked up in floats, so that equal distances share
+    one float."""
     if isinstance(verdict, MarginalStabilityError):
-        return CellStatus.OPTICAL_INSTABILITY, str(verdict)
-    status = CellStatus(verdict.classification.value)
+        return RootOutcome(rs2, label, delta0, CellStatus.OPTICAL_INSTABILITY, None, None, True,
+                           None, str(verdict))
+    status, note = _STATUS[verdict.classification], ""
     if verdict.marginal and status is CellStatus.STABLE:
         # too close to the critical point to trust the winding
-        return CellStatus.OPTICAL_INSTABILITY, "marginal contour reclassified as unstable"
-    return status, ""
-
-
-def _outcome(rs2: float, label: str, delta0: float, verdict, status: CellStatus, note: str,
-             rho, floats: dict) -> RootOutcome:
-    """Outcome of one detuning root at one SRM reflectivity, from its
-    verdict, its _status and its rho_r: None, a float, or the
-    AccuracyError whose best estimate stands in for it. Its distance is
-    looked up in floats, so that equal distances share one float."""
-    if isinstance(verdict, MarginalStabilityError):
-        return RootOutcome(rs2, label, delta0, status, marginal=True, note=note)
+        status, note = CellStatus.OPTICAL_INSTABILITY, "marginal contour reclassified as unstable"
     if isinstance(rho, AccuracyError):
         rho, note = rho.best_estimate, f"integration tolerance not met: {rho}"
     distance = verdict.min_distance_to_critical
-    return RootOutcome(rs2, label, delta0, status, winding=verdict.winding,
-                       min_distance=floats.setdefault(distance, distance),
-                       marginal=verdict.marginal, rho_r=rho, note=note)
+    return RootOutcome(rs2, label, delta0, status, verdict.winding,
+                       floats.setdefault(distance, distance), verdict.marginal, rho, note)
 
 
 def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]:
-    """The cells of one eta row, solved on _UNIT_DELAY. The stability
-    verdicts of all its distinct (rs^2, medium) configurations come from
-    one classify_system call and the rho_r of its stable ones from one
-    improvement_factor call; a repeated root's two labels share one
-    configuration and one rho_r. An AccuracyError verdict (a near window
-    beyond the sample cap) is raised, naming eta, xi and rs^2."""
-    detectors = {rs2: replace(_UNIT_DELAY.with_power_reflectivity(rs2),
-                              include_additional_noise=spec.include_additional_noise)
-                 for rs2 in spec.srm_power_reflectivities}
-    cells = [(xi, *_cell_media(eta, xi, spec.root_choice.labels)) for xi in spec.xi_grid]
-    # each medium's reported detuning, one float for all its reflectivities
-    delta0 = {med: med.delta0 / ifo.tau for *_, media in cells for med in media.values()}
-    first_label = {}  # (rs^2, medium) -> the first root label that names it, and its xi
-    for xi, _, _, media in cells:
-        for rs2 in detectors:
-            for label, med in media.items():
-                first_label.setdefault((rs2, med), (label, xi))
-    verdicts = classify_system([detectors[rs2] for rs2, _ in first_label],
-                               [med for _, med in first_label])
-    for ((rs2, _), (_, xi)), verdict in zip(first_label.items(), verdicts):
-        if isinstance(verdict, AccuracyError):
-            raise AccuracyError(f"stability verdict at eta={eta}, xi={xi}, "
-                                f"rs^2={rs2}: {verdict}")
-    statuses = [_status(verdict) for verdict in verdicts]
-    stable = [key for key, (status, _) in zip(first_label, statuses)
-              if status is CellStatus.STABLE]
-    rho = dict(zip(stable, improvement_factor(
-        [detectors[rs2] for rs2, _ in stable], [med for _, med in stable],
-        spec.noise_model, rel_tol=spec.rel_tol))) if stable else {}
+    """The cells of one eta row, solved on _UNIT_DELAY. The row lists its
+    media, a repeated root's two labels sharing one, and its
+    configuration k is the rs^2 k // n and the medium k % n of n: their
+    stability verdicts come from one classify_system call and the rho_r
+    of the stable ones from one improvement_factor call, each kept by
+    position. An AccuracyError verdict (a near window beyond the sample
+    cap) is raised, naming eta, xi and rs^2 of the first in cell order."""
+    reflectivities = spec.srm_power_reflectivities
+    detectors = [replace(_UNIT_DELAY.with_power_reflectivity(rs2),
+                         include_additional_noise=spec.include_additional_noise)
+                 for rs2 in reflectivities]
+    media, cell_of, first_label, cells = [], [], [], []
+    for xi in spec.xi_grid:
+        gamma12, gamma_opt, by_label = _cell_media(eta, xi, spec.root_choice.labels)
+        slots = []  # (label, medium index) of each root label
+        for label, med in by_label.items():
+            if not slots or media[-1] is not med:
+                media.append(med)
+                cell_of.append(len(cells))
+                first_label.append(label)
+            slots.append((label, len(media) - 1))
+        cells.append((xi, gamma12, gamma_opt, slots))
+    n = len(media)
+    verdicts = classify_system([det for det in detectors for _ in range(n)],
+                               media * len(detectors))
+    failed = [(cell_of[k % n], k // n, k) for k, verdict in enumerate(verdicts)
+              if isinstance(verdict, AccuracyError)]
+    if failed:
+        cell, r, k = min(failed)
+        raise AccuracyError(f"stability verdict at eta={eta}, xi={cells[cell][0]}, "
+                            f"rs^2={reflectivities[r]}: {verdicts[k]}")
+    stable = [k for k, verdict in enumerate(verdicts) if isinstance(verdict, StabilityReport)
+              and verdict.classification is Classification.STABLE and not verdict.marginal]
+    rho = [None] * len(verdicts)
+    if stable:
+        for k, value in zip(stable, improvement_factor(
+                [detectors[k // n] for k in stable], [media[k % n] for k in stable],
+                spec.noise_model, rel_tol=spec.rel_tol)):
+            rho[k] = value
+    # each medium's reported detuning, one float for all its reflectivities;
     # a row's loops with an empty near window all report the bound
     # 1 - level of their rs^2 as distance: one float for each
+    delta0 = [med.delta0 / ifo.tau for med in media]
     floats = {}
-    outcome_of = {(rs2, med): _outcome(rs2, label, delta0[med], verdict, *status,
-                                       rho.get((rs2, med)), floats)
-                  for ((rs2, med), (label, _)), verdict, status
-                  in zip(first_label.items(), verdicts, statuses)}
+    outcomes = [_outcome(reflectivities[k // n], first_label[k % n], delta0[k % n], verdict,
+                         rho[k], floats) for k, verdict in enumerate(verdicts)]
     row = []
-    for xi, gamma12, gamma_opt, media in cells:
-        outcomes = []
-        for rs2 in detectors:
-            for label, med in media.items():
-                outcome = outcome_of[rs2, med]
-                outcomes.append(outcome if outcome.root_label == label
-                                else outcome._replace(root_label=label))
-        if not media:
-            outcomes = _infeasible_outcomes(spec.srm_power_reflectivities, spec.root_choice)
-        row.append(SweepCell(eta, xi, gamma12 / ifo.tau, gamma_opt / ifo.tau, bool(media),
-                             tuple(outcomes)))
+    for xi, gamma12, gamma_opt, slots in cells:
+        if slots:
+            cell_outcomes = []
+            for start in range(0, len(outcomes), n):
+                for label, m in slots:
+                    outcome = outcomes[start + m]
+                    cell_outcomes.append(outcome if outcome.root_label == label
+                                         else outcome._replace(root_label=label))
+            cell_outcomes = tuple(cell_outcomes)
+        else:
+            cell_outcomes = _infeasible_outcomes(reflectivities, spec.root_choice)
+        row.append(SweepCell(eta, xi, gamma12 / ifo.tau, gamma_opt / ifo.tau, bool(slots),
+                             cell_outcomes))
     return row
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wlcnoise.errors import MarginalStabilityError
 from wlcnoise.interferometer import (
+    _integration_breakpoints,
     baseline_integrated_inverse_psd,
     open_loop_gain,
     reference_detector,
@@ -22,7 +23,7 @@ from wlcnoise.medium import (
     probe_transfer,
     solve_detuning,
 )
-from wlcnoise.numerics import integrate_adaptive
+from wlcnoise.numerics import _panel_edges, integrate_adaptive
 
 IFO = reference_detector(0.8)
 BARE = MediumParams(gamma12=1.0 / IFO.tau, gamma_opt_total=0.0, delta0=0.0)
@@ -373,3 +374,40 @@ def test_baseline_integral_srm_independent():
         assert result.value == pytest.approx(analytic, rel=1e-3)
     spread = max(values) - min(values)
     assert spread < 1e-4
+
+
+def scalar_breakpoints(med, fsr):
+    """The panel seeds of one medium as a set, by the rule that
+    _integration_breakpoints states for a stack of media."""
+    width = max(med.damping_gap, 1e-6 * med.delta0 if med.delta0 else 0.0, 1e-12 * fsr)
+    points = {0.25 * fsr, 0.5 * fsr, 0.75 * fsr}
+    for k in (1.0, 3.0, 10.0, 30.0):
+        points |= {k * width, fsr - k * width}
+        if med.delta0 > 0.0:
+            points |= {med.delta0 - k * width, med.delta0 + k * width}
+    if med.delta0 > 0.0:
+        points |= {0.5 * med.delta0, med.delta0, 1.5 * med.delta0}
+    return points
+
+
+def test_breakpoints_of_a_stack_match_each_medium():
+    # one closed form over a stack of media: each row's seeds inside
+    # (0, fsr), sorted without repeats, are those of its own medium bit
+    # for bit, at delta0 = 0 and at gaps near 1e-12 fsr too
+    rng = np.random.default_rng(8)
+    fsr = IFO.free_spectral_range
+    media = []
+    for k in range(300):
+        gap = fsr * 10.0 ** rng.uniform(-13.0, 0.5)
+        if k % 3 == 0:
+            gap = fsr * 1e-12 * rng.choice([1.0, 1.0 + 2e-16, 1.0 - 1e-16])
+        delta0 = 0.0 if k % 4 == 0 else fsr * 10.0 ** rng.uniform(-6.0, 0.3)
+        media.append(MediumParams(gap * 2.0, gap, delta0))
+    seeds = _integration_breakpoints(np.array([m.delta0 for m in media]),
+                                     np.array([m.damping_gap for m in media]),
+                                     np.full(len(media), fsr))
+    x, sizes = _panel_edges(np.zeros(len(media)), np.full(len(media), fsr), seeds)
+    rows = np.split(x, np.cumsum(sizes)[:-1])
+    for med, row in zip(media, rows, strict=True):
+        inside = sorted(v for v in scalar_breakpoints(med, fsr) if 0.0 < v < fsr)
+        assert row.tolist() == [0.0, *inside, fsr]

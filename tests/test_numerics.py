@@ -230,7 +230,11 @@ def test_stacked_integrals_match_their_own_calls(members, rel_tol, max_depth):
             y[owner == k] = f(x[owner == k])
         return y
 
-    results = _integrate_many(stacked, intervals, rel_tol=rel_tol, max_depth=max_depth)
+    # the stack's breakpoint rows, padded with the lower bound 0, which
+    # lies outside every (lo, hi) and is dropped
+    padded = [(*breakpoints, *[0.0] * (3 - len(breakpoints))) for _, _, breakpoints in intervals]
+    results = _integrate_many(stacked, [0.0] * len(members), [1.0] * len(members), padded,
+                              rel_tol=rel_tol, max_depth=max_depth)
     solo_calls = []
     for f, (_, _, breakpoints), stacked_result in zip(integrands, intervals, results,
                                                       strict=True):
@@ -262,6 +266,38 @@ def test_split_stacks_match_their_own_calls(monkeypatch):
     # back to their places in the stack
     monkeypatch.setattr(numerics, "_ROW_SAMPLES", 256)
     test_stacked_integrals_match_their_own_calls()
+
+
+def test_grouped_owner_sums_match_each_owners_sum():
+    # the accepted panels of owners with equal counts are summed as the
+    # rows of one block: each row bit for bit its owner's own contiguous
+    # ndarray.sum, in its order, on run lengths 1-300
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        lengths = rng.integers(1, 301, size=rng.integers(1, 25))
+        lengths[rng.integers(lengths.size, size=lengths.size // 2)] = rng.choice(lengths)
+        owner = rng.permutation(np.repeat(np.arange(lengths.size) * 2, lengths))
+        values = rng.standard_normal((2, owner.size)) * 10.0 ** rng.uniform(-8, 8, owner.size)
+        sums = np.zeros((2, 2 * lengths.size))
+        numerics._add_by_owner(sums, values, owner)
+        for k in range(lengths.size):
+            for row in range(2):
+                assert sums[row, 2 * k] == 0.0 + values[row, owner == 2 * k].sum()
+        assert not sums[:, 1::2].any()
+
+
+def test_panel_edges_sort_and_drop_repeats():
+    # each integral's first edges are lo, its breakpoints inside (lo, hi)
+    # sorted once each, and hi: NaN, repeats and points on or beyond an
+    # end are dropped
+    rng = np.random.default_rng(4)
+    rows = rng.choice([-1.0, 0.0, 0.25, 0.5, 0.5 + 1e-16, 1.0, 2.0, np.nan], size=(30, 9))
+    lo, hi = np.zeros(30), rng.choice([0.5, 1.0, 3.0], size=30)
+    x, sizes = numerics._panel_edges(lo, hi, rows)
+    expected = [[a, *sorted({v for v in row if a < v < b}), b]
+                for a, b, row in zip(lo.tolist(), hi.tolist(), rows.tolist())]
+    assert sizes.tolist() == [len(e) for e in expected]
+    assert x.tolist() == [v for e in expected for v in e]
 
 
 @pytest.mark.parametrize("f, lo, hi, rel_tol, breakpoints, evaluations, value, calls", [

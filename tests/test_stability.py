@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from wlcnoise import stability, survey
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
-from wlcnoise.interferometer import open_loop_gain, reference_detector
+from wlcnoise.interferometer import improvement_factor, open_loop_gain, reference_detector
 from wlcnoise.medium import (
     MediumClass,
     MediumParams,
+    NoiseModel,
     classify_medium,
     map_eta_xi,
     probe_transfer,
@@ -568,6 +570,78 @@ def test_two_term_series_is_the_first_two_of_three():
     for loop, omega in zip(loops, omegas.tolist()):
         two = stability._loop_series(loop, omega, cmath.exp, _terms=2)
         assert two == stability._loop_series(loop, omega, cmath.exp)[:2]
+
+
+def test_zero_curvature_matches_the_series():
+    # at omega = 0 the slope of |F|^2 / 2 is 0 by symmetry, and the
+    # closed-form curvature stands in for the three-term float series:
+    # its sign always agrees, its value to 1e-9 where the two terms do
+    # not cancel, and floats and arrays give the same bits
+    configs = drawn_loops(np.random.default_rng(5), 2000)
+    loops = [_Loop.of(ifo, med) for ifo, med in configs]
+    stacked = stability._zero_curvature(_Loop.stack(loops))
+    compared = 0
+    for loop, on_array in zip(loops, stacked.tolist()):
+        f, df, ddf = stability._loop_series(loop, 0.0, cmath.exp)
+        terms = abs(df) ** 2, (f.conjugate() * ddf).real
+        series = terms[0] + terms[1]
+        curvature = stability._zero_curvature(loop)
+        assert curvature == on_array
+        assert (curvature > 0.0) == (series > 0.0) and (curvature < 0.0) == (series < 0.0)
+        if abs(series) > 1e-3 * max(map(abs, terms)):
+            assert curvature == pytest.approx(series, rel=1e-9, abs=0.0)
+            compared += 1
+    assert compared >= 1900
+    assert (stacked < 0.0).any() and (stacked > 0.0).any()
+
+
+def test_row_classifies_each_medium_once(monkeypatch):
+    # a row passes one medium object at each of its rs^2, and each object
+    # is classified once; equal but distinct objects are classified each
+    # and give the same reports
+    configs, _ = verdict_slice()
+    shared = {}
+    for _, med in configs:
+        shared.setdefault(med, med)
+    detectors = [ifo for ifo, _ in configs]
+    calls = []
+    classify = stability.med_mod.classify_medium
+
+    def spy(med):
+        calls.append(med)
+        return classify(med)
+
+    monkeypatch.setattr(stability.med_mod, "classify_medium", spy)
+    row = classify_system(detectors, [shared[med] for _, med in configs])
+    assert len(calls) == len(shared) < len(configs)
+    calls.clear()
+    distinct = classify_system(detectors, [replace(med) for _, med in configs])
+    assert len(calls) == len(configs)
+    assert list(map(repr, distinct)) == list(map(repr, row))
+
+
+def test_stability_report_is_an_immutable_record():
+    report = stability.StabilityReport(Classification.STABLE, 0, 0.25, (0.0, 1.5))
+    assert repr(report) == (
+        "StabilityReport(classification=<Classification.STABLE: 'stable'>, winding=0, "
+        "min_distance_to_critical=0.25, omega_range_used=(0.0, 1.5), marginal=False)")
+    assert report.stable and not report._replace(
+        classification=Classification.OPTICAL_INSTABILITY).stable
+    with pytest.raises(AttributeError):
+        report.winding = 1
+    assert pickle.loads(pickle.dumps(report)) == report
+
+
+@pytest.mark.parametrize("ifo, med", [
+    (IFO, [BARE, BARE]), ([IFO, IFO], BARE), ((IFO,), BARE), (IFO, (BARE,)),
+], ids=["one-ifo-media", "ifos-one-medium", "ifo-tuple", "medium-tuple"])
+def test_mixed_single_and_sequence_arguments(ifo, med):
+    # one configuration or equal-length sequences, never one of each
+    for call in (classify_system, lambda ifo, med: improvement_factor(ifo, med,
+                                                                      NoiseModel.LOCAL)):
+        with pytest.raises(TypeError, match="^ifo and med must both be one configuration "
+                                            "or both sequences, got "):
+            call(ifo, med)
 
 
 def test_polish_floor_bounds_dense_samples():
