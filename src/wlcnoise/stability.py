@@ -8,10 +8,11 @@ along the real axis closed through the decaying upper arc. That winding
 is the signed count of crossings of the ray [1, inf), which can only
 happen where |r_s G_o| > 1; they are counted in closed form inside
 that gain window. The closest approach to (1, 0) is exact: the
-distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1, and each
-sampled descent into a minimum is polished by a safeguarded Newton
-search with closed-form derivatives where a floor on |F| over it
-(_polish_floor) does not show that it cannot lower the report.
+distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1 but closed
+forms (_certified_span) do not bound it above the report, and each
+sampled descent is polished by a safeguarded Newton search with
+closed-form derivatives where a floor on |F| (_polish_floor) does not
+show that it cannot lower the report.
 classify_system takes the verdicts of many configurations (a survey
 row) from a few array calls, and those of one configuration from the
 same closed forms on Python floats (_FloatMath), sampling its own near
@@ -348,7 +349,7 @@ class _FloatMath:
 
     maximum, minimum, sqrt, copysign = max, min, math.sqrt, math.copysign
     float_power, arctan, arctan2, floor = math.pow, math.atan, math.atan2, math.floor
-    hypot = math.hypot
+    hypot, arcsin, ceil = math.hypot, math.asin, math.ceil
 
     @staticmethod
     def where(condition, a, b):
@@ -395,7 +396,7 @@ def _gain_window(loop: _Loop, level, xp=np):
     return lo, hi
 
 
-def _loop_phase_turns(loop: _Loop, w, xp=np):
+def _loop_phase_turns(loop: _Loop, w, xp=np, _branches=False):
     """Continuous phase of G_o at real w >= 0, in turns, 0 at w = 0.
 
     The phase is 2 w + arg num - arg den_+ - arg den_- on
@@ -404,7 +405,9 @@ def _loop_phase_turns(loop: _Loop, w, xp=np):
     w - r_k for the two roots r_k = -i(g + Gamma) +- sqrt(delta0^2 -
     Gamma^2) of num, which lie in the lower half plane, so each
     w - r_k stays in the upper one. Elementwise, broadcasting loop
-    against w, on arrays or floats as _gain_window.
+    against w, on arrays or floats as _gain_window. _branches=True
+    returns arg num, which falls as w rises, and the two atans, which
+    rise, instead.
     """
     g, gam, d = loop.gap, loop.gamma, loop.delta0
     h = g + gam
@@ -415,9 +418,10 @@ def _loop_phase_turns(loop: _Loop, w, xp=np):
                        xp.arctan2(h, w - s) + xp.arctan2(h, w + s),
                        xp.arctan2((d * d + g * g + 2.0 * gam * g) / (h + s), w)
                        + xp.arctan2(h + s, w))
-    phase = (2.0 * w + arg_num - math.pi
-             + xp.arctan((w + d) / g) + xp.arctan((w - d) / g))
-    return phase / (2.0 * math.pi)
+    atan_p, atan_m = xp.arctan((w + d) / g), xp.arctan((w - d) / g)
+    if _branches:
+        return arg_num, atan_p, atan_m
+    return (2.0 * w + arg_num - math.pi + atan_p + atan_m) / (2.0 * math.pi)
 
 
 def _ray_crossings(loop: _Loop, lo, hi, xp=np):
@@ -581,6 +585,44 @@ def _descents(f: np.ndarray, df: np.ndarray, omegas: np.ndarray, loop: _Loop,
     return (slope[:-1] < 0.0) & (slope[1:] > 0.0)
 
 
+def _certified_span(loop: _Loop, lo, hi, level, xp=np) -> tuple:
+    """A span [c0, c1] of each near window [lo, hi] with |F| >= 1 - level
+    in closed form (c0 > c1 for none): the interior, where |r_s G_o| >=
+    2 - level (grown by 1e-9), as |F| >= |r_s G_o| - 1, and each rim [a, b]
+    beside it, [lo, ilo] or [ihi, hi] (without one, the window), where the
+    phase T of G_o in turns lies in [R(a) - D(b), R(b) - D(a)] / 2 pi - 1/2
+    (R = 2w + atan((w + delta0) / g) + atan((w - delta0) / g) and D = -arg
+    num both rise, _loop_phase_turns) clear of every integer by asin(1 -
+    level) / 2 pi + 1e-9: there |F| >= |sin 2 pi T| >= 1 - level, or |F|
+    >= Re F >= 1. Elementwise, as _gain_window."""
+    ilo, ihi = _gain_window(loop, (2.0 - level) * (1.0 + 1e-9), xp)
+    inner, widen = ihi > 0.0, xp.arcsin(1.0 - level) / (2.0 * math.pi) + 1e-9
+    x1, x2 = xp.where(inner, xp.maximum(ilo, lo), hi), xp.where(inner, xp.minimum(ihi, hi), lo)
+
+    def clear(a, b):  # whether T on [a, b] keeps clear of every integer; T(0) = 0
+        if xp is _FloatMath and a == 0.0:
+            return False
+        arg_a, p_a, m_a = _loop_phase_turns(loop, a, xp, True)
+        arg_b, p_b, m_b = _loop_phase_turns(loop, b, xp, True)
+        low = (2.0 * a + p_a + m_a + arg_b - math.pi) / (2.0 * math.pi)
+        high = (2.0 * b + p_b + m_b + arg_a - math.pi) / (2.0 * math.pi)
+        return xp.floor(high + widen) < low - widen
+
+    return xp.where(clear(lo, x1), lo, x1), xp.where(clear(x2, hi), hi, x2)
+
+
+def _search_runs(loop: _Loop, lo, hi, level, counts, xp=np) -> tuple:
+    """The runs of the counts uniform samples of each near window that F
+    is evaluated on, 0 to a_end and b_start to counts - 1 (floats on
+    arrays), each with one guard sample inside the _certified_span, so
+    their brackets are the window's; one run where none lies in it."""
+    c0, c1 = _certified_span(loop, lo, hi, level, xp)
+    step = (hi - lo) / (counts - 1)
+    first = xp.where(c0 > lo, xp.floor((c0 - lo) / step) + 1, -1)
+    last = xp.where(c1 < hi, xp.ceil((c1 - lo) / step) - 1, counts)
+    return xp.where(last <= first, counts - 1, first), xp.where(last <= first, counts, last)
+
+
 def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     """Closest approach of r_s G_o to (1, 0), for the configuration of
     the floats in loop (xp=_FloatMath), or for every configuration of
@@ -588,47 +630,66 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
 
     Only the near window [lo, hi] where |r_s G_o| >= level is searched;
     everywhere else the distance exceeds 1 - level, which is returned
-    instead when the window is empty (hi = 0) or the approach is
-    farther. |F| = |1 - r_s G_o| and its slope are sampled as
-    _near_samples says (each window within MAX_SAMPLES points), in one
-    array call: one configuration's own window, or a row's windows
-    joined, whole configurations at a time up to _ROW_SAMPLES samples
-    (a configuration with more is a call of its own), which bounds a
-    row's memory. A sample interval over which d|F|/domega turns from
-    negative to positive (_descents) is polished by _polish_minimum
+    instead when the window is empty (hi = 0), certified whole, or the
+    approach is farther. |F| = |1 - r_s G_o| and its slope are sampled
+    as _near_samples says (each window within MAX_SAMPLES points) on the
+    runs of _search_runs, in one array call: one configuration's runs,
+    or a row's, whole configurations at a time up to _ROW_SAMPLES
+    evaluated samples (one with more is a call of its own), which bounds
+    a row's memory. A bracket of one run over which d|F|/domega turns
+    from negative to positive (_descents) is polished by _polish_minimum
     unless its _polish_floor (a chunk's in one array call, one
     configuration's on floats) lies above both the distance so far and
     1 - level, since a polish never returns less than it. Searching
     omega >= 0 suffices because the other half is the complex conjugate.
     """
     if xp is _FloatMath:
-        if hi == 0.0:
-            return 1.0 - level
         counts, peak = _near_samples(loop, lo, hi, xp)
-        omegas = np.arange(counts) * ((hi - lo) / (counts - 1)) + lo
-        omegas[-1] = hi
-        # the peak nodes are in order: those inside are one slice
-        first, stop = peak.searchsorted(lo, "right"), peak.searchsorted(hi)
-        if first < stop:
-            omegas = np.concatenate([omegas, peak[first:stop]])
+        a_end, b_start = _search_runs(loop, lo, hi, level, counts, xp) if hi else (-1, counts)
+        if a_end < 0 and b_start == counts:
+            return 1.0 - level
+        step = (hi - lo) / (counts - 1)
+        omegas = np.arange(a_end + 1.0 + counts - b_start)  # the runs' indices
+        omegas[a_end + 1:] += b_start - a_end - 1
+        omegas = omegas * step + lo
+        if b_start < counts or a_end == counts - 1:
+            omegas[-1] = hi
+        # the peak nodes are in order: those inside each run are one slice
+        first, a_stop = peak.searchsorted(
+            (lo, math.inf if a_end == counts - 1 else a_end * step + lo), "right")
+        b_first, stop = peak.searchsorted((math.inf if b_start == counts else b_start * step + lo,
+                                           hi))
+        peaks = peak[first:min(a_stop, stop)], peak[max(b_first, first):stop]
+        gap = a_end + peaks[0].size  # the bracket from run a to run b
+        if peaks[0].size or peaks[1].size:
+            omegas = np.concatenate([omegas, *peaks])
             omegas.sort()
         f, df = _loop_series(loop, omegas, _terms=2)
         mod, bound = abs(f), 1.0 - level
         dist = float(mod.min())
         for k in _descents(f, df, omegas, loop).nonzero()[0].tolist():
             (a, b), (fa, fb) = omegas[k:k + 2].tolist(), mod[k:k + 2].tolist()
-            if _polish_floor(loop, a, b, fa, fb, xp) <= min(dist, bound):
+            if k != gap and _polish_floor(loop, a, b, fa, fb, xp) <= min(dist, bound):
                 dist = min(dist, _polish_minimum(loop, a, b))
         return min(dist, bound)
     counts, peak = _near_samples(loop, lo, hi)
     counts = counts.astype(int) * (hi > 0.0)
-    inside = (peak > lo[:, None]) & (peak < hi[:, None])
-    dist = np.full(counts.size, math.inf)
-    bounds = np.broadcast_to(1.0 - level, dist.shape).tolist()
+    level = np.broadcast_to(level, counts.shape)
+    # configuration c's runs [0, a_end] and [b_start, counts - 1] are runs 2c and 2c + 1
+    a_end, b_start, on = np.full(counts.size, -1), counts.copy(), (counts > 0).nonzero()[0]
+    a_end[on], b_start[on] = _search_runs(_Loop(*(p[on] for p in loop)), lo[on], hi[on],
+                                          level[on], counts[on])
+    step = (hi - lo) / np.maximum(counts - 1, 1)
+    a_top = np.where(a_end == counts - 1, math.inf, a_end * step + lo)
+    in_b = peak >= np.where(b_start == counts, math.inf, b_start * step + lo)[:, None]
+    inside = (peak > lo[:, None]) & (peak < hi[:, None]) & ((peak <= a_top[:, None]) | in_b)
+    firsts = np.stack([np.zeros_like(b_start), b_start], axis=1).ravel()
+    lengths = np.stack([a_end + 1, counts - b_start], axis=1).ravel()
+    dist, bounds = np.full(counts.size, math.inf), (1.0 - level).tolist()
     columns = [p.tolist() for p in loop]
-    sizes = (counts + inside.sum(axis=1)).tolist()
+    sizes = (counts - b_start + a_end + 1 + inside.sum(axis=1)).tolist()
     start = 0
-    while start < counts.size:
+    while any(sizes[start:]):  # a chunk evaluates at least one sample
         # the next configurations up to _ROW_SAMPLES samples, the first
         # one whatever its size, and any with no samples
         stop, held = start, 0
@@ -636,20 +697,19 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
                                       or held + sizes[stop] <= _ROW_SAMPLES):
             held += sizes[stop]
             stop += 1
-        part = slice(start, stop)
-        n, ends = counts[part], counts[part].cumsum()
-        owner = np.arange(n.size).repeat(n)
-        step = (hi[part] - lo[part]) / np.maximum(n - 1, 1)
-        omegas = (np.arange(ends[-1]) - (ends - n)[owner]) * step[owner] + lo[part][owner]
-        searched = n > 0
-        omegas[ends[searched] - 1] = hi[part][searched]
-        owner, omegas = _merge_samples(owner + start, omegas, inside[part].nonzero()[0] + start,
-                                       peak[part][inside[part]])
+        part, runs, n = slice(start, stop), slice(2 * start, 2 * stop), lengths[2 * start:2 * stop]
+        run = np.arange(2 * start, 2 * stop).repeat(n)
+        index = np.arange(run.size) + (firsts[runs] - n.cumsum() + n).repeat(n)
+        owner = run >> 1
+        omegas = np.where(index == counts[owner] - 1, hi[owner], index * step[owner] + lo[owner])
+        peak_run = 2 * inside[part].nonzero()[0] + in_b[part][inside[part]] + 2 * start
+        run, omegas = _merge_samples(run, omegas, peak_run, peak[part][inside[part]])
+        owner = run >> 1
 
         f, df = _loop_series(_Loop(*(p[owner] for p in loop)), omegas, _terms=2)
         mod = abs(f)
         np.minimum.at(dist, owner, mod)
-        ks = (_descents(f, df, omegas, loop, owner) & (owner[:-1] == owner[1:])).nonzero()[0]
+        ks = (_descents(f, df, omegas, loop, owner) & (run[:-1] == run[1:])).nonzero()[0]
         owners = owner[ks]
         floors = _polish_floor(_Loop(*(p[owners] for p in loop)), omegas[ks],
                                omegas[ks + 1], mod[ks], mod[ks + 1])

@@ -679,12 +679,12 @@ def test_polish_floor_bounds_dense_samples():
 def test_skipped_polishes_change_no_report(monkeypatch):
     # a polish never returns less than its floor, so one skipped where
     # the floor lies above the distance so far leaves the report as it
-    # was: with the floor forced to -inf, so that every descent is
-    # polished, every polish is at least its floor, and the reports alone
-    # and in a row are the skipping ones, repr for repr, on the slice of
-    # verdict_slice and on the seed-3 draws whose near window fits
-    # 50,000 samples (56 of the 60; the other four, of up to 3 million
-    # samples, would take seconds)
+    # was: with the floor forced to -inf and the certified spans off, so
+    # that every descent of every near window is polished, every polish
+    # is at least its floor, and the reports alone and in a row are the
+    # skipping ones, repr for repr, on the slice of verdict_slice and on
+    # the seed-3 draws whose near window fits 50,000 samples (56 of the
+    # 60; the other four, of up to 3 million samples, would take seconds)
     draws = drawn_loops(np.random.default_rng(3), 60)
     draws = [config for config, n in zip(draws, near_samples(draws)) if n <= 50_000]
     configs = verdict_slice()[0] + draws
@@ -716,6 +716,7 @@ def test_skipped_polishes_change_no_report(monkeypatch):
     monkeypatch.setattr(stability, "_polish_minimum", record_polish)
     *skipping, alone_count, row_count = reports()
     monkeypatch.setattr(stability, "_polish_floor", no_floor)
+    monkeypatch.setattr(stability, "_certified_span", no_span)
     *every, every_alone, every_row = reports()
     every_count = every_alone + every_row
     assert skipping == every
@@ -725,6 +726,114 @@ def test_skipped_polishes_change_no_report(monkeypatch):
     # one floor per polished bracket, alone then in a row, in order
     assert len(floors) == every_count
     assert all(value >= bound for value, bound in zip(polished, floors))
+
+
+def no_span(loop, lo, hi, level, xp=np):
+    """_certified_span with both certificates off: an empty span."""
+    return hi, lo
+
+
+def test_certified_spans_bound_dense_samples():
+    # on the seed-3 drawn near windows (rs^2 up to 0.9999) and those of
+    # verdict_slice, |F| at 2,001 points of each interior, each certified
+    # rim and each window certified whole is at least 1 - level, and the
+    # phase on each certified rim keeps its margin from every integer;
+    # the samples a run drops lie in its span, and floats and arrays
+    # drop the same ones
+    configs = [config for config in drawn_loops(np.random.default_rng(3), 60) + verdict_slice()[0]
+               if classify_medium(config[1]) is MediumClass.STATIONARY
+               and config[1].damping_gap > 0.0 and config[0].srm_amplitude_reflectivity > 0.0]
+    stacked = _Loop.stack([_Loop.of(*config) for config in configs])
+    level = np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + stacked.rs))
+    lo, hi = _gain_window(stacked, level)
+    near = hi > 0.0
+    stacked, level, lo, hi = _Loop(*(p[near] for p in stacked)), level[near], lo[near], hi[near]
+    ilo, ihi = _gain_window(stacked, (2.0 - level) * (1.0 + 1e-9))
+    ilo, ihi = np.maximum(ilo, lo), np.minimum(ihi, hi)
+    c0, c1 = stability._certified_span(stacked, lo, hi, level)
+    inner = ihi > 0.0
+    rims = (c0 == lo) & (lo < np.where(inner, ilo, hi)), (c1 == hi) & (np.where(inner, ihi, lo) < hi)
+    whole = (c0 == lo) & (c1 == hi)
+    pieces = [(ilo, ihi, inner, False), (lo, np.where(inner, ilo, hi), rims[0], True),
+              (np.where(inner, ihi, lo), hi, rims[1], True)]
+    columns = _Loop(*(p[:, None] for p in stacked))
+    for a, b, certified, rim in pieces:
+        w = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 2001)
+        mod = abs(stability._loop_series(columns, w, _terms=2)[0])
+        assert np.all(mod[certified] >= (1.0 - level)[certified, None])
+        if rim:
+            # a rim's phase keeps asin(1 - level) / 2 pi clear of every
+            # integer, which bounds |F| whatever |r_s G_o| is there
+            turns = stability._loop_phase_turns(columns, w)
+            clear, margin = abs(turns - np.round(turns)), np.arcsin(1.0 - level) / (2.0 * math.pi)
+            assert np.all(clear[certified] >= margin[certified, None])
+    # interiors, certified rims on both sides and windows certified
+    # whole, among windows that start at 0 and above it (a rim from 0
+    # holds T(0) = 0, so only one above 0 certifies its left rim)
+    assert np.sum(inner) >= 50 and np.sum(whole) >= 20
+    assert np.sum(rims[0] & (lo > 0.0)) >= 5 and np.sum(rims[1] & ~whole) >= 10
+    for starts in (lo == 0.0, lo > 0.0):
+        assert np.sum(starts & inner) >= 20 and np.sum(starts & whole) >= 5
+        assert np.sum(starts & rims[1] & ~whole) >= 3
+    counts = stability._near_samples(stacked, lo, hi)[0]
+    a_end, b_start = stability._search_runs(stacked, lo, hi, level, counts)
+    step = (hi - lo) / (counts - 1)
+    dropping = b_start > a_end + 1
+    assert np.sum(dropping) >= 20
+    assert np.all((a_end * step + lo >= c0)[dropping & (a_end >= 0)])
+    assert np.all((b_start * step + lo <= c1)[dropping & (b_start < counts)])
+    for k, loop in enumerate(zip(*stacked)):
+        floats = (float(lo[k]), float(hi[k]), float(level[k]))
+        assert stability._search_runs(_Loop(*map(float, loop)), *floats, int(counts[k]),
+                                      stability._FloatMath) == (a_end[k], b_start[k])
+
+
+def test_certified_spans_change_no_report(monkeypatch):
+    # every sample a certified span drops has |F| >= 1 - level, so the
+    # reports alone and in a row, repr for repr, are the same with the
+    # certificates off, on the slice of verdict_slice and the seed-3
+    # draws whose near window fits 50,000 samples; with them on, fewer
+    # samples are evaluated and fewer brackets polished, as many alone
+    # as in a row
+    draws = drawn_loops(np.random.default_rng(3), 60)
+    configs = verdict_slice()[0] + [config for config, n in zip(draws, near_samples(draws))
+                                    if n <= 50_000]
+    polish, series = stability._polish_minimum, stability._loop_series
+    polished, evaluated = [], []
+
+    def record_polish(*args):
+        polished.append(args)
+        return polish(*args)
+
+    def record_series(loop, w, *args, **kwargs):
+        if isinstance(w, np.ndarray):
+            evaluated.append(w.size)
+        return series(loop, w, *args, **kwargs)
+
+    def reports():
+        """The reprs alone and in a row, and the polishes and evaluated
+        samples of each."""
+        polished.clear()
+        evaluated.clear()
+        alone = []
+        for config in configs:
+            try:
+                alone.append(classify_system(*config))
+            except (MarginalStabilityError, AccuracyError) as exc:
+                alone.append(exc)
+        counts = len(polished), sum(evaluated)
+        row = list(map(repr, row_verdicts(configs)))
+        return (list(map(repr, alone)), row, counts,
+                (len(polished) - counts[0], sum(evaluated) - counts[1]))
+
+    monkeypatch.setattr(stability, "_polish_minimum", record_polish)
+    monkeypatch.setattr(stability, "_loop_series", record_series)
+    alone, row, on_alone, on_row = reports()
+    monkeypatch.setattr(stability, "_certified_span", no_span)
+    off_alone_reports, off_row_reports, off_alone, off_row = reports()
+    assert alone == row == off_alone_reports == off_row_reports
+    assert on_alone == on_row and off_alone == off_row
+    assert on_alone[0] < off_alone[0] and on_alone[1] < 0.7 * off_alone[1]
 
 
 def test_peak_nodes_merge_in_lexsort_order():
@@ -750,19 +859,29 @@ def test_peak_nodes_merge_in_lexsort_order():
 def test_polished_brackets_of_one_survey_row_pinned(monkeypatch):
     # the closed-form floor skips most polishes of this seed-0 survey
     # row (eta = 0.5686, the 29th of 50): 32 of its 171 descents are
-    # polished, so a change that loses the skip shows here
+    # polished, so a change that loses the skip shows here; and the
+    # certified spans leave 425 of its 8,125 near-window samples to
+    # evaluate, in one array call
     polish, polished = stability._polish_minimum, []
+    series, evaluated = stability._loop_series, []
 
     def record_polish(*args):
         polished.append(args)
         return polish(*args)
 
+    def record_series(loop, w, *args, **kwargs):
+        if isinstance(w, np.ndarray):
+            evaluated.append(w.size)
+        return series(loop, w, *args, **kwargs)
+
     monkeypatch.setattr(stability, "_polish_minimum", record_polish)
+    monkeypatch.setattr(stability, "_loop_series", record_series)
     spec = survey.SweepSpec(eta_grid=(survey.default_grid(50)[28],),
                             xi_grid=survey.default_grid(50), srm_power_reflectivities=(0.5, 0.8, 0.9),
                             root_choice=survey.RootChoice.BOTH)
     survey.run_sweep(spec, IFO)
     assert len(polished) == 32
+    assert evaluated == [425]
 
 
 def near_samples(configs):
@@ -850,9 +969,11 @@ def test_row_memory_chunks_keep_every_report(monkeypatch, budget):
     calls.clear()
     monkeypatch.setattr(stability, "_ROW_SAMPLES", budget)
     assert list(map(repr, row_verdicts(row))) == whole
-    # one array call per chunk: at a budget of 1 sample each of the 110
-    # searched windows is a chunk, which takes the empty windows with it
-    assert sum(calls) == {1: 110, 1000: 26, 20_000: 2}[budget]
+    # one array call per chunk, packed by the samples evaluated: at a
+    # budget of 1 sample each of the 64 of the 110 searched windows that
+    # are not certified whole is a chunk, which takes the windows
+    # without samples with it
+    assert sum(calls) == {1: 64, 1000: 13, 20_000: 1}[budget]
 
 
 # ---------------------------------------------------------------------------
