@@ -144,24 +144,34 @@ def _sweep_tables(grid: SweepGrid, out_dir: Path) -> dict:
     }
     keys = [(rs2, label) for rs2 in spec.srm_power_reflectivities
             for label in spec.root_choice.labels]
-    rows = {key: [["eta", "xi", "classification", "delta0", "rho_r"]] for key in keys}
+    # each table a list of whole lines, the header first
+    rows = {key: [["eta,xi,classification,delta0,rho_r"]] for key in keys}
     stable, marginal = dict.fromkeys(keys, 0), dict.fromkeys(keys, 0)
     max_rho = dict.fromkeys(keys)
+    # the text of each status and of each delta0 value, made once (a
+    # medium has one delta0 at all its rs^2); delta0 is NaN on infeasible
+    # outcomes, whose rho_r is None; rho_r is set only on stable ones
+    statuses = {status: f",{status.value}," for status in CellStatus}
+    infeasible, delta0_text = statuses[CellStatus.INFEASIBLE] + ",", {}
     # one pass over the cells builds every table's rows and summary counts
     for cell in grid.cells:
         prefix = f"{_fmt(cell.eta)},{_fmt(cell.xi)}"
         for outcome in cell.outcomes:
             key = (outcome.srm_power_reflectivity, outcome.root_label)
-            rho = outcome.rho_r
-            if outcome.status is CellStatus.STABLE:
+            status = outcome.status
+            if status is CellStatus.INFEASIBLE:
+                rows[key].append([prefix + infeasible])
+                continue
+            rho, delta0 = outcome.rho_r, outcome.delta0
+            if status is CellStatus.STABLE:
                 stable[key] += 1
                 if rho is not None and (max_rho[key] is None or rho > max_rho[key]):
                     max_rho[key] = rho
             marginal[key] += outcome.marginal
-            # delta0 is NaN on infeasible outcomes; rho_r is set only on stable ones
-            rows[key].append([prefix, outcome.status.value,
-                              "" if math.isnan(outcome.delta0) else _fmt(outcome.delta0),
-                              "" if rho is None else _fmt(rho)])
+            if delta0 not in delta0_text:
+                delta0_text[delta0] = "" if math.isnan(delta0) else _fmt(delta0)
+            rows[key].append([prefix + statuses[status] + delta0_text[delta0] + ","
+                              + ("" if rho is None else _fmt(rho))])
     for rs2, label in keys:
         name = f"sweep_rs2_{_fmt(rs2)}_root_{label}.csv"
         _write_csv(out_dir / name, rows[rs2, label])

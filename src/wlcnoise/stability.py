@@ -11,8 +11,7 @@ that gain window. The closest approach to (1, 0) is exact: the
 distance |1 - r_s G_o| is sampled where |r_s G_o| is near 1 but closed
 forms (_certified_span) do not bound it above the report, and each
 sampled descent is polished by a safeguarded Newton search with
-closed-form derivatives where a floor on |F| (_polish_floor) does not
-show that it cannot lower the report.
+closed-form derivatives.
 classify_system takes the verdicts of many configurations (a survey
 row) from a few array calls, and those of one configuration from the
 same closed forms on Python floats (_FloatMath), sampling its own near
@@ -151,7 +150,7 @@ def _uniform_count(lo: float, hi: float) -> int:
 
 
 def _axis_nodes(loop: _Loop, lo: float, hi: float, reach: float,
-                count: int) -> tuple[np.ndarray, np.ndarray]:
+                count: int) -> tuple[np.ndarray, bool, bool]:
     """Start nodes of a contour reference on the real segment [lo, hi].
 
     Of count uniform nodes (_uniform_count), those within +-reach, plus
@@ -166,9 +165,9 @@ def _axis_nodes(loop: _Loop, lo: float, hi: float, reach: float,
     start there), where uniform nodes symmetric about 0 would leave one
     segment from -h to h whose ends have equal |F|, since F(-omega) =
     conj F(omega). A repeated node only adds a segment whose ratio is
-    exactly 1. Returns the nodes and which of their segments are quiet:
-    those to lo and hi where they were added, which lie beyond the
-    reach.
+    exactly 1. Returns the nodes and whether their first and their last
+    segment are quiet: those to lo and hi where they were added, which
+    lie beyond the reach.
     """
     step = (hi - lo) / (count - 1)
 
@@ -178,7 +177,9 @@ def _axis_nodes(loop: _Loop, lo: float, hi: float, reach: float,
     # the nodes from a guard node before -reach to one after reach
     start = max(math.floor(place(-reach)) - 1, 0)
     stop = min(math.ceil(place(reach)) + 1, count - 1)
-    uniform = np.arange(start, stop + 1) * step + lo
+    uniform = np.arange(start, stop + 1) * step
+    if lo:  # adding lo = 0 changes no bit: no product is -0.0
+        uniform += lo
     if stop == count - 1:
         uniform[-1] = hi
     first = max(uniform.searchsorted(-reach, side="right") - 1, 0)
@@ -190,41 +191,40 @@ def _axis_nodes(loop: _Loop, lo: float, hi: float, reach: float,
     nodes = np.concatenate([kept, peaks[(peaks > start) & (peaks < stop)],
                             [lo] * head + [hi] * tail])
     nodes.sort()
-    quiet = np.zeros(nodes.size - 1, dtype=bool)
-    quiet[0] = head
-    quiet[-1] |= tail
-    return nodes, quiet
+    return nodes, head, tail
 
 
 def _bisect_pool(evaluate: Callable, test: Callable, w: np.ndarray, f: np.ndarray,
-                 what: str, settled: np.ndarray | None = None) -> tuple[list, list, list]:
+                 what: str, settled: Sequence[int] = ()) -> tuple[list, list, list]:
     """Bisect the segments of the polyline through the nodes w, with
     values f = evaluate(w), until test passes every one.
 
     test(fa, fb) takes the end values of some segments and returns which
     of them fail, and a tuple of new arrays (none or more) with a term
     per segment, each summed over the passing segments (a failing one's
-    term is set to 0). Settled segments pass untested. The segments
-    share one pool: each round tests only the halves the last round
-    made, and evaluate takes all their midpoints in one call. Returns
-    the lists of the nodes and values evaluated, w and f first, and the
-    list of sums. Raises AccuracyError, naming what, when segments still
-    fail after 40 rounds, or once the pool has held MAX_SAMPLES segments.
+    term is set to 0). The settled segments, by index, pass untested.
+    The segments share one pool: each round tests only the halves the
+    last round made, and evaluate takes all their midpoints in one call.
+    Returns the lists of the nodes and values evaluated, w and f first,
+    and the list of sums. Raises AccuracyError, naming what, when
+    segments still fail after 40 rounds, or once the pool has held
+    MAX_SAMPLES segments.
     """
     nodes, values = [w], [f]
     a, b, fa, fb = w[:-1], w[1:], f[:-1], f[1:]
     split, terms = test(fa, fb)
-    if settled is not None:
-        split[settled] = False
-    total = [0.0] * len(terms)
+    for k in settled:
+        split[k] = False
+    kept = [[] for _ in terms]  # each term's earlier rounds, failing segments zeroed
     segments = w.size - 1
     for rounds in range(41):
         idx = split.nonzero()[0]
-        for term in terms:
+        if not idx.size:  # each term's rounds summed in one reduction
+            return nodes, values, [np.add.reduce(np.concatenate(k + [term]) if k else term)
+                                   for k, term in zip(kept, terms)]
+        for k, term in zip(kept, terms):
             term[idx] = 0.0
-        total = [t + term.sum() for t, term in zip(total, terms)]
-        if not idx.size:
-            return nodes, values, total
+            k.append(term)
         a, b, fa, fb = a[idx], b[idx], fa[idx], fb[idx]
         if rounds == 40 or segments >= MAX_SAMPLES:
             raise AccuracyError(f"{idx.size} {what} after {rounds} rounds "
@@ -295,7 +295,7 @@ def _omega_range(loop: _Loop) -> float:
     """
     w_max = 50.0 * _rate_scale(loop)
     if _quiet_reach(loop, 0.0) >= w_max:
-        hi = _gain_window(loop, 1.0, _FloatMath)[1]
+        hi = _gain_windows(loop, (1.0,), _FloatMath)[0][1]
         if hi >= w_max:
             return 2.0 * hi
     return w_max
@@ -343,21 +343,23 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
 class _FloatMath:
     """NumPy's calls in the closed forms below, on Python floats, which
     skip the fixed cost of one-element arrays. The window ends are the
-    same bits; math.atan, atan2 and hypot at times differ from NumPy's in
-    the last bit, but only whole turns of the phase reach a report, and a
-    polish floor only decides which polishes run."""
+    same bits; math.atan and atan2 at times differ from NumPy's in the
+    last bit, but only whole turns of the phase reach a report."""
 
     maximum, minimum, sqrt, copysign = max, min, math.sqrt, math.copysign
     float_power, arctan, arctan2, floor = math.pow, math.atan, math.atan2, math.floor
-    hypot, arcsin, ceil = math.hypot, math.asin, math.ceil
+    arcsin, ceil = math.asin, math.ceil
 
     @staticmethod
     def where(condition, a, b):
         return a if condition else b
 
 
-def _gain_window(loop: _Loop, level, xp=np):
-    """Frequencies w >= 0 where |r_s G_o(w)| > level, as (lo, hi).
+def _gain_windows(loop: _Loop, levels: Sequence, xp=np) -> list[tuple]:
+    """Frequencies w >= 0 where |r_s G_o(w)| > level, as (lo, hi), for
+    each of the levels; the terms that do not depend on the level are
+    computed once, and each window is the bits of a call at its level
+    alone.
 
     With g = gamma12 - Gamma, M = num / (den_+ den_-) where
     num = -w^2 - 2i(g + Gamma) w + c0 and
@@ -376,24 +378,29 @@ def _gain_window(loop: _Loop, level, xp=np):
     d, g, gam = loop.delta0 / scale, loop.gap / scale, loop.gamma / scale
     c0 = d * d + g * g + 2.0 * gam * g
     e0 = d * d + g * g
-    r2, l2 = loop.rs * loop.rs, level * level
+    r2 = loop.rs * loop.rs
     # r2 [(c0 - y)^2 + 4 (g + Gamma)^2 y] - l2 [(e0 - y)^2 + 4 g^2 y] > 0;
     # float_power squares with the C library's pow, as float ** 2 does,
     # where an array's ** 2 multiplies and at times differs in the last bit
-    a = r2 - l2
-    b = (r2 * (4.0 * xp.float_power(g + gam, 2.0) - 2.0 * c0)
-         - l2 * (4.0 * g * g - 2.0 * e0))
-    c = r2 * c0 * c0 - l2 * e0 * e0
-    b2, ac4 = b * b, 4.0 * a * c
-    disc = b2 - ac4
-    found = disc > 1e-10 * xp.maximum(b2, abs(ac4))
-    q = xp.where(found, -0.5 * (b + xp.copysign(xp.sqrt(xp.maximum(disc, 0.0)), b)), 1.0)
-    y1, y2 = q / a, c / q
-    y_hi = xp.maximum(y1, y2)
-    found &= y_hi > 0.0  # and zeroes both ends where it is false
-    lo = xp.sqrt(xp.maximum(xp.minimum(y1, y2), 0.0) * found) * scale
-    hi = xp.sqrt(xp.maximum(y_hi, 0.0) * found) * scale
-    return lo, hi
+    r2_b = r2 * (4.0 * xp.float_power(g + gam, 2.0) - 2.0 * c0)
+    e_b = 4.0 * g * g - 2.0 * e0
+    r2_c = r2 * c0 * c0
+    windows = []
+    for level in levels:
+        l2 = level * level
+        a = r2 - l2
+        b = r2_b - l2 * e_b
+        c = r2_c - l2 * e0 * e0  # (l2 e0) e0: e0 * e0 first moves the last bit
+        b2, ac4 = b * b, 4.0 * a * c
+        disc = b2 - ac4
+        found = disc > 1e-10 * xp.maximum(b2, abs(ac4))
+        q = xp.where(found, -0.5 * (b + xp.copysign(xp.sqrt(xp.maximum(disc, 0.0)), b)), 1.0)
+        y1, y2 = q / a, c / q
+        y_hi = xp.maximum(y1, y2)
+        found &= y_hi > 0.0  # and zeroes both ends where it is false
+        windows.append((xp.sqrt(xp.maximum(xp.minimum(y1, y2), 0.0) * found) * scale,
+                        xp.sqrt(xp.maximum(y_hi, 0.0) * found) * scale))
+    return windows
 
 
 def _loop_phase_turns(loop: _Loop, w, xp=np, _branches=False):
@@ -405,7 +412,7 @@ def _loop_phase_turns(loop: _Loop, w, xp=np, _branches=False):
     w - r_k for the two roots r_k = -i(g + Gamma) +- sqrt(delta0^2 -
     Gamma^2) of num, which lie in the lower half plane, so each
     w - r_k stays in the upper one. Elementwise, broadcasting loop
-    against w, on arrays or floats as _gain_window. _branches=True
+    against w, on arrays or floats as _gain_windows. _branches=True
     returns arg num, which falls as w rises, and the two atans, which
     rise, instead.
     """
@@ -428,12 +435,12 @@ def _ray_crossings(loop: _Loop, lo, hi, xp=np):
     """Winding of r_s G_o about (1, 0) as signed crossings of [1, inf).
 
     A crossing needs |r_s G_o| > 1, so it lies in the gain window
-    [lo, hi] of _gain_window at level 1; there the signed count is
+    [lo, hi] of _gain_windows at level 1; there the signed count is
     floor(phase(hi)) - floor(phase(lo)) in turns, and the conjugate half
     w < 0 adds as many. A window starting at w = 0 is one
     interval symmetric about zero that crosses the ray at w = 0
     itself, where G_o = M(0) > 0. Elementwise, on arrays or floats as
-    _gain_window; 0 where the window is empty. The count is a float.
+    _gain_windows; 0 where the window is empty. The count is a float.
     """
     turns_lo = xp.floor(_loop_phase_turns(loop, lo, xp))
     turns_hi = xp.floor(_loop_phase_turns(loop, hi, xp))
@@ -498,22 +505,6 @@ def _polish_minimum(loop: _Loop, lo: float, hi: float) -> float:
     return best
 
 
-def _polish_floor(loop: _Loop, a, b, fa, fb, xp=np):
-    """A floor on |F| over each real bracket [a, b] whose ends have |F| =
-    fa and fb, as _quiet_reach bounds |r_s G_o|: there |d_pm| >= D_pm =
-    hypot(s_pm, gap), s_pm the distance of [a, b] from -+delta0, so |F'| =
-    r_s |2i M + M'| <= L = r_s (2 (1 + Gamma (1/D_+ + 1/D_-)) + Gamma
-    (1/D_+^2 + 1/D_-^2)) and |F| >= (fa + fb - L (b - a)) / 2, here moved
-    down by 1e-9 of each term and by 1e-12 against rounding. Elementwise,
-    broadcasting loop against the brackets, as _gain_window."""
-    d = loop.delta0
-    inv_p = 1.0 / xp.hypot(xp.maximum(xp.maximum(a + d, -d - b), 0.0), loop.gap)
-    inv_m = 1.0 / xp.hypot(xp.maximum(xp.maximum(a - d, d - b), 0.0), loop.gap)
-    lip = loop.rs * (2.0 * (1.0 + loop.gamma * (inv_p + inv_m))
-                     + loop.gamma * (inv_p * inv_p + inv_m * inv_m))
-    return 0.5 * ((fa + fb) * (1.0 - 1e-9) - lip * (b - a) * (1.0 + 1e-9)) - 1e-12
-
-
 def _near_samples(loop: _Loop, lo, hi, xp=np) -> tuple:
     """The sample rule of the near windows [lo, hi]: 33 points plus 16
     per delay turn, spaced as np.linspace spaces them, joined by the
@@ -547,7 +538,7 @@ def _zero_curvature(loop: _Loop):
     4 Gamma g (3 delta0^2 - g^2) / D^3, so F = 1 - r_s m, F' = -i r_s
     (2m + a1) and F'' = r_s (4m + 4 a1 - a2). Elementwise on floats or
     arrays; squares are products, the same bits on both (see
-    _gain_window)."""
+    _gain_windows)."""
     g, d, gam, rs = loop.gap, loop.delta0, loop.gamma, loop.rs
     g2, d2 = g * g, d * d
     inv = 1.0 / (g2 + d2)
@@ -585,17 +576,18 @@ def _descents(f: np.ndarray, df: np.ndarray, omegas: np.ndarray, loop: _Loop,
     return (slope[:-1] < 0.0) & (slope[1:] > 0.0)
 
 
-def _certified_span(loop: _Loop, lo, hi, level, xp=np) -> tuple:
+def _certified_span(loop: _Loop, lo, hi, level, interior: tuple, xp=np) -> tuple:
     """A span [c0, c1] of each near window [lo, hi] with |F| >= 1 - level
-    in closed form (c0 > c1 for none): the interior, where |r_s G_o| >=
-    2 - level (grown by 1e-9), as |F| >= |r_s G_o| - 1, and each rim [a, b]
-    beside it, [lo, ilo] or [ihi, hi] (without one, the window), where the
-    phase T of G_o in turns lies in [R(a) - D(b), R(b) - D(a)] / 2 pi - 1/2
-    (R = 2w + atan((w + delta0) / g) + atan((w - delta0) / g) and D = -arg
-    num both rise, _loop_phase_turns) clear of every integer by asin(1 -
-    level) / 2 pi + 1e-9: there |F| >= |sin 2 pi T| >= 1 - level, or |F|
-    >= Re F >= 1. Elementwise, as _gain_window."""
-    ilo, ihi = _gain_window(loop, (2.0 - level) * (1.0 + 1e-9), xp)
+    in closed form (c0 > c1 for none): the interior, the gain window
+    (ilo, ihi) where |r_s G_o| >= 2 - level (grown by 1e-9), as |F| >=
+    |r_s G_o| - 1, and each rim [a, b] beside it, [lo, ilo] or [ihi, hi]
+    (without one, the window), where the phase T of G_o in turns lies in
+    [R(a) - D(b), R(b) - D(a)] / 2 pi - 1/2 (R = 2w + atan((w + delta0) /
+    g) + atan((w - delta0) / g) and D = -arg num both rise,
+    _loop_phase_turns) clear of every integer by asin(1 - level) / 2 pi +
+    1e-9: there |F| >= |sin 2 pi T| >= 1 - level, or |F| >= Re F >= 1.
+    Elementwise, as _gain_windows."""
+    ilo, ihi = interior
     inner, widen = ihi > 0.0, xp.arcsin(1.0 - level) / (2.0 * math.pi) + 1e-9
     x1, x2 = xp.where(inner, xp.maximum(ilo, lo), hi), xp.where(inner, xp.minimum(ihi, hi), lo)
 
@@ -611,24 +603,25 @@ def _certified_span(loop: _Loop, lo, hi, level, xp=np) -> tuple:
     return xp.where(clear(lo, x1), lo, x1), xp.where(clear(x2, hi), hi, x2)
 
 
-def _search_runs(loop: _Loop, lo, hi, level, counts, xp=np) -> tuple:
+def _search_runs(loop: _Loop, lo, hi, level, interior: tuple, counts, xp=np) -> tuple:
     """The runs of the counts uniform samples of each near window that F
     is evaluated on, 0 to a_end and b_start to counts - 1 (floats on
     arrays), each with one guard sample inside the _certified_span, so
     their brackets are the window's; one run where none lies in it."""
-    c0, c1 = _certified_span(loop, lo, hi, level, xp)
+    c0, c1 = _certified_span(loop, lo, hi, level, interior, xp)
     step = (hi - lo) / (counts - 1)
     first = xp.where(c0 > lo, xp.floor((c0 - lo) / step) + 1, -1)
     last = xp.where(c1 < hi, xp.ceil((c1 - lo) / step) - 1, counts)
     return xp.where(last <= first, counts - 1, first), xp.where(last <= first, counts, last)
 
 
-def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
+def _closest_approach(loop: _Loop, lo, hi, level, interior: tuple, xp=np):
     """Closest approach of r_s G_o to (1, 0), for the configuration of
     the floats in loop (xp=_FloatMath), or for every configuration of
     the arrays in loop at once.
 
-    Only the near window [lo, hi] where |r_s G_o| >= level is searched;
+    Only the near window [lo, hi] where |r_s G_o| >= level is searched,
+    less the _certified_span its interior window gives;
     everywhere else the distance exceeds 1 - level, which is returned
     instead when the window is empty (hi = 0), certified whole, or the
     approach is farther. |F| = |1 - r_s G_o| and its slope are sampled
@@ -636,16 +629,15 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
     runs of _search_runs, in one array call: one configuration's runs,
     or a row's, whole configurations at a time up to _ROW_SAMPLES
     evaluated samples (one with more is a call of its own), which bounds
-    a row's memory. A bracket of one run over which d|F|/domega turns
-    from negative to positive (_descents) is polished by _polish_minimum
-    unless its _polish_floor (a chunk's in one array call, one
-    configuration's on floats) lies above both the distance so far and
-    1 - level, since a polish never returns less than it. Searching
-    omega >= 0 suffices because the other half is the complex conjugate.
+    a row's memory. Each bracket of one run over which d|F|/domega turns
+    from negative to positive (_descents) is polished by _polish_minimum.
+    Searching omega >= 0 suffices because the other half is the complex
+    conjugate.
     """
     if xp is _FloatMath:
         counts, peak = _near_samples(loop, lo, hi, xp)
-        a_end, b_start = _search_runs(loop, lo, hi, level, counts, xp) if hi else (-1, counts)
+        a_end, b_start = (_search_runs(loop, lo, hi, level, interior, counts, xp) if hi
+                          else (-1, counts))
         if a_end < 0 and b_start == counts:
             return 1.0 - level
         step = (hi - lo) / (counts - 1)
@@ -665,27 +657,26 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
             omegas = np.concatenate([omegas, *peaks])
             omegas.sort()
         f, df = _loop_series(loop, omegas, _terms=2)
-        mod, bound = abs(f), 1.0 - level
-        dist = float(mod.min())
+        dist = float(abs(f).min())
         for k in _descents(f, df, omegas, loop).nonzero()[0].tolist():
-            (a, b), (fa, fb) = omegas[k:k + 2].tolist(), mod[k:k + 2].tolist()
-            if k != gap and _polish_floor(loop, a, b, fa, fb, xp) <= min(dist, bound):
-                dist = min(dist, _polish_minimum(loop, a, b))
-        return min(dist, bound)
+            if k != gap:
+                dist = min(dist, _polish_minimum(loop, *omegas[k:k + 2].tolist()))
+        return min(dist, 1.0 - level)
     counts, peak = _near_samples(loop, lo, hi)
     counts = counts.astype(int) * (hi > 0.0)
     level = np.broadcast_to(level, counts.shape)
     # configuration c's runs [0, a_end] and [b_start, counts - 1] are runs 2c and 2c + 1
     a_end, b_start, on = np.full(counts.size, -1), counts.copy(), (counts > 0).nonzero()[0]
     a_end[on], b_start[on] = _search_runs(_Loop(*(p[on] for p in loop)), lo[on], hi[on],
-                                          level[on], counts[on])
+                                          level[on], tuple(end[on] for end in interior),
+                                          counts[on])
     step = (hi - lo) / np.maximum(counts - 1, 1)
     a_top = np.where(a_end == counts - 1, math.inf, a_end * step + lo)
     in_b = peak >= np.where(b_start == counts, math.inf, b_start * step + lo)[:, None]
     inside = (peak > lo[:, None]) & (peak < hi[:, None]) & ((peak <= a_top[:, None]) | in_b)
     firsts = np.stack([np.zeros_like(b_start), b_start], axis=1).ravel()
     lengths = np.stack([a_end + 1, counts - b_start], axis=1).ravel()
-    dist, bounds = np.full(counts.size, math.inf), (1.0 - level).tolist()
+    dist = np.full(counts.size, math.inf)
     columns = [p.tolist() for p in loop]
     sizes = (counts - b_start + a_end + 1 + inside.sum(axis=1)).tolist()
     start = 0
@@ -707,20 +698,14 @@ def _closest_approach(loop: _Loop, lo, hi, level, xp=np):
         owner = run >> 1
 
         f, df = _loop_series(_Loop(*(p[owner] for p in loop)), omegas, _terms=2)
-        mod = abs(f)
-        np.minimum.at(dist, owner, mod)
+        np.minimum.at(dist, owner, abs(f))
         ks = (_descents(f, df, omegas, loop, owner) & (run[:-1] == run[1:])).nonzero()[0]
-        owners = owner[ks]
-        floors = _polish_floor(_Loop(*(p[owners] for p in loop)), omegas[ks],
-                               omegas[ks + 1], mod[ks], mod[ks + 1])
         # a float loop for each configuration that polishes
         best, loops = dist.tolist(), {}
-        for c, a, b, floor in zip(owners.tolist(), omegas[ks].tolist(),
-                                  omegas[ks + 1].tolist(), floors.tolist()):
-            if floor <= min(best[c], bounds[c]):
-                if c not in loops:
-                    loops[c] = _Loop(*(column[c] for column in columns))
-                best[c] = min(best[c], _polish_minimum(loops[c], a, b))
+        for c, a, b in zip(owner[ks].tolist(), omegas[ks].tolist(), omegas[ks + 1].tolist()):
+            if c not in loops:
+                loops[c] = _Loop(*(column[c] for column in columns))
+            best[c] = min(best[c], _polish_minimum(loops[c], a, b))
         dist = np.array(best)
         start = stop
     return np.minimum(dist, 1.0 - level)
@@ -789,13 +774,15 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
         loop, xp = (_Loop(*loops[0]), _FloatMath) if len(loops) == 1 else (_Loop.stack(loops), np)
         # the closest approach is searched where |r_s G_o| is above this level
         level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
-        near_lo, near_hi = _gain_window(loop, level, xp)
-        windings = _ray_crossings(loop, *_gain_window(loop, 1.0, xp), xp)
+        # and the interior of the near window, where |F| >= |r_s G_o| - 1 >= 1 - level
+        (near_lo, near_hi), gain, interior = _gain_windows(
+            loop, (level, 1.0, (2.0 - level) * (1.0 + 1e-9)), xp)
+        windings = _ray_crossings(loop, *gain, xp)
         # a window beyond the sample cap of _near_samples is searched as empty
         turns = (near_hi - near_lo) / math.pi
         wide = 33 + 16.0 * turns > MAX_SAMPLES
         dist = _closest_approach(loop, xp.where(wide, 0.0, near_lo),
-                                 xp.where(wide, 0.0, near_hi), level, xp)
+                                 xp.where(wide, 0.0, near_hi), level, interior, xp)
         columns = (dist, near_lo, near_hi, windings, turns, wide)
         rows = [columns] if xp is _FloatMath else zip(*(column.tolist() for column in columns))
         for (i, tau, _), (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
@@ -824,15 +811,11 @@ def _loop_denominator(loop: _Loop, w):
     """F = 1 - r_s G_o at complex frequencies w; MarginalStabilityError
     when a sample has |F| < 1e-9, before any ratio of samples is formed."""
     f = 1.0 - _loop_gain(loop, w)
-    min_f = np.abs(f).min()
+    min_f = np.minimum.reduce(np.abs(f))
     if min_f < 1e-9:
         raise MarginalStabilityError(
             f"zero of the loop denominator on the contour (|F| = {min_f:.3e})")
     return f
-
-
-_QUIET = np.ones(1, dtype=bool)  # the flag of an edge that is one quiet segment
-_SIDE = np.zeros(255, dtype=bool)  # the flags of a side's 256 nodes
 
 
 def _log_test(fa: np.ndarray, fb: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -873,27 +856,32 @@ def _rectangle_integral(loop: _Loop, rect: tuple[float, float, float, float]) ->
         re_lo, count = 0.0, (count + 1) // 2
     reach, top_reach = _quiet_reach(loop, im_lo), _quiet_reach(loop, im_hi)
     # counterclockwise from the corner re_lo + i im_lo, each edge as its
-    # nodes but the last, which starts the next edge, and its segments'
-    # flags; a quiet edge is its first corner and one quiet segment
-    corners = np.array([complex(re_lo, im_lo), complex(re_hi, im_lo),
-                        complex(re_hi, im_hi), complex(re_lo, im_hi)])
-    edges = [(corners[k:k + 1], _QUIET) for k in range(4)]
+    # nodes but the last, which starts the next edge, and its quiet
+    # segments; a quiet edge is its first corner and one quiet segment
+    corners = (complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi),
+               complex(re_lo, im_hi))
+    edges = [((corner,), (0,)) for corner in corners]
     if reach > 0.0:
-        nodes, quiet = _axis_nodes(loop, re_lo, re_hi, reach, count)
-        edges[0] = nodes[:-1] + 1j * im_lo, quiet
+        nodes, head, tail = _axis_nodes(loop, re_lo, re_hi, reach, count)
+        # on the real axis, np.concatenate below makes the nodes complex
+        edges[0] = (nodes[:-1] + 1j * im_lo if im_lo else nodes[:-1],
+                    (0,) * head + (nodes.size - 2,) * tail)
     if top_reach > 0.0:
-        nodes, quiet = _axis_nodes(loop, re_lo, re_hi, top_reach, count)
-        edges[2] = nodes[:0:-1] + 1j * im_hi, quiet[::-1]
+        nodes, head, tail = _axis_nodes(loop, re_lo, re_hi, top_reach, count)
+        edges[2] = nodes[:0:-1] + 1j * im_hi, (0,) * tail + (nodes.size - 2,) * head
     if abs(re_hi) < reach:
-        edges[1] = (re_hi + 1j * np.linspace(im_lo, im_hi, 256))[:-1], _SIDE
+        edges[1] = (re_hi + 1j * np.linspace(im_lo, im_hi, 256))[:-1], ()
     if folded:  # the half path ends at its top-left corner, on Re w = 0
-        edges, end = edges[:3], corners[3:]
+        edges, end = edges[:3], corners[3]
     else:  # the closed polyline ends at its start
         if abs(re_lo) < reach:
-            edges[3] = (re_lo + 1j * np.linspace(im_lo, im_hi, 256))[:0:-1], _SIDE
-        end = corners[:1]
-    w = np.concatenate([nodes for nodes, _ in edges] + [end])
-    quiet = np.concatenate([q for _, q in edges])
+            edges[3] = (re_lo + 1j * np.linspace(im_lo, im_hi, 256))[:0:-1], ()
+        end = corners[0]
+    settled, size = [], 0  # the quiet segments' indices in the path
+    for nodes, quiet in edges:
+        settled += [size + k for k in quiet]
+        size += len(nodes)
+    w = np.concatenate([nodes for nodes, _ in edges] + [(end,)])
     f = _loop_denominator(loop, w)
     if folded and (f[0].imag != 0.0 or f[-1].imag != 0.0):
         raise AccuracyError(f"F is not real at the folded path's ends on Re w = 0: "
@@ -901,7 +889,7 @@ def _rectangle_integral(loop: _Loop, rect: tuple[float, float, float, float]) ->
     total = complex(*_bisect_pool(
         lambda mid: _loop_denominator(loop, mid), _log_test, w, f,
         "oracle segments still turn by half a radian or half a unit of log|F|",
-        settled=quiet)[2])
+        settled=settled)[2])
     return 2j * total.imag if folded else total
 
 

@@ -797,6 +797,62 @@ def test_sweep_tables_round_trip(tmp_path):
     assert table["stable_cells"] == len(stable)
 
 
+def reference_sweep_table(grid, rs2, label):
+    """One sweep table's bytes and summary counts by the per-outcome rule
+    that cli._sweep_tables replaced, kept here as its reference."""
+    rows, stable, marginal, max_rho = [["eta", "xi", "classification", "delta0", "rho_r"]], 0, 0, None
+    for cell, outcome in grid.outcomes(rs2, label):
+        rho = outcome.rho_r
+        if outcome.status is CellStatus.STABLE:
+            stable += 1
+            if rho is not None and (max_rho is None or rho > max_rho):
+                max_rho = rho
+        marginal += outcome.marginal
+        rows.append([f"{cli._fmt(cell.eta)},{cli._fmt(cell.xi)}", outcome.status.value,
+                     "" if math.isnan(outcome.delta0) else cli._fmt(outcome.delta0),
+                     "" if rho is None else cli._fmt(rho)])
+    text = "\r\n".join(map(",".join, rows)) + "\r\n"
+    return text.encode("utf-8"), stable, marginal, max_rho
+
+
+def test_sweep_tables_match_the_per_outcome_rule(tmp_path):
+    # the tables, built from texts made once per status, per delta0 and
+    # per infeasible cell, hold the per-outcome rule's bytes, and
+    # summary.json its counts, on a sweep with infeasible and stable
+    # cells joined by made-up ones: a repeated root (both labels at one
+    # delta0 float), marginal outcomes, and each other status
+    spec = SweepSpec(eta_grid=default_grid(5, 0.1, 0.9), xi_grid=default_grid(5, 0.1, 0.9),
+                     srm_power_reflectivities=(0.5, 0.9), root_choice=RootChoice.BOTH)
+    swept = run_sweep(spec, reference_detector(0.5))
+    root, other = 1234.5678, 98.765
+
+    def outcome(rs2, label, status, delta0=root, marginal=False, rho=None):
+        return survey.RootOutcome(rs2, label, delta0, status, marginal=marginal, rho_r=rho)
+
+    made_up = [
+        survey.SweepCell(0.95, 0.05, 1.0, 2.0, True, tuple(
+            outcome(rs2, label, CellStatus.STABLE, rho=0.25 + rs2)
+            for rs2 in (0.5, 0.9) for label in ("smaller", "larger"))),
+        survey.SweepCell(0.96, 0.06, 1.0, 2.0, True, (
+            outcome(0.5, "smaller", CellStatus.OPTICAL_INSTABILITY, marginal=True),
+            outcome(0.5, "larger", CellStatus.STABLE, other, marginal=True, rho=1.5),
+            outcome(0.9, "smaller", CellStatus.ATOMIC_INSTABILITY, other),
+            outcome(0.9, "larger", CellStatus.NON_STATIONARY))),
+    ]
+    grid = survey.SweepGrid(spec=spec, cells=swept.cells + tuple(made_up))
+    statuses = {o.status for _, o in grid.outcomes()}
+    assert statuses == set(CellStatus)
+    summary = cli._sweep_tables(grid, tmp_path)
+    assert len(summary["tables"]) == 4
+    for table in summary["tables"]:
+        text, stable, marginal, max_rho = reference_sweep_table(
+            grid, table["srm_power_reflectivity"], table["root"])
+        assert (tmp_path / table["file"]).read_bytes() == text
+        assert (table["stable_cells"], table["marginal_cells"], table["max_rho_r"]) == (
+            stable, marginal, max_rho)
+    assert sum(table["marginal_cells"] for table in summary["tables"]) == 2
+
+
 def test_sweep_duplicate_reflectivities(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "detector": DETECTOR,

@@ -26,7 +26,7 @@ from wlcnoise.stability import (
     Classification,
     classify_system,
     _closest_approach,
-    _gain_window,
+    _gain_windows,
     _Loop,
     nyquist_contour,
     root_count_oracle,
@@ -37,6 +37,11 @@ IFO = reference_detector(0.8)
 # of the private routines, which take rates times tau and w = omega tau
 UNIT = survey._UNIT_DELAY
 BARE = MediumParams(gamma12=1.0 / IFO.tau, gamma_opt_total=0.0, delta0=0.0)
+
+
+def _gain_window(loop, level, xp=np):
+    """stability._gain_windows at one level."""
+    return _gain_windows(loop, (level,), xp)[0]
 
 
 def wlc_medium(eta, xi, root, ifo=IFO):
@@ -270,11 +275,13 @@ def test_closest_approach_matches_dense_reference(eta, xi_share, larger_root, rs
     assume(classify_medium(med) is MediumClass.STATIONARY)
     loop = _Loop.stack([_Loop.of(ifo, med)])
     level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs[0]))
-    (dist,) = _closest_approach(loop, *_gain_window(loop, level), level)
+    interior = _gain_window(loop, (2.0 - level) * (1.0 + 1e-9))
+    (dist,) = _closest_approach(loop, *_gain_window(loop, level), level, interior)
     # one configuration's floats sample its own window, with the same bits
     floats = _Loop.of(ifo, med)
     window = _gain_window(floats, level, stability._FloatMath)
-    assert _closest_approach(floats, *window, level, stability._FloatMath) == dist
+    interior = _gain_window(floats, (2.0 - level) * (1.0 + 1e-9), stability._FloatMath)
+    assert _closest_approach(floats, *window, level, interior, stability._FloatMath) == dist
     # |1 - r_s G_o| is known only to a few ulps of 1, which bounds the
     # agreement of two evaluations where the contour nearly touches
     assert dist == pytest.approx(dense_closest_approach(ifo, med),
@@ -488,6 +495,54 @@ def drawn_loops(rng, count):
     return configs
 
 
+def reference_gain_window(loop, level, xp=np):
+    """One level's gain window in a pass of its own, as stability took it
+    before the near, unit and interior levels shared their level-free
+    terms in _gain_windows, kept here as its reference."""
+    scale = xp.maximum(xp.maximum(loop.delta0, loop.gap), loop.gamma)
+    d, g, gam = loop.delta0 / scale, loop.gap / scale, loop.gamma / scale
+    c0 = d * d + g * g + 2.0 * gam * g
+    e0 = d * d + g * g
+    r2, l2 = loop.rs * loop.rs, level * level
+    a = r2 - l2
+    b = (r2 * (4.0 * xp.float_power(g + gam, 2.0) - 2.0 * c0)
+         - l2 * (4.0 * g * g - 2.0 * e0))
+    c = r2 * c0 * c0 - l2 * e0 * e0
+    b2, ac4 = b * b, 4.0 * a * c
+    disc = b2 - ac4
+    found = disc > 1e-10 * xp.maximum(b2, abs(ac4))
+    q = xp.where(found, -0.5 * (b + xp.copysign(xp.sqrt(xp.maximum(disc, 0.0)), b)), 1.0)
+    y1, y2 = q / a, c / q
+    y_hi = xp.maximum(y1, y2)
+    found &= y_hi > 0.0
+    return (xp.sqrt(xp.maximum(xp.minimum(y1, y2), 0.0) * found) * scale,
+            xp.sqrt(xp.maximum(y_hi, 0.0) * found) * scale)
+
+
+def test_gain_windows_keep_each_level_bits():
+    # one _gain_windows call at the near, unit and interior levels of
+    # classify_system gives each level the bits of a call at that level
+    # alone and of the one-level reference, on arrays and on floats; most
+    # windows are not empty at any of the three levels
+    loops = [_Loop.of(*config) for config in drawn_loops(np.random.default_rng(7), 300)]
+    stacked = _Loop.stack(loops)
+    level = np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + stacked.rs))
+    levels = (level, 1.0, (2.0 - level) * (1.0 + 1e-9))
+    bits = lambda window: np.array(window, dtype=float).view(np.int64)
+    for one, window in zip(levels, _gain_windows(stacked, levels)):
+        assert np.sum(window[1] > 0.0) >= 150
+        assert np.array_equal(bits(window), bits(_gain_window(stacked, one)))
+        assert np.array_equal(bits(window), bits(reference_gain_window(stacked, one)))
+    for k, loop in enumerate(loops):
+        near = float(level[k])
+        floats = (near, 1.0, (2.0 - near) * (1.0 + 1e-9))
+        for one, window in zip(floats, _gain_windows(loop, floats, stability._FloatMath)):
+            assert np.array_equal(bits(window),
+                                  bits(_gain_window(loop, one, stability._FloatMath)))
+            assert np.array_equal(bits(window),
+                                  bits(reference_gain_window(loop, one, stability._FloatMath)))
+
+
 def test_float_and_array_closed_forms_agree(monkeypatch):
     # one configuration runs the closed forms on floats and samples its
     # own near window, a row runs them on arrays and samples its windows
@@ -644,61 +699,24 @@ def test_mixed_single_and_sequence_arguments(ifo, med):
             call(ifo, med)
 
 
-def test_polish_floor_bounds_dense_samples():
-    # on sample brackets of the seed-3 drawn near windows (rs^2 up to
-    # 0.9999), on brackets within 30 widths of delta0 and on brackets
-    # that hold delta0, |F| at 2,001 points of each bracket never falls
-    # below its _polish_floor; the floor is positive on some of each
-    # kind, where it can skip a polish
-    rng = np.random.default_rng(11)
-    stacked = _Loop.stack([_Loop.of(*config)
-                           for config in drawn_loops(np.random.default_rng(3), 60)])
-    assert stacked.rs.max() ** 2 == pytest.approx(0.9999)
-    lo, hi = _gain_window(stacked, np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + stacked.rs)))
-    assert np.sum(hi > 0.0) >= 20
-    step = (hi - lo) / (32.0 + np.floor(16.0 * (hi - lo) / math.pi))
-    width = np.maximum(stacked.gap, 1e-3 * stacked.delta0)
-    columns = _Loop(*(p[:, None] for p in stacked))
-    for _ in range(4):
-        # a window's sample spacing (an empty window's: a delay turn / 16)
-        spacing = np.where(hi > 0.0, step, math.pi / 16.0)
-        start = np.where(hi > 0.0, lo + (hi - lo) * rng.uniform(0.0, 1.0, lo.size),
-                         rng.uniform(0.0, 2.0, lo.size) * (stacked.delta0 + 1.0))
-        peak = np.maximum(stacked.delta0 + width * rng.uniform(-30.0, 30.0, lo.size), 0.0)
-        holding = np.maximum(stacked.delta0 - width * rng.uniform(0.0, 1.0, lo.size), 0.0)
-        for a, b in ((start, start + spacing),
-                     (peak, peak + width * rng.uniform(0.05, 2.0, lo.size)),
-                     (holding, stacked.delta0 + width * rng.uniform(0.0, 1.0, lo.size))):
-            w = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 2001)
-            mod = abs(stability._loop_series(columns, w, _terms=2)[0])
-            floor = stability._polish_floor(stacked, w[:, 0], w[:, -1], mod[:, 0], mod[:, -1])
-            assert np.all(mod.min(axis=1) >= floor)
-            assert np.any(floor > 0.0)
-
-
 def test_skipped_polishes_change_no_report(monkeypatch):
-    # a polish never returns less than its floor, so one skipped where
-    # the floor lies above the distance so far leaves the report as it
-    # was: with the floor forced to -inf and the certified spans off, so
-    # that every descent of every near window is polished, every polish
-    # is at least its floor, and the reports alone and in a row are the
-    # skipping ones, repr for repr, on the slice of verdict_slice and on
-    # the seed-3 draws whose near window fits 50,000 samples (56 of the
-    # 60; the other four, of up to 3 million samples, would take seconds)
+    # the only polishes skipped are those of the descents a certified
+    # span drops, where |F| >= 1 - level: with the spans off, so that
+    # every descent of every near window is polished, the reports alone
+    # and in a row are the skipping ones, repr for repr, on the slice of
+    # verdict_slice and on the seed-3 draws whose near window fits
+    # 50,000 samples (56 of the 60; the other four, of up to 3 million
+    # samples, would take seconds); the float path and the row path
+    # polish the same brackets, 2,039 with the spans and 3,191 without
     draws = drawn_loops(np.random.default_rng(3), 60)
     draws = [config for config, n in zip(draws, near_samples(draws)) if n <= 50_000]
     configs = verdict_slice()[0] + draws
     assert len(draws) == 56
-    polish, floor = stability._polish_minimum, stability._polish_floor
-    polished, floors = [], []
+    polish, polished = stability._polish_minimum, []
 
     def record_polish(*args):
-        polished.append(polish(*args))
-        return polished[-1]
-
-    def no_floor(*args):
-        floors.extend(np.ravel(floor(*args)).tolist())
-        return np.full(np.shape(args[1]), -math.inf)
+        polished.append(args)
+        return polish(*args)
 
     def reports():
         """The reports alone and in a row, and the polishes of each."""
@@ -715,20 +733,15 @@ def test_skipped_polishes_change_no_report(monkeypatch):
 
     monkeypatch.setattr(stability, "_polish_minimum", record_polish)
     *skipping, alone_count, row_count = reports()
-    monkeypatch.setattr(stability, "_polish_floor", no_floor)
     monkeypatch.setattr(stability, "_certified_span", no_span)
     *every, every_alone, every_row = reports()
-    every_count = every_alone + every_row
     assert skipping == every
     assert skipping[0] == skipping[1]
-    # the float path and the row path skip the same brackets
-    assert alone_count == row_count < every_alone // 2
-    # one floor per polished bracket, alone then in a row, in order
-    assert len(floors) == every_count
-    assert all(value >= bound for value, bound in zip(polished, floors))
+    assert alone_count == row_count == 2039
+    assert every_alone == every_row == 3191
 
 
-def no_span(loop, lo, hi, level, xp=np):
+def no_span(loop, lo, hi, level, interior, xp=np):
     """_certified_span with both certificates off: an empty span."""
     return hi, lo
 
@@ -748,9 +761,9 @@ def test_certified_spans_bound_dense_samples():
     lo, hi = _gain_window(stacked, level)
     near = hi > 0.0
     stacked, level, lo, hi = _Loop(*(p[near] for p in stacked)), level[near], lo[near], hi[near]
-    ilo, ihi = _gain_window(stacked, (2.0 - level) * (1.0 + 1e-9))
-    ilo, ihi = np.maximum(ilo, lo), np.minimum(ihi, hi)
-    c0, c1 = stability._certified_span(stacked, lo, hi, level)
+    interior = _gain_window(stacked, (2.0 - level) * (1.0 + 1e-9))
+    ilo, ihi = np.maximum(interior[0], lo), np.minimum(interior[1], hi)
+    c0, c1 = stability._certified_span(stacked, lo, hi, level, interior)
     inner = ihi > 0.0
     rims = (c0 == lo) & (lo < np.where(inner, ilo, hi)), (c1 == hi) & (np.where(inner, ihi, lo) < hi)
     whole = (c0 == lo) & (c1 == hi)
@@ -776,15 +789,16 @@ def test_certified_spans_bound_dense_samples():
         assert np.sum(starts & inner) >= 20 and np.sum(starts & whole) >= 5
         assert np.sum(starts & rims[1] & ~whole) >= 3
     counts = stability._near_samples(stacked, lo, hi)[0]
-    a_end, b_start = stability._search_runs(stacked, lo, hi, level, counts)
+    a_end, b_start = stability._search_runs(stacked, lo, hi, level, interior, counts)
     step = (hi - lo) / (counts - 1)
     dropping = b_start > a_end + 1
     assert np.sum(dropping) >= 20
     assert np.all((a_end * step + lo >= c0)[dropping & (a_end >= 0)])
     assert np.all((b_start * step + lo <= c1)[dropping & (b_start < counts)])
     for k, loop in enumerate(zip(*stacked)):
-        floats = (float(lo[k]), float(hi[k]), float(level[k]))
-        assert stability._search_runs(_Loop(*map(float, loop)), *floats, int(counts[k]),
+        loop, floats = _Loop(*map(float, loop)), (float(lo[k]), float(hi[k]), float(level[k]))
+        window = _gain_window(loop, (2.0 - floats[2]) * (1.0 + 1e-9), stability._FloatMath)
+        assert stability._search_runs(loop, *floats, window, int(counts[k]),
                                       stability._FloatMath) == (a_end[k], b_start[k])
 
 
@@ -857,11 +871,10 @@ def test_peak_nodes_merge_in_lexsort_order():
 
 
 def test_polished_brackets_of_one_survey_row_pinned(monkeypatch):
-    # the closed-form floor skips most polishes of this seed-0 survey
-    # row (eta = 0.5686, the 29th of 50): 32 of its 171 descents are
-    # polished, so a change that loses the skip shows here; and the
-    # certified spans leave 425 of its 8,125 near-window samples to
-    # evaluate, in one array call
+    # the certified spans leave 425 of the 8,125 near-window samples of
+    # this seed-0 survey row (eta = 0.5686, the 29th of 50) to evaluate,
+    # in one array call, and each of the 35 descents among them is
+    # polished, so a change that loses the skip shows here
     polish, polished = stability._polish_minimum, []
     series, evaluated = stability._loop_series, []
 
@@ -880,7 +893,7 @@ def test_polished_brackets_of_one_survey_row_pinned(monkeypatch):
                             xi_grid=survey.default_grid(50), srm_power_reflectivities=(0.5, 0.8, 0.9),
                             root_choice=survey.RootChoice.BOTH)
     survey.run_sweep(spec, IFO)
-    assert len(polished) == 32
+    assert len(polished) == 35
     assert evaluated == [425]
 
 
