@@ -248,8 +248,10 @@ def improvement_factor(ifo: IfoParams | Sequence[IfoParams],
     Ratio of the integral of 1/S_hh (strain_psd) over one free spectral
     range to baseline_integrated_inverse_psd. Meaningful only for stable
     configurations, which the caller classifies (classify_system).
-    Raises AccuracyError when the quadrature misses rel_tol; its best
-    and error estimates are in the units of the ratio.
+    Raises AccuracyError when a quadrature panel reaches the maximum
+    depth unconverged; its best and error estimates are in the units of
+    the ratio. A converged quadrature can still miss rel_tol, without
+    raising.
 
     ifo and med may also be equal-length sequences of detectors and
     media: their integrals are then taken in lockstep, each to the same

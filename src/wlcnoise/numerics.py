@@ -53,9 +53,12 @@ def _sweep(feval: Callable[[np.ndarray, np.ndarray], np.ndarray], panels: np.nda
     panel's integral. Each level evaluates the quarter points of every
     open panel in one call (none when first holds the first level's
     values), then accepts or bisects each panel on its own Richardson
-    error estimate. Returns, per integral index, its value, its error
-    estimate and the smallest left end of its panels that reached
-    max_depth unconverged (inf when none did).
+    error estimate. Each level's accepted panels are added to their
+    integrals' sums with np.bincount, in input order, and one
+    integral's panels keep its own sweep's order, so a stacked integral
+    has the bits of its own call. Returns, per integral index, its
+    value, its error estimate and the smallest left end of its panels
+    that reached max_depth unconverged (inf when none did).
     """
     eps = np.finfo(float).eps
     sums = np.zeros((2, count))  # each integral's value and error estimate
@@ -89,8 +92,9 @@ def _sweep(feval: Callable[[np.ndarray, np.ndarray], np.ndarray], panels: np.nda
             done[:] = True
             accepted = n
         if accepted:
-            value, spread = pair + delta / 15.0, err / 15.0
-            _add_by_owner(sums, np.array([value[done], spread[done]]), owner[done])
+            kept = owner[done]
+            sums[0] += np.bincount(kept, (pair + delta / 15.0)[done], count)
+            sums[1] += np.bincount(kept, (err / 15.0)[done], count)
             if accepted == n:
                 return *sums.tolist(), failed
         panels = np.array([lo, mid, hi, f_lo, f_mid, f_hi, halves,
@@ -101,28 +105,6 @@ def _sweep(feval: Callable[[np.ndarray, np.ndarray], np.ndarray], panels: np.nda
             panels = panels.reshape(8, 2, n)[:, :, ~done].reshape(8, -1)
             owner = owner.reshape(2, n)[:, ~done].ravel()
         depth += 1
-
-
-def _add_by_owner(sums: np.ndarray, values: np.ndarray, owner: np.ndarray) -> None:
-    """Add to column k of sums, row by row, the columns of values whose
-    owner is k, in their order, as one contiguous ndarray.sum adds them:
-    pairwise, where a segmented reduction (np.add.reduceat, np.bincount)
-    adds in another order. The owners with equal counts of columns are
-    one block, ordered by count then owner, whose rows sum(axis=-1) adds
-    as it would each alone."""
-    counts = np.bincount(owner)
-    values = np.take(values, np.argsort(counts[owner] * counts.size + owner, kind="stable"),
-                     axis=1)
-    present = counts.nonzero()[0]
-    present = present[np.argsort(counts[present], kind="stable")]
-    runs = counts[present]
-    groups = [0, *(np.flatnonzero(runs[1:] != runs[:-1]) + 1).tolist(), present.size]
-    blocks, start = [], 0
-    for first, last in zip(groups, groups[1:]):
-        rows, run = last - first, runs[first].item()
-        blocks.append(values[:, start:start + rows * run].reshape(-1, rows, run).sum(axis=-1))
-        start += rows * run
-    sums[:, present] += np.concatenate(blocks, axis=1)
 
 
 def _panel_edges(lo: np.ndarray, hi: np.ndarray,
@@ -202,10 +184,9 @@ def _integrate_many(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.nd
               np.concatenate([edge_owner, owner, owner, owner]))
     fa, fb, fm, first = y[:x.size][left], y[:x.size][right], y[x.size:-2 * a.size], y[-2 * a.size:]
     whole = _simpson(fa, fm, fb, b - a)
-    # each scale from its own integral's panels, summed as they alone would be
-    coarse = np.zeros((1, count))
-    _add_by_owner(coarse, whole[None], owner)
-    tols = np.maximum(rel_tol * np.abs(coarse[0]), 1e-300).tolist()
+    # each scale from its own integral's panels, summed in their order
+    coarse = np.bincount(owner, whole, count)
+    tols = np.maximum(rel_tol * np.abs(coarse), 1e-300).tolist()
     spans = (hi - lo)[owner]
 
     # the coarse estimate can be badly inflated by sharp features, so an

@@ -240,6 +240,12 @@ def _parse_sweep(block, rs2: float) -> SweepSpec:
     try:
         return SweepSpec(**fields)
     except ValueError as exc:
+        # a grid or reflectivity message begins with the SweepSpec
+        # attribute at fault, named here by its scenario field
+        attribute, _, reason = str(exc).partition(" ")
+        key = attribute.removesuffix("_grid")
+        if key in _SWEEP_FIELDS:
+            raise ScenarioError(f"{where}.{key}: {reason}") from None
         raise ScenarioError(f"{where}: {exc}") from None
 
 

@@ -106,7 +106,7 @@ class SweepSpec:
         if not self.srm_power_reflectivities:
             raise ValueError("srm_power_reflectivities is empty")
         if any(not 0.0 <= v < 1.0 for v in self.srm_power_reflectivities):
-            raise ValueError("SRM power reflectivities must lie in [0, 1)")
+            raise ValueError("srm_power_reflectivities must lie in [0, 1)")
         if len(set(self.srm_power_reflectivities)) < len(self.srm_power_reflectivities):
             raise ValueError("srm_power_reflectivities must not repeat a value")
         if not 0.0 < self.rel_tol < math.inf:

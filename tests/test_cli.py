@@ -325,13 +325,28 @@ def test_detector_out_of_float_range(tmp_path, capsys, field, value):
                "sweep": {"eta": [0.5],
                          "xi": {"start": 0.1, "stop": 0.9, "count": 10_001}}},
      "sweep.xi.count"),
-], ids=["boolean-count", "count-over-limit"])
+    # SweepSpec's own checks name the scenario field, not the attribute
+    ("sweep", {"detector": DETECTOR, "sweep": {"eta": [0.5, 0.3], "xi": [0.1]}},
+     "sweep.eta: must be strictly ascending"),
+    ("sweep", {"detector": DETECTOR,
+               "sweep": {"eta": [0.5], "xi": {"start": 0.0, "stop": 0.4, "count": 3}}},
+     "sweep.xi: must lie strictly inside (0, 1)"),
+    ("sweep", {"detector": DETECTOR, "sweep": {"eta": [0.5], "xi": []}}, "sweep.xi: is empty"),
+    ("sweep", {"detector": DETECTOR,
+               "sweep": {"eta": [0.5], "xi": [0.1], "srm_power_reflectivities": [0.5, 1.0]}},
+     "sweep.srm_power_reflectivities: must lie in [0, 1)"),
+    ("sweep", {"detector": DETECTOR,
+               "sweep": {"eta": [0.5], "xi": [0.1], "srm_power_reflectivities": [0.5, 0.5]}},
+     "sweep.srm_power_reflectivities: must not repeat a value"),
+], ids=["boolean-count", "count-over-limit", "descending-eta", "xi-out-of-range", "empty-xi",
+        "reflectivity-out-of-range", "repeated-reflectivity"])
 def test_scenario_axis_and_atom_count_validation(tmp_path, capsys, command,
                                                  doc, field):
     path = write_scenario(tmp_path, doc)
     assert main([command, "--scenario", str(path),
                  "--out", str(tmp_path)]) == 1
-    assert f"error: {field}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and "Traceback" not in err
     assert not (tmp_path / "summary.json").exists()
     assert not (tmp_path / f"{command}.csv").exists()
 

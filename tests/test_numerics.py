@@ -268,24 +268,6 @@ def test_split_stacks_match_their_own_calls(monkeypatch):
     test_stacked_integrals_match_their_own_calls()
 
 
-def test_grouped_owner_sums_match_each_owners_sum():
-    # the accepted panels of owners with equal counts are summed as the
-    # rows of one block: each row bit for bit its owner's own contiguous
-    # ndarray.sum, in its order, on run lengths 1-300
-    rng = np.random.default_rng(2)
-    for _ in range(40):
-        lengths = rng.integers(1, 301, size=rng.integers(1, 25))
-        lengths[rng.integers(lengths.size, size=lengths.size // 2)] = rng.choice(lengths)
-        owner = rng.permutation(np.repeat(np.arange(lengths.size) * 2, lengths))
-        values = rng.standard_normal((2, owner.size)) * 10.0 ** rng.uniform(-8, 8, owner.size)
-        sums = np.zeros((2, 2 * lengths.size))
-        numerics._add_by_owner(sums, values, owner)
-        for k in range(lengths.size):
-            for row in range(2):
-                assert sums[row, 2 * k] == 0.0 + values[row, owner == 2 * k].sum()
-        assert not sums[:, 1::2].any()
-
-
 def test_panel_edges_sort_and_drop_repeats():
     # each integral's first edges are lo, its breakpoints inside (lo, hi)
     # sorted once each, and hi: NaN, repeats and points on or beyond an
