@@ -247,8 +247,8 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], lo: float,
 
 def derivative_central(f: Callable[[float], float], x: float, step: float) -> float:
     """Second-order central difference (f(x+h) - f(x-h)) / 2h."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    if not 0.0 < step < math.inf:  # NaN fails too
+        raise ValueError("step must be finite and positive")
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 

@@ -174,28 +174,33 @@ def _axis_nodes(loop: _Loop, lo: float, hi: float, reach: float,
     def place(x: float) -> float:  # x's place among the uniform nodes, clamped to them
         return min(max((x - lo) / step, 0.0), count - 1.0)
 
-    # the nodes from a guard node before -reach to one after reach
+    def node(k: int) -> float:  # the k-th uniform node, as np.linspace places it
+        return hi if k == count - 1 else k * step + lo
+
+    # the last node at or below -reach and the first at or above reach (the
+    # ends where there is none), searched from a guard node beyond each
     start = max(math.floor(place(-reach)) - 1, 0)
     stop = min(math.ceil(place(reach)) + 1, count - 1)
-    uniform = np.arange(start, stop + 1) * step
-    if lo:  # adding lo = 0 changes no bit: no product is -0.0
-        uniform += lo
-    if stop == count - 1:
-        uniform[-1] = hi
-    first = max(uniform.searchsorted(-reach, side="right") - 1, 0)
-    last = min(uniform.searchsorted(reach), uniform.size - 1)
-    kept = uniform[first:last + 1]
-    start, stop = kept[0], kept[-1]
+    first, last = start, stop
+    while first < stop and node(first + 1) <= -reach:
+        first += 1
+    while last > start and node(last - 1) >= reach:
+        last -= 1
+    start, stop = node(first), node(last)
     head, tail = bool(start > lo), bool(stop < hi)
+    # the kept nodes, with slots for lo before and hi after them where added
+    kept = np.arange(first - head, last + 1 + tail) * step
+    if lo:  # adding lo = 0 changes no bit: no product is -0.0
+        kept += lo
+    kept[0], kept[-1] = lo, hi
     peaks = max(loop.gap, 1e-3 * loop.delta0) * _PEAK_NODES + loop.delta0 * _PEAK_SIGNS
-    nodes = np.concatenate([kept, peaks[(peaks > start) & (peaks < stop)],
-                            [lo] * head + [hi] * tail])
+    nodes = np.concatenate([kept, peaks[(peaks > start) & (peaks < stop)]])
     nodes.sort()
     return nodes, head, tail
 
 
 def _bisect_pool(evaluate: Callable, test: Callable, w: np.ndarray, f: np.ndarray,
-                 what: str, settled: Sequence[int] = ()) -> tuple[list, list, list]:
+                 what: str, settled: Sequence[int] = ()) -> list:
     """Bisect the segments of the polyline through the nodes w, with
     values f = evaluate(w), until test passes every one.
 
@@ -205,26 +210,22 @@ def _bisect_pool(evaluate: Callable, test: Callable, w: np.ndarray, f: np.ndarra
     term is set to 0). The settled segments, by index, pass untested.
     The segments share one pool: each round tests only the halves the
     last round made, and evaluate takes all their midpoints in one call.
-    Returns the lists of the nodes and values evaluated, w and f first,
-    and the list of sums. Raises AccuracyError, naming what, when
+    Returns the list of sums. Raises AccuracyError, naming what, when
     segments still fail after 40 rounds, or once the pool has held
     MAX_SAMPLES segments.
     """
-    nodes, values = [w], [f]
     a, b, fa, fb = w[:-1], w[1:], f[:-1], f[1:]
     split, terms = test(fa, fb)
     for k in settled:
         split[k] = False
-    kept = [[] for _ in terms]  # each term's earlier rounds, failing segments zeroed
-    segments = w.size - 1
+    kept, segments = [], w.size - 1  # earlier rounds' terms (failing segments zeroed)
     for rounds in range(41):
         idx = split.nonzero()[0]
         if not idx.size:  # each term's rounds summed in one reduction
-            return nodes, values, [np.add.reduce(np.concatenate(k + [term]) if k else term)
-                                   for k, term in zip(kept, terms)]
-        for k, term in zip(kept, terms):
+            return [np.add.reduce(np.concatenate(k) if kept else k[0]) for k in zip(*kept, terms)]
+        for term in terms:
             term[idx] = 0.0
-            k.append(term)
+        kept.append(terms)
         a, b, fa, fb = a[idx], b[idx], fa[idx], fb[idx]
         if rounds == 40 or segments >= MAX_SAMPLES:
             raise AccuracyError(f"{idx.size} {what} after {rounds} rounds "
@@ -232,8 +233,6 @@ def _bisect_pool(evaluate: Callable, test: Callable, w: np.ndarray, f: np.ndarra
         segments += idx.size
         mid = 0.5 * (a + b)
         f_mid = evaluate(mid)
-        nodes.append(mid)
-        values.append(f_mid)
         # the halves [a, mid] and [mid, b], as two views of one array each
         ends, f_ends = np.concatenate([a, mid, b]), np.concatenate([fa, f_mid, fb])
         n = idx.size
@@ -325,18 +324,20 @@ def nyquist_contour(ifo: IfoParams, med: MediumParams) -> np.ndarray:
         raise ValueError("Nyquist contour requires a stationary medium")
     _require_damped(med)
     loop = _Loop.of(ifo, med)
+    evaluated = []  # every evaluated point and its value
 
     def evaluate(w: np.ndarray) -> np.ndarray:
         z = _loop_gain(loop, w)
         if np.any(z == CRITICAL_POINT):
             raise MarginalStabilityError("contour passes exactly through (1, 0)")
+        evaluated.append((w, z))
         return z
 
     hi = _omega_range(loop)
     w = _axis_nodes(loop, 0.0, hi, math.inf, _uniform_count(0.0, hi))[0]
-    w, z, _ = _bisect_pool(evaluate, _turn_test, w, evaluate(w),
-                           "contour segments still turn by pi/2 or more about (1, 0)")
-    w, z = np.concatenate(w), np.concatenate(z)
+    _bisect_pool(evaluate, _turn_test, w, evaluate(w),
+                 "contour segments still turn by pi/2 or more about (1, 0)")
+    w, z = map(np.concatenate, zip(*evaluated))
     return _closed_contour(z[np.argsort(w, kind="stable")])
 
 
@@ -749,7 +750,7 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
     the same bits alone or in a row.
     """
     single, detectors, media = _configurations(ifo, med)
-    verdicts, looped, known, rates = [], [], {}, {}
+    verdicts, looped, loops, known = [], [], [], {}
     for ifo, med in zip(detectors, media):
         # a row passes one medium at each of its rs^2: each is classified once
         if id(med) not in known:
@@ -759,19 +760,14 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
             # the open loop is cut: the contour is the origin itself
             verdict = StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0))
         elif verdict is None:
-            # the loop's rates, once per medium and arm delay
-            tau = ifo.tau
-            if (id(med), tau) not in rates:
-                rates[id(med), tau] = _Loop.of(ifo, med)[1:]
-            looped.append((len(verdicts), tau, (ifo.srm_amplitude_reflectivity,
-                                                *rates[id(med), tau])))
+            looped.append(len(verdicts))
+            loops.append(_Loop.of(ifo, med))
         elif verdict is _UNDAMPED:
             verdict = MarginalStabilityError(_UNDAMPED)
         verdicts.append(verdict)
     if looped:
         # one configuration takes the closed forms on floats, a row on arrays
-        loops = [loop for *_, loop in looped]
-        loop, xp = (_Loop(*loops[0]), _FloatMath) if len(loops) == 1 else (_Loop.stack(loops), np)
+        loop, xp = (loops[0], _FloatMath) if len(loops) == 1 else (_Loop.stack(loops), np)
         # the closest approach is searched where |r_s G_o| is above this level
         level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
         # and the interior of the near window, where |F| >= |r_s G_o| - 1 >= 1 - level
@@ -785,7 +781,7 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
                                  xp.where(wide, 0.0, near_hi), level, interior, xp)
         columns = (dist, near_lo, near_hi, windings, turns, wide)
         rows = [columns] if xp is _FloatMath else zip(*(column.tolist() for column in columns))
-        for (i, tau, _), (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
+        for i, (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
             if too_wide:
                 verdicts[i] = AccuracyError(f"the near window spans {turn:.3g} delay turns; "
                                             f"16 samples per turn exceed {MAX_SAMPLES}")
@@ -793,6 +789,7 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
                 verdicts[i] = MarginalStabilityError(
                     f"Nyquist contour passes within {d:.3e} of (1, 0)")
             else:
+                tau = detectors[i].tau
                 verdicts[i] = StabilityReport(
                     Classification.STABLE if winding == 0 else Classification.OPTICAL_INSTABILITY,
                     int(winding), d, (lo / tau, hi / tau), d < MARGINAL_FLAG_DISTANCE)
@@ -856,41 +853,44 @@ def _rectangle_integral(loop: _Loop, rect: tuple[float, float, float, float]) ->
         re_lo, count = 0.0, (count + 1) // 2
     reach, top_reach = _quiet_reach(loop, im_lo), _quiet_reach(loop, im_hi)
     # counterclockwise from the corner re_lo + i im_lo, each edge as its
-    # nodes but the last, which starts the next edge, and its quiet
-    # segments; a quiet edge is its first corner and one quiet segment
-    corners = (complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi),
-               complex(re_lo, im_hi))
-    edges = [((corner,), (0,)) for corner in corners]
+    # nodes but the last, which starts the next edge; a quiet edge is its
+    # first corner and one quiet segment, whose index settled holds
+    path, settled, size = [(complex(re_lo, im_lo),)], [0], 1
     if reach > 0.0:
         nodes, head, tail = _axis_nodes(loop, re_lo, re_hi, reach, count)
         # on the real axis, np.concatenate below makes the nodes complex
-        edges[0] = (nodes[:-1] + 1j * im_lo if im_lo else nodes[:-1],
-                    (0,) * head + (nodes.size - 2,) * tail)
+        path[0] = nodes[:-1] + 1j * im_lo if im_lo else nodes[:-1]
+        settled, size = [0] * head + [nodes.size - 2] * tail, nodes.size - 1
+    if abs(re_hi) < reach:
+        path.append((re_hi + 1j * np.linspace(im_lo, im_hi, 256))[:-1])
+    else:
+        path.append((complex(re_hi, im_lo),))
+        settled.append(size)
+    size += len(path[-1])
     if top_reach > 0.0:
         nodes, head, tail = _axis_nodes(loop, re_lo, re_hi, top_reach, count)
-        edges[2] = nodes[:0:-1] + 1j * im_hi, (0,) * tail + (nodes.size - 2,) * head
-    if abs(re_hi) < reach:
-        edges[1] = (re_hi + 1j * np.linspace(im_lo, im_hi, 256))[:-1], ()
-    if folded:  # the half path ends at its top-left corner, on Re w = 0
-        edges, end = edges[:3], corners[3]
-    else:  # the closed polyline ends at its start
+        path.append(nodes[:0:-1] + 1j * im_hi)
+        settled += [size] * tail + [size + nodes.size - 2] * head
+    else:
+        path.append((complex(re_hi, im_hi),))
+        settled.append(size)
+    size += len(path[-1])
+    if not folded:  # the closed polyline ends at its start
         if abs(re_lo) < reach:
-            edges[3] = (re_lo + 1j * np.linspace(im_lo, im_hi, 256))[:0:-1], ()
-        end = corners[0]
-    settled, size = [], 0  # the quiet segments' indices in the path
-    for nodes, quiet in edges:
-        settled += [size + k for k in quiet]
-        size += len(nodes)
-    w = np.concatenate([nodes for nodes, _ in edges] + [(end,)])
+            path.append((re_lo + 1j * np.linspace(im_lo, im_hi, 256))[:0:-1])
+        else:
+            path.append((complex(re_lo, im_hi),))
+            settled.append(size)
+    path.append((complex(re_lo, im_hi if folded else im_lo),))
+    w = np.concatenate(path)
     f = _loop_denominator(loop, w)
     if folded and (f[0].imag != 0.0 or f[-1].imag != 0.0):
         raise AccuracyError(f"F is not real at the folded path's ends on Re w = 0: "
                             f"{complex(f[0])}, {complex(f[-1])}")
-    total = complex(*_bisect_pool(
+    log_mod, arg = _bisect_pool(
         lambda mid: _loop_denominator(loop, mid), _log_test, w, f,
-        "oracle segments still turn by half a radian or half a unit of log|F|",
-        settled=settled)[2])
-    return 2j * total.imag if folded else total
+        "oracle segments still turn by half a radian or half a unit of log|F|", settled=settled)
+    return 2j * float(arg) if folded else complex(log_mod, arg)
 
 
 def root_count_oracle(ifo: IfoParams, med: MediumParams,

@@ -314,8 +314,10 @@ def test_integrate_nodes_match_recursive_simpson(f, lo, hi, rel_tol, breakpoints
 def test_derivative_central():
     d = derivative_central(math.sin, 0.3, 1e-6)
     assert d == pytest.approx(math.cos(0.3), abs=1e-10)
-    with pytest.raises(ValueError):
-        derivative_central(math.sin, 0.0, 0.0)
+    # a zero, negative, NaN or infinite step has no difference quotient
+    for step in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^step must be finite and positive$"):
+            derivative_central(math.sin, 0.3, step)
 
 
 # ---------------------------------------------------------------------------

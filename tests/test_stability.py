@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import pickle
 from dataclasses import replace
@@ -130,13 +131,19 @@ def test_contour_refinement_contract():
 
 def test_pool_refines_a_circle():
     # three segments cannot resolve a circle about (1, 0); the pool
-    # bisects each once, and the points it returns wind once in order
-    evaluate = lambda t: 1.0 + 0.5 * np.exp(1j * t)
+    # bisects each once, and the points evaluated wind once in order
+    nodes = []
+
+    def evaluate(t):
+        nodes.append(t)
+        return 1.0 + 0.5 * np.exp(1j * t)
+
     t = np.linspace(0.0, 2.0 * math.pi, 4)
-    nodes, values, sums = stability._bisect_pool(evaluate, stability._turn_test, t,
-                                                 evaluate(t), "segments still turn")
-    t, z = np.concatenate(nodes), np.concatenate(values)
-    assert t.size == 7 and np.array_equal(z, evaluate(t)) and sums == []
+    sums = stability._bisect_pool(evaluate, stability._turn_test, t, evaluate(t),
+                                  "segments still turn")
+    t = np.concatenate(nodes)
+    z = 1.0 + 0.5 * np.exp(1j * t)
+    assert t.size == 7 and len(nodes) == 2 and sums == []
     assert accumulate_winding(z[np.argsort(t)], 1.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
@@ -1000,6 +1007,16 @@ def test_oracle_bare_medium_zero():
     assert root_count_oracle(IFO, BARE, rect=rect) == 0
 
 
+def test_oracle_takes_numpy_float_rectangles():
+    # a rectangle of NumPy floats counts as the same one of Python
+    # floats, folded and not, through the real edge's seeding
+    med = wlc_medium(0.4, 0.4, "smaller")
+    re_lo, re_hi, im_lo, im_hi = default_rect(IFO, med)
+    for rect in ((re_lo, re_hi, im_lo, im_hi), (0.5 * re_lo, re_hi, im_lo, 0.5 * im_hi)):
+        assert (root_count_oracle(IFO, med, rect=tuple(map(np.float64, rect)))
+                == root_count_oracle(IFO, med, rect=rect))
+
+
 @pytest.mark.parametrize("eta,xi,root,rs2,winding", KNOWN_VERDICTS)
 def test_oracle_denominator_matches_loop_series(eta, xi, root, rs2, winding):
     # the oracle and the verdict code F = 1 - r_s G_o independently:
@@ -1546,6 +1563,32 @@ def test_oracle_counts_the_winding_near_the_axis(eta, xi, rs2, winding):
     assert report.winding == winding
     assert root_count_oracle(ifo, med) == report.winding
     assert round(accumulate_winding(nyquist_contour(ifo, med), 1.0) / (2.0 * math.pi)) == winding
+
+
+def test_oracle_evaluates_the_pinned_nodes(monkeypatch):
+    # the KNOWN_VERDICTS rows and the GATE_CELLS (larger root), which
+    # take 0 to 9 bisection rounds: the number of F evaluations of each
+    # call (a first pass, then one per round), the points evaluated in
+    # all, and a SHA-256 of their bytes in call order, as first recorded;
+    # a change that keeps the nodes keeps all three
+    calls, digest, points = [], hashlib.sha256(), []
+    denominator = stability._loop_denominator
+
+    def spy(loop, w):
+        calls[-1] += 1
+        points.append(w.size)
+        digest.update(np.ascontiguousarray(w).tobytes())
+        return denominator(loop, w)
+
+    monkeypatch.setattr(stability, "_loop_denominator", spy)
+    for eta, xi, root, rs2 in ([row[:4] for row in KNOWN_VERDICTS]
+                               + [(eta, xi, "larger", rs2) for eta, xi, rs2, _ in GATE_CELLS]):
+        calls.append(0)
+        root_count_oracle(IFO.with_power_reflectivity(rs2), wlc_medium(eta, xi, root))
+    assert calls == [2, 1, 1, 9, 3, 2, 6, 5, 6, 10, 4, 5, 2, 6, 3, 2]
+    assert sum(points) == 2895
+    assert digest.hexdigest() == (
+        "0461fc2071a96f1efc7c22f12ef24a9bdda3163c01c7b499ce334b4d5bc30168")
 
 
 def test_oracle_counts_the_winding_at_high_reflectivity():
