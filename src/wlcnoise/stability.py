@@ -30,7 +30,7 @@ rectangle as one exact segment, and _omega_range skips the gain window. Both ref
 real lines with _axis_nodes and refine in one segment pool,
 _bisect_pool, each with its own test. Inside, the arm delay tau is the
 time unit: rates are times tau, frequencies w = omega tau, and _Loop.of
-is the one place that multiplies by tau.
+and its row form _Loop.of_each are the places that multiply by tau.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
+from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -121,14 +122,28 @@ class _Loop(NamedTuple):
                    med.damping_gap * tau, med.gamma_opt_total * tau)
 
     @classmethod
-    def stack(cls, loops: Sequence["_Loop"]) -> "_Loop":
-        return cls(*map(np.array, zip(*loops)))
+    def of_each(cls, detectors: Sequence[IfoParams],
+                media: Sequence[MediumParams]) -> tuple["_Loop", np.ndarray]:
+        """The loops of equal-length sequences of detectors and media as
+        arrays, each configuration's the bits of its _Loop.of, and the
+        detectors' arm delays tau: the products are IEEE operations on
+        the same floats, read from attribute lists, not one _Loop each."""
+        tau = np.array([ifo.tau for ifo in detectors])
+        gamma12 = np.array([med.gamma12 for med in media])
+        gamma = np.array([med.gamma_opt_total for med in media])
+        # damping_gap is gamma12 - gamma_opt_total
+        return cls(np.array([ifo.srm_amplitude_reflectivity for ifo in detectors]),
+                   np.array([med.delta0 for med in media]) * tau, (gamma12 - gamma) * tau,
+                   gamma * tau), tau
 
 
 def _rate_scale(loop: _Loop) -> float:
     """The largest rate scale of a damped loop: max(delta0, gamma12, 1)."""
     return max(loop.delta0, loop.gap + loop.gamma, 1.0)
 
+
+# the classification of a damped loop, by whether its winding is nonzero
+_BY_CROSSINGS = (Classification.STABLE, Classification.OPTICAL_INSTABILITY)
 
 _UNDAMPED = ("medium is on the lasing threshold (gamma12 == gamma_opt_total); "
              "the loop poles lie on the real frequency axis")
@@ -678,17 +693,15 @@ def _closest_approach(loop: _Loop, lo, hi, level, interior: tuple, xp=np):
     firsts = np.stack([np.zeros_like(b_start), b_start], axis=1).ravel()
     lengths = np.stack([a_end + 1, counts - b_start], axis=1).ravel()
     dist = np.full(counts.size, math.inf)
-    columns = [p.tolist() for p in loop]
-    sizes = (counts - b_start + a_end + 1 + inside.sum(axis=1)).tolist()
-    start = 0
-    while any(sizes[start:]):  # a chunk evaluates at least one sample
+    rs, delta0, gap, gamma = (p.tolist() for p in loop)
+    # the samples of the configurations up to and including each
+    ends = (counts - b_start + a_end + 1 + inside.sum(axis=1)).cumsum()
+    start = held = 0
+    while counts.size and ends[-1] > held:  # a chunk evaluates at least one sample
         # the next configurations up to _ROW_SAMPLES samples, the first
-        # one whatever its size, and any with no samples
-        stop, held = start, 0
-        while stop < counts.size and (not held or not sizes[stop]
-                                      or held + sizes[stop] <= _ROW_SAMPLES):
-            held += sizes[stop]
-            stop += 1
+        # one with samples whatever its size, and any with no samples
+        first = ends.searchsorted(held, "right")
+        stop = int(ends.searchsorted(max(ends[first], held + _ROW_SAMPLES), "right"))
         part, runs, n = slice(start, stop), slice(2 * start, 2 * stop), lengths[2 * start:2 * stop]
         run = np.arange(2 * start, 2 * stop).repeat(n)
         index = np.arange(run.size) + (firsts[runs] - n.cumsum() + n).repeat(n)
@@ -705,11 +718,16 @@ def _closest_approach(loop: _Loop, lo, hi, level, interior: tuple, xp=np):
         best, loops = dist.tolist(), {}
         for c, a, b in zip(owner[ks].tolist(), omegas[ks].tolist(), omegas[ks + 1].tolist()):
             if c not in loops:
-                loops[c] = _Loop(*(column[c] for column in columns))
+                loops[c] = _Loop(rs[c], delta0[c], gap[c], gamma[c])
             best[c] = min(best[c], _polish_minimum(loops[c], a, b))
         dist = np.array(best)
-        start = stop
+        start, held = stop, ends[stop - 1]
     return np.minimum(dist, 1.0 - level)
+
+
+# the report of each medium-level class, shared by every medium of that class
+_MEDIUM_REPORTS = {c: StabilityReport(Classification(c.value), 0, math.inf, (0.0, 0.0))
+                   for c in MediumClass if c is not MediumClass.STATIONARY}
 
 
 def _medium_verdict(med: MediumParams):
@@ -718,7 +736,7 @@ def _medium_verdict(med: MediumParams):
     damped stationary medium, whose verdict is the loop's."""
     med_class = med_mod.classify_medium(med)
     if med_class is not MediumClass.STATIONARY:
-        return StabilityReport(Classification(med_class.value), 0, math.inf, (0.0, 0.0))
+        return _MEDIUM_REPORTS[med_class]
     return _UNDAMPED if med.damping_gap <= 0.0 else None
 
 
@@ -750,24 +768,29 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
     the same bits alone or in a row.
     """
     single, detectors, media = _configurations(ifo, med)
-    verdicts, looped, loops, known = [], [], [], {}
+    verdicts, looped, known = [], [], {}
     for ifo, med in zip(detectors, media):
-        # a row passes one medium at each of its rs^2: each is classified once
-        if id(med) not in known:
-            known[id(med)] = _medium_verdict(med)
-        verdict = known[id(med)]
+        # a row passes one medium at each of its rs^2: each is classified
+        # once (known itself stands for a medium not yet seen)
+        verdict = known.get(id(med), known)
+        if verdict is known:
+            verdict = known[id(med)] = _medium_verdict(med)
         if verdict is None and ifo.srm_amplitude_reflectivity == 0.0:
             # the open loop is cut: the contour is the origin itself
             verdict = StabilityReport(Classification.STABLE, 0, 1.0, (0.0, 0.0))
         elif verdict is None:
             looped.append(len(verdicts))
-            loops.append(_Loop.of(ifo, med))
         elif verdict is _UNDAMPED:
             verdict = MarginalStabilityError(_UNDAMPED)
         verdicts.append(verdict)
     if looped:
         # one configuration takes the closed forms on floats, a row on arrays
-        loop, xp = (loops[0], _FloatMath) if len(loops) == 1 else (_Loop.stack(loops), np)
+        if len(looped) == 1:
+            (i,) = looped
+            loop, tau, xp = _Loop.of(detectors[i], media[i]), detectors[i].tau, _FloatMath
+        else:
+            loop, tau = _Loop.of_each([detectors[i] for i in looped], [media[i] for i in looped])
+            xp = np
         # the closest approach is searched where |r_s G_o| is above this level
         level = xp.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs))
         # and the interior of the near window, where |F| >= |r_s G_o| - 1 >= 1 - level
@@ -779,8 +802,22 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
         wide = 33 + 16.0 * turns > MAX_SAMPLES
         dist = _closest_approach(loop, xp.where(wide, 0.0, near_lo),
                                  xp.where(wide, 0.0, near_hi), level, interior, xp)
-        columns = (dist, near_lo, near_hi, windings, turns, wide)
-        rows = [columns] if xp is _FloatMath else zip(*(column.tolist() for column in columns))
+        columns = (dist, near_lo / tau, near_hi / tau, windings, turns, wide)
+        rows = [columns]
+        if xp is np:
+            # a row builds the reports of the configurations that pass a
+            # column at a time, as the loop below builds one's; those that
+            # fail take the loop
+            failing = wide | (dist < MARGINAL_ERROR_DISTANCE)
+            d, lo, hi, winding = (column[~failing] for column in columns[:4])
+            reports = map(StabilityReport._make, zip(
+                map(_BY_CROSSINGS.__getitem__, (winding != 0.0).tolist()),
+                map(int, winding.tolist()), d.tolist(), zip(lo.tolist(), hi.tolist()),
+                (d < MARGINAL_FLAG_DISTANCE).tolist()))
+            for i, report in zip(compress(looped, (~failing).tolist()), reports):
+                verdicts[i] = report
+            looped = list(compress(looped, failing.tolist()))
+            rows = zip(*(column[failing].tolist() for column in columns))
         for i, (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
             if too_wide:
                 verdicts[i] = AccuracyError(f"the near window spans {turn:.3g} delay turns; "
@@ -789,10 +826,8 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
                 verdicts[i] = MarginalStabilityError(
                     f"Nyquist contour passes within {d:.3e} of (1, 0)")
             else:
-                tau = detectors[i].tau
-                verdicts[i] = StabilityReport(
-                    Classification.STABLE if winding == 0 else Classification.OPTICAL_INSTABILITY,
-                    int(winding), d, (lo / tau, hi / tau), d < MARGINAL_FLAG_DISTANCE)
+                verdicts[i] = StabilityReport(_BY_CROSSINGS[winding != 0], int(winding), d,
+                                              (lo, hi), d < MARGINAL_FLAG_DISTANCE)
     if not single:
         return verdicts
     if isinstance(verdicts[0], Exception):

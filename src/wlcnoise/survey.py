@@ -18,7 +18,11 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
-from typing import NamedTuple
+from itertools import compress
+from operator import attrgetter
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import AccuracyError, MarginalStabilityError
 from .interferometer import (
@@ -96,6 +100,12 @@ class SweepSpec:
     rel_tol: float = 1e-4
 
     def __post_init__(self) -> None:
+        # a field of the wrong type would be misread or fail deep in a row
+        for name, kind in (("eta_grid", tuple), ("xi_grid", tuple),
+                           ("srm_power_reflectivities", tuple), ("root_choice", RootChoice),
+                           ("include_additional_noise", bool), ("noise_model", NoiseModel)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name, grid in (("eta_grid", self.eta_grid), ("xi_grid", self.xi_grid)):
             if not grid:
                 raise ValueError(f"{name} is empty")
@@ -186,10 +196,10 @@ def _cell_media(eta: float, xi: float, labels: tuple[str, ...]):
     roots = solve_detuning(gamma12, gamma_opt, 1.0)
     if not roots:
         return gamma12, gamma_opt, {}
-    ends = {label: roots[0] if label == "smaller" else roots[-1] for label in labels}
-    media = {delta0: MediumParams(gamma12, gamma_opt, delta0)
-             for delta0 in set(ends.values())}
-    return gamma12, gamma_opt, {label: media[delta0] for label, delta0 in ends.items()}
+    if len(labels) == 1:  # only the root the label picks
+        roots = roots[:1] if labels[0] == "smaller" else roots[-1:]
+    media = [MediumParams(gamma12, gamma_opt, delta0) for delta0 in roots]
+    return gamma12, gamma_opt, {label: media[0 if label == "smaller" else -1] for label in labels}
 
 
 @lru_cache(maxsize=None)
@@ -201,29 +211,48 @@ def _infeasible_outcomes(reflectivities: tuple[float, ...],
                  for rs2 in reflectivities for label in choice.labels)
 
 
-# the status of each Nyquist classification
-_STATUS = {c: CellStatus(c.value) for c in Classification}
+# the status of each Nyquist classification, looked up by its value: a
+# str key hashes in C, an Enum key through Python-level Enum.__hash__
+_STATUS = {c.value: CellStatus(c.value) for c in Classification}
+_VALUE = attrgetter("_value_")
+# what a MarginalStabilityError verdict leaves in an outcome's columns:
+# an optical status flagged marginal, with no winding or distance
+_NO_REPORT = StabilityReport(Classification.OPTICAL_INSTABILITY, None, None, None, True)
 
 
-def _outcome(rs2: float, label: str, delta0: float, verdict, rho, floats: dict) -> RootOutcome:
-    """Outcome of one detuning root at one SRM reflectivity, from its
-    stability verdict (a report, or the MarginalStabilityError that
-    classify_system's row form gives in its place) and its rho_r: None,
-    a float, or the AccuracyError whose best estimate stands in for it.
-    Its distance is looked up in floats, so that equal distances share
-    one float."""
-    if isinstance(verdict, MarginalStabilityError):
-        return RootOutcome(rs2, label, delta0, CellStatus.OPTICAL_INSTABILITY, None, None, True,
-                           None, str(verdict))
-    status, note = _STATUS[verdict.classification], ""
-    if verdict.marginal and status is CellStatus.STABLE:
-        # too close to the critical point to trust the winding
-        status, note = CellStatus.OPTICAL_INSTABILITY, "marginal contour reclassified as unstable"
-    if isinstance(rho, AccuracyError):
-        rho, note = rho.best_estimate, f"integration tolerance not met: {rho}"
-    distance = verdict.min_distance_to_critical
-    return RootOutcome(rs2, label, delta0, status, verdict.winding,
-                       floats.setdefault(distance, distance), verdict.marginal, rho, note)
+def _outcomes(reflectivities: tuple[float, ...], labels: list[str], delta0: list[float],
+              verdicts: list, errors: list[int], integrate: Callable) -> list[RootOutcome]:
+    """The outcome of each configuration k of a row, the rs^2 k // n and
+    the medium k % n of n media, under the label and the detuning delta0
+    of its medium. verdicts holds its stability report, or at the
+    indices errors the MarginalStabilityError that classify_system's row
+    form gives in its place; integrate takes the indices of the stable
+    ones and gives their rho_r, each a float or the AccuracyError whose
+    best estimate stands in for it. Built a column at a time, with one
+    status lookup per verdict; equal distances share one float."""
+    if not verdicts:
+        return []
+    notes, reports = [""] * len(verdicts), verdicts.copy()
+    for k in errors:
+        reports[k], notes[k] = _NO_REPORT, str(verdicts[k])
+    classes, windings, distances, _, marginals = zip(*reports)
+    statuses = list(map(_STATUS.__getitem__, map(_VALUE, classes)))
+    for k in compress(range(len(marginals)), marginals):
+        if statuses[k] is CellStatus.STABLE:
+            # too close to the critical point to trust the winding
+            statuses[k] = CellStatus.OPTICAL_INSTABILITY
+            notes[k] = "marginal contour reclassified as unstable"
+    rho = [None] * len(verdicts)
+    stable = [k for k, status in enumerate(statuses) if status is CellStatus.STABLE]
+    for k, value in zip(stable, integrate(stable) if stable else ()):
+        if isinstance(value, AccuracyError):
+            value, notes[k] = value.best_estimate, f"integration tolerance not met: {value}"
+        rho[k] = value
+    floats = {}
+    return list(map(RootOutcome._make, zip(
+        [rs2 for rs2 in reflectivities for _ in range(len(labels))], labels * len(reflectivities),
+        delta0 * len(reflectivities), statuses, windings,
+        map(floats.setdefault, distances, distances), marginals, rho, notes)))
 
 
 def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]:
@@ -234,59 +263,61 @@ def _compute_row(spec: SweepSpec, ifo: IfoParams, eta: float) -> list[SweepCell]
     of the stable ones from one improvement_factor call, each kept by
     position. An AccuracyError verdict (a near window beyond the sample
     cap) is raised, naming eta, xi and rs^2 of the first in cell order."""
-    reflectivities = spec.srm_power_reflectivities
+    reflectivities, labels = spec.srm_power_reflectivities, spec.root_choice.labels
     detectors = [replace(_UNIT_DELAY.with_power_reflectivity(rs2),
                          include_additional_noise=spec.include_additional_noise)
                  for rs2 in reflectivities]
-    media, cell_of, first_label, cells = [], [], [], []
+    # the media with the label each is first met under, the medium of
+    # each label of each feasible cell, and which of those share theirs
+    media, first_label, slots, shared, cells = [], [], [], [], []
     for xi in spec.xi_grid:
-        gamma12, gamma_opt, by_label = _cell_media(eta, xi, spec.root_choice.labels)
-        slots = []  # (label, medium index) of each root label
+        gamma12, gamma_opt, by_label = _cell_media(eta, xi, labels)
+        cells.append((xi, gamma12, gamma_opt, bool(by_label)))
         for label, med in by_label.items():
-            if not slots or media[-1] is not med:
+            if media and media[-1] is med:
+                shared.append(len(slots))
+            else:
                 media.append(med)
-                cell_of.append(len(cells))
                 first_label.append(label)
-            slots.append((label, len(media) - 1))
-        cells.append((xi, gamma12, gamma_opt, slots))
-    n = len(media)
-    verdicts = classify_system([det for det in detectors for _ in range(n)],
-                               media * len(detectors))
-    failed = [(cell_of[k % n], k // n, k) for k, verdict in enumerate(verdicts)
-              if isinstance(verdict, AccuracyError)]
+            slots.append(len(media) - 1)
+    n, count, width = len(media), len(reflectivities), len(labels)
+    verdicts = classify_system([det for det in detectors for _ in range(n)], media * count)
+    errors = [k for k, verdict in enumerate(verdicts) if not isinstance(verdict, StabilityReport)]
+    failed = [k for k in errors if isinstance(verdicts[k], AccuracyError)]
     if failed:
-        cell, r, k = min(failed)
-        raise AccuracyError(f"stability verdict at eta={eta}, xi={cells[cell][0]}, "
-                            f"rs^2={reflectivities[r]}: {verdicts[k]}")
-    stable = [k for k, verdict in enumerate(verdicts) if isinstance(verdict, StabilityReport)
-              and verdict.classification is Classification.STABLE and not verdict.marginal]
-    rho = [None] * len(verdicts)
-    if stable:
-        for k, value in zip(stable, improvement_factor(
-                [detectors[k // n] for k in stable], [media[k % n] for k in stable],
-                spec.noise_model, rel_tol=spec.rel_tol)):
-            rho[k] = value
-    # each medium's reported detuning, one float for all its reflectivities;
-    # a row's loops with an empty near window all report the bound
-    # 1 - level of their rs^2 as distance: one float for each
-    delta0 = [med.delta0 / ifo.tau for med in media]
-    floats = {}
-    outcomes = [_outcome(reflectivities[k // n], first_label[k % n], delta0[k % n], verdict,
-                         rho[k], floats) for k, verdict in enumerate(verdicts)]
-    row = []
-    for xi, gamma12, gamma_opt, slots in cells:
-        if slots:
-            cell_outcomes = []
-            for start in range(0, len(outcomes), n):
-                for label, m in slots:
-                    outcome = outcomes[start + m]
-                    cell_outcomes.append(outcome if outcome.root_label == label
-                                         else outcome._replace(root_label=label))
-            cell_outcomes = tuple(cell_outcomes)
+        feasible = [xi for xi, *_, has_roots in cells if has_roots]
+        cell_of = [slots.index(m) // width for m in range(n)]
+        k = min(failed, key=lambda k: (cell_of[k % n], k // n, k))
+        raise AccuracyError(f"stability verdict at eta={eta}, xi={feasible[cell_of[k % n]]}, "
+                            f"rs^2={reflectivities[k // n]}: {verdicts[k]}")
+
+    def integrate(stable: list[int]) -> list:
+        return improvement_factor([detectors[k // n] for k in stable],
+                                  [media[k % n] for k in stable], spec.noise_model,
+                                  rel_tol=spec.rel_tol)
+
+    # each medium's reported detuning, one float for all its reflectivities
+    tau = ifo.tau
+    outcomes = _outcomes(reflectivities, first_label, [med.delta0 / tau for med in media],
+                         verdicts, errors, integrate)
+    # a feasible cell's outcomes run over rs^2, then label: those of the
+    # configurations r n + m for the medium m of each label, a shared
+    # medium's relabeled
+    index = np.array(slots, dtype=int).reshape(-1, 1, width) + n * np.arange(count)[:, None]
+    picked = list(map(outcomes.__getitem__, index.ravel().tolist()))
+    for e in shared:
+        cell, label = divmod(e, width)
+        for at in range(cell * count * width + label, (cell + 1) * count * width, width):
+            picked[at] = picked[at]._replace(root_label=labels[label])
+    picked = tuple(picked)
+    infeasible = _infeasible_outcomes(reflectivities, spec.root_choice)
+    row, start, size = [], 0, count * width
+    for xi, gamma12, gamma_opt, has_roots in cells:
+        if has_roots:
+            cell_outcomes, start = picked[start:start + size], start + size
         else:
-            cell_outcomes = _infeasible_outcomes(reflectivities, spec.root_choice)
-        row.append(SweepCell(eta, xi, gamma12 / ifo.tau, gamma_opt / ifo.tau, bool(slots),
-                             cell_outcomes))
+            cell_outcomes = infeasible
+        row.append(SweepCell(eta, xi, gamma12 / tau, gamma_opt / tau, has_roots, cell_outcomes))
     return row
 
 

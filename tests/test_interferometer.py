@@ -124,6 +124,9 @@ def test_srm_relation():
     *((field, value) for field in ("arm_length", "circulating_power",
                                    "carrier_angular_frequency", "srm_amplitude_reflectivity")
       for value in (math.nan, math.inf, -math.inf)),
+    # a flag of the wrong type would be read by its truth value
+    ("include_additional_noise", "no"),
+    ("include_additional_noise", 0),
 ])
 def test_params_validation(field, value):
     with pytest.raises(ValueError, match=field):

@@ -280,7 +280,7 @@ def test_closest_approach_matches_dense_reference(eta, xi_share, larger_root, rs
     assume(roots)
     med = MediumParams(gamma12, gamma_opt, roots[-1] if larger_root else roots[0])
     assume(classify_medium(med) is MediumClass.STATIONARY)
-    loop = _Loop.stack([_Loop.of(ifo, med)])
+    loop = loop_columns([(ifo, med)])
     level = max(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loop.rs[0]))
     interior = _gain_window(loop, (2.0 - level) * (1.0 + 1e-9))
     (dist,) = _closest_approach(loop, *_gain_window(loop, level), level, interior)
@@ -502,6 +502,12 @@ def drawn_loops(rng, count):
     return configs
 
 
+def loop_columns(configs):
+    """The loops of (ifo, medium) pairs as arrays, as classify_system's
+    row form builds them."""
+    return _Loop.of_each(*zip(*configs))[0]
+
+
 def reference_gain_window(loop, level, xp=np):
     """One level's gain window in a pass of its own, as stability took it
     before the near, unit and interior levels shared their level-free
@@ -526,13 +532,29 @@ def reference_gain_window(loop, level, xp=np):
             xp.sqrt(xp.maximum(y_hi, 0.0) * found) * scale)
 
 
+def test_row_loop_columns_are_loop_of_bits():
+    # classify_system's row form reads its loops a column at a time: on
+    # drawn media at four arm lengths (tau from about 3e-9 to 1e-2), each
+    # configuration's columns and tau are the bits of its own _Loop.of
+    arms = (4000.0, 1.0, 3e6, 123.4)
+    configs = [(replace(ifo, arm_length=arms[k % 4]), med)
+               for k, (ifo, med) in enumerate(drawn_loops(np.random.default_rng(11), 200))]
+    loop, tau = _Loop.of_each(*zip(*configs))
+    assert len({float(t) for t in tau}) == 4
+    hexes = lambda values: [float(v).hex() for v in values]
+    for k, (ifo, med) in enumerate(configs):
+        assert hexes(column[k] for column in loop) == hexes(_Loop.of(ifo, med))
+        assert float(tau[k]).hex() == ifo.tau.hex()
+
+
 def test_gain_windows_keep_each_level_bits():
     # one _gain_windows call at the near, unit and interior levels of
     # classify_system gives each level the bits of a call at that level
     # alone and of the one-level reference, on arrays and on floats; most
     # windows are not empty at any of the three levels
-    loops = [_Loop.of(*config) for config in drawn_loops(np.random.default_rng(7), 300)]
-    stacked = _Loop.stack(loops)
+    configs = drawn_loops(np.random.default_rng(7), 300)
+    loops = [_Loop.of(*config) for config in configs]
+    stacked = loop_columns(configs)
     level = np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + stacked.rs))
     levels = (level, 1.0, (2.0 - level) * (1.0 + 1e-9))
     bits = lambda window: np.array(window, dtype=float).view(np.int64)
@@ -558,7 +580,7 @@ def test_float_and_array_closed_forms_agree(monkeypatch):
     # alone as in a row
     configs = drawn_loops(np.random.default_rng(7), 300)
     loops = [_Loop.of(ifo, med) for ifo, med in configs]
-    stacked = _Loop.stack(loops)
+    stacked = loop_columns(configs)
     level = np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + stacked.rs))
     near = _gain_window(stacked, level)
     gain = _gain_window(stacked, 1.0)
@@ -621,8 +643,9 @@ def test_float_and_array_closed_forms_agree(monkeypatch):
 def test_two_term_series_is_the_first_two_of_three():
     # the near windows sample F and F' only: bit for bit the first two
     # terms of the three-term series, on arrays and on floats
-    loops = [_Loop.of(ifo, med) for ifo, med in drawn_loops(np.random.default_rng(3), 60)]
-    stacked = _Loop.stack(loops)
+    configs = drawn_loops(np.random.default_rng(3), 60)
+    loops = [_Loop.of(ifo, med) for ifo, med in configs]
+    stacked = loop_columns(configs)
     omegas = stacked.delta0 * np.random.default_rng(4).uniform(0.0, 3.0, len(loops))
     omegas[::6] = 0.0
     two = stability._loop_series(stacked, omegas, _terms=2)
@@ -641,7 +664,7 @@ def test_zero_curvature_matches_the_series():
     # not cancel, and floats and arrays give the same bits
     configs = drawn_loops(np.random.default_rng(5), 2000)
     loops = [_Loop.of(ifo, med) for ifo, med in configs]
-    stacked = stability._zero_curvature(_Loop.stack(loops))
+    stacked = stability._zero_curvature(loop_columns(configs))
     compared = 0
     for loop, on_array in zip(loops, stacked.tolist()):
         f, df, ddf = stability._loop_series(loop, 0.0, cmath.exp)
@@ -763,7 +786,7 @@ def test_certified_spans_bound_dense_samples():
     configs = [config for config in drawn_loops(np.random.default_rng(3), 60) + verdict_slice()[0]
                if classify_medium(config[1]) is MediumClass.STATIONARY
                and config[1].damping_gap > 0.0 and config[0].srm_amplitude_reflectivity > 0.0]
-    stacked = _Loop.stack([_Loop.of(*config) for config in configs])
+    stacked = loop_columns(configs)
     level = np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + stacked.rs))
     lo, hi = _gain_window(stacked, level)
     near = hi > 0.0
@@ -906,7 +929,7 @@ def test_polished_brackets_of_one_survey_row_pinned(monkeypatch):
 
 def near_samples(configs):
     """33 + 16 per delay turn of each configuration's near window."""
-    loops = _Loop.stack([_Loop.of(*config) for config in configs])
+    loops = loop_columns(configs)
     lo, hi = _gain_window(loops, np.maximum(1.0 - NEAR_DISTANCE, 0.5 * (1.0 + loops.rs)))
     return 33 + 16.0 * (hi - lo) / math.pi
 

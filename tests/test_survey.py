@@ -9,11 +9,12 @@ from wlcnoise import interferometer, numerics, stability, survey
 from wlcnoise.errors import AccuracyError, MarginalStabilityError
 from wlcnoise.interferometer import SPEED_OF_LIGHT, improvement_factor, reference_detector
 from wlcnoise.medium import MediumParams, NoiseModel, map_eta_xi, solve_detuning
-from wlcnoise.stability import Classification, classify_system
+from wlcnoise.stability import Classification, StabilityReport, classify_system
 from wlcnoise.survey import (
     CellStatus,
     RootChoice,
     RootOutcome,
+    SweepCell,
     SweepSpec,
     default_grid,
     run_sweep,
@@ -55,10 +56,20 @@ def test_default_grid_inside_unit_interval():
     dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=-1e-4),
     dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=math.nan),
     dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, rel_tol=math.inf),
+    # fields of the wrong type, each named first, as scenario._parse_sweep
+    # maps a message's first word to its scenario field
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, include_additional_noise="no"),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, root_choice="both"),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, noise_model="local"),
+    dict(eta_grid=SMALL_GRID, xi_grid=SMALL_GRID, srm_power_reflectivities=0.5),
+    dict(eta_grid=0.5, xi_grid=SMALL_GRID),
+    dict(eta_grid=SMALL_GRID, xi_grid=[0.5]),
 ])
 def test_spec_validation(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         SweepSpec(**kwargs)
+    named = {key for key, value in kwargs.items() if value is not SMALL_GRID}
+    assert str(info.value).split(" ")[0] in named
 
 
 # ---------------------------------------------------------------------------
@@ -510,3 +521,149 @@ def test_double_root_cell_computed_once(monkeypatch):
         assert smaller._replace(root_label="larger") == larger
         statuses.append(smaller.status)
     assert statuses == [CellStatus.STABLE, CellStatus.OPTICAL_INSTABILITY]
+
+
+# ---------------------------------------------------------------------------
+# the row's bookkeeping against the per-cell and per-outcome one it replaced
+# ---------------------------------------------------------------------------
+
+def reference_cell_media(eta, xi, labels):
+    """survey._cell_media as it stood before it dropped its per-cell dict
+    and set comprehensions, kept here as its reference."""
+    gamma12, gamma_opt = map_eta_xi(eta, xi, 1.0)
+    roots = solve_detuning(gamma12, gamma_opt, 1.0)
+    if not roots:
+        return gamma12, gamma_opt, {}
+    ends = {label: roots[0] if label == "smaller" else roots[-1] for label in labels}
+    media = {delta0: MediumParams(gamma12, gamma_opt, delta0)
+             for delta0 in set(ends.values())}
+    return gamma12, gamma_opt, {label: media[delta0] for label, delta0 in ends.items()}
+
+
+def reference_outcome_of(rs2, label, delta0, verdict, rho, floats):
+    """survey._outcome as it stood before a row built its outcomes a
+    column at a time: one outcome from its verdict and rho_r."""
+    if isinstance(verdict, MarginalStabilityError):
+        return RootOutcome(rs2, label, delta0, CellStatus.OPTICAL_INSTABILITY, None, None, True,
+                           None, str(verdict))
+    status, note = CellStatus(verdict.classification.value), ""
+    if verdict.marginal and status is CellStatus.STABLE:
+        status, note = CellStatus.OPTICAL_INSTABILITY, "marginal contour reclassified as unstable"
+    if isinstance(rho, AccuracyError):
+        rho, note = rho.best_estimate, f"integration tolerance not met: {rho}"
+    distance = verdict.min_distance_to_critical
+    return RootOutcome(rs2, label, delta0, status, verdict.winding,
+                       floats.setdefault(distance, distance), verdict.marginal, rho, note)
+
+
+def reference_row(spec, ifo, eta):
+    """survey._compute_row's assembly as it stood before, a loop per cell
+    and per outcome around the same classify_system and
+    improvement_factor calls."""
+    reflectivities = spec.srm_power_reflectivities
+    detectors = [replace(survey._UNIT_DELAY.with_power_reflectivity(rs2),
+                         include_additional_noise=spec.include_additional_noise)
+                 for rs2 in reflectivities]
+    media, cell_of, first_label, cells = [], [], [], []
+    for xi in spec.xi_grid:
+        gamma12, gamma_opt, by_label = reference_cell_media(eta, xi, spec.root_choice.labels)
+        slots = []
+        for label, med in by_label.items():
+            if not slots or media[-1] is not med:
+                media.append(med)
+                cell_of.append(len(cells))
+                first_label.append(label)
+            slots.append((label, len(media) - 1))
+        cells.append((xi, gamma12, gamma_opt, slots))
+    n = len(media)
+    verdicts = classify_system([det for det in detectors for _ in range(n)],
+                               media * len(detectors))
+    failed = [(cell_of[k % n], k // n, k) for k, verdict in enumerate(verdicts)
+              if isinstance(verdict, AccuracyError)]
+    if failed:
+        cell, r, k = min(failed)
+        raise AccuracyError(f"stability verdict at eta={eta}, xi={cells[cell][0]}, "
+                            f"rs^2={reflectivities[r]}: {verdicts[k]}")
+    stable = [k for k, verdict in enumerate(verdicts) if isinstance(verdict, StabilityReport)
+              and verdict.classification is Classification.STABLE and not verdict.marginal]
+    rho = [None] * len(verdicts)
+    if stable:
+        for k, value in zip(stable, improvement_factor(
+                [detectors[k // n] for k in stable], [media[k % n] for k in stable],
+                spec.noise_model, rel_tol=spec.rel_tol)):
+            rho[k] = value
+    delta0 = [med.delta0 / ifo.tau for med in media]
+    floats = {}
+    outcomes = [reference_outcome_of(reflectivities[k // n], first_label[k % n], delta0[k % n],
+                                     verdict, rho[k], floats)
+                for k, verdict in enumerate(verdicts)]
+    row = []
+    for xi, gamma12, gamma_opt, slots in cells:
+        if slots:
+            cell_outcomes = []
+            for start in range(0, len(outcomes), n):
+                for label, m in slots:
+                    outcome = outcomes[start + m]
+                    cell_outcomes.append(outcome if outcome.root_label == label
+                                         else outcome._replace(root_label=label))
+            cell_outcomes = tuple(cell_outcomes)
+        else:
+            cell_outcomes = tuple(RootOutcome(rs2, label, math.nan, CellStatus.INFEASIBLE)
+                                  for rs2 in reflectivities for label in spec.root_choice.labels)
+        row.append(SweepCell(eta, xi, gamma12 / ifo.tau, gamma_opt / ifo.tau, bool(slots),
+                             cell_outcomes))
+    return row
+
+
+@pytest.mark.parametrize("case,choice", [
+    ("plain", RootChoice.BOTH),
+    ("plain", RootChoice.SMALLER),
+    ("plain", RootChoice.LARGER),
+    ("marginal flag", RootChoice.BOTH),
+    ("marginal error", RootChoice.BOTH),
+    ("quadrature fallback", RootChoice.BOTH),
+    ("sample cap", RootChoice.BOTH),
+])
+def test_row_bookkeeping_matches_reference(monkeypatch, case, choice):
+    # on a grid with infeasible cells and repeated roots (its diagonal),
+    # every cell of run_sweep has the repr of the per-outcome reference:
+    # plain, with marginal reports reclassified (a flag distance of 0.05
+    # catches the rs^2 0.9 bound 1 - level), with MarginalStabilityError
+    # verdicts in their place, and with every rho_r a quadrature
+    # fallback; under a cap of 61 samples some near windows are too wide,
+    # and the sweep raises the reference's error, naming the first in
+    # cell order (there the third cell's at rs^2 0.9, before the fifth
+    # cell's at rs^2 0.5)
+    grid = default_grid(7)
+    spec = SweepSpec(eta_grid=grid, xi_grid=grid, srm_power_reflectivities=(0.5, 0.9),
+                     root_choice=choice)
+    arm = replace(IFO, arm_length=123.0)
+    if case == "sample cap":
+        monkeypatch.setattr(stability, "MAX_SAMPLES", 61)
+        with pytest.raises(AccuracyError) as raised:
+            run_sweep(spec, arm)
+        with pytest.raises(AccuracyError) as expected:
+            for eta in grid:
+                reference_row(spec, arm, eta)
+        assert str(raised.value) == str(expected.value)
+        return
+    notes = {"plain": "", "marginal flag": "marginal contour reclassified as unstable",
+             "marginal error": "Nyquist contour passes within",
+             "quadrature fallback": "integration tolerance not met: "}[case]
+    if case == "marginal flag":
+        monkeypatch.setattr(stability, "MARGINAL_FLAG_DISTANCE", 0.05)
+    if case == "marginal error":
+        monkeypatch.setattr(stability, "MARGINAL_ERROR_DISTANCE", 0.05)
+    if case == "quadrature fallback":
+        monkeypatch.setattr(interferometer, "_integrate_many",
+                            partial(interferometer._integrate_many, max_depth=1))
+    grid_cells = run_sweep(spec, arm).cells
+    reference = tuple(cell for eta in grid for cell in reference_row(spec, arm, eta))
+    # a nan field compares unequal to a copy of itself, so compare the full repr
+    assert repr(grid_cells) == repr(reference)
+    outcomes = [o for cell in grid_cells for o in cell.outcomes]
+    assert any(not cell.feasible for cell in grid_cells)
+    # a repeated root's two labels at the first rs^2
+    assert choice is not RootChoice.BOTH or any(
+        cell.outcomes[0].delta0 == cell.outcomes[1].delta0 for cell in grid_cells if cell.feasible)
+    assert any(o.note.startswith(notes) for o in outcomes if o.note or not notes)
