@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -159,43 +159,22 @@ def strain_psd(ifo: IfoParams, med: MediumParams, model: NoiseModel, omega):
     Raises MarginalStabilityError, naming the first such omega, when the
     closed loop is singular (|1 - r_s G| <= 1e-6).
     """
-    return _strain_noise(np.asarray(omega), *_strain_terms((ifo,), (med,), model)[0])
+    return _strain_noise(np.asarray(omega), *_strain_terms(ifo, med, model))
 
 
-def _per_object(f: Callable, objects: Sequence) -> list:
-    """f of each of objects, called once for each distinct one (by
-    identity): a survey row passes each of a few detectors many times."""
-    values, known = [], {}
-    for x in objects:
-        if id(x) not in known:
-            known[id(x)] = f(x)
-        values.append(known[id(x)])
-    return values
-
-
-def _detector_terms(ifo: IfoParams) -> tuple:
-    """tau, r_s, t_s^2, whether the added noise enters, and 2 K t_s^2."""
-    ts2 = ifo.srm_amplitude_transmissivity**2
-    return (ifo.tau, ifo.srm_amplitude_reflectivity, ts2, ifo.include_additional_noise,
-            2.0 * ifo.signal_strength * ts2)
-
-
-def _strain_terms(detectors: Sequence[IfoParams], media: Sequence[MediumParams],
-                  model: NoiseModel) -> list[tuple[float, ...]]:
-    """The scalars of the strain noise of each configuration of the
-    equal-length detectors and media, a tuple each, in the order
+def _strain_terms(ifo: IfoParams, med: MediumParams, model: NoiseModel) -> tuple[float, ...]:
+    """The scalars of one configuration's strain noise, in the order
     _strain_noise takes them: tau, r_s, delta0, Gamma - gamma12, Gamma,
     the noise amplitude, B t_s^2 (0 without the added noise) and
-    2 K t_s^2. A detector's come once for each distinct one."""
-    terms = []
-    for (tau, rs, ts2, noisy, scale), med in zip(_per_object(_detector_terms, detectors), media):
-        amp = weight = 0.0
-        if noisy:
-            amp = med_mod._noise_amplitude(med, model)
-            weight = (med.atom_count if model is NoiseModel.LOCAL else 1) * ts2
-        terms.append((tau, rs, med.delta0, med.gamma_opt_total - med.gamma12,
-                      med.gamma_opt_total, amp, weight, scale))
-    return terms
+    2 K t_s^2."""
+    ts2 = ifo.srm_amplitude_transmissivity**2
+    amp = weight = 0.0
+    if ifo.include_additional_noise:
+        amp = med_mod._noise_amplitude(med, model)
+        weight = (med.atom_count if model is NoiseModel.LOCAL else 1) * ts2
+    return (ifo.tau, ifo.srm_amplitude_reflectivity, med.delta0,
+            med.gamma_opt_total - med.gamma12, med.gamma_opt_total, amp, weight,
+            2.0 * ifo.signal_strength * ts2)
 
 
 def _strain_noise(omega, tau, rs, delta0, base, gamma_opt_total, amp, weight, scale):
@@ -284,7 +263,8 @@ def improvement_factor(ifo: IfoParams | Sequence[IfoParams],
     error (a singular closed loop) is raised for the whole call.
     """
     single, detectors, media = _configurations(ifo, med)
-    terms = np.array(_strain_terms(detectors, media, model)).reshape(-1, 8).T
+    terms = np.array([_strain_terms(ifo, med, model) for ifo, med in zip(detectors, media)]
+                     ).reshape(-1, 8).T
     # tau, delta0 and Gamma - gamma12 are terms 0, 2 and 3
     fsr = math.pi / terms[0]
     results = _integrate_many(
@@ -292,7 +272,8 @@ def improvement_factor(ifo: IfoParams | Sequence[IfoParams],
         np.zeros(fsr.size), fsr, _integration_breakpoints(terms[2], -terms[3], fsr),
         rel_tol=rel_tol)
     rho = []
-    for baseline, result in zip(_per_object(baseline_integrated_inverse_psd, detectors), results):
+    for ifo, result in zip(detectors, results):
+        baseline = baseline_integrated_inverse_psd(ifo)
         if isinstance(result, AccuracyError):
             rho.append(AccuracyError(str(result), best_estimate=result.best_estimate / baseline,
                                      error_estimate=result.error_estimate / baseline))

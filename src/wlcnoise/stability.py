@@ -38,7 +38,6 @@ from __future__ import annotations
 import cmath
 import math
 from enum import Enum
-from itertools import compress
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -129,12 +128,10 @@ class _Loop(NamedTuple):
         detectors' arm delays tau: the products are IEEE operations on
         the same floats, read from attribute lists, not one _Loop each."""
         tau = np.array([ifo.tau for ifo in detectors])
-        gamma12 = np.array([med.gamma12 for med in media])
-        gamma = np.array([med.gamma_opt_total for med in media])
-        # damping_gap is gamma12 - gamma_opt_total
         return cls(np.array([ifo.srm_amplitude_reflectivity for ifo in detectors]),
-                   np.array([med.delta0 for med in media]) * tau, (gamma12 - gamma) * tau,
-                   gamma * tau), tau
+                   np.array([med.delta0 for med in media]) * tau,
+                   np.array([med.damping_gap for med in media]) * tau,
+                   np.array([med.gamma_opt_total for med in media]) * tau), tau
 
 
 def _rate_scale(loop: _Loop) -> float:
@@ -803,21 +800,7 @@ def classify_system(ifo: IfoParams | Sequence[IfoParams],
         dist = _closest_approach(loop, xp.where(wide, 0.0, near_lo),
                                  xp.where(wide, 0.0, near_hi), level, interior, xp)
         columns = (dist, near_lo / tau, near_hi / tau, windings, turns, wide)
-        rows = [columns]
-        if xp is np:
-            # a row builds the reports of the configurations that pass a
-            # column at a time, as the loop below builds one's; those that
-            # fail take the loop
-            failing = wide | (dist < MARGINAL_ERROR_DISTANCE)
-            d, lo, hi, winding = (column[~failing] for column in columns[:4])
-            reports = map(StabilityReport._make, zip(
-                map(_BY_CROSSINGS.__getitem__, (winding != 0.0).tolist()),
-                map(int, winding.tolist()), d.tolist(), zip(lo.tolist(), hi.tolist()),
-                (d < MARGINAL_FLAG_DISTANCE).tolist()))
-            for i, report in zip(compress(looped, (~failing).tolist()), reports):
-                verdicts[i] = report
-            looped = list(compress(looped, failing.tolist()))
-            rows = zip(*(column[failing].tolist() for column in columns))
+        rows = [columns] if xp is _FloatMath else zip(*(column.tolist() for column in columns))
         for i, (d, lo, hi, winding, turn, too_wide) in zip(looped, rows):
             if too_wide:
                 verdicts[i] = AccuracyError(f"the near window spans {turn:.3g} delay turns; "

@@ -196,8 +196,6 @@ def _cell_media(eta: float, xi: float, labels: tuple[str, ...]):
     roots = solve_detuning(gamma12, gamma_opt, 1.0)
     if not roots:
         return gamma12, gamma_opt, {}
-    if len(labels) == 1:  # only the root the label picks
-        roots = roots[:1] if labels[0] == "smaller" else roots[-1:]
     media = [MediumParams(gamma12, gamma_opt, delta0) for delta0 in roots]
     return gamma12, gamma_opt, {label: media[0 if label == "smaller" else -1] for label in labels}
 
